@@ -53,11 +53,13 @@ chaos:
 # messages spent relaying a 1000-route table to 8 clients
 # (BENCH_fanout.json) and the allocation cost of the same scenario
 # (BENCH_hotpath.json, with the committed pre-PR baseline alongside).
+# BenchmarkTunnelForward is the data-plane path, one packet per op.
 bench: bench-fulltable bench-policy bench-federation
 	$(profdir)
 	BENCH_FANOUT_JSON=$(CURDIR)/BENCH_fanout.json $(GO) test ./internal/server/ -run TestFanoutMessageReduction -count=1 -v $(call profflags,fanout)
 	BENCH_HOTPATH_JSON=$(CURDIR)/BENCH_hotpath.json $(GO) test ./internal/server/ -run TestRelayHotPathAllocs -count=1 -v $(call profflags,hotpath)
 	$(GO) test ./internal/server/ -run '^$$' -bench 'BenchmarkFanoutThroughput|BenchmarkReplayLatency' -benchtime=50x -count=1
+	$(GO) test ./internal/server/ -run '^$$' -bench 'BenchmarkTunnelForward' -benchtime=500000x -count=1
 	BENCH_REPLAY_JSON=$(CURDIR)/BENCH_replay.json $(GO) test . -run TestReplayBenchmark -count=1 -v $(call profflags,replay)
 
 # The Internet-scale ingestion run (DESIGN.md §12): a ≥1M-prefix table
@@ -116,7 +118,8 @@ docs: vet
 	@echo "docs: all packages documented"
 
 # Both test flavors run in the gate: -race for the concurrency layer,
-# and a plain run because the allocation-budget tests (AllocsPerRun and
-# the relay-path budget) only assert without the race runtime's own
+# and a plain run because the allocation-budget tests (AllocsPerRun —
+# the verdict, the packet forward path and tunnel round trip — and the
+# relay-path budget) only assert without the race runtime's own
 # allocations in the way.
 check: build docs staticcheck test race fuzz-smoke

@@ -70,7 +70,7 @@ func main() {
 	}
 	dst := tb.InternetHost(cdnASN)
 	replies := make(chan *peering.Packet, 1)
-	cl.OnPacket(func(p *peering.Packet) { replies <- p })
+	cl.OnPacket(func(p *peering.Packet) { replies <- p.Clone() })
 	// The CDN needs the return route before replying.
 	awaitReturnRoute(tb, cdnASN, prefix)
 	pkt := &peering.Packet{Src: prefix.Addr().Next(), Dst: dst, TTL: 64, Proto: 1, ICMP: 8, ID: 1, Seq: 1}

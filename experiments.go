@@ -366,7 +366,12 @@ func RunHEEmulation() (*HEEmulationReport, error) {
 	ams.DP.Originate(pkt)
 	rep.PingAmsterdamToTokyo = tokyo.DP.Stats().DeliveredLocal > before
 
-	rep.HeapBytes = heapInUse() - heapBefore
+	// Clamped like MeasureTableMemory: earlier work in the process may
+	// release more than the emulation holds, and the difference is
+	// unsigned.
+	if after := heapInUse(); after > heapBefore {
+		rep.HeapBytes = after - heapBefore
+	}
 	runtime.KeepAlive(res)
 	return rep, nil
 }

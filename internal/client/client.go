@@ -79,20 +79,25 @@ type Client struct {
 	// the same route relayed for N upstreams costs one stored *Attrs.
 	intern *wire.InternTable
 
-	mu        sync.Mutex
-	sessions  map[uint32]*bgp.Session // upstream ID → session (BIRD: key 0)
-	views     map[uint32]*rib.AdjRIB  // upstream ID → received routes
-	counts    map[uint32]int          // upstream ID → NLRI tally (CountOnly)
+	mu       sync.Mutex
+	sessions map[uint32]*bgp.Session // upstream ID → session (BIRD: key 0)
+	// synced holds, per sessions key, the session whose establish-time
+	// replay (replayAnnounced + end-of-RIB) has been sent. An Announce
+	// racing that replay would go out twice; WaitEstablished waits for
+	// it, so what a caller sends next is sent once.
+	synced    map[uint32]*bgp.Session
+	views     map[uint32]*rib.AdjRIB // upstream ID → received routes
+	counts    map[uint32]int         // upstream ID → NLRI tally (CountOnly)
 	announced map[netip.Prefix]AnnounceOptions
 	// relayed tracks verbatim announcements forwarded through Relay,
 	// per upstream, so session re-establishment replays them alongside
 	// the announced set (the federation agent's forwarded routes must
 	// survive a session blip just like a researcher's own).
-	relayed map[uint32]map[netip.Prefix]*wire.Attrs
-	onRoute   func(upstreamID uint32, upd *wire.Update)
-	onPacket  func(*dataplane.Packet)
-	// estNotify is poked whenever a session establishes, waking
-	// WaitEstablished to recheck its condition.
+	relayed  map[uint32]map[netip.Prefix]*wire.Attrs
+	onRoute  func(upstreamID uint32, upd *wire.Update)
+	onPacket func(*dataplane.Packet)
+	// estNotify is poked whenever a session has established and sent
+	// its replay, waking WaitEstablished to recheck its condition.
 	estNotify chan struct{}
 }
 
@@ -112,6 +117,7 @@ func Connect(cfg Config, conn net.Conn) (*Client, error) {
 		clk:       cfg.Clock,
 		intern:    wire.NewInternTable(),
 		sessions:  make(map[uint32]*bgp.Session),
+		synced:    make(map[uint32]*bgp.Session),
 		views:     make(map[uint32]*rib.AdjRIB),
 		counts:    make(map[uint32]int),
 		announced: make(map[netip.Prefix]AnnounceOptions),
@@ -248,7 +254,10 @@ func (c *Client) OnRoute(fn func(upstreamID uint32, upd *wire.Update)) {
 	c.mu.Unlock()
 }
 
-// OnPacket registers the data-plane receive handler.
+// OnPacket registers the data-plane receive handler. The packet and
+// its Payload are valid only until fn returns (the tunnel decodes the
+// next packet into the same memory): a handler that keeps the packet
+// keeps p.Clone().
 func (c *Client) OnPacket(fn func(*dataplane.Packet)) {
 	c.mu.Lock()
 	c.onPacket = fn
@@ -264,15 +273,18 @@ type sessHandler struct {
 
 func (h *sessHandler) Established(sess *bgp.Session) {
 	c := h.c
-	select {
-	case c.estNotify <- struct{}{}:
-	default:
-	}
 	// Replay our announcements so a reconnected server reclaims the
 	// routes it retained stale across the restart, then send end-of-RIB
 	// to let it flush whatever we no longer announce.
 	c.replayAnnounced(sess, h.upstreamID, h.bird)
 	sess.Send(&wire.Update{})
+	c.mu.Lock()
+	c.synced[h.upstreamID] = sess
+	c.mu.Unlock()
+	select {
+	case c.estNotify <- struct{}{}:
+	default:
+	}
 }
 
 func (h *sessHandler) UpdateReceived(sess *bgp.Session, upd *wire.Update) {
@@ -467,8 +479,9 @@ func (c *Client) upstreamAddr(id uint32) netip.Addr {
 	return netip.Addr{}
 }
 
-// WaitEstablished blocks until every expected BGP session is up: one
-// per upstream in Quagga mode, one total in BIRD mode. The deadline
+// WaitEstablished blocks until every expected BGP session is up and has
+// sent its establish-time replay: one per upstream in Quagga mode, one
+// total in BIRD mode. The deadline
 // runs on the injected clock, and waking is event-driven (no polling),
 // so virtual-clock tests stay deterministic.
 func (c *Client) WaitEstablished(timeout time.Duration) error {
@@ -482,7 +495,7 @@ func (c *Client) WaitEstablished(timeout time.Duration) error {
 	c.mu.Unlock()
 	deadline := c.clk.After(timeout)
 	for {
-		if c.SessionCount() >= want {
+		if c.syncedCount() >= want {
 			return nil
 		}
 		select {
@@ -745,6 +758,20 @@ func (c *Client) SessionCount() int {
 	n := 0
 	for _, s := range c.sessions {
 		if s.State() == bgp.StateEstablished {
+			n++
+		}
+	}
+	return n
+}
+
+// syncedCount reports how many established sessions have sent their
+// establish-time replay.
+func (c *Client) syncedCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for id, s := range c.sessions {
+		if c.synced[id] == s && s.State() == bgp.StateEstablished {
 			n++
 		}
 	}

@@ -10,8 +10,10 @@ import (
 
 // Node is anything that can receive packets from a link.
 type Node interface {
-	// Receive handles pkt arriving on iface. Implementations must not
-	// retain pkt beyond the call unless they Clone it.
+	// Receive handles pkt arriving on iface. The packet and its Payload
+	// are valid only until Receive returns — senders such as a tunnel's
+	// reader decode the next packet into the same memory — so an
+	// implementation that keeps the packet keeps pkt.Clone().
 	Receive(pkt *Packet, iface *Iface)
 	// Name labels the node for diagnostics.
 	Name() string

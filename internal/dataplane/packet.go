@@ -3,6 +3,11 @@
 // FIB forwarding with TTL handling and ICMP errors, unicast reverse-path
 // (anti-spoofing) checks, and the ping/traceroute measurement primitives
 // the testbed's data-plane experiments are built from.
+//
+// Forwarding allocates nothing and takes no exclusive lock: counters are
+// atomics, a router's control state is an immutable snapshot, the FIB is
+// read-locked once per lookup. A packet handed to Receive is valid only
+// until Receive returns; keep a Clone (DESIGN.md §16).
 package dataplane
 
 import (

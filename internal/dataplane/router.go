@@ -1,8 +1,11 @@
 package dataplane
 
 import (
+	"maps"
 	"net/netip"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"peering/internal/trie"
 )
@@ -46,104 +49,135 @@ type RouterStats struct {
 	ProcDropped    uint64
 }
 
-// Router is an IP forwarding node: FIB longest-prefix matching, TTL and
-// ICMP handling, optional strict uRPF per interface, and a processor
-// pipeline.
-type Router struct {
-	name string
+// routerCounters is RouterStats as the forwarding path keeps it: one
+// atomic per counter, so counting a packet takes no lock.
+type routerCounters struct {
+	forwarded      atomic.Uint64
+	deliveredLocal atomic.Uint64
+	ttlExpired     atomic.Uint64
+	noRoute        atomic.Uint64
+	urpfDropped    atomic.Uint64
+	procDropped    atomic.Uint64
+}
 
-	mu         sync.RWMutex
-	fib        *trie.Trie[*FIBEntry]
+// routerControl is the router's rarely-changing control state. A
+// published value is immutable: the forwarding path loads it with one
+// atomic read per packet, and every setter replaces it with an edited
+// copy (Router.updateControl).
+type routerControl struct {
 	ifaces     []*Iface
 	local      map[netip.Addr]bool
 	urpf       map[*Iface]bool
 	processors []Processor
 	localSink  func(*Packet, *Iface)
-	stats      RouterStats
+}
+
+// Router is an IP forwarding node: FIB longest-prefix matching, TTL and
+// ICMP handling, optional strict uRPF per interface, and a processor
+// pipeline.
+//
+// Forwarding takes no exclusive lock: counters are atomics, control
+// state is an immutable snapshot, and the FIB is read-locked once per
+// lookup. The FIB stays a mutable trie under an RWMutex rather than a
+// swapped snapshot because routes are installed one at a time and a
+// copy per SetRoute would be O(table).
+type Router struct {
+	name string
+
+	ctl   atomic.Pointer[routerControl]
+	ctlMu sync.Mutex // serialises updateControl
+
+	fibMu sync.RWMutex
+	fib   *trie.Trie[*FIBEntry]
+
+	stats routerCounters
 }
 
 // NewRouter returns an empty router named name.
 func NewRouter(name string) *Router {
-	return &Router{
-		name:  name,
-		fib:   trie.New[*FIBEntry](),
-		local: make(map[netip.Addr]bool),
-		urpf:  make(map[*Iface]bool),
-	}
+	r := &Router{name: name, fib: trie.New[*FIBEntry]()}
+	r.ctl.Store(&routerControl{local: map[netip.Addr]bool{}, urpf: map[*Iface]bool{}})
+	return r
 }
 
 // Name implements Node.
 func (r *Router) Name() string { return r.name }
 
+// updateControl publishes a copy of the control state edited by edit.
+// The copy is deep, so edit may append to the slices and assign into
+// the maps freely.
+func (r *Router) updateControl(edit func(*routerControl)) {
+	r.ctlMu.Lock()
+	defer r.ctlMu.Unlock()
+	old := r.ctl.Load()
+	next := &routerControl{
+		ifaces:     slices.Clone(old.ifaces),
+		local:      maps.Clone(old.local),
+		urpf:       maps.Clone(old.urpf),
+		processors: slices.Clone(old.processors),
+		localSink:  old.localSink,
+	}
+	edit(next)
+	r.ctl.Store(next)
+}
+
 // AddIface registers an interface created by Connect as belonging to
 // this router, making its address local.
 func (r *Router) AddIface(i *Iface) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ifaces = append(r.ifaces, i)
-	if i.Addr.IsValid() {
-		r.local[i.Addr] = true
-	}
+	r.updateControl(func(c *routerControl) {
+		c.ifaces = append(c.ifaces, i)
+		if i.Addr.IsValid() {
+			c.local[i.Addr] = true
+		}
+	})
 }
 
 // Ifaces returns the registered interfaces.
 func (r *Router) Ifaces() []*Iface {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Iface, len(r.ifaces))
-	copy(out, r.ifaces)
-	return out
+	return slices.Clone(r.ctl.Load().ifaces)
 }
 
 // AddLocal marks addr as locally delivered (loopbacks, service VIPs).
 func (r *Router) AddLocal(addr netip.Addr) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.local[addr] = true
+	r.updateControl(func(c *routerControl) { c.local[addr] = true })
 }
 
 // SetURPF enables strict unicast reverse-path filtering on iface:
 // packets whose source would not be routed back out the same interface
 // are dropped. This is how PEERING servers stop clients from spoofing.
 func (r *Router) SetURPF(iface *Iface, on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.urpf[iface] = on
+	r.updateControl(func(c *routerControl) { c.urpf[iface] = on })
 }
 
 // AddProcessor appends p to the packet pipeline.
 func (r *Router) AddProcessor(p Processor) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.processors = append(r.processors, p)
+	r.updateControl(func(c *routerControl) { c.processors = append(c.processors, p) })
 }
 
 // SetLocalSink registers the handler for packets addressed to this
 // router (beyond the automatic ICMP echo handling).
 func (r *Router) SetLocalSink(fn func(*Packet, *Iface)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.localSink = fn
+	r.updateControl(func(c *routerControl) { c.localSink = fn })
 }
 
 // SetRoute installs (or replaces) a FIB entry.
 func (r *Router) SetRoute(p netip.Prefix, nh netip.Addr, out *Iface) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.fibMu.Lock()
+	defer r.fibMu.Unlock()
 	r.fib.Insert(p, &FIBEntry{Prefix: p, NextHop: nh, Out: out})
 }
 
 // DelRoute removes the FIB entry for p.
 func (r *Router) DelRoute(p netip.Prefix) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.fibMu.Lock()
+	defer r.fibMu.Unlock()
 	r.fib.Delete(p)
 }
 
 // LookupRoute returns the FIB entry that would forward traffic to addr.
 func (r *Router) LookupRoute(addr netip.Addr) *FIBEntry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.fibMu.RLock()
+	defer r.fibMu.RUnlock()
 	_, e, ok := r.fib.Lookup(addr)
 	if !ok {
 		return nil
@@ -153,45 +187,45 @@ func (r *Router) LookupRoute(addr netip.Addr) *FIBEntry {
 
 // FIBLen reports the number of FIB entries.
 func (r *Router) FIBLen() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.fibMu.RLock()
+	defer r.fibMu.RUnlock()
 	return r.fib.Len()
 }
 
 // Stats returns a snapshot of the router's counters.
 func (r *Router) Stats() RouterStats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.stats
+	return RouterStats{
+		Forwarded:      r.stats.forwarded.Load(),
+		DeliveredLocal: r.stats.deliveredLocal.Load(),
+		TTLExpired:     r.stats.ttlExpired.Load(),
+		NoRoute:        r.stats.noRoute.Load(),
+		URPFDropped:    r.stats.urpfDropped.Load(),
+		ProcDropped:    r.stats.procDropped.Load(),
+	}
 }
 
 // Receive implements Node.
 func (r *Router) Receive(pkt *Packet, ingress *Iface) {
-	r.mu.RLock()
-	procs := r.processors
-	urpf := ingress != nil && r.urpf[ingress]
-	r.mu.RUnlock()
+	ctl := r.ctl.Load()
 
-	for _, p := range procs {
+	for _, p := range ctl.processors {
 		switch p(pkt, ingress) {
 		case VerdictDrop:
-			r.bump(func(s *RouterStats) { s.ProcDropped++ })
+			r.stats.procDropped.Add(1)
 			return
 		case VerdictHandled:
 			return
 		}
 	}
 
-	if urpf && !r.urpfPass(pkt.Src, ingress) {
-		r.bump(func(s *RouterStats) { s.URPFDropped++ })
+	if ingress != nil && ctl.urpf[ingress] && !r.urpfPass(pkt.Src, ingress) {
+		r.stats.urpfDropped.Add(1)
 		return
 	}
 
-	r.mu.RLock()
-	isLocal := r.local[pkt.Dst]
-	r.mu.RUnlock()
-	if isLocal {
-		r.deliverLocal(pkt, ingress)
+	// After the processors: they may have rewritten Dst.
+	if ctl.local[pkt.Dst] {
+		r.deliverLocal(ctl, pkt, ingress)
 		return
 	}
 
@@ -209,18 +243,18 @@ func (r *Router) urpfPass(src netip.Addr, ingress *Iface) bool {
 // ingress may be nil for locally originated packets.
 func (r *Router) Forward(pkt *Packet, ingress *Iface) {
 	if pkt.TTL <= 1 {
-		r.bump(func(s *RouterStats) { s.TTLExpired++ })
+		r.stats.ttlExpired.Add(1)
 		r.sendICMP(pkt, ingress, ICMPTimeExceeded)
 		return
 	}
 	pkt.TTL--
 	e := r.LookupRoute(pkt.Dst)
 	if e == nil {
-		r.bump(func(s *RouterStats) { s.NoRoute++ })
+		r.stats.noRoute.Add(1)
 		r.sendICMP(pkt, ingress, ICMPUnreachable)
 		return
 	}
-	r.bump(func(s *RouterStats) { s.Forwarded++ })
+	r.stats.forwarded.Add(1)
 	e.Out.Send(pkt)
 }
 
@@ -228,16 +262,16 @@ func (r *Router) Forward(pkt *Packet, ingress *Iface) {
 func (r *Router) Originate(pkt *Packet) {
 	e := r.LookupRoute(pkt.Dst)
 	if e == nil {
-		r.bump(func(s *RouterStats) { s.NoRoute++ })
+		r.stats.noRoute.Add(1)
 		return
 	}
-	r.bump(func(s *RouterStats) { s.Forwarded++ })
+	r.stats.forwarded.Add(1)
 	e.Out.Send(pkt)
 }
 
 // deliverLocal handles packets addressed to the router itself.
-func (r *Router) deliverLocal(pkt *Packet, ingress *Iface) {
-	r.bump(func(s *RouterStats) { s.DeliveredLocal++ })
+func (r *Router) deliverLocal(ctl *routerControl, pkt *Packet, ingress *Iface) {
+	r.stats.deliveredLocal.Add(1)
 	if pkt.Proto == ProtoICMP && pkt.ICMP == ICMPEchoRequest {
 		reply := &Packet{
 			ID:    packetSeq.Add(1),
@@ -252,11 +286,8 @@ func (r *Router) deliverLocal(pkt *Packet, ingress *Iface) {
 		r.Originate(reply)
 		return
 	}
-	r.mu.RLock()
-	sink := r.localSink
-	r.mu.RUnlock()
-	if sink != nil {
-		sink(pkt, ingress)
+	if ctl.localSink != nil {
+		ctl.localSink(pkt, ingress)
 	}
 }
 
@@ -270,14 +301,12 @@ func (r *Router) sendICMP(pkt *Packet, ingress *Iface, typ ICMPType) {
 	if ingress != nil && ingress.Addr.IsValid() {
 		src = ingress.Addr
 	} else {
-		r.mu.RLock()
-		for _, i := range r.ifaces {
+		for _, i := range r.ctl.Load().ifaces {
 			if i.Addr.IsValid() {
 				src = i.Addr
 				break
 			}
 		}
-		r.mu.RUnlock()
 	}
 	if !src.IsValid() {
 		return
@@ -293,10 +322,4 @@ func (r *Router) sendICMP(pkt *Packet, ingress *Iface, typ ICMPType) {
 		Orig:  pkt.ID,
 	}
 	r.Originate(icmp)
-}
-
-func (r *Router) bump(f func(*RouterStats)) {
-	r.mu.Lock()
-	f(&r.stats)
-	r.mu.Unlock()
 }

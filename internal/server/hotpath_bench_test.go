@@ -21,6 +21,8 @@ import (
 	"time"
 
 	"peering/internal/benchenv"
+	"peering/internal/dataplane"
+	"peering/internal/muxproto"
 	"peering/internal/router"
 )
 
@@ -54,6 +56,44 @@ func BenchmarkRelayHotPath(b *testing.B) {
 		relayRound(b, fb, round, nRoutes, nClients)
 	}
 	b.StopTimer()
+}
+
+// BenchmarkTunnelForward reports ns/op, B/op and allocs/op for one
+// packet on the data-plane path: a real client.Client's SendPacket →
+// tunnel frame → packet decode → spoof filter → FIB lookup → egress
+// node. The sender reuses one packet, so every allocation reported is
+// the path's own; at most tunnelForwardWindow packets are in flight,
+// because the tunnel's stream buffers without limit.
+func BenchmarkTunnelForward(b *testing.B) {
+	const tunnelForwardWindow = 1024
+	r := newRig(b, muxproto.ModeQuagga)
+	egress := r.addEgress()
+	cl := r.connectClient(b, "exp1", clientAlloc(), false)
+	pkt := dataplane.NewPacket(addr("184.164.224.10"), addr("93.184.216.34"), dataplane.ProtoUDP)
+	send := func(n int) {
+		base := int(egress.packets.Load())
+		delivered := func() int { return int(egress.packets.Load()) - base }
+		for i := 1; i <= n; i++ {
+			if err := cl.SendPacket(pkt); err != nil {
+				b.Fatal(err)
+			}
+			for i%64 == 0 && i-delivered() > tunnelForwardWindow {
+				runtime.Gosched()
+			}
+		}
+		for delivered() < n {
+			runtime.Gosched()
+		}
+	}
+	send(tunnelForwardWindow) // warm pools, the reader's buffer and Trace
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	send(b.N)
+	b.StopTimer()
+	if st := r.srv.Stats(); st.SpoofsBlocked != 0 {
+		b.Fatalf("spoof filter blocked %d legitimate packets", st.SpoofsBlocked)
+	}
 }
 
 // hotpathMeasurement is one measured configuration of the relay path.

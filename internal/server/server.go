@@ -952,6 +952,11 @@ func (s *Server) clientHandshake(c *clientConn, upstreams []*Upstream) {
 	id := c.account.ID
 	acct := c.account
 	ctrl := c.mux.Open(muxproto.StreamControl)
+	// The client may send packets as soon as it has read provisioning,
+	// and the mux discards frames for streams nobody opened: open the
+	// packet channel first, so early packets queue on the stream until
+	// NewPacketTunnel adopts it below.
+	c.mux.Open(tunnel.PacketChannel)
 	prov := &muxproto.Provisioning{
 		Site:         s.cfg.Site,
 		ASN:          s.cfg.ASN,

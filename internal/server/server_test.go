@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ type rig struct {
 	up1, up2 *router.Router
 }
 
-func newRig(t *testing.T, mode muxproto.Mode) *rig {
+func newRig(t testing.TB, mode muxproto.Mode) *rig {
 	t.Helper()
 	srv := New(Config{
 		Site:     "amsterdam01",
@@ -73,7 +75,7 @@ func newRig(t *testing.T, mode muxproto.Mode) *rig {
 	return r
 }
 
-func (r *rig) connectClient(t *testing.T, id string, alloc []netip.Prefix, spoof bool) *client.Client {
+func (r *rig) connectClient(t testing.TB, id string, alloc []netip.Prefix, spoof bool) *client.Client {
 	t.Helper()
 	tunAddr := addr("10.250.0." + map[string]string{"exp1": "1", "exp2": "2", "exp3": "3"}[id])
 	if err := r.srv.RegisterClient(ClientAccount{
@@ -337,7 +339,7 @@ func TestTrafficClientToInternetAndBack(t *testing.T) {
 
 	var got []*dataplane.Packet
 	recvd := make(chan *dataplane.Packet, 8)
-	cl.OnPacket(func(p *dataplane.Packet) { recvd <- p })
+	cl.OnPacket(func(p *dataplane.Packet) { recvd <- p.Clone() })
 
 	// Client → Internet.
 	pkt := dataplane.NewPacket(addr("184.164.224.10"), addr("93.184.216.34"), dataplane.ProtoUDP)
@@ -364,6 +366,55 @@ func TestTrafficClientToInternetAndBack(t *testing.T) {
 	st := r.srv.Stats()
 	if st.PacketsFromClients != 1 || st.PacketsToClients != 1 {
 		t.Fatalf("packet stats = %+v", st)
+	}
+}
+
+// egressNode is the far end of a server egress link: it counts arrivals.
+type egressNode struct{ packets atomic.Uint64 }
+
+func (*egressNode) Name() string { return "egress" }
+
+func (n *egressNode) Receive(*dataplane.Packet, *dataplane.Iface) { n.packets.Add(1) }
+
+// addEgress hangs a counting node off the server's data plane and
+// routes 93.184.216.0/24 to it.
+func (r *rig) addEgress() *egressNode {
+	n := &egressNode{}
+	_, svIf, _ := dataplane.Connect(r.srv.DP(), addr("93.184.216.1"), "inet", n, addr("93.184.216.34"), "eth0")
+	r.srv.DP().AddIface(svIf)
+	r.srv.DP().SetRoute(prefix("93.184.216.0/24"), netip.Addr{}, svIf)
+	return n
+}
+
+// A client may send the moment Connect returns: the server opens the
+// packet channel before it writes provisioning, so a packet that
+// arrives ahead of the server's own tunnel set-up waits on the stream
+// instead of being discarded by the mux as unsolicited.
+func TestFirstPacketAfterConnectIsForwarded(t *testing.T) {
+	r := newRig(t, muxproto.ModeQuagga)
+	egress := r.addEgress()
+	for i := 0; i < 20; i++ { // the window is short; a fresh client each time
+		id := fmt.Sprintf("early%d", i)
+		if err := r.srv.RegisterClient(ClientAccount{
+			ID: id, Allocation: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{184, 164, byte(224 + i), 0}), 24)},
+			TunnelAddr: netip.AddrFrom4([4]byte{10, 250, 1, byte(i + 1)}),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ca, cb := bufconn.Pipe()
+		if err := r.srv.AcceptClient(id, ca); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := client.Connect(client.Config{Name: id, RouterID: addr("10.250.1.1")}, cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		src := netip.AddrFrom4([4]byte{184, 164, byte(224 + i), 10})
+		if err := cl.SendPacket(dataplane.NewPacket(src, addr("93.184.216.34"), dataplane.ProtoUDP)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the first packet at the egress", func() bool { return egress.packets.Load() == uint64(i+1) })
 	}
 }
 

@@ -13,6 +13,10 @@ import (
 // checksums, no padding, one canonical field order), so a fixed point
 // here means the codec neither drops nor invents information — the
 // same invariant the MRT and wire-format fuzzers enforce.
+//
+// The tunnel's reader decodes into a reused packet (decodePacketInto)
+// where DecodePacket allocates: the two must accept exactly the same
+// inputs and agree on every field, whatever the reused packet held.
 func FuzzTunnelFrame(f *testing.F) {
 	// Seeds from the unit-test vectors: the canonical UDP sample, an
 	// ICMP variant, an empty payload, and the malformed shapes the
@@ -39,8 +43,17 @@ func FuzzTunnelFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkt, err := DecodePacket(data)
+		reused := samplePacket() // stale fields, payload and trace to overwrite
+		reused.Orig, reused.Trace = 5, append(reused.Trace, reused.Src)
+		intoErr := decodePacketInto(reused, data)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("DecodePacket: %v, decodePacketInto: %v", err, intoErr)
+		}
 		if err != nil {
 			return // rejected input: nothing to round-trip
+		}
+		if !samePacket(pkt, reused) {
+			t.Fatalf("decodePacketInto = %+v, DecodePacket = %+v", reused, pkt)
 		}
 		out, err := EncodePacket(pkt)
 		if err != nil {

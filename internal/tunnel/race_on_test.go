@@ -1,0 +1,8 @@
+//go:build race
+
+package tunnel
+
+// raceEnabled reports whether the race detector is compiled in; its
+// runtime instrumentation allocates on its own, so allocation gates
+// are only enforced in non-race runs.
+const raceEnabled = true

@@ -8,6 +8,10 @@
 // multiplexed session (BIRD/ADD-PATH mode), plus the data-plane packet
 // channel. Channel 0 is reserved for packets; channels ≥1 are opened by
 // the client, one per upstream peer session.
+//
+// A packet crosses as one frame, [len | header | payload], and is
+// decoded into a Packet and a buffer the tunnel reuses: what a packet
+// handler is given is valid only until it returns (DESIGN.md §16).
 package tunnel
 
 import (

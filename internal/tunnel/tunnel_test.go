@@ -241,8 +241,8 @@ func TestPacketTunnelEndToEnd(t *testing.T) {
 	defer mb.Close()
 	// B adopts the packet channel lazily via acceptor… but the packet
 	// channel is conventionally pre-opened on both sides:
-	ptA := NewPacketTunnel(ma, func(p *dataplane.Packet) { recvA <- p })
-	ptB = NewPacketTunnel(mb, func(p *dataplane.Packet) { recvB <- p })
+	ptA := NewPacketTunnel(ma, func(p *dataplane.Packet) { recvA <- p.Clone() })
+	ptB = NewPacketTunnel(mb, func(p *dataplane.Packet) { recvB <- p.Clone() })
 	close(ready)
 
 	if err := ptA.Send(samplePacket()); err != nil {

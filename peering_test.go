@@ -133,7 +133,7 @@ func TestTrafficToLiveInternet(t *testing.T) {
 	})
 
 	got := make(chan *Packet, 4)
-	cl.OnPacket(func(p *Packet) { got <- p })
+	cl.OnPacket(func(p *Packet) { got <- p.Clone() })
 	src := alloc.Addr().Next()
 	pkt := &Packet{Src: src, Dst: dst, TTL: 64, Proto: 1, ICMP: 8, ID: 42, Seq: 7}
 	if err := cl.SendPacket(pkt); err != nil {
