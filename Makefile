@@ -11,7 +11,7 @@ profflags =
 profdir = @true
 endif
 
-.PHONY: all build vet staticcheck test race chaos bench bench-fulltable bench-policy bench-federation fuzz-smoke check docs
+.PHONY: all build vet staticcheck test race chaos bench bench-fulltable bench-policy bench-federation fuzz-smoke check docs lines
 
 all: check
 
@@ -53,13 +53,16 @@ chaos:
 # messages spent relaying a 1000-route table to 8 clients
 # (BENCH_fanout.json) and the allocation cost of the same scenario
 # (BENCH_hotpath.json, with the committed pre-PR baseline alongside).
-# BenchmarkTunnelForward is the data-plane path, one packet per op.
+# BenchmarkTunnelForward is the data-plane path, one packet per op;
+# BenchmarkChurnFanout is the steady-state control path, one
+# single-NLRI UPDATE reaching one of 16 clients per op.
 bench: bench-fulltable bench-policy bench-federation
 	$(profdir)
 	BENCH_FANOUT_JSON=$(CURDIR)/BENCH_fanout.json $(GO) test ./internal/server/ -run TestFanoutMessageReduction -count=1 -v $(call profflags,fanout)
 	BENCH_HOTPATH_JSON=$(CURDIR)/BENCH_hotpath.json $(GO) test ./internal/server/ -run TestRelayHotPathAllocs -count=1 -v $(call profflags,hotpath)
 	$(GO) test ./internal/server/ -run '^$$' -bench 'BenchmarkFanoutThroughput|BenchmarkReplayLatency' -benchtime=50x -count=1
 	$(GO) test ./internal/server/ -run '^$$' -bench 'BenchmarkTunnelForward' -benchtime=500000x -count=1
+	$(GO) test ./internal/server/ -run '^$$' -bench 'BenchmarkChurnFanout' -benchtime=2000000x -count=1
 	BENCH_REPLAY_JSON=$(CURDIR)/BENCH_replay.json $(GO) test . -run TestReplayBenchmark -count=1 -v $(call profflags,replay)
 
 # The Internet-scale ingestion run (DESIGN.md §12): a ≥1M-prefix table
@@ -117,9 +120,20 @@ docs: vet
 	fi
 	@echo "docs: all packages documented"
 
+# internal/server is the package ROADMAP item 2 is shrinking (one path
+# per job). The gate prints its non-test line count and fails when it
+# grows past the committed ceiling: code added there has to pay for
+# itself by deleting something, or raise the figure in the same change
+# and say why.
+SERVER_LINES_MAX = 3550
+lines:
+	@n=$$(cat $$(ls internal/server/*.go | grep -v _test.go) | wc -l); \
+	echo "internal/server: $$n non-test lines (ceiling $(SERVER_LINES_MAX))"; \
+	[ $$n -le $(SERVER_LINES_MAX) ]
+
 # Both test flavors run in the gate: -race for the concurrency layer,
 # and a plain run because the allocation-budget tests (AllocsPerRun —
 # the verdict, the packet forward path and tunnel round trip — and the
 # relay-path budget) only assert without the race runtime's own
 # allocations in the way.
-check: build docs staticcheck test race fuzz-smoke
+check: build docs lines staticcheck test race fuzz-smoke

@@ -32,11 +32,18 @@ type Metrics struct {
 	// "session_reset"). Counted at ingress on every session — client
 	// and upstream alike — so the server inherits coverage for free.
 	Errors *telemetry.CounterVec
+
+	// in / out are the MsgsIn / MsgsOut children by wire.MsgType,
+	// resolved once here so counting a message is one atomic add
+	// instead of CounterVec.With's label-key formatting and lock. A
+	// type outside the table (never sent by a conforming peer) takes
+	// the vec path under "unknown".
+	in, out [wire.MsgRouteRefresh + 1]*telemetry.Counter
 }
 
 // NewMetrics registers the session layer's metrics on r.
 func NewMetrics(r *telemetry.Registry) *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		MsgsIn: r.CounterVec("peering_bgp_messages_in_total",
 			"BGP messages received, by message type.", "type"),
 		MsgsOut: r.CounterVec("peering_bgp_messages_out_total",
@@ -52,6 +59,11 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		Errors: r.CounterVec("peering_errors_total",
 			"RFC 7606 UPDATE error-handling actions taken, by action.", "action"),
 	}
+	for t := wire.MsgOpen; t <= wire.MsgRouteRefresh; t++ {
+		m.in[t] = m.MsgsIn.With(msgTypeLabel(t))
+		m.out[t] = m.MsgsOut.With(msgTypeLabel(t))
+	}
+	return m
 }
 
 // msgIn / msgOut / sessionState / sessionClosed are the nil-safe hooks
@@ -59,21 +71,28 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 
 func (m *Metrics) msgIn(msg wire.Message) {
 	if m != nil {
-		m.MsgsIn.With(msgTypeLabel(msg.Type())).Inc()
+		msgChild(m.MsgsIn, &m.in, msg.Type()).Inc()
 	}
 }
 
 func (m *Metrics) msgOut(msg wire.Message) {
 	if m != nil {
-		m.MsgsOut.With(msgTypeLabel(msg.Type())).Inc()
+		msgChild(m.MsgsOut, &m.out, msg.Type()).Inc()
 	}
 }
 
 // msgOutUpdates counts n UPDATEs written at once (a pre-encoded frame).
 func (m *Metrics) msgOutUpdates(n int) {
 	if m != nil && n > 0 {
-		m.MsgsOut.With("update").Add(uint64(n))
+		m.out[wire.MsgUpdate].Add(uint64(n))
 	}
+}
+
+func msgChild(vec *telemetry.CounterVec, byType *[wire.MsgRouteRefresh + 1]*telemetry.Counter, t wire.MsgType) *telemetry.Counter {
+	if int(t) < len(byType) && byType[t] != nil {
+		return byType[t]
+	}
+	return vec.With(msgTypeLabel(t))
 }
 
 // sessionState moves a session from FSM state old to new on the state

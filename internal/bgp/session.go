@@ -458,6 +458,14 @@ func (s *Session) SendEncoded(f *bufpool.Frame, updates int) error {
 	s.sent.Add(uint64(updates))
 	select {
 	case s.sendQ <- sendItem{frame: f, updates: updates}:
+		// The writer drains the queue once on its way out; a frame that
+		// slipped in behind that drain is released here, so a reference
+		// handed to a session is always given back.
+		select {
+		case <-s.done:
+			s.releaseQueuedFrames()
+		default:
+		}
 	case <-s.done:
 		f.Release()
 	}
@@ -517,8 +525,8 @@ func (s *Session) writeFrame(it sendItem) error {
 }
 
 // releaseQueuedFrames drops the references held by frames still queued
-// when the writer exits, so their buffers can be recycled. Best
-// effort: a frame enqueued after this drain is simply left to the GC.
+// when the writer exits, so their buffers can be recycled. SendEncoded
+// calls it again for a frame enqueued behind the writer's own drain.
 func (s *Session) releaseQueuedFrames() {
 	for {
 		select {

@@ -18,11 +18,20 @@ type Frame struct {
 	refs atomic.Int32
 }
 
+// live counts frames created and not yet fully released.
+var live atomic.Int64
+
+// LiveFrames reports how many frames still hold a reference — debug
+// accounting for leak checks: once every queue and session writer that
+// was handed a frame has let go, it reads zero.
+func LiveFrames() int64 { return live.Load() }
+
 // NewFrame wraps b (typically obtained from Get) in a frame holding
 // one reference. b must not be used directly by the caller afterwards.
 func NewFrame(b []byte) *Frame {
 	f := &Frame{b: b}
 	f.refs.Store(1)
+	live.Add(1)
 	return f
 }
 
@@ -34,6 +43,7 @@ func (f *Frame) Retain() { f.refs.Add(1) }
 // the last holder lets go. The caller must not touch Bytes afterwards.
 func (f *Frame) Release() {
 	if f.refs.Add(-1) == 0 {
+		live.Add(-1)
 		b := f.b
 		f.b = nil
 		Put(b)

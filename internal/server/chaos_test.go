@@ -32,9 +32,10 @@ import (
 )
 
 // chaosServer builds a server on a virtual clock with the given quota.
+// Its cleanup ends with the resource invariant (newCheckedServer).
 func chaosServer(t *testing.T, clk *clock.Virtual, quota QuotaConfig) *Server {
 	t.Helper()
-	srv := New(Config{
+	return newCheckedServer(t, Config{
 		Site:      "chaos03",
 		ASN:       testbedASN,
 		RouterID:  addr("184.164.224.1"),
@@ -44,8 +45,6 @@ func chaosServer(t *testing.T, clk *clock.Virtual, quota QuotaConfig) *Server {
 		Reconnect: bgp.Backoff{Initial: time.Second, Max: 8 * time.Second, Factor: 2},
 		Quota:     quota,
 	})
-	t.Cleanup(srv.Close)
-	return srv
 }
 
 // chaosUpstreamConfig is the single upstream every chaos rig peers with.
@@ -706,23 +705,22 @@ func TestChaosKillAndWarmRestart(t *testing.T) {
 // ---------------------------------------------------------------------
 // Scenario 5: shared-frame broadcast vs a stalled laggard
 
-// TestChaosFrameShedAndResync drives the batched ingest path — the one
-// that broadcasts shared encode-once frames to every client — against
-// a mux whose slowest client stalls at a tiny queue cap. Healthy
+// TestChaosFrameShedAndResync drives batched ingest — shared
+// encode-once frames broadcast to every client — against a mux whose
+// slowest client stalls at a tiny queue cap. Healthy
 // clients must converge from the shared frames; the laggard's frames
 // must shed mid-broadcast without losing withdrawals; and once the
 // transport heals, the auto-resync must rebuild the laggard to
 // attribute-for-attribute parity with a healthy peer.
 func TestChaosFrameShedAndResync(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
-	srv := New(Config{
+	srv := newCheckedServer(t, Config{
 		Site: "chaos05", ASN: testbedASN, RouterID: addr("184.164.224.1"),
 		Mode: muxproto.ModeQuagga, Clock: clk, Shards: 8,
 		Dampening: relaxedDampening(),
 		Reconnect: bgp.Backoff{Initial: time.Second, Max: 8 * time.Second, Factor: 2},
 		Quota:     QuotaConfig{MaxQueueOps: 64},
 	})
-	t.Cleanup(srv.Close)
 	_, u := attachChaosUpstream(t, srv, clk)
 
 	// The laggard rides a stallable transport; two healthy clients ride
@@ -748,8 +746,8 @@ func TestChaosFrameShedAndResync(t *testing.T) {
 	h2 := connectChaosClient(t, srv, clk, "h2", addr("10.250.0.3"), prefix("184.164.226.0/24"))
 
 	// The world arrives in batched runs — the shape the session reader's
-	// batched delivery hands the ingest pool, and the one that forms
-	// broadcast frames (8 shards × ≥32 entries per dispatch below).
+	// batched delivery hands the ingest pool: one frame per touched
+	// shard for each dispatch below.
 	worldPfx := func(i int) netip.Prefix { return prefix(fmt.Sprintf("96.%d.%d.0/24", i/256, i%256)) }
 	dispatchWorld := func(lo, hi int, wd []netip.Prefix) {
 		var upds []*wire.Update
@@ -769,7 +767,7 @@ func TestChaosFrameShedAndResync(t *testing.T) {
 			}
 			upds = append(upds, upd)
 		}
-		srv.ingest.dispatchBatch(u, 3356, addr("4.69.0.1"), upds)
+		srv.ingest.dispatch(u, 3356, addr("4.69.0.1"), upds)
 	}
 	// Shed counts live in each queue until its flusher merges them; a
 	// stalled flusher never merges, so sum both places.
@@ -805,7 +803,7 @@ func TestChaosFrameShedAndResync(t *testing.T) {
 	}
 	// With the laggard pinned over its cap, one more round carries
 	// withdrawals of live prefixes: the frames shed their announcements
-	// but the withdrawals must survive as plain ops.
+	// but the withdrawals must survive as private withdraw-only frames.
 	wd := make([]netip.Prefix, 256)
 	for i := range wd {
 		wd[i] = worldPfx(i)

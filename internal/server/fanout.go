@@ -3,22 +3,20 @@ package server
 // This file is the fan-out pipeline: every route relayed from an
 // upstream to a client passes through that client's outbound queue
 // instead of being sent synchronously on the upstream's reader
-// goroutine. The queue coalesces per (upstream, prefix) — a later
-// announcement overwrites a pending one, a withdrawal cancels a pending
-// announcement — so its depth is bounded by the live state space, and a
-// dedicated per-client worker drains it, packing NLRIs that share
-// attributes into as few UPDATEs as MaxMsgLen allows. Upstream readers
-// therefore never block on a slow client; a client that cannot keep up
-// shows as queue depth and backpressure counters, not as head-of-line
-// blocking for its peers.
+// goroutine. The queue holds one thing — refcounted broadcast frames
+// (frame.go), in enqueue order per shard — and a dedicated per-client
+// worker drains it, shipping each frame's encode-once bytes. Upstream
+// readers therefore never block on a slow client; a client that cannot
+// keep up shows as queue depth and backpressure counters, and past
+// Quota.MaxQueueOps as a shed and a resync, never as head-of-line
+// blocking for its peers. Coalescing happens before the queue, once for
+// all clients, when the ingest worker folds a batch to final state per
+// prefix (ingest.go).
 
 import (
-	"net/netip"
 	"sync"
 	"sync/atomic"
 
-	"peering/internal/bgp"
-	"peering/internal/muxproto"
 	"peering/internal/rib"
 	"peering/internal/wire"
 )
@@ -26,71 +24,47 @@ import (
 // DefaultFanoutHighWater is used when Config.FanoutHighWater is zero.
 const DefaultFanoutHighWater = 32768
 
-// outKey identifies one queued fan-out operation: the server relays
-// each upstream's routes verbatim, so (upstream, prefix) names exactly
-// one slot of client-visible state.
-type outKey struct {
-	upstream uint32
-	prefix   netip.Prefix
-}
-
-// outOp is one pending operation; nil attrs means withdraw. The attrs
-// pointer is shared with the Adj-RIB-In and other clients' queues and
-// must never be mutated (see wire.PackUpdates). When frame is non-nil
-// the entry is a shared broadcast frame covering many logical ops
-// (key/attrs unused); frames hold their position in the shard's
-// enqueue order but never coalesce.
-type outOp struct {
-	key   outKey
-	attrs *wire.Attrs
-	frame *broadcastFrame
-}
-
 // outCounters are the per-queue deltas merged into Server.Stats on each
 // flush.
 type outCounters struct {
-	coalesced    uint64
 	backpressure uint64
 	shed         uint64
 	highWater    int
 }
 
-// outQueueShard is one lock's worth of a client's queue: the pending
-// index and op list for the prefixes hashing here. Sharded on the same
+// outQueueShard is one lock's worth of a client's queue: the frames
+// whose prefixes hash here, in enqueue order. Sharded on the same
 // rib.PrefixShard as the Adj-RIB-In, so ingest worker i only ever takes
 // queue shard i and two workers never contend on a client's queue.
 type outQueueShard struct {
-	mu        sync.Mutex
-	pending   map[outKey]int // key → index into ops
-	ops       []outOp        // first-enqueue order; coalesced in place
-	coalesced uint64
+	mu     sync.Mutex
+	frames []*broadcastFrame
 	// synced[upstream] opens this shard for the upstream's live traffic.
 	// It starts closed and is set by beginSync from the replay walk, so
 	// a client attaching mid-ingest never receives a route both from a
-	// live broadcast frame and from its own replay snapshot: until the
-	// walk has covered this shard, live enqueues are dropped — every
-	// route they carry is already installed, so the walk delivers it
-	// exactly once. (The per-op path's coalescing used to absorb most
-	// such duplicates; shared frames never coalesce, so the dedup moved
-	// here, to enqueue time.)
+	// live frame and from its own replay snapshot: until the walk has
+	// covered this shard, live frames are dropped — every route they
+	// carry is already installed, so the walk delivers it exactly once.
+	// close drops the map, which shuts every gate for good.
 	synced map[uint32]bool
 }
 
-// outQueue is one client's coalescing outbound queue.
+// outQueue is one client's outbound queue of broadcast frames.
 type outQueue struct {
 	shards []outQueueShard
 	mask   uint32
 	notify chan struct{}
 
-	// eors are End-of-RIB markers, flushed after ops. take snapshots
-	// them before draining the op shards, so every op enqueued before a
+	// eors are End-of-RIB markers, flushed after frames. take snapshots
+	// them before draining the shards, so every frame enqueued before a
 	// marker is flushed no later than the marker (replayed tables land
 	// before the sweep they trigger).
 	eorMu sync.Mutex
 	eors  []uint32
 
-	// Cross-shard depth and pressure accounting, all lock-free so put
-	// on one shard never touches another shard's lock.
+	// Cross-shard depth and pressure accounting, all lock-free so an
+	// enqueue on one shard never touches another shard's lock. Depth
+	// counts logical routes: a frame stands for every route it carries.
 	depthOps     atomic.Int64
 	depthEoRs    atomic.Int64
 	highWater    atomic.Int64
@@ -99,7 +73,7 @@ type outQueue struct {
 	overflow     atomic.Bool
 
 	softLimit int
-	// hardLimit caps pending ops across all shards; 0 disables. Above
+	// hardLimit caps queued routes across all shards; 0 disables. Above
 	// it, announcements are shed (withdrawals still queue — they are
 	// what bounds correctness) and overflow marks the queue for a full
 	// resync.
@@ -119,7 +93,6 @@ func newOutQueue(highWater, hardLimit, shards int) *outQueue {
 		hardLimit: hardLimit,
 	}
 	for i := range q.shards {
-		q.shards[i].pending = make(map[outKey]int)
 		q.shards[i].synced = make(map[uint32]bool, 1)
 	}
 	return q
@@ -130,12 +103,14 @@ func newOutQueue(highWater, hardLimit, shards int) *outQueue {
 // before enqueueing that shard's snapshot: ingest workers enqueue under
 // the same shard's write lock, so every install is strictly before or
 // strictly after the walk — before means the walk delivers the route
-// and the (gated-off) live enqueue is dropped, after means the live
-// enqueue sees the gate open and delivers it. Either way, exactly once.
+// and the (gated-off) live frame is dropped, after means the live
+// frame sees the gate open and delivers it. Either way, exactly once.
 func (q *outQueue) beginSync(i int, upstream uint32) {
 	sh := &q.shards[i&int(q.mask)]
 	sh.mu.Lock()
-	sh.synced[upstream] = true
+	if sh.synced != nil {
+		sh.synced[upstream] = true
+	}
 	sh.mu.Unlock()
 }
 
@@ -149,87 +124,48 @@ func (q *outQueue) bumpHighWater(d int64) {
 	}
 }
 
-// put queues one operation, coalescing onto a pending one for the same
-// (upstream, prefix): only the latest state ever reaches the client.
-// Until the shard's replay walk opens the gate (beginSync), operations
-// are dropped: the walk will deliver the route's current state itself.
-func (q *outQueue) put(upstream uint32, p netip.Prefix, attrs *wire.Attrs) {
-	k := outKey{upstream: upstream, prefix: p}
-	sh := &q.shards[rib.PrefixShard(p)&q.mask]
-	sh.mu.Lock()
-	if !sh.synced[upstream] {
-		sh.mu.Unlock()
-		return
-	}
-	if i, ok := sh.pending[k]; ok {
-		sh.ops[i].attrs = attrs
-		sh.coalesced++
-		sh.mu.Unlock()
-	} else if attrs != nil && q.hardLimit > 0 && q.depthOps.Load() >= int64(q.hardLimit) {
-		// Queue memory cap (this laggard only — every client has its
-		// own queue): shed the announcement and flag the queue. The
-		// worker recovers by resyncing the full table directly down the
-		// session, bypassing the very cap that shed it. Withdrawals are
-		// never shed, so the shed-then-resync cycle cannot leave the
-		// client holding a route the world withdrew.
-		sh.mu.Unlock()
-		q.shed.Add(1)
-		q.overflow.Store(true)
-	} else {
-		sh.pending[k] = len(sh.ops)
-		sh.ops = append(sh.ops, outOp{key: k, attrs: attrs})
-		sh.mu.Unlock()
-		d := q.depthOps.Add(1)
-		q.bumpHighWater(d + q.depthEoRs.Load())
-		if d > int64(q.softLimit) {
-			q.backpressure.Add(1)
-		}
-	}
-	q.wake()
-}
-
-// putFrame queues a shared broadcast frame on queue shard i (frames
-// are shard-local: every prefix inside hashes to the same RIB/queue
-// shard). The caller has already retained the frame for this queue;
-// the flush path (or the shed path here) releases it. The pending
-// index is cleared so a later put for any prefix the frame carries
-// appends after it instead of coalescing onto a pre-frame entry and
-// being flushed out of order.
+// putFrame queues a frame on queue shard i (frames are shard-local:
+// every prefix inside hashes to the same RIB/queue shard). The caller
+// has already retained the frame for this queue; the flush path (or the
+// gate and shed paths here) releases it. Until the shard's replay walk
+// opens the gate (beginSync) frames are dropped: the walk delivers the
+// current state of every route they carry.
 func (q *outQueue) putFrame(i int, f *broadcastFrame) {
-	n := f.logicalOps()
-	shed := q.hardLimit > 0 && q.depthOps.Load() >= int64(q.hardLimit) && f.nlris > 0
 	sh := &q.shards[i&int(q.mask)]
 	sh.mu.Lock()
 	if !sh.synced[f.upstream] {
-		// Gate closed: this client's replay walk has not covered the
-		// shard yet and will deliver every route the frame carries.
 		sh.mu.Unlock()
 		f.release()
 		return
 	}
-	if !shed {
-		sh.ops = append(sh.ops, outOp{frame: f})
-		clear(sh.pending)
-		sh.mu.Unlock()
-		d := q.depthOps.Add(int64(n))
-		q.bumpHighWater(d + q.depthEoRs.Load())
-		if d > int64(q.softLimit) {
-			q.backpressure.Add(1)
+	if q.hardLimit > 0 && f.nlris > 0 && q.depthOps.Load() >= int64(q.hardLimit) {
+		// Laggard at its cap (this client only — every client has its
+		// own queue): a frame cannot be partially shed, so drop its
+		// announcements and flag the queue; the worker recovers by
+		// resyncing the full table directly down the session, bypassing
+		// the very cap that shed it. Withdrawals are never shed — they
+		// are what bounds correctness — so they stay behind as a
+		// private withdraw-only frame, and the shed-then-resync cycle
+		// cannot leave the client holding a route the world withdrew.
+		q.shed.Add(uint64(f.nlris))
+		q.overflow.Store(true)
+		wd, live := f.wd, f.live
+		f.release()
+		if len(wd) == 0 {
+			sh.mu.Unlock()
+			q.wake()
+			return
 		}
-		q.wake()
-		return
+		f = &broadcastFrame{skey: f.skey, upstream: f.upstream, wd: wd}
+		f.retain(1, live)
 	}
+	sh.frames = append(sh.frames, f)
 	sh.mu.Unlock()
-	// Laggard at its cap: a frame cannot be partially shed, so drop
-	// its announcements, keep its withdrawals as plain ops (they are
-	// what bounds correctness and are never shed), and flag the
-	// queue for a full resync.
-	for _, w := range f.wd {
-		q.put(f.upstream, w.Prefix, nil)
+	d := q.depthOps.Add(int64(f.logicalOps()))
+	q.bumpHighWater(d + q.depthEoRs.Load())
+	if d > int64(q.softLimit) {
+		q.backpressure.Add(1)
 	}
-	q.shed.Add(uint64(f.nlris))
-	q.overflow.Store(true)
-	f.release()
 	q.wake()
 }
 
@@ -250,51 +186,62 @@ func (q *outQueue) wake() {
 	}
 }
 
-// take drains everything pending, shard by shard (enqueue order within
-// a shard), along with the counter deltas accumulated since the last
+// take drains everything queued, shard by shard (enqueue order within a
+// shard), along with the counter deltas accumulated since the last
 // take. The caller passes back the slices from its previous take (done
-// with them) so a steady drain loop recycles op buffers instead of
-// growing fresh ones; the index maps are cleared in place for the same
-// reason. End-of-RIB markers are snapshotted before the op shards: an
-// op enqueued before a marker is always flushed with (or before) it,
-// and an op slipping in behind the marker is merely an update the
-// client applies after its sweep — harmless.
-func (q *outQueue) take(opsReuse []outOp, eorsReuse []uint32) (ops []outOp, eors []uint32, ctr outCounters, overflow bool) {
+// with them, and cleared) so a steady drain loop recycles buffers
+// instead of growing fresh ones. Taken slots are zeroed: a flushed
+// frame, and the snapshot NLRI slices a joiner's frames own, must not
+// stay reachable from a shard's backing array. End-of-RIB markers are
+// snapshotted before the shards: a frame enqueued before a marker is
+// always flushed with (or before) it, and one slipping in behind the
+// marker is merely an update the client applies after its sweep —
+// harmless.
+func (q *outQueue) take(framesReuse []*broadcastFrame, eorsReuse []uint32) (frames []*broadcastFrame, eors []uint32, ctr outCounters, overflow bool) {
 	q.eorMu.Lock()
 	eors, q.eors = q.eors, eorsReuse[:0]
 	q.eorMu.Unlock()
 	q.depthEoRs.Add(int64(-len(eors)))
 
-	ops = opsReuse[:0]
+	frames = framesReuse[:0]
 	for i := range q.shards {
 		sh := &q.shards[i]
 		sh.mu.Lock()
-		ops = append(ops, sh.ops...)
-		sh.ops = sh.ops[:0]
-		clear(sh.pending)
-		ctr.coalesced += sh.coalesced
-		sh.coalesced = 0
+		frames = append(frames, sh.frames...)
+		clear(sh.frames)
+		sh.frames = sh.frames[:0]
 		sh.mu.Unlock()
 	}
-	// Depth counts logical routes: a frame entry stands for every op it
-	// carries, matching what putFrame added.
 	taken := 0
-	for i := range ops {
-		if f := ops[i].frame; f != nil {
-			taken += f.logicalOps()
-		} else {
-			taken++
-		}
+	for _, f := range frames {
+		taken += f.logicalOps()
 	}
 	q.depthOps.Add(int64(-taken))
 	ctr.backpressure = q.backpressure.Swap(0)
 	ctr.shed = q.shed.Swap(0)
 	ctr.highWater = int(q.highWater.Swap(0))
 	overflow = q.overflow.Swap(false)
-	return ops, eors, ctr, overflow
+	return frames, eors, ctr, overflow
 }
 
-// depth reports pending operations plus End-of-RIB markers.
+// close shuts every gate for good and releases whatever is still
+// queued. The client's worker calls it on exit, so no frame reference
+// outlives the client: an ingest worker still holding the client in its
+// snapshot finds the gate closed and releases its reference itself.
+func (q *outQueue) close() {
+	for i := range q.shards {
+		sh := &q.shards[i]
+		sh.mu.Lock()
+		sh.synced = nil
+		sh.mu.Unlock()
+	}
+	frames, _, _, _ := q.take(nil, nil)
+	for _, f := range frames {
+		f.release()
+	}
+}
+
+// depth reports queued routes plus End-of-RIB markers.
 func (q *outQueue) depth() int {
 	return int(q.depthOps.Load() + q.depthEoRs.Load())
 }
@@ -302,22 +249,20 @@ func (q *outQueue) depth() int {
 // ---------------------------------------------------------------------
 // Server-side enqueue and the per-client worker
 
-// enqueueUpdate queues an upstream's update for one client.
-func (s *Server) enqueueUpdate(c *clientConn, upstream uint32, upd *wire.Update) {
-	for _, n := range upd.Withdrawn {
-		c.out.put(upstream, n.Prefix, nil)
-	}
-	if upd.Attrs == nil {
-		return
-	}
-	for _, n := range upd.Reach {
-		c.out.put(upstream, n.Prefix, upd.Attrs)
+// broadcast hands f to every client's queue shard si. Callers hold the
+// RIB shard's lock (write for ingest and sweeps), which is what orders
+// the frame against replay walks.
+func (s *Server) broadcast(si int, clients []*clientConn, f *broadcastFrame) {
+	f.retain(len(clients), &s.liveFrames)
+	for _, c := range clients {
+		c.out.putFrame(si, f)
 	}
 }
 
-// snapFrameNLRIs caps one bulk-sync frame's logical size so its
-// encoding stays inside a pooled size class (~6000 routes ≈ 54KB of
-// NLRI) and far under any transport frame limit.
+// snapFrameNLRIs caps one frame's logical size so its encoding stays
+// inside a pooled size class (~6000 routes ≈ 54KB of NLRI) and far
+// under any transport frame limit. It bounds bulk-sync chunks, withdraw
+// sweeps and the ingest workers' merged batches alike.
 const snapFrameNLRIs = 6000
 
 // enqueueReplay queues upstream u's current Adj-RIB-In for client c,
@@ -328,28 +273,19 @@ const snapFrameNLRIs = 6000
 // ingest that supersedes a walked route also enqueues after it.
 //
 // Each shard's walk first opens the client's live-traffic gate for that
-// shard (beginSync) under the same read lock: live enqueues before the
+// shard (beginSync) under the same read lock: live frames before the
 // gate opens are dropped (their routes are in the table, so this walk
-// carries them), live enqueues after it pass. Every route therefore
+// carries them), live frames after it pass. Every route therefore
 // reaches the client exactly once even when it attaches mid-ingest.
 //
-// Bulk sync: a shard holding a real table is streamed as shared
-// snapshot frames — attr-grouped chunks encoded once at first flush —
-// instead of one queue op per route, so a full-table join costs
-// O(frames), not O(routes), in queue traffic. Small shards keep the
-// per-op path and its coalescing.
+// A shard is streamed as private snapshot frames — attr-grouped chunks
+// of at most snapFrameNLRIs routes — so a full-table join costs
+// O(frames), not O(routes), in queue traffic.
 func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 	skey, pathID := s.sessionKey(u)
 	for i := 0; i < u.adjIn.Shards(); i++ {
 		u.adjIn.ReadShard(i, func(_ uint64, t *rib.AdjRIB) {
 			c.out.beginSync(i, u.cfg.ID)
-			if t.Len() < frameThreshold {
-				t.Walk(func(r *rib.Route) bool {
-					c.out.put(u.cfg.ID, r.Prefix, r.Attrs)
-					return true
-				})
-				return
-			}
 			// One pass groups by interned attrs; chunk the groups into
 			// frames. The NLRI slices are freshly built by WalkGrouped,
 			// so the frames own them outright.
@@ -360,7 +296,7 @@ func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 					return
 				}
 				f := newSnapshotFrame(skey, u.cfg.ID, groups)
-				f.retain(1)
+				f.retain(1, &s.liveFrames)
 				c.out.putFrame(i, f)
 				groups, count = nil, 0
 			}
@@ -393,21 +329,22 @@ func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 }
 
 // runFanout is the per-client worker: it drains the client's queue and
-// flushes batches until the client's transport dies.
+// flushes frames until the client's transport dies.
 func (s *Server) runFanout(c *clientConn) {
-	var ops []outOp
+	var frames []*broadcastFrame
 	var eors []uint32
-	fs := &flushState{batches: make(map[uint32]*fanoutBatch)}
 	for {
 		select {
 		case <-c.out.notify:
 		case <-c.mux.Done():
+			c.out.close()
 			return
 		}
 		var ctr outCounters
 		var overflow bool
-		ops, eors, ctr, overflow = c.out.take(ops, eors)
-		s.flushFanout(c, fs, ops, eors, ctr)
+		frames, eors, ctr, overflow = c.out.take(frames, eors)
+		s.flushFanout(c, frames, eors, ctr)
+		clear(frames) // flushed frames must not stay pinned by the reused array
 		if overflow {
 			// Announcements were shed while this client lagged: rebuild
 			// its view synchronously from the Adj-RIB-In (quota.go).
@@ -416,125 +353,15 @@ func (s *Server) runFanout(c *clientConn) {
 	}
 }
 
-// fanoutBatch accumulates one session's worth of a drain. The struct,
-// its index map, the groups header array, and the order slice in
-// flushState are reused across drains (drains can be small and
-// frequent, so their fixed cost must not be per-drain allocations).
-// The wd slice and each group's NLRI run are NOT reused: PackGrouped
-// aliases them into the updates the session writer consumes
-// asynchronously, after the drain returns.
-type fanoutBatch struct {
-	sess   *bgp.Session
-	wd     []wire.NLRI
-	groups []wire.AttrGroup
-	gidx   map[*wire.Attrs]int
-	drain  uint64 // last drain sequence this batch was touched in
-}
-
-// flushState is one fan-out worker's reusable drain scratch.
-type flushState struct {
-	batches map[uint32]*fanoutBatch
-	order   []uint32
-	drain   uint64
-}
-
-// flushFanout sends one drained batch down the client's session(s).
-// Operations whose session is down are dropped: the Established replay
-// of the Adj-RIB-In (plus End-of-RIB) reconstructs the client's view
-// when the session comes back, so nothing is lost — only deferred.
-// Plain ops accumulate into per-session attr-grouped batches exactly
-// as before; a shared frame first flushes whatever those batches hold
-// (entries queued before the frame must reach the wire before it),
-// then ships the frame's pre-encoded bytes — or a private re-pack when
-// this session's options diverge from the shared encoding.
-func (s *Server) flushFanout(c *clientConn, fs *flushState, ops []outOp, eors []uint32, ctr outCounters) {
-	bird := s.cfg.Mode == muxproto.ModeBIRD
-	// Announcements are gathered directly into per-attrs NLRI runs so
-	// PackGrouped can alias them into the produced updates with no
-	// further copying.
-	fs.drain++
-	m := s.metrics
-	batches := fs.batches
-	order := fs.order[:0]
-	get := func(skey uint32) *fanoutBatch {
-		b := batches[skey]
-		if b == nil {
-			b = &fanoutBatch{gidx: make(map[*wire.Attrs]int, 1)}
-			batches[skey] = b
-		}
-		if b.drain != fs.drain {
-			b.drain = fs.drain
-			b.sess = nil
-			if sess := c.session(skey); sess != nil && sess.Established() {
-				b.sess = sess
-			}
-			b.wd = nil // aliased into the previous drain's updates
-			b.groups = b.groups[:0]
-			clear(b.gidx)
-			order = append(order, skey)
-		}
-		return b
-	}
+// flushFanout sends one drain down the client's session(s): the frames
+// in order, then the End-of-RIB markers taken with them.
+func (s *Server) flushFanout(c *clientConn, frames []*broadcastFrame, eors []uint32, ctr outCounters) {
 	var sent, relayed uint64
-	flushBatches := func() {
-		for _, skey := range order {
-			b := batches[skey]
-			if b.sess == nil || (len(b.wd) == 0 && len(b.groups) == 0) {
-				continue
-			}
-			for _, upd := range wire.PackGrouped(b.wd, b.groups, b.sess.Options()) {
-				if err := b.sess.Send(upd); err != nil {
-					break // session died mid-flush; Established replay recovers
-				}
-				sent++
-				relayed += uint64(len(upd.Reach))
-				m.fanoutPacked.Observe(float64(len(upd.Reach) + len(upd.Withdrawn)))
-			}
-		}
-		// Start a sub-drain so later ops accumulate fresh batches (the
-		// flushed wd/group runs are aliased into in-flight updates).
-		fs.drain++
-		order = order[:0]
+	for _, f := range frames {
+		n, r := s.flushFrame(c, f)
+		sent += n
+		relayed += r
 	}
-	for i, op := range ops {
-		if op.frame != nil {
-			flushBatches()
-			fSent, fRelayed := s.flushFrame(c, op.frame)
-			sent += fSent
-			relayed += fRelayed
-			continue
-		}
-		skey := op.key.upstream
-		pathID := wire.PathID(0)
-		if bird {
-			skey = 0
-			pathID = wire.PathID(op.key.upstream)
-		}
-		b := get(skey)
-		if b.sess == nil {
-			continue
-		}
-		n := wire.NLRI{Prefix: op.key.prefix, ID: pathID}
-		if op.attrs == nil {
-			b.wd = append(b.wd, n)
-			continue
-		}
-		gi, ok := b.gidx[op.attrs]
-		if !ok {
-			gi = len(b.groups)
-			b.gidx[op.attrs] = gi
-			b.groups = append(b.groups, wire.AttrGroup{Attrs: op.attrs})
-			if gi == 0 {
-				// Interned relay traffic is overwhelmingly one attribute
-				// set per drain: give the first run room for every
-				// remaining op so the hot path allocates exactly once.
-				b.groups[0].NLRIs = make([]wire.NLRI, 0, len(ops)-i)
-			}
-		}
-		b.groups[gi].NLRIs = append(b.groups[gi].NLRIs, n)
-	}
-	flushBatches()
-	fs.order = order
 	for _, skey := range eors {
 		if sess := c.session(skey); sess != nil && sess.Established() {
 			if sess.Send(&wire.Update{}) == nil {
@@ -542,9 +369,9 @@ func (s *Server) flushFanout(c *clientConn, fs *flushState, ops []outOp, eors []
 			}
 		}
 	}
+	m := s.metrics
 	m.fanoutUpdates.Add(sent)
 	m.fanoutRelayed.Add(relayed)
-	m.fanoutCoalesced.Add(ctr.coalesced)
 	m.fanoutBackpressure.Add(ctr.backpressure)
 	if ctr.shed > 0 {
 		m.quotaShed.Add(ctr.shed)
@@ -552,16 +379,19 @@ func (s *Server) flushFanout(c *clientConn, fs *flushState, ops []outOp, eors []
 	m.fanoutHighWater.Max(float64(ctr.highWater))
 }
 
-// flushFrame ships one shared frame down the client's session: the
+// flushFrame ships one frame down the client's session: the
 // encode-once bytes when this session's options match the shared
 // encoding (the overwhelming case — clients of one mux negotiate the
 // same capabilities), a private pack of the frame's logical content
-// otherwise. The queue's reference is released either way.
+// otherwise. A frame whose session is down is dropped: the Established
+// replay of the Adj-RIB-In (plus End-of-RIB) reconstructs the client's
+// view when the session comes back, so nothing is lost — only
+// deferred. The queue's reference is released either way.
 func (s *Server) flushFrame(c *clientConn, f *broadcastFrame) (sent, relayed uint64) {
 	defer f.release()
 	sess := c.session(f.skey)
 	if sess == nil || !sess.Established() {
-		return 0, 0 // Established replay rebuilds the view
+		return 0, 0
 	}
 	m := s.metrics
 	opts := sess.Options()
@@ -572,13 +402,17 @@ func (s *Server) flushFrame(c *clientConn, f *broadcastFrame) (sent, relayed uin
 		for _, n := range counts {
 			m.fanoutPacked.Observe(float64(n))
 		}
-		m.fanoutFrameShared.Inc()
+		if f.shared {
+			m.fanoutFrameShared.Inc()
+		} else {
+			m.fanoutFramePrivate.Inc()
+		}
 		return uint64(len(counts)), uint64(f.nlris)
 	}
 	m.fanoutFramePrivate.Inc()
 	for _, upd := range wire.PackGrouped(f.wd, f.groups, opts) {
 		if sess.Send(upd) != nil {
-			break
+			break // session died mid-flush; Established replay recovers
 		}
 		sent++
 		relayed += uint64(len(upd.Reach))

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,111 +33,121 @@ func fanoutAttrs(asn uint32) *wire.Attrs {
 	}
 }
 
-func TestOutQueueCoalescing(t *testing.T) {
-	// One shard: these assertions are about coalescing and exact drain
-	// order, which only a single shard pins down across prefixes.
-	q := newOutQueue(0, 0, 1)
-	q.beginSync(0, 1)
-	q.beginSync(0, 2)
-	a1 := fanoutAttrs(100)
-	a2 := fanoutAttrs(200)
-	pA, pB := prefix("11.0.0.0/16"), prefix("12.0.0.0/16")
+// Queue-level helpers: frames of one queue, counted on the test's own
+// live counter so each test can assert every reference came back.
+func ann(p string, a *wire.Attrs) batchEntry {
+	return batchEntry{nlri: wire.NLRI{Prefix: prefix(p)}, attrs: a}
+}
 
-	// announce → withdraw → announce collapses to one op carrying the
-	// final attributes.
-	q.put(1, pA, a1)
-	q.put(1, pA, nil)
-	q.put(1, pA, a2)
-	ops, eors, ctr, _ := q.take(nil, nil)
-	if len(ops) != 1 || len(eors) != 0 {
-		t.Fatalf("got %d ops, %d eors; want 1, 0", len(ops), len(eors))
-	}
-	if ops[0].attrs != a2 {
-		t.Fatalf("coalesced op carries %p, want the final attrs %p", ops[0].attrs, a2)
-	}
-	if ctr.coalesced != 2 {
-		t.Fatalf("coalesced counter = %d, want 2", ctr.coalesced)
-	}
+func wdr(p string) batchEntry { return ann(p, nil) }
 
-	// announce → withdraw collapses to a withdraw, in the slot of the
-	// first enqueue: per-prefix order is preserved, not re-sorted.
-	q.put(1, pA, a1)
-	q.put(1, pB, a1)
-	q.put(1, pA, nil)
-	ops, _, ctr, _ = q.take(nil, nil)
-	if len(ops) != 2 {
-		t.Fatalf("got %d ops, want 2", len(ops))
-	}
-	if ops[0].key.prefix != pA || ops[0].attrs != nil {
-		t.Fatalf("op[0] = %+v, want withdraw of %v", ops[0], pA)
-	}
-	if ops[1].key.prefix != pB || ops[1].attrs != a1 {
-		t.Fatalf("op[1] = %+v, want announce of %v", ops[1], pB)
-	}
-	if ctr.coalesced != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", ctr.coalesced)
-	}
+func queueFrame(live *atomic.Int64, upstream uint32, entries ...batchEntry) *broadcastFrame {
+	f := newBroadcastFrame(upstream, upstream, 0, entries)
+	f.retain(1, live)
+	return f
+}
 
-	// The same prefix via different upstreams is distinct state: no
-	// coalescing across upstream IDs.
-	q.put(1, pA, a1)
-	q.put(2, pA, a1)
-	ops, _, ctr, _ = q.take(nil, nil)
-	if len(ops) != 2 || ctr.coalesced != 0 {
-		t.Fatalf("cross-upstream ops = %d (coalesced %d), want 2 (0)", len(ops), ctr.coalesced)
-	}
-
-	// End-of-RIB markers drain alongside ops, and take empties the queue.
-	q.put(1, pA, a1)
-	q.putEoR(1)
-	ops, eors, _, _ = q.take(nil, nil)
-	if len(ops) != 1 || len(eors) != 1 || eors[0] != 1 {
-		t.Fatalf("ops=%d eors=%v, want 1 op and EoR for upstream 1", len(ops), eors)
-	}
-	if ops, eors, _, _ := q.take(nil, nil); len(ops) != 0 || len(eors) != 0 || q.depth() != 0 {
-		t.Fatalf("queue not empty after take: %d ops, %d eors, depth %d", len(ops), len(eors), q.depth())
+func releaseAll(frames []*broadcastFrame) {
+	for _, f := range frames {
+		f.release() // the flush path would do this
 	}
 }
 
-// TestOutQueueFrameShedKeepsWithdrawals pins down how a shared
-// broadcast frame interacts with the laggard cap: a frame arriving at
-// a queue already over its hard limit cannot be partially shed, so its
-// announcements drop (counted, overflow flagged for the resync) while
-// its withdrawals are re-queued as plain ops — shedding must never
-// leave a client holding a route the world withdrew. Also pins the
-// ordering rule: a put after a frame appends after it instead of
-// coalescing onto a pre-frame slot.
+// TestOutQueueFrameOrder pins the queue's contract now that frames are
+// the only thing it holds: it is a FIFO per shard and never coalesces —
+// announce → withdraw → announce of one prefix as three batches-of-one
+// drains as three frames in that order (folding happens upstream, in
+// the ingest worker) — and a take leaves nothing reachable behind.
+func TestOutQueueFrameOrder(t *testing.T) {
+	// One shard: exact drain order across prefixes is only defined
+	// within a shard.
+	var live atomic.Int64
+	q := newOutQueue(0, 0, 1)
+	q.beginSync(0, 1)
+	q.beginSync(0, 2)
+	a1, a2 := fanoutAttrs(100), fanoutAttrs(200)
+	const pA = "11.0.0.0/16"
+
+	f1 := queueFrame(&live, 1, ann(pA, a1))
+	f2 := queueFrame(&live, 1, wdr(pA))
+	f3 := queueFrame(&live, 1, ann(pA, a2))
+	for _, f := range []*broadcastFrame{f1, f2, f3} {
+		q.putFrame(0, f)
+	}
+	if d := q.depth(); d != 3 {
+		t.Fatalf("depth = %d, want 3: the queue must not fold", d)
+	}
+	frames, eors, _, _ := q.take(nil, nil)
+	if len(frames) != 3 || frames[0] != f1 || frames[1] != f2 || frames[2] != f3 || len(eors) != 0 {
+		t.Fatalf("drained %v (eors %v), want the three frames in enqueue order", frames, eors)
+	}
+	releaseAll(frames)
+
+	// The same prefix via different upstreams is distinct state, each
+	// behind its own frame.
+	q.putFrame(0, queueFrame(&live, 1, ann(pA, a1)))
+	q.putFrame(0, queueFrame(&live, 2, ann(pA, a1)))
+	frames, _, _, _ = q.take(frames, nil)
+	if len(frames) != 2 || frames[0].upstream != 1 || frames[1].upstream != 2 {
+		t.Fatalf("cross-upstream drain = %v, want upstream 1 then 2", frames)
+	}
+	releaseAll(frames)
+
+	// End-of-RIB markers drain alongside frames, and take empties the
+	// queue — including the shard's backing array, or flushed frames
+	// (and a joiner's snapshot NLRIs) would stay reachable from it.
+	q.putFrame(0, queueFrame(&live, 1, ann(pA, a1)))
+	q.putEoR(1)
+	frames, eors, _, _ = q.take(frames, eors)
+	if len(frames) != 1 || len(eors) != 1 || eors[0] != 1 {
+		t.Fatalf("frames=%d eors=%v, want 1 frame and EoR for upstream 1", len(frames), eors)
+	}
+	releaseAll(frames)
+	sh := &q.shards[0]
+	for i, f := range sh.frames[:cap(sh.frames)] {
+		if f != nil {
+			t.Fatalf("shard slot %d still references a taken frame", i)
+		}
+	}
+	if frames, eors, _, _ := q.take(nil, nil); len(frames) != 0 || len(eors) != 0 || q.depth() != 0 {
+		t.Fatalf("queue not empty after take: %d frames, %d eors, depth %d", len(frames), len(eors), q.depth())
+	}
+	if n := live.Load(); n != 0 {
+		t.Fatalf("%d frames still referenced after every queue released them", n)
+	}
+}
+
+// TestOutQueueFrameShedKeepsWithdrawals pins down how a frame meets
+// the laggard cap: a frame arriving at a queue already over its hard
+// limit cannot be partially shed, so its announcements drop (counted,
+// overflow flagged for the resync) while its withdrawals stay behind
+// as a private withdraw-only frame — shedding must never leave a
+// client holding a route the world withdrew.
 func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
+	var live atomic.Int64
 	q := newOutQueue(0, 8, 1)
 	q.beginSync(0, 1)
 	a := fanoutAttrs(100)
 	entries := func(lo, hi int, attrs *wire.Attrs) []batchEntry {
 		var es []batchEntry
 		for i := lo; i < hi; i++ {
-			es = append(es, batchEntry{
-				nlri:  wire.NLRI{Prefix: prefix(fmt.Sprintf("96.0.%d.0/24", i))},
-				attrs: attrs,
-			})
+			es = append(es, ann(fmt.Sprintf("96.0.%d.0/24", i), attrs))
 		}
 		return es
 	}
 
 	// A frame bigger than the cap enqueues whole when the queue is
 	// empty: frames are all-or-nothing.
-	f1 := newBroadcastFrame(1, 1, 0, entries(0, 10, a))
-	f1.retain(1)
+	f1 := queueFrame(&live, 1, entries(0, 10, a)...)
 	q.putFrame(0, f1)
 	if d := q.depth(); d != 10 {
 		t.Fatalf("depth after frame = %d, want 10 logical ops", d)
 	}
 
 	// The queue is now over its cap of 8: the next frame's announcements
-	// shed, its withdrawals survive as plain ops, and the frame's queue
-	// reference is released without ever being flushed.
-	es := entries(10, 14, a)
-	es = append(es, entries(20, 22, nil)...)
-	f2 := newBroadcastFrame(1, 1, 0, es)
-	f2.retain(1)
+	// shed, its withdrawals survive in a frame of their own, and the
+	// shed frame's queue reference is released without being flushed.
+	f2 := queueFrame(&live, 1, append(entries(10, 14, a), entries(20, 22, nil)...)...)
 	q.putFrame(0, f2)
 	if n := f2.refs.Load(); n != 0 {
 		t.Fatalf("shed frame holds %d refs, want 0", n)
@@ -144,96 +155,97 @@ func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
 	if d := q.depth(); d != 12 {
 		t.Fatalf("depth after shed = %d, want 10 + 2 withdrawals", d)
 	}
+	// Pure announcements at the cap leave nothing behind; pure
+	// withdrawals are never shed.
+	q.putFrame(0, queueFrame(&live, 1, entries(30, 33, a)...))
+	f4 := queueFrame(&live, 1, entries(40, 41, nil)...)
+	q.putFrame(0, f4)
 
-	ops, _, ctr, overflow := q.take(nil, nil)
+	frames, _, ctr, overflow := q.take(nil, nil)
 	if !overflow {
 		t.Fatal("shed did not flag the queue for resync")
 	}
-	if ctr.shed != 4 {
-		t.Fatalf("shed counter = %d, want the 4 dropped announcements", ctr.shed)
+	if ctr.shed != 7 {
+		t.Fatalf("shed counter = %d, want the 4 + 3 dropped announcements", ctr.shed)
 	}
-	if len(ops) != 3 || ops[0].frame != f1 {
-		t.Fatalf("take returned %d ops (first frame %p), want [f1, wd, wd]", len(ops), ops[0].frame)
+	if len(frames) != 3 || frames[0] != f1 || frames[2] != f4 {
+		t.Fatalf("take returned %v, want [f1, kept withdrawals, f4]", frames)
 	}
-	for _, op := range ops[1:] {
-		if op.frame != nil || op.attrs != nil {
-			t.Fatalf("surviving op %+v, want a plain withdrawal", op)
-		}
+	if kept := frames[1]; kept == f2 || kept.nlris != 0 || len(kept.wd) != 2 || kept.shared {
+		t.Fatalf("kept frame %+v, want a private frame of f2's 2 withdrawals", kept)
 	}
-	f1.release() // the flush path would do this
-	if n := f1.refs.Load(); n != 0 {
-		t.Fatalf("flushed frame holds %d refs, want 0", n)
+	releaseAll(frames)
+	if n := live.Load(); n != 0 {
+		t.Fatalf("%d frames still referenced after the drain released them", n)
 	}
-
-	// Ordering across a frame: a pending pre-frame op must not absorb a
-	// post-frame put for the same prefix, or the client would see the
-	// frame's (older) state last.
-	p := prefix("96.0.50.0/24")
-	q.put(1, p, a)
-	f3 := newBroadcastFrame(1, 1, 0, entries(50, 51, a))
-	f3.retain(1)
-	q.putFrame(0, f3)
-	q.put(1, p, nil)
-	ops, _, _, _ = q.take(nil, nil)
-	if len(ops) != 3 {
-		t.Fatalf("got %d ops, want pre-put, frame, post-put", len(ops))
-	}
-	if ops[0].attrs != a || ops[1].frame != f3 || ops[2].attrs != nil {
-		t.Fatalf("drain order %+v breaks put/frame/put sequencing", ops)
-	}
-	f3.release()
 }
 
 // TestOutQueueSyncGate pins the replay handoff rule: a fresh queue
-// drops live traffic (ops and frames, announcements and withdrawals
-// alike) until beginSync marks the shard walked for that upstream —
-// the walk itself delivers every route such a drop carried. The gate
-// is per upstream, so one upstream's replay does not open another's.
+// drops live traffic (batches of one and withdraw sweeps alike) until
+// beginSync marks the shard walked for that upstream — the walk itself
+// delivers every route such a drop carried. The gate is per upstream,
+// so one upstream's replay does not open another's, and closing the
+// queue shuts every gate for good.
 func TestOutQueueSyncGate(t *testing.T) {
+	var live atomic.Int64
 	q := newOutQueue(0, 0, 1)
 	a := fanoutAttrs(100)
-	pA := prefix("11.0.0.0/16")
+	const pA = "11.0.0.0/16"
 
-	q.put(1, pA, a)
-	q.put(1, pA, nil)
-	f := newBroadcastFrame(1, 1, 0, []batchEntry{{nlri: wire.NLRI{Prefix: pA}, attrs: a}})
-	f.retain(1)
-	q.putFrame(0, f)
-	if n := f.refs.Load(); n != 0 {
-		t.Fatalf("gated frame holds %d refs, want 0 (dropped and released)", n)
+	one := queueFrame(&live, 1, ann(pA, a)) // a batch of one
+	sweep := &broadcastFrame{skey: 1, upstream: 1, wd: []wire.NLRI{{Prefix: prefix(pA)}}}
+	sweep.retain(1, &live)
+	q.putFrame(0, one)
+	q.putFrame(0, sweep)
+	if one.refs.Load() != 0 || sweep.refs.Load() != 0 || live.Load() != 0 {
+		t.Fatalf("gated frames hold refs %d/%d (live %d), want dropped and released",
+			one.refs.Load(), sweep.refs.Load(), live.Load())
 	}
-	if ops, _, _, _ := q.take(nil, nil); len(ops) != 0 || q.depth() != 0 {
-		t.Fatalf("gated queue drained %d ops (depth %d), want none", len(ops), q.depth())
+	if frames, _, _, _ := q.take(nil, nil); len(frames) != 0 || q.depth() != 0 {
+		t.Fatalf("gated queue drained %d frames (depth %d), want none", len(frames), q.depth())
 	}
 
 	q.beginSync(0, 1)
-	q.put(1, pA, a)
-	q.put(2, pA, a) // upstream 2 has not synced: still dropped
-	ops, _, _, _ := q.take(nil, nil)
-	if len(ops) != 1 || ops[0].key.upstream != 1 {
-		t.Fatalf("post-sync drain = %+v, want exactly upstream 1's op", ops)
+	q.putFrame(0, queueFrame(&live, 1, ann(pA, a)))
+	q.putFrame(0, queueFrame(&live, 2, ann(pA, a))) // upstream 2 has not synced: still dropped
+	frames, _, _, _ := q.take(nil, nil)
+	if len(frames) != 1 || frames[0].upstream != 1 {
+		t.Fatalf("post-sync drain = %v, want exactly upstream 1's frame", frames)
+	}
+	releaseAll(frames)
+
+	// close releases what is queued and nothing gets in afterwards, not
+	// even behind a late beginSync.
+	q.putFrame(0, queueFrame(&live, 1, ann(pA, a)))
+	q.close()
+	q.beginSync(0, 1)
+	q.putFrame(0, queueFrame(&live, 1, ann(pA, a)))
+	if frames, _, _, _ := q.take(nil, nil); len(frames) != 0 || q.depth() != 0 || live.Load() != 0 {
+		t.Fatalf("closed queue holds %d frames (depth %d, live %d), want none", len(frames), q.depth(), live.Load())
 	}
 }
 
+// TestOutQueueBackpressureCounters: depth, high water and backpressure
+// count logical routes, whatever the frames' sizes.
 func TestOutQueueBackpressureCounters(t *testing.T) {
+	var live atomic.Int64
 	q := newOutQueue(2, 0, 1)
 	q.beginSync(0, 1)
 	a := fanoutAttrs(100)
-	for i := 0; i < 4; i++ {
-		q.put(1, prefix("11.0.0.0/16"), a) // coalesces: never backpressure
-	}
-	q.put(1, prefix("11.1.0.0/16"), a)
-	q.put(1, prefix("11.2.0.0/16"), a)
-	q.put(1, prefix("11.3.0.0/16"), a) // 4th distinct key: over the soft limit
-	_, _, ctr, _ := q.take(nil, nil)
+	q.putFrame(0, queueFrame(&live, 1, ann("11.0.0.0/16", a)))
+	q.putFrame(0, queueFrame(&live, 1, ann("11.0.0.0/16", a))) // same prefix again: still a route queued
+	q.putFrame(0, queueFrame(&live, 1, ann("11.1.0.0/16", a))) // depth 3: over the soft limit
+	q.putFrame(0, queueFrame(&live, 1, ann("11.2.0.0/16", a), wdr("11.3.0.0/16")))
+	frames, _, ctr, _ := q.take(nil, nil)
 	if ctr.backpressure != 2 {
-		t.Fatalf("backpressure = %d, want 2 (keys 3 and 4 over limit 2)", ctr.backpressure)
+		t.Fatalf("backpressure = %d, want 2 (the enqueues that found depth 3 and 5 over limit 2)", ctr.backpressure)
 	}
-	if ctr.highWater != 4 {
-		t.Fatalf("highWater = %d, want 4", ctr.highWater)
+	if ctr.highWater != 5 {
+		t.Fatalf("highWater = %d, want 5 routes", ctr.highWater)
 	}
-	if ctr.coalesced != 3 {
-		t.Fatalf("coalesced = %d, want 3", ctr.coalesced)
+	releaseAll(frames)
+	if q.depth() != 0 || live.Load() != 0 {
+		t.Fatalf("depth %d, live %d after the drain", q.depth(), live.Load())
 	}
 }
 
@@ -544,10 +556,10 @@ func TestCleanTeardownStopsStaleTimer(t *testing.T) {
 	}
 }
 
-// TestFanoutConvergesThroughFlaps is the end-to-end
-// coalescing-correctness test: a burst of announce/withdraw/announce
-// churn for one prefix may coalesce arbitrarily in the client queues,
-// but every client must converge to the final state, whichever it is.
+// TestFanoutConvergesThroughFlaps is the end-to-end fold-correctness
+// test: a burst of announce/withdraw/announce churn for one prefix may
+// fold arbitrarily in the ingest workers' batches, but every client
+// must converge to the final state, whichever it is.
 func TestFanoutConvergesThroughFlaps(t *testing.T) {
 	r := newRig(t, muxproto.ModeQuagga)
 	cl := r.connectClient(t, "exp1", clientAlloc(), false)

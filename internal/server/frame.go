@@ -1,20 +1,21 @@
 package server
 
-// broadcastFrame is the encode-once fan-out unit: one ingest batch (or
-// one bulk-sync chunk) packed as logical withdrawals plus attr-grouped
-// announcements, referenced by every in-sync client's queue and
-// encoded into wire bytes exactly once, lazily, by the first client
-// worker that flushes it. Clients whose sessions negotiated different
-// codec options than the shared encoding fall back to a private pack
-// of the same logical content.
+// broadcastFrame is the one thing a client queue holds: an ingest batch
+// (a single UPDATE is a batch of one), a bulk-sync chunk or a withdraw
+// sweep, packed as logical withdrawals plus attr-grouped announcements,
+// referenced by every in-sync client's queue and encoded into wire
+// bytes exactly once, lazily, by the first client worker that flushes
+// it. Clients whose sessions negotiated different codec options than
+// the shared encoding fall back to a private pack of the same logical
+// content.
 //
 // Lifetime: the builder sets refs to the number of queues that will
-// hold the frame before enqueueing; each queue's flush (or shed, or
-// failed-session skip) calls release exactly once. The encoded bytes
-// live in a bufpool.Frame with one base reference owned by this
-// struct; each SendEncoded hands the session writer its own retained
-// reference, so the buffer recycles only after the last writer and the
-// last queue are done with it. The logical NLRI slices are plain
+// hold the frame before enqueueing; each queue's flush (or shed, gate
+// drop, failed-session skip, or close) calls release exactly once. The
+// encoded bytes live in a bufpool.Frame with one base reference owned
+// by this struct; each SendEncoded hands the session writer its own
+// retained reference, so the buffer recycles only after the last
+// writer and the last queue are done with it. The logical NLRI slices are plain
 // GC-managed memory — private packs alias them into updates consumed
 // asynchronously, so they must never come from a pool.
 import (
@@ -24,12 +25,6 @@ import (
 	"peering/internal/bufpool"
 	"peering/internal/wire"
 )
-
-// frameThreshold is the minimum logical batch size (NLRIs) worth
-// building a shared frame for. Below it the per-op path keeps its
-// coalescing behavior and its measured allocation profile; at or above
-// it the frame's one-time build cost amortizes across clients.
-const frameThreshold = 32
 
 // batchEntry is one prefix's final state within an ingest batch: nil
 // attrs means withdrawn. Batches fold to final state before building a
@@ -44,16 +39,24 @@ type batchEntry struct {
 type broadcastFrame struct {
 	// skey routes the frame to a client session (upstream ID in Quagga
 	// mode, 0 in BIRD mode); upstream is the originating upstream's ID,
-	// the coalescing key used if the frame's withdrawals are re-queued
-	// as plain ops on a shed.
+	// the key of the queue's sync gate.
 	skey     uint32
 	upstream uint32
 
-	wd     []wire.NLRI      // withdrawn, PathID-stamped
-	groups []wire.AttrGroup // announcements by shared attrs, PathID-stamped
-	nlris  int              // announced NLRI count across groups
+	wd     []wire.NLRI       // withdrawn, PathID-stamped
+	groups []wire.AttrGroup  // announcements by shared attrs, PathID-stamped
+	nlris  int               // announced NLRI count across groups
+	group1 [1]wire.AttrGroup // backs groups for the common one-group frame
 
-	refs atomic.Int32
+	// shared records that the frame was built for two or more queues;
+	// a frame made for one (a joiner's snapshot, a shed remainder, a
+	// lone client) is counted private when flushed.
+	shared bool
+	refs   atomic.Int32
+	// live is the owning server's count of frames some queue still
+	// references (debug accounting: it is back to zero once every queue
+	// has flushed or dropped what it held).
+	live *atomic.Int64
 
 	// Lazy shared encoding, built under mu by the first flusher and
 	// keyed to the wire.Options it encoded under.
@@ -67,10 +70,13 @@ type broadcastFrame struct {
 
 // newBroadcastFrame builds a frame from a batch's folded final state.
 // The entry NLRIs are re-stamped with pathID (BIRD mode's per-upstream
-// ADD-PATH ID; zero in Quagga mode). entries is not retained.
+// ADD-PATH ID; zero in Quagga mode). entries is not retained. Runs of
+// one attribute set are the norm, so the last group is tried first and
+// the attrs index exists only once a frame holds a second group.
 func newBroadcastFrame(skey, upstream uint32, pathID wire.PathID, entries []batchEntry) *broadcastFrame {
 	f := &broadcastFrame{skey: skey, upstream: upstream}
-	gidx := make(map[*wire.Attrs]int, 1)
+	f.groups = f.group1[:0]
+	var gidx map[*wire.Attrs]int
 	for _, e := range entries {
 		n := e.nlri
 		n.ID = pathID
@@ -78,14 +84,22 @@ func newBroadcastFrame(skey, upstream uint32, pathID wire.PathID, entries []batc
 			f.wd = append(f.wd, n)
 			continue
 		}
-		gi, ok := gidx[e.attrs]
-		if !ok {
-			gi = len(f.groups)
-			gidx[e.attrs] = gi
-			f.groups = append(f.groups, wire.AttrGroup{Attrs: e.attrs})
+		f.nlris++
+		gi := len(f.groups) - 1
+		if gi < 0 || f.groups[gi].Attrs != e.attrs {
+			if gidx == nil && gi >= 0 {
+				gidx = map[*wire.Attrs]int{f.groups[0].Attrs: 0}
+			}
+			var ok bool
+			if gi, ok = gidx[e.attrs]; !ok {
+				gi = len(f.groups)
+				f.groups = append(f.groups, wire.AttrGroup{Attrs: e.attrs})
+				if gidx != nil {
+					gidx[e.attrs] = gi
+				}
+			}
 		}
 		f.groups[gi].NLRIs = append(f.groups[gi].NLRIs, n)
-		f.nlris++
 	}
 	return f
 }
@@ -105,8 +119,14 @@ func newSnapshotFrame(skey, upstream uint32, groups []wire.AttrGroup) *broadcast
 // logical route it carries.
 func (f *broadcastFrame) logicalOps() int { return f.nlris + len(f.wd) }
 
-// retain adds n queue references before the frame is enqueued.
-func (f *broadcastFrame) retain(n int) { f.refs.Add(int32(n)) }
+// retain adds n (≥ 1) queue references before the frame is enqueued
+// and counts the frame on live until the last of them is released.
+func (f *broadcastFrame) retain(n int, live *atomic.Int64) {
+	f.live = live
+	live.Add(1)
+	f.shared = n > 1
+	f.refs.Add(int32(n))
+}
 
 // release drops one queue reference; the last one releases the base
 // reference on the shared encoding so its buffer can recycle (session
@@ -115,6 +135,7 @@ func (f *broadcastFrame) release() {
 	if f.refs.Add(-1) != 0 {
 		return
 	}
+	f.live.Add(-1)
 	f.mu.Lock()
 	enc := f.enc
 	f.enc = nil

@@ -18,10 +18,9 @@ package server
 //     client's closed sync gate, see outQueue.beginSync) or strictly
 //     after (the gate is open and the live enqueue delivers it) —
 //     exactly one of the two reaches the client;
-//   - the worker snapshots the client list before taking the shard
-//     lock: a client that registers later replays under that same
-//     lock, so its walk covers the routes its absence from the
-//     snapshot skipped.
+//   - the worker reads the client list while it holds the shard lock:
+//     a client that registers later replays under that same lock, so
+//     its walk covers the routes its absence from the list skipped.
 //
 // barrier() flushes the pipeline: operations that must observe every
 // in-flight update (stale sweeps, teardown withdrawals, archive
@@ -43,27 +42,25 @@ import (
 // microseconds.
 const ingestChanDepth = 256
 
-// ingestSeg is one run of same-kind operations inside a batched op:
-// nil attrs marks withdrawals, anything else announcements under one
-// interned attribute set. Segments preserve source-update order within
-// the batch; the worker folds them to final state per prefix before
-// the table pass and the fan-out frame.
+// ingestSeg is one run of same-kind operations inside an op: nil attrs
+// marks withdrawals, anything else announcements under one interned
+// attribute set. Segments preserve source-update order; the worker
+// folds them to final state per prefix before the table pass and the
+// fan-out frame.
 type ingestSeg struct {
 	attrs *wire.Attrs
 	nlris []wire.NLRI
 }
 
-// ingestOp is one shard's slice of an upstream UPDATE — or, when segs
-// is non-empty, of a whole batch of UPDATEs. The NLRI slices alias the
-// decoded messages (fresh per decode) or a partition buffer owned by
-// this op; attrs is interned and immutable.
+// ingestOp is one shard's slice of a run of upstream UPDATEs — a single
+// UPDATE is a run of one. The NLRI slices alias the decoded messages
+// (fresh per decode, owned by the op from dispatch on) or a partition
+// buffer owned by this op; attrs is interned and immutable.
 type ingestOp struct {
-	u     *Upstream
-	attrs *wire.Attrs // nil: withdrawals only
-	wd    []wire.NLRI
-	reach []wire.NLRI
-	// segs, when non-empty, marks a batch op (wd/reach/attrs unused).
+	u    *Upstream
 	segs []ingestSeg
+	// nlris counts NLRIs across segs: the bound on worker-side merging.
+	nlris int
 	// peerAS/peerID snapshot the session identity at receive time, so
 	// the stored routes are stamped even if the session dies before the
 	// worker runs.
@@ -73,6 +70,19 @@ type ingestOp struct {
 	// fence, when non-nil, marks a barrier op: the worker signals and
 	// processes nothing.
 	fence *sync.WaitGroup
+}
+
+// add appends a run to the op, extending the last segment when it
+// shares the run's attribute set. A new segment aliases nlris with its
+// capacity clipped, so extending it later copies instead of writing
+// into the decoded message.
+func (op *ingestOp) add(attrs *wire.Attrs, nlris []wire.NLRI) {
+	op.nlris += len(nlris)
+	if k := len(op.segs) - 1; k >= 0 && op.segs[k].attrs == attrs {
+		op.segs[k].nlris = append(op.segs[k].nlris, nlris...)
+		return
+	}
+	op.segs = append(op.segs, ingestSeg{attrs: attrs, nlris: nlris[:len(nlris):len(nlris)]})
 }
 
 // ingestPool runs one worker per shard. The shard of a prefix here is
@@ -91,9 +101,9 @@ type ingestPool struct {
 	// workers' final drain is complete.
 	gate    sync.RWMutex
 	stopped bool
-	// pending counts queued operations across all shards (scrape-time
+	// queued counts operations in the shard channels (scrape-time
 	// visibility into pipeline lag).
-	pending atomic.Int64
+	queued atomic.Int64
 
 	ops sync.Pool // *ingestOp
 }
@@ -127,35 +137,76 @@ func (p *ingestPool) close() {
 func (p *ingestPool) run(i int) {
 	defer p.wg.Done()
 	ch := p.chans[i]
+	// entries is the fold scratch, reused across ops: this worker is the
+	// shard's only writer and frames copy what they keep.
+	var entries []batchEntry
+	// next is an op taken off the channel by merge that could not join
+	// the batch before it; it runs on the following turn.
+	var next *ingestOp
 	for {
-		select {
-		case op := <-ch:
-			p.pending.Add(-1)
-			if op.fence != nil {
-				op.fence.Done()
-				continue
-			}
-			if len(op.segs) > 0 {
-				p.processBatch(op, i)
-			} else {
-				p.process(op, i)
-			}
-		case <-p.stop:
-			// No sender can enter after close set stopped, so one final
-			// drain empties the channel (fences included).
-			for {
-				select {
-				case op := <-ch:
-					p.pending.Add(-1)
-					if op.fence != nil {
-						op.fence.Done()
+		op := next
+		next = nil
+		if op == nil {
+			select {
+			case op = <-ch:
+				p.queued.Add(-1)
+			case <-p.stop:
+				// No sender can enter after close set stopped, so one final
+				// drain empties the channel (fences included).
+				for {
+					select {
+					case op := <-ch:
+						p.queued.Add(-1)
+						if op.fence != nil {
+							op.fence.Done()
+						}
+					default:
+						return
 					}
-				default:
-					return
 				}
 			}
 		}
+		if op.fence != nil {
+			op.fence.Done()
+			continue
+		}
+		next = p.merge(op, ch)
+		entries = p.process(op, i, entries)
 	}
+}
+
+// merge folds the ops already queued behind op into it, so that a
+// worker which has fallen behind packs what piled up into one table
+// pass and one frame — natural batching: no timer, nothing to tune, the
+// same greediness bound the session reader uses (only what is already
+// there). Only ops of the same upstream and session identity join, a
+// fence is never overtaken, and the batch stops growing at
+// snapFrameNLRIs. The op that ended the run, if any, is returned
+// unprocessed.
+func (p *ingestPool) merge(op *ingestOp, ch <-chan *ingestOp) *ingestOp {
+	for op.nlris < snapFrameNLRIs {
+		select {
+		case next := <-ch:
+			p.queued.Add(-1)
+			if next.fence != nil || next.u != op.u || next.peerAS != op.peerAS || next.peerID != op.peerID {
+				return next
+			}
+			op.segs = append(op.segs, next.segs...)
+			op.nlris += next.nlris
+			p.recycle(next)
+		default:
+			return nil
+		}
+	}
+	return nil
+}
+
+// recycle returns a processed (or merged-away) op to the pool, keeping
+// its segment array but none of the references in it.
+func (p *ingestPool) recycle(op *ingestOp) {
+	clear(op.segs)
+	*op = ingestOp{segs: op.segs[:0]}
+	p.ops.Put(op)
 }
 
 // send queues op on shard i. After shutdown the op is dropped (fences
@@ -169,7 +220,7 @@ func (p *ingestPool) send(i int, op *ingestOp) bool {
 		}
 		return false
 	}
-	p.pending.Add(1)
+	p.queued.Add(1)
 	p.chans[i] <- op
 	p.gate.RUnlock()
 	return true
@@ -186,129 +237,63 @@ func (p *ingestPool) barrier() {
 	wg.Wait()
 }
 
-// process applies one op: the compiled safety filter first (pre-RIB,
-// so a rejected route never touches the Adj-RIB-In or any client
-// queue), then table bookkeeping, then fan-out, with the client
-// snapshot taken in between (see the ordering notes in the package
-// comment above). The filter pointer is loaded exactly once per op:
-// a policy reload racing this worker lands entirely before or entirely
-// after the op's NLRIs — every route gets exactly one verdict from one
-// coherent rule set. Withdrawals always pass; retracting state is
-// always safe.
-func (p *ingestPool) process(op *ingestOp, si int) {
+// process applies one op to shard si: the compiled safety filter first
+// (pre-RIB, so a rejected route never touches the Adj-RIB-In or any
+// client queue), a fold to final state per prefix, one shard-writer
+// table pass, then fan-out as one shared frame, with the client
+// snapshot taken under the same lock (see the ordering notes in the
+// package comment above). The filter pointer is loaded exactly once per
+// op — merged ops included: a policy reload racing this worker lands
+// entirely before or entirely after the op's NLRIs — every route gets
+// exactly one verdict from one coherent rule set. Withdrawals always
+// pass; retracting state is always safe. entries is the caller's
+// scratch, handed back for reuse.
+func (p *ingestPool) process(op *ingestOp, si int, entries []batchEntry) []batchEntry {
 	u := op.u
-	reach := op.reach
-	if op.attrs != nil {
-		if f := p.srv.policy.Current(); f != nil {
-			reach = p.filterReach(f, op)
-		}
-	} else {
-		reach = nil
-	}
-	clients := p.srv.clientList()
-	// Install and enqueue under one hold of the shard's write lock (the
-	// ordering contract in the package comment): a replay walk is then
-	// strictly before or strictly after this whole op, never between
-	// the install and the fan-out.
-	u.adjIn.Update(si, func(t *rib.AdjRIB) {
-		for _, n := range op.wd {
-			t.Remove(n.Prefix, 0)
-		}
-		for _, n := range reach {
-			t.Set(&rib.Route{
-				Prefix:  n.Prefix,
-				Attrs:   op.attrs,
-				Src:     rib.PeerKey{Addr: u.cfg.PeerAddr},
-				PeerAS:  op.peerAS,
-				PeerID:  op.peerID,
-				EBGP:    true,
-				Learned: op.learned,
-			})
-		}
-		for _, c := range clients {
-			for _, n := range op.wd {
-				c.out.put(u.cfg.ID, n.Prefix, nil)
-			}
-			for _, n := range reach {
-				c.out.put(u.cfg.ID, n.Prefix, op.attrs)
-			}
-		}
-	})
-	*op = ingestOp{}
-	p.ops.Put(op)
-}
-
-// filterReach runs the compiled verdict over op's announced NLRIs and
-// compacts the survivors in place (the slice is owned by this op — it
-// aliases either the fresh decode or a partition buffer, both single-
-// consumer). Accepted counts batch into one counter add; rejects bump
-// their rule-class counter individually, since they are the rare case.
-func (p *ingestPool) filterReach(f *compiled.Filter, op *ingestOp) []wire.NLRI {
-	peer := compiled.Peer{AS: op.peerAS, Transit: op.u.cfg.Transit}
-	kept := op.reach[:0]
-	for _, n := range op.reach {
-		v := f.Verdict(n.Prefix, op.attrs, peer)
-		if v.Accept {
-			kept = append(kept, n)
-			continue
-		}
-		p.srv.metrics.policyRejected[v.Class].Inc()
-	}
-	if len(kept) > 0 {
-		p.srv.metrics.policyAccepted.Add(uint64(len(kept)))
-	}
-	return kept
-}
-
-// processBatch applies one batched op to shard si: policy verdicts per
-// announce segment (amortized over the interned attribute set the
-// whole segment shares), a fold to final state per prefix, one
-// shard-writer table pass under a single lock round-trip, then fan-out
-// — a shared broadcast frame when the batch is big enough to amortize
-// across clients, the coalescing per-op path otherwise.
-func (p *ingestPool) processBatch(op *ingestOp, si int) {
-	u := op.u
+	m := p.srv.metrics
 	if f := p.srv.policy.Current(); f != nil {
+		peer := compiled.Peer{AS: op.peerAS, Transit: u.cfg.Transit}
 		for k := range op.segs {
-			sg := &op.segs[k]
-			if sg.attrs == nil {
-				continue
+			if sg := &op.segs[k]; sg.attrs != nil {
+				sg.nlris = p.filter(f, peer, sg)
 			}
-			sg.nlris = p.filterSeg(f, op, sg)
 		}
 	}
 
 	// Fold to final state: the last segment touching a prefix wins, so
 	// the table pass and the frame agree and a frame never carries a
-	// stale announcement ahead of its own withdrawal.
-	var total int
-	for _, sg := range op.segs {
-		total += len(sg.nlris)
+	// stale announcement ahead of its own withdrawal. This is where the
+	// pipeline coalesces — once, for every client. One segment is one
+	// kind of operation under one attribute set and needs no index.
+	var idx map[netip.Prefix]int
+	if len(op.segs) > 1 {
+		idx = make(map[netip.Prefix]int, op.nlris)
 	}
-	entries := make([]batchEntry, 0, total)
-	idx := make(map[netip.Prefix]int, total)
+	entries = entries[:0]
+	folded := 0
 	for _, sg := range op.segs {
 		for _, n := range sg.nlris {
-			if j, ok := idx[n.Prefix]; ok {
-				entries[j].attrs = sg.attrs
-			} else {
+			if idx != nil {
+				if j, ok := idx[n.Prefix]; ok {
+					entries[j].attrs = sg.attrs
+					folded++
+					continue
+				}
 				idx[n.Prefix] = len(entries)
-				entries = append(entries, batchEntry{nlri: n, attrs: sg.attrs})
 			}
+			entries = append(entries, batchEntry{nlri: n, attrs: sg.attrs})
 		}
 	}
 	if len(entries) > 0 {
-		p.srv.metrics.ingestBatchSize.Observe(float64(len(entries)))
-		clients := p.srv.clientList()
-		// The frame is built outside the lock (it only groups entries;
-		// encoding is deferred to the first flush), but enqueued inside
-		// it — see process for the ordering contract.
-		var f *broadcastFrame
-		if len(clients) >= 2 && len(entries) >= frameThreshold {
-			skey, pathID := p.srv.sessionKey(u)
-			f = newBroadcastFrame(skey, u.cfg.ID, pathID, entries)
-			f.retain(len(clients))
+		m.ingestBatchSize.Observe(float64(len(entries)))
+		if folded > 0 {
+			m.fanoutCoalesced.Add(uint64(folded))
 		}
+		skey, pathID := p.srv.sessionKey(u)
+		// Install and enqueue under one hold of the shard's write lock
+		// (the ordering contract in the package comment): a replay walk
+		// is then strictly before or strictly after this whole op, never
+		// between the install and the fan-out.
 		u.adjIn.Update(si, func(t *rib.AdjRIB) {
 			for _, e := range entries {
 				if e.attrs == nil {
@@ -325,27 +310,21 @@ func (p *ingestPool) processBatch(op *ingestOp, si int) {
 					Learned: op.learned,
 				})
 			}
-			if f != nil {
-				for _, c := range clients {
-					c.out.putFrame(si, f)
-				}
-			} else {
-				for _, c := range clients {
-					for _, e := range entries {
-						c.out.put(u.cfg.ID, e.nlri.Prefix, e.attrs)
-					}
-				}
+			if clients := p.srv.clientList(); len(clients) > 0 {
+				p.srv.broadcast(si, clients, newBroadcastFrame(skey, u.cfg.ID, pathID, entries))
 			}
 		})
+		clear(entries)
 	}
-	*op = ingestOp{}
-	p.ops.Put(op)
+	p.recycle(op)
+	return entries
 }
 
-// filterSeg runs the compiled verdict over one announce segment,
-// compacting survivors in place (the slice is owned by this op).
-func (p *ingestPool) filterSeg(f *compiled.Filter, op *ingestOp, sg *ingestSeg) []wire.NLRI {
-	peer := compiled.Peer{AS: op.peerAS, Transit: op.u.cfg.Transit}
+// filter runs the compiled verdict over one announce segment,
+// compacting survivors in place (the slice is owned by the op).
+// Accepted counts batch into one counter add; rejects bump their
+// rule-class counter individually, since they are the rare case.
+func (p *ingestPool) filter(f *compiled.Filter, peer compiled.Peer, sg *ingestSeg) []wire.NLRI {
 	kept := sg.nlris[:0]
 	for _, n := range sg.nlris {
 		v := f.Verdict(n.Prefix, sg.attrs, peer)
@@ -361,121 +340,64 @@ func (p *ingestPool) filterSeg(f *compiled.Filter, op *ingestOp, sg *ingestSeg) 
 	return kept
 }
 
-// dispatchBatch splits a slice of UPDATEs (one batched session read)
-// by shard: one channel send and one worker pass per touched shard
-// covers the whole batch, preserving source order within each shard
-// via ordered segments. A single-update batch takes the per-UPDATE
-// path unchanged.
-func (p *ingestPool) dispatchBatch(u *Upstream, peerAS uint32, peerID netip.Addr, upds []*wire.Update) {
-	if len(upds) == 0 {
-		return
-	}
-	if len(upds) == 1 {
-		p.dispatch(u, peerAS, peerID, upds[0])
-		return
-	}
+// dispatch splits a run of UPDATEs (one batched session read, or a
+// single message) by shard: one channel send and one worker pass per
+// touched shard covers the whole run, preserving source order within
+// each shard via ordered segments. The dominant case — every NLRI of a
+// run hashing alike — ships the decoded slices through untouched and
+// allocates no per-shard table.
+func (p *ingestPool) dispatch(u *Upstream, peerAS uint32, peerID netip.Addr, upds []*wire.Update) {
 	now := p.srv.clk.Now()
-	ops := make([]*ingestOp, len(p.chans))
-	addSeg := func(si int, attrs *wire.Attrs, n wire.NLRI) {
-		op := ops[si]
-		if op == nil {
-			op = p.ops.Get().(*ingestOp)
-			op.u = u
-			op.peerAS, op.peerID, op.learned = peerAS, peerID, now
-			ops[si] = op
-		}
-		if len(op.segs) == 0 || op.segs[len(op.segs)-1].attrs != attrs {
-			op.segs = append(op.segs, ingestSeg{attrs: attrs})
-		}
-		sg := &op.segs[len(op.segs)-1]
-		sg.nlris = append(sg.nlris, n)
-	}
-	for _, upd := range upds {
-		attrs := upd.Attrs
-		for _, n := range upd.Withdrawn {
-			addSeg(int(rib.PrefixShard(n.Prefix)&p.mask), nil, n)
-		}
-		if attrs == nil {
-			continue // announcements without attributes carry no state
-		}
-		for _, n := range upd.Reach {
-			addSeg(int(rib.PrefixShard(n.Prefix)&p.mask), attrs, n)
-		}
-	}
-	for si, op := range ops {
-		if op != nil {
-			p.send(si, op)
-		}
-	}
-}
-
-// dispatch splits an upstream UPDATE by shard and hands each slice to
-// the owning worker. The dominant case — one NLRI, or several that
-// hash alike — ships the decoded slices through untouched; mixed
-// updates partition into per-shard ops.
-func (p *ingestPool) dispatch(u *Upstream, peerAS uint32, peerID netip.Addr, upd *wire.Update) {
-	attrs := upd.Attrs
-	reach := upd.Reach
-	if attrs == nil {
-		reach = nil // announcements without attributes carry no state
-	}
-	shard := -1
-	single := true
-	for _, n := range upd.Withdrawn {
-		si := int(rib.PrefixShard(n.Prefix) & p.mask)
-		if shard < 0 {
-			shard = si
-		} else if si != shard {
-			single = false
-			break
-		}
-	}
-	if single {
-		for _, n := range reach {
-			si := int(rib.PrefixShard(n.Prefix) & p.mask)
-			if shard < 0 {
-				shard = si
-			} else if si != shard {
-				single = false
-				break
+	var first *ingestOp // the first shard touched, and usually the only one
+	firstShard := 0
+	var others []*ingestOp // by shard; allocated when a second one is touched
+	opFor := func(si int) *ingestOp {
+		if first != nil {
+			if si == firstShard {
+				return first
+			}
+			if others == nil {
+				others = make([]*ingestOp, len(p.chans))
+			}
+			if others[si] != nil {
+				return others[si]
 			}
 		}
-	}
-	if shard < 0 {
-		return // empty update
-	}
-	if single {
 		op := p.ops.Get().(*ingestOp)
-		op.u, op.attrs, op.wd, op.reach = u, attrs, upd.Withdrawn, reach
-		op.peerAS, op.peerID, op.learned = peerAS, peerID, p.srv.clk.Now()
-		p.send(shard, op)
-		return
-	}
-	// Mixed shards: bucket by worker. ops is indexed by shard; only the
-	// touched entries allocate.
-	ops := make([]*ingestOp, len(p.chans))
-	now := p.srv.clk.Now()
-	get := func(si int) *ingestOp {
-		op := ops[si]
-		if op == nil {
-			op = p.ops.Get().(*ingestOp)
-			op.u, op.attrs = u, attrs
-			op.peerAS, op.peerID, op.learned = peerAS, peerID, now
-			ops[si] = op
+		op.u, op.peerAS, op.peerID, op.learned = u, peerAS, peerID, now
+		if first == nil {
+			first, firstShard = op, si
+		} else {
+			others[si] = op
 		}
 		return op
 	}
-	for _, n := range upd.Withdrawn {
-		si := int(rib.PrefixShard(n.Prefix) & p.mask)
-		op := get(si)
-		op.wd = append(op.wd, n)
+	shardOf := func(n wire.NLRI) int { return int(rib.PrefixShard(n.Prefix) & p.mask) }
+	add := func(attrs *wire.Attrs, nlris []wire.NLRI) {
+		if len(nlris) == 0 {
+			return
+		}
+		si := shardOf(nlris[0])
+		for _, n := range nlris[1:] {
+			if shardOf(n) != si {
+				for k := range nlris {
+					opFor(shardOf(nlris[k])).add(attrs, nlris[k:k+1])
+				}
+				return
+			}
+		}
+		opFor(si).add(attrs, nlris)
 	}
-	for _, n := range reach {
-		si := int(rib.PrefixShard(n.Prefix) & p.mask)
-		op := get(si)
-		op.reach = append(op.reach, n)
+	for _, upd := range upds {
+		add(nil, upd.Withdrawn)
+		if upd.Attrs != nil { // announcements without attributes carry no state
+			add(upd.Attrs, upd.Reach)
+		}
 	}
-	for si, op := range ops {
+	if first != nil {
+		p.send(firstShard, first)
+	}
+	for si, op := range others {
 		if op != nil {
 			p.send(si, op)
 		}

@@ -31,10 +31,10 @@ var convergenceBuckets = []float64{0.001, 0.01, 0.1, 0.5, 1, 2.5, 5, 10, 30, 60,
 // doubling behavior of batch growth.
 var packingBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// batchBuckets cover NLRIs-per-ingest-batch: reader-side batching caps
-// a run at maxReadBatch UPDATEs but each UPDATE can carry many NLRIs,
-// and bulk-sync chunks run to thousands, so the range extends past the
-// packing ceiling.
+// batchBuckets cover NLRIs-per-ingest-op: reader-side batching caps a
+// run at maxReadBatch UPDATEs but each UPDATE can carry many NLRIs,
+// and worker-side merging runs to snapFrameNLRIs, so the range extends
+// past the packing ceiling.
 var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 // serverMetrics holds every instrument the server layer owns, plus the
@@ -63,10 +63,12 @@ type serverMetrics struct {
 	fanoutHighWater    *telemetry.Gauge
 	fanoutPacked       *telemetry.Histogram
 
-	// Batched-ingest and shared-frame instruments (frame.go, ingest.go).
-	// ingestBatchSize records folded entries per shard batch; the frame
-	// counters split fan-out flushes between the encode-once shared path
-	// and the per-session private fallback.
+	// Ingest and frame instruments (frame.go, ingest.go).
+	// ingestBatchSize records folded entries per ingest op (a lone
+	// UPDATE observes 1); the frame counters split flushes between
+	// bytes encoded once for several queues and bytes one client alone
+	// paid for (a frame built for one queue, or a re-pack under
+	// diverging codec options).
 	ingestBatchSize    *telemetry.Histogram
 	fanoutFrameShared  *telemetry.Counter
 	fanoutFramePrivate *telemetry.Counter
@@ -128,20 +130,20 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 		fanoutUpdates: r.Counter("peering_fanout_updates_total",
 			"UPDATE messages sent to clients by the fan-out pipeline."),
 		fanoutCoalesced: r.Counter("peering_fanout_coalesced_total",
-			"Queued fan-out operations overwritten before being sent."),
+			"Operations overwritten by a newer one on the same prefix in an ingest batch's fold, before any client queue saw them (counted once, not per client)."),
 		fanoutBackpressure: r.Counter("peering_fanout_backpressure_total",
 			"Enqueues that found a client's queue above the high-water mark."),
 		fanoutHighWater: r.Gauge("peering_fanout_queue_high_water",
-			"Deepest any client's pending fan-out queue has been."),
+			"Deepest any client's fan-out queue has been, in routes."),
 		fanoutPacked: r.Histogram("peering_fanout_update_nlris",
 			"NLRIs packed into each UPDATE sent to a client.", packingBuckets),
 
 		ingestBatchSize: r.Histogram("peering_ingest_batch_size",
-			"Folded NLRI entries per batched shard-ingest operation.", batchBuckets),
+			"Folded NLRI entries per shard-ingest operation (1 = a lone single-NLRI UPDATE).", batchBuckets),
 		fanoutFrameShared: r.Counter("peering_fanout_frames_shared_total",
-			"Broadcast frames flushed to a client from the shared encode-once bytes."),
+			"Frame flushes served from bytes encoded once for two or more client queues."),
 		fanoutFramePrivate: r.Counter("peering_fanout_frames_private_total",
-			"Broadcast frames that fell back to a per-session private encode (diverged codec options or encode failure)."),
+			"Frame flushes whose encoding served this client alone: a frame built for one queue (a joiner's snapshot, a shed remainder, a lone client) or a re-pack under diverged codec options."),
 
 		policyVerdicts: r.CounterVec("peering_policy_verdicts_total",
 			"Compiled safety-filter verdicts by rule class and outcome (upstream ingest and client vetting).",
@@ -190,7 +192,7 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 			emit(float64(st.MetroRules), "metro")
 		})
 	r.GaugeFunc("peering_fanout_shared_frame_ratio",
-		"Fraction of broadcast-frame flushes served from the shared encoding (1.0 = every client reused the same bytes; 0 when no frames have been flushed).",
+		"Fraction of frame flushes served from bytes shared by two or more clients (near 1 under live fan-out; falls toward 0 while joiners replay private snapshots; 0 when no frames have been flushed).",
 		func() float64 {
 			shared := m.fanoutFrameShared.Value()
 			total := shared + m.fanoutFramePrivate.Value()
@@ -204,12 +206,12 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 		func() float64 { return float64(s.ClientCount()) })
 	r.GaugeFunc("peering_ingest_pending",
 		"Upstream update operations queued in the sharded ingest pool.",
-		func() float64 { return float64(s.ingest.pending.Load()) })
+		func() float64 { return float64(s.ingest.queued.Load()) })
 	r.GaugeFunc("peering_ingest_shards",
 		"Prefix-hash shards per Adj-RIB-In (and ingest workers).",
 		func() float64 { return float64(s.shards) })
 	r.GaugeVecFunc("peering_fanout_queue_depth",
-		"Pending fan-out operations per connected client.", []string{"client"},
+		"Routes queued for fan-out per connected client.", []string{"client"},
 		func(emit func(v float64, labelValues ...string)) {
 			for id, d := range s.QueueDepths() {
 				emit(float64(d), id)

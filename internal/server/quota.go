@@ -3,9 +3,9 @@ package server
 // Per-client resource quotas and graceful shedding. The mux interposes
 // on everything a client does (§3); quotas make that interposition
 // bounded: a runaway client hits its max-prefix limit (warn →
-// dampen-new → teardown), a stalled client has its coalescable fan-out
-// churn shed and replaced by a synchronous resync, and neither ever
-// degrades service for a healthy client. All containment actions are
+// dampen-new → teardown), a stalled client has its queued
+// announcements shed and replaced by a synchronous resync, and neither
+// ever degrades service for a healthy client. All containment actions are
 // counted on the peering_quota_* telemetry family.
 
 import (
@@ -21,10 +21,11 @@ const (
 	// DefaultQuotaWarnFraction of the max-prefix limit at which a
 	// client's first excursion is counted as a warning.
 	DefaultQuotaWarnFraction = 0.8
-	// DefaultMaxQueueOps hard-caps one client's pending fan-out queue.
-	// Coalescing already bounds the queue by live state space; this cap
-	// bounds the memory a stalled client's worker can strand. Beyond
-	// it, announcements are shed and recovered by a full resync.
+	// DefaultMaxQueueOps hard-caps one client's fan-out queue, counted
+	// in routes. It is the queue's only bound — the queue is a FIFO of
+	// frames and folds nothing — and so bounds the memory a stalled
+	// client's worker can strand. Beyond it, announcements are shed and
+	// recovered by a full resync.
 	DefaultMaxQueueOps = 1 << 17
 )
 
@@ -46,7 +47,7 @@ type QuotaConfig struct {
 	// routes are withdrawn. Zero disables teardown — the client stays
 	// connected, capped at dampen-new.
 	TeardownAfter int
-	// MaxQueueOps hard-caps a client's pending fan-out queue depth.
+	// MaxQueueOps hard-caps a client's fan-out queue depth in routes.
 	// Zero means DefaultMaxQueueOps; negative disables the cap.
 	MaxQueueOps int
 }

@@ -83,7 +83,7 @@ func clientSupFailures(s *Server, id string, key uint32) int {
 // a flap. Every delay runs on the virtual clock.
 func TestChaosTunnelPartitionAndHeal(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
-	srv := New(Config{
+	srv := newCheckedServer(t, Config{
 		Site:      "chaos01",
 		ASN:       testbedASN,
 		RouterID:  addr("184.164.224.1"),
@@ -92,7 +92,6 @@ func TestChaosTunnelPartitionAndHeal(t *testing.T) {
 		Dampening: relaxedDampening(),
 		Reconnect: bgp.Backoff{Initial: time.Second, Max: 8 * time.Second, Factor: 2},
 	})
-	t.Cleanup(srv.Close)
 
 	clientPfx := prefix("184.164.224.0/24")
 	up1 := router.New(router.Config{AS: 3356, RouterID: addr("4.69.0.1"), Clock: clk})

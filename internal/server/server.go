@@ -72,11 +72,11 @@ type Config struct {
 	// Reconnect shapes supervised session redial backoff; zero value
 	// uses the bgp.Backoff defaults.
 	Reconnect bgp.Backoff
-	// FanoutHighWater is the per-client pending fan-out queue depth
-	// above which enqueues count as backpressure. The queue itself is
-	// bounded by coalescing (at most one pending operation per
-	// (upstream, prefix)); this threshold only tunes when a client is
-	// reported as slow. Zero means DefaultFanoutHighWater.
+	// FanoutHighWater is the per-client fan-out queue depth (routes
+	// queued) above which enqueues count as backpressure. The queue
+	// itself is bounded by Quota.MaxQueueOps (shed + resync); this
+	// threshold only tunes when a client is reported as slow. Zero
+	// means DefaultFanoutHighWater.
 	FanoutHighWater int
 	// Quota bounds per-client resource usage (max-prefix limits,
 	// fan-out queue caps); see QuotaConfig. The zero value applies no
@@ -113,15 +113,15 @@ type Stats struct {
 	// fan-out pipeline. Batch packing puts many NLRIs in one message, so
 	// RoutesRelayedToClients / UpdatesToClients is the packing ratio.
 	UpdatesToClients uint64
-	// FanoutCoalesced counts queued fan-out operations overwritten by a
-	// newer operation on the same (upstream, prefix) before being sent.
+	// FanoutCoalesced counts operations overwritten by a newer one on
+	// the same (upstream, prefix) in an ingest batch's fold, before any
+	// client queue saw them (counted once, not per client).
 	FanoutCoalesced uint64
-	// FanoutBackpressure counts enqueues that found a client's pending
-	// queue above Config.FanoutHighWater (a slow client; upstream
-	// readers keep going regardless).
+	// FanoutBackpressure counts enqueues that found a client's queue
+	// above Config.FanoutHighWater (a slow client; upstream readers
+	// keep going regardless).
 	FanoutBackpressure uint64
-	// FanoutQueueHighWater is the deepest any client's pending queue has
-	// been.
+	// FanoutQueueHighWater is the deepest any client's queue has been.
 	FanoutQueueHighWater uint64
 	// AnnouncementsRelayed counts client NLRIs accepted and sent to
 	// upstream peers.
@@ -318,8 +318,8 @@ type clientConn struct {
 	account ClientAccount
 	mux     *tunnel.Mux
 	pkt     *tunnel.PacketTunnel
-	// out is the client's coalescing outbound queue, drained by a
-	// dedicated worker (see fanout.go).
+	// out is the client's outbound frame queue, drained by a dedicated
+	// worker (see fanout.go).
 	out *outQueue
 
 	mu sync.Mutex
@@ -433,6 +433,13 @@ type Server struct {
 	archMu      sync.Mutex
 	arch        *mrt.Archive
 	archSnapSeq int
+
+	// closed is set first thing in Close: a session or transport dying
+	// afterwards must not arm a restart-window timer nobody will stop.
+	closed atomic.Bool
+	// liveFrames counts broadcast frames some client queue still
+	// references (see broadcastFrame.live).
+	liveFrames atomic.Int64
 }
 
 // New creates a server.
@@ -637,95 +644,68 @@ func (h *upstreamHandler) Established(sess *bgp.Session) {
 }
 
 func (h *upstreamHandler) UpdateReceived(sess *bgp.Session, upd *wire.Update) {
-	h.u.srv.handleUpstreamUpdate(h.u, sess, upd)
+	h.u.srv.handleUpstreamUpdates(h.u, sess, []*wire.Update{upd})
 }
 
 // UpdateBatchReceived implements bgp.BatchHandler: on transports that
 // report buffered bytes, the session reader hands over every UPDATE
 // already in flight as one slice, and the whole run enters the sharded
-// ingest as one batch per shard instead of one op per message.
+// ingest as one op per shard instead of one per message.
 func (h *upstreamHandler) UpdateBatchReceived(sess *bgp.Session, upds []*wire.Update) {
-	h.u.srv.handleUpstreamBatch(h.u, sess, upds)
+	h.u.srv.handleUpstreamUpdates(h.u, sess, upds)
 }
 
 func (h *upstreamHandler) Closed(_ *bgp.Session, err error) {
 	h.u.srv.handleUpstreamDown(h.u, err)
 }
 
-// handleUpstreamUpdate relays a peer's routes to every client. The
+// handleUpstreamUpdates relays a peer's routes to every client. The
 // server deliberately does NOT run best-path selection: each client
-// sees each peer's routes verbatim (§3).
-func (s *Server) handleUpstreamUpdate(u *Upstream, sess *bgp.Session, upd *wire.Update) {
-	if upd.Refresh {
-		return // refresh requests from upstreams are not honored yet
-	}
-	// The federation import hook runs before anything else sees the
-	// update (archive included, so warm restarts rebuild the same
-	// post-import table): it strips backhaul-only communities and counts
-	// cross-mux import metrics.
-	if u.cfg.Import != nil {
-		u.cfg.Import(upd)
-	}
-	// Archive before interpreting: End-of-RIB markers belong in the
-	// trace too (warm restart replays them as harmless no-ops).
-	s.archiveUpstream(u, sess, upd)
-	if upd.IsEndOfRIB() {
-		// The peer finished replaying its table after a restart: every
-		// route still stale was not re-announced and must go.
-		s.flushUpstreamStale(u)
-		return
-	}
-	// Canonicalize the attribute set once: a stable table re-announced by
-	// a churny peer resolves to the pointer already shared by the RIB and
-	// every client queue, so nothing below clones.
-	upd.Attrs = s.intern.Intern(upd.Attrs)
-	if upd.Attrs != nil && len(upd.Reach) > 0 {
-		s.metrics.routesFromUpstreams.Add(uint64(len(upd.Reach)))
-	}
-	// Hand the update to the shard workers: they book-keep the
-	// Adj-RIB-In (so late-joining clients get a full replay) and fan
-	// out through the per-client queues. The reader never blocks on a
-	// slow client or on another peer's flood, and upd.Attrs (shared,
-	// immutable) rides into every queue without cloning.
-	s.ingest.dispatch(u, sess.PeerAS(), sess.PeerID(), upd)
-}
-
-// handleUpstreamBatch is the batched twin of handleUpstreamUpdate:
-// per-message bookkeeping (import hook, archive, interning, metrics)
-// stays per UPDATE, but the runs between End-of-RIB markers dispatch
-// into the shard workers as one batch — one channel send and one
-// table-lock pass per touched shard for the whole run.
-func (s *Server) handleUpstreamBatch(u *Upstream, sess *bgp.Session, upds []*wire.Update) {
-	run := make([]*wire.Update, 0, len(upds))
-	flush := func() {
-		if len(run) > 0 {
-			s.ingest.dispatchBatch(u, sess.PeerAS(), sess.PeerID(), run)
-			run = run[:0]
-		}
-	}
+// sees each peer's routes verbatim (§3). Per-message bookkeeping
+// (import hook, archive, interning, metrics) runs per UPDATE; the runs
+// between End-of-RIB markers then enter the shard workers together —
+// they book-keep the Adj-RIB-In (so late-joining clients get a full
+// replay) and fan out through the per-client queues, so the reader
+// never blocks on a slow client or on another peer's flood. upds is
+// the caller's to reuse afterwards; the run is compacted in place.
+func (s *Server) handleUpstreamUpdates(u *Upstream, sess *bgp.Session, upds []*wire.Update) {
+	n := 0 // upds[:n] is the run not yet dispatched
 	for _, upd := range upds {
 		if upd.Refresh {
 			continue // refresh requests from upstreams are not honored yet
 		}
+		// The federation import hook runs before anything else sees the
+		// update (archive included, so warm restarts rebuild the same
+		// post-import table): it strips backhaul-only communities and
+		// counts cross-mux import metrics.
 		if u.cfg.Import != nil {
 			u.cfg.Import(upd)
 		}
+		// Archive before interpreting: End-of-RIB markers belong in the
+		// trace too (warm restart replays them as harmless no-ops).
 		s.archiveUpstream(u, sess, upd)
 		if upd.IsEndOfRIB() {
-			// The stale sweep must observe every update before the
-			// marker: dispatch the run first (flushUpstreamStale fences
-			// the pipeline itself).
-			flush()
+			// The peer finished replaying its table after a restart:
+			// every route still stale was not re-announced and must go.
+			// The sweep must observe every update before the marker, so
+			// dispatch the run first (flushUpstreamStale fences the
+			// pipeline itself).
+			s.ingest.dispatch(u, sess.PeerAS(), sess.PeerID(), upds[:n])
+			n = 0
 			s.flushUpstreamStale(u)
 			continue
 		}
+		// Canonicalize the attribute set once: a stable table
+		// re-announced by a churny peer resolves to the pointer already
+		// shared by the RIB and every frame, so nothing below clones.
 		upd.Attrs = s.intern.Intern(upd.Attrs)
 		if upd.Attrs != nil && len(upd.Reach) > 0 {
 			s.metrics.routesFromUpstreams.Add(uint64(len(upd.Reach)))
 		}
-		run = append(run, upd)
+		upds[n] = upd
+		n++
 	}
-	flush()
+	s.ingest.dispatch(u, sess.PeerAS(), sess.PeerID(), upds[:n])
 }
 
 // sessionKey maps an upstream to the client-session routing key and
@@ -747,49 +727,35 @@ func (s *Server) sessionKey(u *Upstream) (skey uint32, pathID wire.PathID) {
 func (s *Server) handleUpstreamDown(u *Upstream, err error) {
 	// The session is dead, so no new updates are arriving, but its last
 	// ones may still sit in the ingest pipeline; fence them through so
-	// the stale-mark (or teardown walk) below sees the complete table.
+	// the stale-mark (or teardown sweep) below sees the complete table.
 	s.ingest.barrier()
-	if err != nil && !bgp.IsPeerCease(err) {
-		n := u.adjIn.MarkAllStale()
-		u.mu.Lock()
-		u.sess = nil
-		if u.staleTimer != nil {
-			u.staleTimer.Stop()
-		}
-		u.staleTimer = s.clk.AfterFunc(s.cfg.RestartWindow, func() {
-			s.flushUpstreamStale(u)
-		})
-		u.mu.Unlock()
-		if n > 0 {
+	retain := err != nil && !bgp.IsPeerCease(err)
+	if retain {
+		if n := u.adjIn.MarkAllStale(); n > 0 {
 			s.metrics.staleRetained.Add(uint64(n))
 		}
-		return
+	} else {
+		s.sweepUpstream(u, func(t *rib.AdjRIB) []*rib.Route {
+			t.MarkAllStale() // everything goes: the sweep empties the shard
+			return t.SweepStale()
+		})
 	}
-
-	var prefixes []netip.Prefix
-	u.adjIn.Walk(func(r *rib.Route) bool {
-		prefixes = append(prefixes, r.Prefix)
-		return true
-	})
-	u.adjIn.Clear()
 	u.mu.Lock()
 	u.sess = nil
-	// A restart-window backstop armed by an earlier unclean loss must
-	// not outlive the peering it was guarding: the Adj-RIB-In is empty
-	// now, and a late firing would wrongly disarm a future window.
+	// A restart-window backstop armed by an earlier loss must not
+	// outlive the peering it was guarding: after a clean teardown the
+	// Adj-RIB-In is empty, and a late firing would wrongly disarm a
+	// future window. After Close nobody is left to stop a new one.
 	if u.staleTimer != nil {
 		u.staleTimer.Stop()
 		u.staleTimer = nil
 	}
+	if retain && !s.closed.Load() {
+		u.staleTimer = s.clk.AfterFunc(s.cfg.RestartWindow, func() {
+			s.flushUpstreamStale(u)
+		})
+	}
 	u.mu.Unlock()
-	if len(prefixes) == 0 {
-		return
-	}
-	for _, c := range s.clientList() {
-		for _, p := range prefixes {
-			c.out.put(u.cfg.ID, p, nil)
-		}
-	}
 }
 
 // flushUpstreamStale withdraws from clients every adjIn route still
@@ -800,22 +766,48 @@ func (s *Server) flushUpstreamStale(u *Upstream) {
 	// the ingest pipeline; fence it through before sweeping, or the
 	// re-announced route would be flushed as stale.
 	s.ingest.barrier()
-	swept := u.adjIn.SweepStale()
+	swept := s.sweepUpstream(u, (*rib.AdjRIB).SweepStale)
 	u.mu.Lock()
 	if u.staleTimer != nil {
 		u.staleTimer.Stop()
 		u.staleTimer = nil
 	}
 	u.mu.Unlock()
-	if len(swept) == 0 {
-		return
+	if swept > 0 {
+		s.metrics.staleFlushed.Add(uint64(swept))
 	}
-	s.metrics.staleFlushed.Add(uint64(len(swept)))
-	for _, c := range s.clientList() {
-		for _, r := range swept {
-			c.out.put(u.cfg.ID, r.Prefix, nil)
-		}
+}
+
+// sweepUpstream removes from each shard of u's Adj-RIB-In the routes
+// take returns and withdraws them from every client: one withdraw-only
+// frame per shard (per snapFrameNLRIs routes), shared by all clients,
+// enqueued under the same hold of the shard's write lock that removed
+// the routes — the ingest workers' contract, so a sweep racing live
+// ingest or a joiner's replay can never leave a client holding a route
+// the table dropped. It returns how many routes went.
+func (s *Server) sweepUpstream(u *Upstream, take func(*rib.AdjRIB) []*rib.Route) int {
+	skey, pathID := s.sessionKey(u)
+	total := 0
+	for i := 0; i < u.adjIn.Shards(); i++ {
+		u.adjIn.Update(i, func(t *rib.AdjRIB) {
+			gone := take(t)
+			total += len(gone)
+			clients := s.clientList()
+			if len(clients) == 0 {
+				return
+			}
+			for len(gone) > 0 {
+				chunk := gone[:min(len(gone), snapFrameNLRIs)]
+				gone = gone[len(chunk):]
+				wd := make([]wire.NLRI, len(chunk))
+				for k, r := range chunk {
+					wd[k] = wire.NLRI{Prefix: r.Prefix, ID: pathID}
+				}
+				s.broadcast(i, clients, &broadcastFrame{skey: skey, upstream: u.cfg.ID, wd: wd})
+			}
+		})
 	}
+	return total
 }
 
 // clientList returns the copy-on-write snapshot of connected clients.
@@ -1041,8 +1033,8 @@ func (s *Server) ClientCount() int {
 	return len(s.clients)
 }
 
-// QueueDepths reports each connected client's pending fan-out queue
-// depth (operations plus end-of-RIB markers not yet flushed) — the live
+// QueueDepths reports each connected client's fan-out queue depth
+// (routes plus end-of-RIB markers not yet flushed) — the live
 // backpressure view behind GET /stats. Stats pollers hold only the
 // read lock, so they never stall client admission or the relay path.
 func (s *Server) QueueDepths() map[string]int {
@@ -1098,7 +1090,7 @@ func (s *Server) markClientStale(id string, only *Upstream) {
 	}
 	s.metrics.staleRetained.Add(uint64(n))
 	s.timerMu.Lock()
-	if _, armed := s.restartTimers[id]; !armed {
+	if _, armed := s.restartTimers[id]; !armed && !s.closed.Load() {
 		s.restartTimers[id] = s.clk.AfterFunc(s.cfg.RestartWindow, func() {
 			s.flushClientStale(id, nil)
 		})
@@ -1207,8 +1199,8 @@ func (h *clientSessHandler) Established(_ *bgp.Session) {
 	// an end-of-RIB marker so a reconnecting client can flush stale
 	// entries from its per-peer views. The replay goes through the
 	// client's fan-out queue, not directly down the session: live
-	// withdrawals racing the replay coalesce onto the queued
-	// announcements instead of being reordered behind them.
+	// withdrawals racing the replay queue behind the snapshot frames
+	// instead of overtaking them.
 	if h.birdMode {
 		for _, u := range h.srv.Upstreams() {
 			h.srv.enqueueReplay(h.c, u, false)
@@ -1500,6 +1492,7 @@ func (s *Server) handleClientPacket(c *clientConn, pkt *dataplane.Packet) {
 // Close tears down all sessions, supervisors, restart timers, and
 // client transports.
 func (s *Server) Close() {
+	s.closed.Store(true)
 	clients := s.clientList()
 	ups := s.Upstreams()
 	s.timerMu.Lock()

@@ -151,9 +151,10 @@ func PackGrouped(withdrawn []NLRI, groups []AttrGroup, opt Options) []*Update {
 // canonical attribute encoding ride in one message, split only when the
 // NLRI would overflow the 4096-byte frame. Withdrawals come first (in
 // their own messages), then one run of messages per attribute group, so
-// a caller that emits at most one operation per prefix — the fan-out
-// queue's coalescing invariant — keeps per-prefix ordering intact even
-// though prefixes with different attributes are regrouped.
+// a caller that emits at most one operation per prefix — what the
+// ingest fold guarantees of every fan-out frame — keeps per-prefix
+// ordering intact even though prefixes with different attributes are
+// regrouped.
 //
 // Attrs are only read (hashed and marshaled once per group) and the
 // produced updates alias the caller's Attrs pointers and withdrawn
