@@ -11,7 +11,7 @@ profflags =
 profdir = @true
 endif
 
-.PHONY: all build vet staticcheck test race chaos bench bench-fulltable bench-policy bench-federation fuzz-smoke check docs lines
+.PHONY: all build vet fmt-check staticcheck test race chaos bench bench-fulltable bench-policy bench-federation fuzz-smoke check docs lines
 
 all: check
 
@@ -20,6 +20,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt is part of the gate: a file it would rewrite fails the check
+# (bench/ is its own module but shares the tree, so it is covered too).
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
+	@echo "fmt-check: gofmt clean"
 
 # staticcheck is advisory tooling, not a baked-in dependency: run it
 # when the binary is on PATH, skip cleanly (never install) when not.
@@ -125,7 +132,7 @@ docs: vet
 # grows past the committed ceiling: code added there has to pay for
 # itself by deleting something, or raise the figure in the same change
 # and say why.
-SERVER_LINES_MAX = 3550
+SERVER_LINES_MAX = 3547
 lines:
 	@n=$$(cat $$(ls internal/server/*.go | grep -v _test.go) | wc -l); \
 	echo "internal/server: $$n non-test lines (ceiling $(SERVER_LINES_MAX))"; \
@@ -136,4 +143,4 @@ lines:
 # the verdict, the packet forward path and tunnel round trip — and the
 # relay-path budget) only assert without the race runtime's own
 # allocations in the way.
-check: build docs lines staticcheck test race fuzz-smoke
+check: build fmt-check docs lines staticcheck test race fuzz-smoke

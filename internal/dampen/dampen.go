@@ -3,7 +3,7 @@
 // experiment cannot destabilize routing for the rest of the Internet
 // (§3 "Enforcing safety").
 //
-// Each (prefix, source) pair accumulates a penalty on every flap
+// Each (prefix, source, peering) key accumulates a penalty on every flap
 // (withdrawal or attribute change). The penalty decays exponentially
 // with a configurable half-life. When it crosses the suppress threshold
 // the route is suppressed — not propagated — until decay brings it back
@@ -62,27 +62,71 @@ func (c Config) maxPenalty() float64 {
 	return c.ReuseThreshold * math.Exp2(float64(c.MaxSuppress)/float64(c.HalfLife))
 }
 
-// Key identifies a dampened route: prefix + the announcing source.
+// Key identifies a dampened route: the prefix, the announcing source,
+// and the peering the route is announced on. RFC 2439 keeps its figure
+// of merit per peering: one announcement steered to three upstreams is
+// one flap on each of three sessions, not three flaps of one route.
+// Callers with a single peering leave Upstream zero.
 type Key struct {
-	Prefix netip.Prefix
-	Source netip.Addr
+	Prefix   netip.Prefix
+	Source   netip.Addr
+	Upstream uint32
 }
 
-// state is the per-key dampening record.
+// recKey is Key without pointers (a netip.Addr carries one for its
+// zone), so that the record table, which grows by one entry per route a
+// client has ever flapped, is memory the garbage collector never scans.
+// Zones are dropped: BGP prefixes and tunnel addresses have none.
+type recKey struct {
+	prefix, source [16]byte
+	upstream       uint32
+	bits           int16
+	v4             uint8 // bit 0: Prefix is IPv4; bit 1: Source is IPv4
+}
+
+func (k Key) rec() recKey {
+	r := recKey{
+		prefix:   k.Prefix.Addr().As16(),
+		source:   k.Source.As16(),
+		upstream: k.Upstream,
+		bits:     int16(k.Prefix.Bits()),
+	}
+	if k.Prefix.Addr().Is4() {
+		r.v4 |= 1
+	}
+	if k.Source.Is4() {
+		r.v4 |= 2
+	}
+	return r
+}
+
+// state is the per-key dampening record, stored by value and, like
+// recKey, pointer-free: lastUpdate is an offset from Damper.start, not
+// a time.Time.
 type state struct {
 	penalty    float64
-	lastUpdate time.Time
+	lastUpdate time.Duration
 	suppressed bool
 }
 
+// minSweepAt is the table size below which recordPenalty never sweeps.
+const minSweepAt = 1024
+
 // Damper tracks flap penalties. It is safe for concurrent use.
 type Damper struct {
-	cfg     Config
-	clock   clock.Clock
-	metrics *Metrics // set by Instrument; nil disables recording
+	cfg        Config
+	maxPenalty float64 // cfg.maxPenalty(), computed once
+	clock      clock.Clock
+	start      time.Time
+	metrics    *Metrics // set by Instrument; nil disables recording
 
 	mu     sync.Mutex
-	states map[Key]*state
+	states map[recKey]state
+	// sweepAt is the table size at which the next new record sweeps out
+	// the decayed ones first: twice what the previous sweep left, so the
+	// table stays within 2× the records still carrying a penalty and a
+	// sweep's full scan is paid for by the insertions since the last.
+	sweepAt int
 }
 
 // New returns a Damper with cfg, using clk for decay timing.
@@ -90,12 +134,18 @@ func New(cfg Config, clk clock.Clock) *Damper {
 	if clk == nil {
 		clk = clock.System
 	}
-	return &Damper{cfg: cfg, clock: clk, states: make(map[Key]*state)}
+	return &Damper{
+		cfg: cfg, maxPenalty: cfg.maxPenalty(), clock: clk, start: clk.Now(),
+		states: make(map[recKey]state), sweepAt: minSweepAt,
+	}
 }
 
+// now is the clock reading as an offset from d.start.
+func (d *Damper) now() time.Duration { return d.clock.Now().Sub(d.start) }
+
 // decayTo brings s's penalty forward to time now.
-func (d *Damper) decayTo(s *state, now time.Time) {
-	dt := now.Sub(s.lastUpdate)
+func (d *Damper) decayTo(s *state, now time.Duration) {
+	dt := now - s.lastUpdate
 	if dt <= 0 {
 		return
 	}
@@ -111,80 +161,79 @@ func (d *Damper) decayTo(s *state, now time.Time) {
 	}
 }
 
-// recordPenalty applies a flap of weight w and metric kind to key k and
-// returns whether the route is now suppressed.
-func (d *Damper) recordPenalty(k Key, w float64, kind string) bool {
-	now := d.clock.Now()
+// decayed returns k's record brought forward to now and stored back
+// (so a reuse crossing is counted once). Callers hold d.mu.
+func (d *Damper) decayed(k Key) (state, bool) {
+	rk := k.rec()
+	s, ok := d.states[rk]
+	if ok {
+		d.decayTo(&s, d.now())
+		d.states[rk] = s
+	}
+	return s, ok
+}
+
+// recordPenalty applies a flap of weight w to key k and returns whether
+// the route is now suppressed.
+func (d *Damper) recordPenalty(k Key, w float64, withdraw bool) bool {
+	rk := k.rec()
+	now := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.states[k]
-	if s == nil {
-		s = &state{lastUpdate: now}
-		d.states[k] = s
+	s, ok := d.states[rk]
+	if !ok {
+		if len(d.states) >= d.sweepAt {
+			d.sweepLocked(now)
+			d.sweepAt = max(2*len(d.states), minSweepAt)
+		}
+		s.lastUpdate = now
 	}
-	d.decayTo(s, now)
-	s.penalty += w
-	if maxP := d.cfg.maxPenalty(); s.penalty > maxP {
-		s.penalty = maxP
-	}
-	d.metrics.penalty(kind)
+	d.decayTo(&s, now)
+	s.penalty = min(s.penalty+w, d.maxPenalty)
+	d.metrics.penalty(withdraw)
 	if s.penalty >= d.cfg.SuppressThreshold && !s.suppressed {
 		s.suppressed = true
 		d.metrics.suppress()
 	}
+	d.states[rk] = s
 	return s.suppressed
 }
 
 // RecordFlap registers a re-announcement (attribute change) of k,
 // returning true if the route is suppressed.
 func (d *Damper) RecordFlap(k Key) bool {
-	return d.recordPenalty(k, d.cfg.FlapPenalty, "flap")
+	return d.recordPenalty(k, d.cfg.FlapPenalty, false)
 }
 
 // RecordWithdraw registers a withdrawal of k, returning true if the
 // route is suppressed.
 func (d *Damper) RecordWithdraw(k Key) bool {
-	return d.recordPenalty(k, d.cfg.WithdrawPenalty, "withdraw")
+	return d.recordPenalty(k, d.cfg.WithdrawPenalty, true)
 }
 
 // Suppressed reports whether k is currently suppressed, applying decay
 // first.
 func (d *Damper) Suppressed(k Key) bool {
-	now := d.clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.states[k]
-	if s == nil {
-		return false
-	}
-	d.decayTo(s, now)
+	s, _ := d.decayed(k)
 	return s.suppressed
 }
 
 // Penalty returns the current decayed penalty for k (0 if untracked).
 func (d *Damper) Penalty(k Key) float64 {
-	now := d.clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.states[k]
-	if s == nil {
-		return 0
-	}
-	d.decayTo(s, now)
+	s, _ := d.decayed(k)
 	return s.penalty
 }
 
 // ReuseIn estimates how long until k's penalty decays below the reuse
 // threshold (zero if not suppressed).
 func (d *Damper) ReuseIn(k Key) time.Duration {
-	now := d.clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.states[k]
-	if s == nil {
-		return 0
-	}
-	d.decayTo(s, now)
+	s, _ := d.decayed(k)
 	if !s.suppressed || s.penalty <= d.cfg.ReuseThreshold {
 		return 0
 	}
@@ -193,21 +242,32 @@ func (d *Damper) ReuseIn(k Key) time.Duration {
 }
 
 // Sweep removes fully decayed records, returning how many remain.
-// Long-running servers call this periodically to bound memory.
+// recordPenalty sweeps by itself whenever the table has doubled since
+// the last sweep, so a record outlives its route's last flap by at most
+// MaxSuppress + HalfLife·log2(ReuseThreshold) of further traffic (the
+// capped penalty decaying below 1); nobody needs to call this on a
+// timer.
 func (d *Damper) Sweep() int {
-	now := d.clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for k, s := range d.states {
-		d.decayTo(s, now)
-		if s.penalty == 0 && !s.suppressed {
-			delete(d.states, k)
-		}
-	}
+	d.sweepLocked(d.now())
 	return len(d.states)
 }
 
-// Tracked reports how many (prefix, source) records exist.
+func (d *Damper) sweepLocked(now time.Duration) {
+	for k, s := range d.states {
+		was := s.suppressed
+		d.decayTo(&s, now)
+		switch {
+		case s.penalty == 0 && !s.suppressed:
+			delete(d.states, k)
+		case s.suppressed != was:
+			d.states[k] = s // the reuse crossing was counted: keep it so
+		}
+	}
+}
+
+// Tracked reports how many (prefix, source, upstream) records exist.
 func (d *Damper) Tracked() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -123,13 +123,21 @@ func TestKeysIndependent(t *testing.T) {
 	k1 := key("100.64.0.0/24", "10.0.0.1")
 	k2 := key("100.64.1.0/24", "10.0.0.1")
 	k3 := key("100.64.0.0/24", "10.0.0.2")
+	// The same route on another peering, and the IPv4-mapped IPv6 twins
+	// of k1's prefix and source, are different keys.
+	k4 := k1
+	k4.Upstream = 2
+	k5 := key("::ffff:100.64.0.0/120", "10.0.0.1")
+	k6 := key("100.64.0.0/24", "::ffff:10.0.0.1")
 	d.RecordFlap(k1)
 	d.RecordFlap(k1)
 	if !d.Suppressed(k1) {
 		t.Fatal("k1 not suppressed")
 	}
-	if d.Suppressed(k2) || d.Suppressed(k3) {
-		t.Fatal("suppression leaked across keys")
+	for i, k := range []Key{k2, k3, k4, k5, k6} {
+		if d.Suppressed(k) || d.Penalty(k) != 0 {
+			t.Fatalf("suppression leaked across keys (k%d)", i+2)
+		}
 	}
 }
 
@@ -155,6 +163,44 @@ func TestSweep(t *testing.T) {
 	v.Advance(6 * time.Hour)
 	if n := d.Sweep(); n != 0 {
 		t.Fatalf("Sweep left %d records", n)
+	}
+}
+
+// TestSelfSweep: nobody calls Sweep, yet the table stays bounded — a
+// new record sweeps the decayed ones out once the table has doubled
+// since the last sweep. A record's last flap is forgotten after
+// MaxSuppress + HalfLife·log2(ReuseThreshold) (the capped penalty
+// falling below 1) of further traffic.
+func TestSelfSweep(t *testing.T) {
+	d, v := newTest()
+	cfg := DefaultConfig()
+	flap := func(gen, n int) {
+		for i := 0; i < n; i++ {
+			d.RecordFlap(Key{
+				Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(gen), byte(i >> 8), byte(i)}), 32),
+				Source: netip.MustParseAddr("10.0.0.1"),
+			})
+		}
+	}
+	// Two flaps each: the first generation is suppressed, so it also
+	// has to come back through the reuse threshold before it can go.
+	flap(0, 3*minSweepAt)
+	flap(0, 3*minSweepAt)
+	if got := d.Tracked(); got != 3*minSweepAt {
+		t.Fatalf("Tracked = %d, want %d: live records were swept", got, 3*minSweepAt)
+	}
+	forget := cfg.MaxSuppress + time.Duration(math.Log2(cfg.ReuseThreshold)*float64(cfg.HalfLife)) + time.Second
+	for gen := 1; gen <= 4; gen++ {
+		v.Advance(forget)
+		flap(gen, 3*minSweepAt)
+		// The previous generation has decayed to nothing; whatever of it
+		// the last sweep missed is at most as large as what is live.
+		if got := d.Tracked(); got > 2*3*minSweepAt {
+			t.Fatalf("generation %d: Tracked = %d, want at most %d", gen, got, 2*3*minSweepAt)
+		}
+	}
+	if d.Suppressed(Key{Prefix: netip.MustParsePrefix("100.0.0.0/32"), Source: netip.MustParseAddr("10.0.0.1")}) {
+		t.Fatal("a swept record is still suppressed")
 	}
 }
 

@@ -14,6 +14,10 @@ type Metrics struct {
 	// threshold. The difference is how many routes are suppressed now.
 	Suppressions *telemetry.Counter
 	Reuses       *telemetry.Counter
+
+	// The two children of Penalties, resolved once: every flap counts
+	// one of them while the damper's mutex is held.
+	flaps, withdraws *telemetry.Counter
 }
 
 // Instrument registers the dampening metrics on r and attaches them to
@@ -28,16 +32,21 @@ func (d *Damper) Instrument(r *telemetry.Registry) *Metrics {
 		Reuses: r.Counter("peering_dampen_reuses_total",
 			"Suppressed routes that decayed below the reuse threshold."),
 	}
+	m.flaps, m.withdraws = m.Penalties.With("flap"), m.Penalties.With("withdraw")
 	r.GaugeFunc("peering_dampen_tracked_keys",
-		"Dampening records currently tracked (prefix, source pairs).",
+		"Dampening records currently tracked (prefix, source, upstream keys); decayed records are swept as the table grows.",
 		func() float64 { return float64(d.Tracked()) })
 	d.metrics = m
 	return m
 }
 
-func (m *Metrics) penalty(kind string) {
-	if m != nil {
-		m.Penalties.With(kind).Inc()
+func (m *Metrics) penalty(withdraw bool) {
+	switch {
+	case m == nil:
+	case withdraw:
+		m.withdraws.Inc()
+	default:
+		m.flaps.Inc()
 	}
 }
 

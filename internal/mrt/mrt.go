@@ -51,9 +51,9 @@ func (t Type) String() string {
 
 // BGP4MP subtypes (RFC 6396 §4.4, RFC 8050 §3).
 const (
-	SubtypeBGP4MPMessage        uint16 = 1 // 2-octet peer ASes
-	SubtypeBGP4MPMessageAS4     uint16 = 4 // 4-octet peer ASes
-	SubtypeBGP4MPMessageAddPath uint16 = 8 // RFC 8050: NLRI carry path IDs
+	SubtypeBGP4MPMessage           uint16 = 1 // 2-octet peer ASes
+	SubtypeBGP4MPMessageAS4        uint16 = 4 // 4-octet peer ASes
+	SubtypeBGP4MPMessageAddPath    uint16 = 8 // RFC 8050: NLRI carry path IDs
 	SubtypeBGP4MPMessageAS4AddPath uint16 = 9
 )
 

@@ -195,11 +195,15 @@ type Filter struct {
 	metros        map[wire.Community]string // metro-local tag → metro name
 	compileTime   time.Duration
 
-	// paths memoizes pathFacts per interned *wire.Attrs. Correct
-	// because interned attribute sets are frozen and canonical (equal
-	// attrs resolve to one pointer), and bounded because the intern
-	// table itself bounds distinct attribute sets. Stored per Filter,
-	// so a reload naturally drops stale facts with the old Filter.
+	// paths memoizes pathFacts per interned *wire.Attrs, for Verdict
+	// alone. Correct because interned attribute sets are frozen and
+	// canonical (equal attrs resolve to one pointer), and bounded only
+	// because its callers intern first: the intern table bounds the
+	// distinct pointers, and every entry pins its attribute set until
+	// the Filter is replaced. Anything that has not been interned —
+	// a client's freshly decoded announcement — must not come near it
+	// (see VerdictPath). Stored per Filter, so a reload naturally drops
+	// stale facts with the old Filter.
 	paths sync.Map
 }
 
@@ -332,7 +336,7 @@ func (f *Filter) Origin(p netip.Prefix, origin uint32) OriginState {
 
 // facts returns the memoized path facts for attrs, computing them on
 // first sight. attrs must be interned (frozen and canonical); the
-// pointer is the cache key.
+// pointer is the cache key, and the entry lives as long as the Filter.
 func (f *Filter) facts(attrs *wire.Attrs) pathFacts {
 	if v, ok := f.paths.Load(attrs); ok {
 		return v.(pathFacts)
@@ -460,13 +464,20 @@ func (f *Filter) MatchMetro(attrs *wire.Attrs) (string, bool) {
 // origin tables. This is the client-direction check: a client's prefix
 // ownership is its provisioned allocation (enforced separately by the
 // server), but a path that carries a protected AS through a stub
-// neighbor is a route leak whatever the prefix says. Same memoization
-// and concurrency contract as Verdict.
+// neighbor is a route leak whatever the prefix says.
+//
+// attrs need not be interned, and the facts are computed on every call
+// instead of memoized: the caller hands over what a client just sent,
+// so a pointer-keyed memo would gain an entry — and pin a decoded
+// attribute set — per announcement, at the client's command. A client
+// path is a handful of ASNs; walking it costs less than the memo's
+// lookup. The caller vets once per UPDATE, not per NLRI. Safe for
+// concurrent use; allocates nothing.
 func (f *Filter) VerdictPath(attrs *wire.Attrs, peer Peer) Verdict {
 	if f == nil || attrs == nil || (len(f.peerlock) == 0 && len(f.noTransit) == 0) {
 		return Verdict{Accept: true}
 	}
-	pf := f.facts(attrs)
+	pf := f.computeFacts(attrs)
 	if pf.peerlockBad {
 		return Verdict{Class: ClassPeerlock}
 	}

@@ -136,6 +136,53 @@ func TestPeerlockLiteTransitContext(t *testing.T) {
 	}
 }
 
+// memoLen counts the entries of f's path memo.
+func memoLen(f *Filter) int {
+	n := 0
+	f.paths.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// TestVerdictPathLeavesNoMemo: VerdictPath is handed whatever a client
+// sent, one freshly decoded attribute set per announcement. Ten
+// thousand distinct pointers must leave the memo empty — at the parent
+// each one was stored, and pinned, until the next policy reload — and
+// must be judged exactly as Verdict judges the path half of the same
+// route (a rule set with no prefix or origin rules, so only the path
+// families can fire).
+func TestVerdictPathLeavesNoMemo(t *testing.T) {
+	f := Compile(&RuleSet{
+		Peerlock:  []PeerlockRule{{Protected: 174, Allowed: []uint32{3356, 2914}}},
+		NoTransit: []uint32{3257},
+	})
+	paths := [][]uint32{
+		{47065},
+		{47065, 47065, 64512},
+		{47065, 174, 64999},   // peerlock: stub beside a protected AS
+		{47065, 3356, 174},    // protected AS beside an allowed partner
+		{47065, 3257},         // no-transit AS behind a non-transit peer
+		{47065, 3257, 174, 9}, // both families
+	}
+	const n = 10_000
+	for i := 0; i < n; i++ {
+		a := attrsWithPath(paths[i%len(paths)]...)
+		for _, peer := range []Peer{{AS: 47065}, {AS: 47065, Transit: true}} {
+			got := f.VerdictPath(a, peer)
+			if memoLen(f) != 0 {
+				t.Fatalf("VerdictPath memoised call %d: the memo holds %d entries", i, memoLen(f))
+			}
+			if want := f.Verdict(pfx("8.8.8.0/24"), a, peer); got != want {
+				t.Fatalf("path %v peer %+v: VerdictPath %+v, Verdict %+v", paths[i%len(paths)], peer, got, want)
+			}
+			f.paths.Clear() // Verdict's own entry, so the next check starts from empty
+		}
+	}
+	leak := attrsWithPath(paths[2]...)
+	if allocs := testing.AllocsPerRun(100, func() { f.VerdictPath(leak, Peer{}) }); allocs != 0 {
+		t.Fatalf("VerdictPath allocates %.0f times per call", allocs)
+	}
+}
+
 func TestNilFilterAndNilAttrs(t *testing.T) {
 	var f *Filter
 	if v := f.Verdict(pfx("8.8.8.0/24"), nil, Peer{}); !v.Accept {

@@ -350,7 +350,7 @@ func TestAnnounceWhileUpstreamDownDeferredNotPenalized(t *testing.T) {
 	r := newSoloSupervisedRig(t)
 	clientPfx := prefix("184.164.224.0/24")
 	marker := prefix("184.164.224.0/25")
-	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1")}
+	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1"), Upstream: 1}
 
 	r.killTransport()
 	waitFor(t, "upstream death noticed", func() bool {
@@ -418,7 +418,7 @@ func TestSpuriousWithdrawNotRelayedOrPenalized(t *testing.T) {
 	cl := r.connectClient(t, "exp1", clientAlloc(), false)
 	clientPfx := prefix("184.164.224.0/24")
 	marker := prefix("184.164.224.0/25")
-	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1")}
+	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1"), Upstream: 1}
 
 	sess := upstreamSess(r.srv, 1)
 	base := sess.SentUpdates()

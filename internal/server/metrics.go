@@ -15,7 +15,6 @@ import (
 	"peering/internal/bgp"
 	"peering/internal/policy/compiled"
 	"peering/internal/telemetry"
-	"peering/internal/wire"
 )
 
 // convergenceBuckets span the three regimes an announcement can cross
@@ -74,7 +73,7 @@ type serverMetrics struct {
 	fanoutFramePrivate *telemetry.Counter
 
 	// Compiled-policy verdict counters (policy/compiled, wired in
-	// ingest.go and vetAnnouncement). The CounterVec is the registered
+	// ingest.go and handleClientUpdate). The CounterVec is the registered
 	// family; policyAccepted and policyRejected are its label children,
 	// resolved once here so the per-NLRI hot path never touches the
 	// vec's label map.
@@ -242,16 +241,6 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 	return m
 }
 
-// countVerdict records one compiled-policy verdict on the right label
-// child.
-func (m *serverMetrics) countVerdict(v compiled.Verdict) {
-	if v.Accept {
-		m.policyAccepted.Inc()
-		return
-	}
-	m.policyRejected[v.Class].Inc()
-}
-
 // policyRejectedTotal sums rejects across rule classes (Stats).
 func (m *serverMetrics) policyRejectedTotal() uint64 {
 	var n uint64
@@ -259,24 +248,6 @@ func (m *serverMetrics) policyRejectedTotal() uint64 {
 		n += c.Value()
 	}
 	return n
-}
-
-// observeConvergence closes the convergence measurement for adverts in
-// sent that are still pending their first successful transmission to
-// upstream u: the elapsed time since the client's announcement was
-// received is recorded on the latency histogram. Called after a
-// successful session Send, from both the direct relay path and the
-// Established replay of deferred announcements.
-func (s *Server) observeConvergence(u *Upstream, sent []wire.NLRI) {
-	now := s.clk.Now()
-	u.mu.Lock()
-	for _, n := range sent {
-		if ad := u.advertised[n.Prefix]; ad != nil && ad.pending {
-			ad.pending = false
-			s.metrics.convergence.Observe(now.Sub(ad.announced).Seconds())
-		}
-	}
-	u.mu.Unlock()
 }
 
 // Telemetry returns the server's metric registry — the backing store

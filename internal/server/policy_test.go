@@ -59,10 +59,10 @@ func TestPolicyFiltersUpstreamIngest(t *testing.T) {
 	cl := connectChaosClient(t, srv, clk, "exp1", addr("10.250.0.1"), prefix("184.164.224.0/24"))
 
 	good1, good2 := prefix("96.0.0.0/24"), prefix("99.99.2.0/24")
-	up.Announce(good1, router.AnnounceSpec{})                           // accept
+	up.Announce(good1, router.AnnounceSpec{})                            // accept
 	up.Announce(good2, router.AnnounceSpec{OriginASNs: []uint32{65001}}) // ROA-valid: origin 65001
-	up.Announce(prefix("184.164.225.0/24"), router.AnnounceSpec{})      // prefix: testbed space from an upstream
-	up.Announce(prefix("99.99.1.0/24"), router.AnnounceSpec{})          // origin: covered by ROA, origin 3356
+	up.Announce(prefix("184.164.225.0/24"), router.AnnounceSpec{})       // prefix: testbed space from an upstream
+	up.Announce(prefix("99.99.1.0/24"), router.AnnounceSpec{})           // origin: covered by ROA, origin 3356
 	up.Announce(prefix("96.0.1.0/24"), router.AnnounceSpec{Poison: []uint32{174, 64999}})
 	// peerlock: 174 adjacent to 64999 ^
 	up.Announce(prefix("96.0.2.0/24"), router.AnnounceSpec{Poison: []uint32{6453}})

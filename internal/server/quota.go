@@ -11,8 +11,6 @@ package server
 import (
 	"math"
 
-	"peering/internal/bgp"
-	"peering/internal/muxproto"
 	"peering/internal/wire"
 )
 
@@ -81,21 +79,16 @@ func (s *Server) warnLine(limit int) int {
 	return int(math.Ceil(float64(limit) * f))
 }
 
-// checkPrefixQuota admits or rejects one net-new announcement of p by
-// client c toward upstream u, bumping the warn/reject tiers as crossed.
-// A prefix already advertised (re-announcement or stale reclaim) never
-// consumes headroom. Returns false when the announcement must be
-// dropped; the caller owns the teardown escalation via quotaStrike.
-func (s *Server) checkPrefixQuota(c *clientConn, u *Upstream, p wire.NLRI) bool {
-	limit := s.prefixLimit(c)
+// admitPrefixLocked admits or rejects one net-new announcement by client
+// c toward upstream u under the client's max-prefix limit, bumping the
+// warn/reject tiers as crossed. A prefix already advertised never
+// consumes headroom, so callers ask only for prefixes u.advertised
+// lacks; on false they drop the announcement and own the teardown
+// escalation via quotaStrike. Callers hold u.mu.
+func (s *Server) admitPrefixLocked(c *clientConn, u *Upstream) bool {
+	limit, id := s.prefixLimit(c), c.account.ID
 	if limit <= 0 {
 		return true
-	}
-	id := c.account.ID
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.advertised[p.Prefix] != nil {
-		return true // replacing an existing advert: no new headroom used
 	}
 	count := u.advCount[id]
 	if count >= limit {
@@ -109,16 +102,16 @@ func (s *Server) checkPrefixQuota(c *clientConn, u *Upstream, p wire.NLRI) bool 
 	return true
 }
 
-// quotaStrike records one rejected announcement and reports whether the
+// quotaStrike records n rejected announcements and reports whether the
 // client has crossed the teardown tier.
-func (s *Server) quotaStrike(c *clientConn) bool {
+func (s *Server) quotaStrike(c *clientConn, n int) bool {
 	after := s.cfg.Quota.TeardownAfter
 	if after <= 0 {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.quotaStrikes++
+	c.quotaStrikes += n
 	return c.quotaStrikes >= after && !c.tornDown
 }
 
@@ -135,13 +128,9 @@ func (s *Server) tearDownClient(c *clientConn, subcode uint8) {
 		return
 	}
 	c.tornDown = true
-	sups := make([]*bgp.Supervisor, 0, len(c.sups))
-	for _, sup := range c.sups {
-		sups = append(sups, sup)
-	}
 	c.mu.Unlock()
 	s.metrics.quotaTeardowns.Inc()
-	for _, sup := range sups {
+	for _, sup := range c.supervisors() {
 		if sess := sup.Session(); sess != nil {
 			sess.CloseCease(subcode)
 		}
@@ -149,7 +138,7 @@ func (s *Server) tearDownClient(c *clientConn, subcode uint8) {
 	c.stopSupervisors()
 	// Withdraw before closing the transport: detachClient (triggered by
 	// mux.Done) then finds nothing left to retain stale.
-	s.withdrawClient(c.account.ID, nil)
+	s.dropClientAdverts(c.account.ID, nil, false)
 	c.mux.Close()
 }
 
@@ -162,22 +151,16 @@ func (s *Server) tearDownClient(c *clientConn, subcode uint8) {
 // the client already holds is an idempotent implicit update).
 func (s *Server) resyncClient(c *clientConn) {
 	s.metrics.quotaResyncs.Inc()
-	bird := s.cfg.Mode == muxproto.ModeBIRD
 	for _, u := range s.Upstreams() {
-		skey := u.cfg.ID
-		if bird {
-			skey = 0
-		}
+		skey, pathID := s.sessionKey(u)
 		sess := c.session(skey)
 		if sess == nil || !sess.Established() {
 			continue // the Established replay will rebuild the view instead
 		}
 		var groups []wire.AttrGroup
 		u.adjIn.WalkGrouped(func(attrs *wire.Attrs, nlris []wire.NLRI) {
-			if bird {
-				for i := range nlris {
-					nlris[i].ID = wire.PathID(u.cfg.ID)
-				}
+			for i := range nlris {
+				nlris[i].ID = pathID
 			}
 			groups = append(groups, wire.AttrGroup{Attrs: attrs, NLRIs: nlris})
 		})

@@ -42,10 +42,10 @@ func advanceChunked(clk *clock.Virtual, total time.Duration) {
 	}
 }
 
-// relaxedDampening mirrors the production testbed tuning: a client
-// announcing one prefix via two upstreams records two flaps on the same
-// (prefix, source) key, which the textbook threshold of 2000 would
-// immediately suppress.
+// relaxedDampening mirrors the production testbed tuning: scenarios
+// that re-announce a prefix a few times in a row (restarts, reclaims,
+// replays) would cross the textbook threshold of 2000 on the second
+// flap of a (prefix, source, upstream) key.
 func relaxedDampening() dampen.Config {
 	cfg := dampen.DefaultConfig()
 	cfg.SuppressThreshold = 6000

@@ -41,7 +41,6 @@ import (
 	"peering/internal/muxproto"
 	"peering/internal/policy/compiled"
 	"peering/internal/rib"
-	"peering/internal/router"
 	"peering/internal/telemetry"
 	"peering/internal/trie"
 	"peering/internal/tunnel"
@@ -206,7 +205,7 @@ type advert struct {
 	// announced is the clock reading when the client's announcement was
 	// received; pending is true until the advert's first successful send
 	// to the upstream closes the convergence-latency measurement (see
-	// observeConvergence). An announcement accepted while the upstream
+	// relayToUpstream). An announcement accepted while the upstream
 	// is down stays pending until the Established replay delivers it.
 	announced time.Time
 	pending   bool
@@ -231,7 +230,7 @@ type Upstream struct {
 	advertised map[netip.Prefix]*advert
 	// advCount tracks, per owning client, how many entries of
 	// advertised it holds — the incremental max-prefix quota reading.
-	// Maintained by addAdvertLocked/delAdvertLocked alongside every
+	// Maintained by relayToUpstream/delAdvertLocked alongside every
 	// mutation of advertised.
 	advCount map[string]int
 	// quotaWarned marks clients currently above the warn line, so the
@@ -239,15 +238,6 @@ type Upstream struct {
 	quotaWarned map[string]bool
 	// staleTimer backstops the graceful-restart window for adjIn.
 	staleTimer clock.Timer
-}
-
-// addAdvertLocked stores an advert keeping the per-client count
-// consistent. Callers hold u.mu.
-func (u *Upstream) addAdvertLocked(p netip.Prefix, ad *advert) {
-	if u.advertised[p] == nil {
-		u.advCount[ad.owner]++
-	}
-	u.advertised[p] = ad
 }
 
 // delAdvertLocked removes prefix p's advert, keeping the per-client
@@ -349,15 +339,20 @@ func (c *clientConn) session(id uint32) *bgp.Session {
 	return sup.Session()
 }
 
-// stopSupervisors administratively ends all of the client's sessions.
-func (c *clientConn) stopSupervisors() {
+// supervisors snapshots the client's supervisors, to act on unlocked.
+func (c *clientConn) supervisors() []*bgp.Supervisor {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	sups := make([]*bgp.Supervisor, 0, len(c.sups))
 	for _, sup := range c.sups {
 		sups = append(sups, sup)
 	}
-	c.mu.Unlock()
-	for _, sup := range sups {
+	return sups
+}
+
+// stopSupervisors administratively ends all of the client's sessions.
+func (c *clientConn) stopSupervisors() {
+	for _, sup := range c.supervisors() {
 		sup.Stop()
 	}
 }
@@ -369,13 +364,7 @@ func (c *clientConn) stopSupervisors() {
 // instead of being raced out by an administrative teardown (which would
 // wrongly retain the routes stale).
 func (c *clientConn) drainSupervisors() {
-	c.mu.Lock()
-	sups := make([]*bgp.Supervisor, 0, len(c.sups))
-	for _, sup := range c.sups {
-		sups = append(sups, sup)
-	}
-	c.mu.Unlock()
-	for _, sup := range sups {
+	for _, sup := range c.supervisors() {
 		sup.Drain()
 	}
 }
@@ -485,7 +474,7 @@ func New(cfg Config) *Server {
 
 // LoadPolicy compiles rs and atomically installs it as the server's
 // safety filter: upstream routes are vetted pre-RIB in the ingest
-// workers, client announcements in vetAnnouncement. Every in-flight
+// workers, client announcements in handleClientUpdate. Every in-flight
 // update sees either the old filter or the new one, never a mixture —
 // the ingest worker loads the filter pointer once per operation. A nil
 // rs uninstalls filtering. Reloads apply to traffic from this moment
@@ -636,8 +625,17 @@ func (h *upstreamHandler) Established(sess *bgp.Session) {
 		if sess.Send(upd) != nil {
 			return // session died mid-replay; the next Established retries
 		}
-		// Announcements accepted while the peering was down converge here.
-		u.srv.observeConvergence(u, upd.Reach)
+		// Announcements accepted while the peering was down (still pending
+		// their first send) converge here.
+		now := u.srv.clk.Now()
+		u.mu.Lock()
+		for _, n := range upd.Reach {
+			if ad := u.advertised[n.Prefix]; ad != nil && ad.pending {
+				ad.pending = false
+				u.srv.metrics.convergence.Observe(now.Sub(ad.announced).Seconds())
+			}
+		}
+		u.mu.Unlock()
 	}
 	// End-of-RIB: tells a graceful-restart peer our replay is complete.
 	sess.Send(&wire.Update{})
@@ -1014,7 +1012,7 @@ func (s *Server) clientHandshake(c *clientConn, upstreams []*Upstream) {
 			AddPath:  true,
 			Metrics:  s.metrics.bgp,
 			Describe: fmt.Sprintf("%s-cl-%s", s.cfg.Site, id),
-		}, &clientSessHandler{srv: s, c: c, birdMode: true})
+		}, &clientSessHandler{srv: s, c: c})
 	} else {
 		for _, u := range upstreams {
 			startSup(u.cfg.ID, muxproto.StreamBGPBase+u.cfg.ID, bgp.Config{
@@ -1070,12 +1068,8 @@ func (s *Server) detachClient(c *clientConn) {
 // arms the restart-window backstop. only limits the marking to one
 // upstream (Quagga-mode session loss); nil means all upstreams.
 func (s *Server) markClientStale(id string, only *Upstream) {
-	ups := []*Upstream{only}
-	if only == nil {
-		ups = s.Upstreams()
-	}
 	n := 0
-	for _, u := range ups {
+	for _, u := range s.upstreamsOr(only) {
 		u.mu.Lock()
 		for _, ad := range u.advertised {
 			if ad.owner == id && !ad.stale {
@@ -1092,32 +1086,27 @@ func (s *Server) markClientStale(id string, only *Upstream) {
 	s.timerMu.Lock()
 	if _, armed := s.restartTimers[id]; !armed && !s.closed.Load() {
 		s.restartTimers[id] = s.clk.AfterFunc(s.cfg.RestartWindow, func() {
-			s.flushClientStale(id, nil)
+			s.dropClientAdverts(id, nil, true)
 		})
 	}
 	s.timerMu.Unlock()
 }
 
-// flushClientStale withdraws from upstreams every advert of client id
-// still stale: the client's restart is over (it sent end-of-RIB, or the
-// window closed) and these routes were not re-announced. only limits
-// the flush to one upstream; nil means all.
-func (s *Server) flushClientStale(id string, only *Upstream) {
-	ups := []*Upstream{only}
-	if only == nil {
-		ups = s.Upstreams()
-	}
+// dropClientAdverts withdraws client id's adverts from upstreams (only,
+// or all of them when only is nil). With staleOnly the client's restart
+// is over — it sent end-of-RIB, or the window closed — and what goes is
+// what it did not re-announce. Without, it said goodbye with a Cease or
+// was torn down: everything goes, there is no restart to wait for.
+func (s *Server) dropClientAdverts(id string, only *Upstream, staleOnly bool) {
 	total := 0
-	for _, u := range ups {
+	for _, u := range s.upstreamsOr(only) {
 		var wd []wire.NLRI
 		u.mu.Lock()
 		for p, ad := range u.advertised {
-			if ad.owner == id && ad.stale {
+			if ad.owner == id && (ad.stale || !staleOnly) {
 				wd = append(wd, wire.NLRI{Prefix: p})
+				u.delAdvertLocked(p)
 			}
-		}
-		for _, n := range wd {
-			u.delAdvertLocked(n.Prefix)
 		}
 		sess := u.sess
 		u.mu.Unlock()
@@ -1128,328 +1117,28 @@ func (s *Server) flushClientStale(id string, only *Upstream) {
 			}
 		}
 	}
-	if total > 0 {
-		s.metrics.staleFlushed.Add(uint64(total))
+	if !staleOnly {
+		return
 	}
-	// Disarm the backstop once nothing stale remains for this client.
-	if s.clientStaleCount(id) == 0 {
-		s.timerMu.Lock()
-		if t := s.restartTimers[id]; t != nil {
-			t.Stop()
-			delete(s.restartTimers, id)
-		}
-		s.timerMu.Unlock()
-	}
-}
-
-// clientStaleCount counts stale adverts owned by client id.
-func (s *Server) clientStaleCount(id string) int {
-	n := 0
+	s.metrics.staleFlushed.Add(uint64(total))
+	// Disarm the backstop once nothing stale remains for this client
+	// (with only set, another upstream may still hold some).
 	for _, u := range s.Upstreams() {
 		u.mu.RLock()
 		for _, ad := range u.advertised {
 			if ad.owner == id && ad.stale {
-				n++
+				u.mu.RUnlock()
+				return
 			}
 		}
 		u.mu.RUnlock()
 	}
-	return n
-}
-
-// withdrawClient withdraws all of client id's adverts (stale or not)
-// from the given upstreams immediately — the client said goodbye with a
-// Cease, so there is no restart to wait for.
-func (s *Server) withdrawClient(id string, only *Upstream) {
-	ups := []*Upstream{only}
-	if only == nil {
-		ups = s.Upstreams()
+	s.timerMu.Lock()
+	if t := s.restartTimers[id]; t != nil {
+		t.Stop()
+		delete(s.restartTimers, id)
 	}
-	for _, u := range ups {
-		var wd []wire.NLRI
-		u.mu.Lock()
-		for p, ad := range u.advertised {
-			if ad.owner == id {
-				wd = append(wd, wire.NLRI{Prefix: p})
-			}
-		}
-		for _, n := range wd {
-			u.delAdvertLocked(n.Prefix)
-		}
-		sess := u.sess
-		u.mu.Unlock()
-		if len(wd) > 0 && sess != nil {
-			for _, upd := range wire.PackUpdates(wd, nil, sess.Options()) {
-				sess.Send(upd)
-			}
-		}
-	}
-}
-
-// clientSessHandler handles BGP events on a client-facing session.
-type clientSessHandler struct {
-	srv      *Server
-	c        *clientConn
-	upstream *Upstream // Quagga mode
-	birdMode bool
-}
-
-func (h *clientSessHandler) Established(_ *bgp.Session) {
-	// Replay the upstream table(s) so the client has the full view, then
-	// an end-of-RIB marker so a reconnecting client can flush stale
-	// entries from its per-peer views. The replay goes through the
-	// client's fan-out queue, not directly down the session: live
-	// withdrawals racing the replay queue behind the snapshot frames
-	// instead of overtaking them.
-	if h.birdMode {
-		for _, u := range h.srv.Upstreams() {
-			h.srv.enqueueReplay(h.c, u, false)
-		}
-		h.c.out.putEoR(0)
-	} else {
-		h.srv.enqueueReplay(h.c, h.upstream, true)
-	}
-}
-
-func (h *clientSessHandler) UpdateReceived(sess *bgp.Session, upd *wire.Update) {
-	if h.birdMode {
-		h.srv.handleClientUpdateBIRD(h.c, upd)
-		return
-	}
-	h.srv.handleClientUpdate(h.c, h.upstream, upd)
-}
-
-// Closed distinguishes a clean goodbye from a transport blip. A Cease
-// from the client withdraws its routes immediately; anything else
-// retains them stale for the restart window while the supervisor
-// redials the session's stream.
-func (h *clientSessHandler) Closed(_ *bgp.Session, err error) {
-	if err == nil {
-		return // our own administrative teardown; owners handle cleanup
-	}
-	id := h.c.account.ID
-	only := h.upstream // nil in BIRD mode: one session covers all upstreams
-	if bgp.IsPeerCease(err) {
-		h.srv.withdrawClient(id, only)
-		return
-	}
-	h.srv.markClientStale(id, only)
-}
-
-// handleClientUpdate runs the safety pipeline on a client's
-// announcement toward one upstream and relays what passes.
-func (s *Server) handleClientUpdate(c *clientConn, u *Upstream, upd *wire.Update) {
-	// recv stamps the convergence measurement: announce-to-upstream-send
-	// latency starts the moment the client's UPDATE is in hand.
-	recv := s.clk.Now()
-	if upd.Refresh {
-		// The client asked for a refresh: replay the upstream's table
-		// through the fan-out queue (no end-of-RIB — a refresh is not a
-		// restart, so nothing should be swept).
-		s.enqueueReplay(c, u, false)
-		return
-	}
-	if upd.IsEndOfRIB() {
-		// The client finished re-announcing after a restart: stale
-		// adverts it did not reclaim are flushed.
-		s.flushClientStale(c.account.ID, u)
-		return
-	}
-	u.mu.RLock()
-	sess := u.sess
-	u.mu.RUnlock()
-	// est decides whether operations reach the wire now. When the
-	// upstream is down, announcements are only recorded in u.advertised
-	// — the Established handler replays that map, so nothing is lost —
-	// and no dampening penalty accrues for churn the world never sees.
-	est := sess != nil && sess.Established()
-
-	var outWd []wire.NLRI
-	for _, n := range upd.Withdrawn {
-		if !s.allocatedTo(c.account.ID, n.Prefix) {
-			s.metrics.hijacksBlocked.Inc()
-			continue
-		}
-		// Only withdrawals of prefixes this client actually has
-		// advertised are relayed (and penalized): a spurious withdrawal
-		// must neither reach the upstream nor charge the client.
-		u.mu.Lock()
-		ad := u.advertised[n.Prefix]
-		owned := ad != nil && ad.owner == c.account.ID
-		if owned {
-			u.delAdvertLocked(n.Prefix)
-		}
-		u.mu.Unlock()
-		if !owned {
-			continue
-		}
-		if est {
-			s.damper.RecordWithdraw(dampen.Key{Prefix: n.Prefix, Source: c.account.TunnelAddr})
-			outWd = append(outWd, wire.NLRI{Prefix: n.Prefix})
-		}
-	}
-	var outRoutes []wire.AttrRoute
-	if upd.Attrs != nil {
-		for _, n := range upd.Reach {
-			ok, attrs := s.vetAnnouncement(c, u, n.Prefix, upd.Attrs)
-			if !ok {
-				continue
-			}
-			// Graceful re-announcement: the prefix is already advertised
-			// (retained stale across the client's restart) with identical
-			// attributes. Reclaim it silently — no upstream churn, and no
-			// dampening penalty for a flap the world never saw. Both sides
-			// are interned, so identity is a pointer compare (Equal is the
-			// semantic check the interner already applied).
-			u.mu.Lock()
-			if ad := u.advertised[n.Prefix]; ad != nil && ad.owner == c.account.ID &&
-				ad.stale && ad.attrs == attrs {
-				ad.stale = false
-				u.mu.Unlock()
-				continue
-			}
-			u.mu.Unlock()
-			// Max-prefix quota (warn → dampen-new → teardown): only a
-			// net-new prefix consumes headroom; over the limit the
-			// announcement is dropped, and repeated abuse ends the
-			// client with Cease/max-prefixes-reached. The teardown runs
-			// off this goroutine: it closes the very session whose
-			// reader invoked us.
-			if !s.checkPrefixQuota(c, u, n) {
-				if s.quotaStrike(c) {
-					go s.tearDownClient(c, wire.SubMaxPrefixesReached)
-				}
-				continue
-			}
-			// Route-flap dampening (§3 safety) applies to every
-			// announcement that would actually reach the upstream.
-			if est {
-				if s.damper.RecordFlap(dampen.Key{Prefix: n.Prefix, Source: c.account.TunnelAddr}) {
-					s.metrics.flapsSuppressed.Inc()
-					continue
-				}
-			}
-			u.mu.Lock()
-			u.addAdvertLocked(n.Prefix, &advert{owner: c.account.ID, attrs: attrs, announced: recv, pending: true})
-			u.mu.Unlock()
-			if est {
-				outRoutes = append(outRoutes, wire.AttrRoute{NLRI: wire.NLRI{Prefix: n.Prefix}, Attrs: attrs})
-			}
-		}
-	}
-	if !est || (len(outWd) == 0 && len(outRoutes) == 0) {
-		return
-	}
-	for _, out := range wire.PackUpdates(outWd, outRoutes, sess.Options()) {
-		if err := sess.Send(out); err != nil {
-			break // session died mid-batch; Established replays u.advertised
-		}
-		s.observeConvergence(u, out.Reach)
-		if n := len(out.Reach); n > 0 {
-			s.metrics.announcementsRelayed.Add(uint64(n))
-		}
-	}
-}
-
-// handleClientUpdateBIRD demultiplexes path IDs to upstreams.
-func (s *Server) handleClientUpdateBIRD(c *clientConn, upd *wire.Update) {
-	if upd.Refresh {
-		for _, u := range s.Upstreams() {
-			s.enqueueReplay(c, u, false)
-		}
-		return
-	}
-	if upd.IsEndOfRIB() {
-		// One ADD-PATH session covers every upstream.
-		s.flushClientStale(c.account.ID, nil)
-		return
-	}
-	byUpstream := map[uint32]*wire.Update{}
-	get := func(id wire.PathID) *wire.Update {
-		o := byUpstream[uint32(id)]
-		if o == nil {
-			o = &wire.Update{Attrs: upd.Attrs}
-			byUpstream[uint32(id)] = o
-		}
-		return o
-	}
-	for _, n := range upd.Withdrawn {
-		o := get(n.ID)
-		o.Withdrawn = append(o.Withdrawn, wire.NLRI{Prefix: n.Prefix})
-	}
-	for _, n := range upd.Reach {
-		o := get(n.ID)
-		o.Reach = append(o.Reach, wire.NLRI{Prefix: n.Prefix})
-	}
-	for id, o := range byUpstream {
-		u := s.Upstream(id)
-		if u == nil {
-			continue
-		}
-		s.handleClientUpdate(c, u, o)
-	}
-}
-
-// vetAnnouncement applies the §3 safety filters to one client NLRI and
-// returns the transformed attributes to relay.
-func (s *Server) vetAnnouncement(c *clientConn, u *Upstream, p netip.Prefix, attrs *wire.Attrs) (bool, *wire.Attrs) {
-	// 0. Compiled AS-path policy (Peerlock / Peerlock-lite): a client is
-	// never a transit neighbor, so a path carrying a protected AS is a
-	// provider-route leak whatever the prefix says. This runs before
-	// the allocation check so a classic leak — provider prefix AND
-	// provider path — is counted as the leak it is, not as a hijack.
-	// (Prefix ownership for clients is the allocation check below; the
-	// operator rule file's prefix/ROA tables guard the upstream side.)
-	if f := s.policy.Current(); f != nil {
-		v := f.VerdictPath(attrs, compiled.Peer{AS: attrs.FirstAS()})
-		s.metrics.countVerdict(v)
-		if !v.Accept {
-			return false, nil
-		}
-	}
-	// 1. Prefix ownership: no hijacks, no leaks of non-testbed space.
-	if !s.allocatedTo(c.account.ID, p) {
-		s.metrics.hijacksBlocked.Inc()
-		return false, nil
-	}
-	// 2. Origin check: the path must originate from the testbed ASN or
-	// a private ASN of an emulated domain (stripped below).
-	if origin := attrs.OriginAS(); origin != 0 && origin != s.cfg.ASN && !router.IsPrivateASN(origin) {
-		s.metrics.originBlocked.Inc()
-		return false, nil
-	}
-	// 3. Attribute hygiene: strip private ASNs (emulated domains stay
-	// invisible), force the testbed ASN at the path head, clear
-	// LOCAL_PREF, set NEXT_HOP to our address on the peering.
-	out := attrs.Clone()
-	stripPrivate(out, s.cfg.ASN)
-	if out.FirstAS() != s.cfg.ASN {
-		out.PrependAS(s.cfg.ASN, 1)
-	}
-	out.HasLocalPref = false
-	out.NextHop = u.cfg.LocalAddr
-	// Interning the vetted result makes a client's graceful
-	// re-announcement resolve to the very pointer stored in u.advertised,
-	// and dedups the N-routes-one-policy case.
-	return true, s.intern.Intern(out)
-}
-
-// stripPrivate removes private ASNs from the path (keeps ownAS).
-func stripPrivate(a *wire.Attrs, ownAS uint32) {
-	var segs []wire.Segment
-	for _, seg := range a.ASPath {
-		kept := seg.ASNs[:0:0]
-		for _, asn := range seg.ASNs {
-			if asn != ownAS && router.IsPrivateASN(asn) {
-				continue
-			}
-			kept = append(kept, asn)
-		}
-		if len(kept) > 0 {
-			segs = append(segs, wire.Segment{Type: seg.Type, ASNs: kept})
-		}
-	}
-	a.ASPath = segs
+	s.timerMu.Unlock()
 }
 
 // ---------------------------------------------------------------------

@@ -118,10 +118,15 @@ type vecChild[M any] struct {
 	m      *M
 }
 
-// vecKey joins label values unambiguously (label values may contain
-// any byte except the separator's job is done by length-prefixing via
-// %q quoting).
+// vecKey joins label values into the children map's key. A one-label
+// family — most of them — is keyed by the value itself: no builder, no
+// formatting, nothing allocated. With more labels the values are
+// %q-quoted so that no two value lists share a key. Every vec has a
+// fixed label count, so the two forms never meet in one map.
 func vecKey(values []string) string {
+	if len(values) == 1 {
+		return values[0]
+	}
 	var b strings.Builder
 	for _, v := range values {
 		fmt.Fprintf(&b, "%q,", v)
@@ -184,7 +189,9 @@ type CounterVec struct {
 }
 
 // With returns the child for the given label values, creating it on
-// first use.
+// first use. It takes a read lock and looks the values up in a map, so
+// a hot path resolves its children once, when it is set up, and keeps
+// the pointers.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
 // GaugeVec is a family of Gauges keyed by label values.
@@ -194,7 +201,9 @@ type GaugeVec struct {
 }
 
 // With returns the child for the given label values, creating it on
-// first use.
+// first use. It takes a read lock and looks the values up in a map, so
+// a hot path resolves its children once, when it is set up, and keeps
+// the pointers.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values) }
 
 // HistogramVec is a family of Histograms sharing one bucket layout,
@@ -205,7 +214,9 @@ type HistogramVec struct {
 }
 
 // With returns the child for the given label values, creating it on
-// first use.
+// first use. It takes a read lock and looks the values up in a map, so
+// a hot path resolves its children once, when it is set up, and keeps
+// the pointers.
 func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values) }
 
 // ---------------------------------------------------------------------

@@ -186,6 +186,26 @@ func TestRegistryPanics(t *testing.T) {
 	})
 }
 
+// TestVecWith: a one-label family resolves a child by a plain map lookup
+// on the value — nothing allocated, where every With used to build a
+// quoted key — and a family with more labels still tells apart value
+// lists that a naive join would confuse.
+func TestVecWith(t *testing.T) {
+	r := NewRegistry()
+	one := r.CounterVec("peering_one_total", "x", "kind")
+	one.With("flap")
+	if allocs := testing.AllocsPerRun(100, func() { one.With("flap").Inc() }); allocs != 0 {
+		t.Errorf("With on a one-label family allocates %.0f times", allocs)
+	}
+	if one.With("flap").Value() != 101 || one.With(`"flap",`).Value() != 0 {
+		t.Error("one-label children are confused")
+	}
+	two := r.CounterVec("peering_two_total", "x", "a", "b")
+	if two.With(`x","y`, "z") == two.With("x", `y","z`) {
+		t.Error("two value lists share a child")
+	}
+}
+
 // TestConcurrentRegistryAccess hammers every instrument kind from many
 // goroutines while scraping concurrently; run under -race this is the
 // registry's thread-safety proof.

@@ -146,6 +146,47 @@ func PackGrouped(withdrawn []NLRI, groups []AttrGroup, opt Options) []*Update {
 	return out
 }
 
+// AppendRun encodes withdrawals and one run of announcements that share
+// a single attribute set — what vetting one client UPDATE for one
+// upstream yields — as UPDATE messages appended to b, and reports how
+// many it wrote. It emits what PackGrouped would for the same input
+// (withdrawals first, in their own messages, then the run, split only
+// where MaxMsgLen forces it) without PackGrouped's merge machinery or
+// anything allocated: there is nothing to merge, so no map, no hash, no
+// arena, and no *Update outlives the call. The attribute set is
+// measured only when the run has more than one NLRI; a lone NLRI rides
+// in one message whatever its attributes cost. On error out is nil.
+func AppendRun(b []byte, withdrawn []NLRI, attrs *Attrs, reach []NLRI, opt Options) (out []byte, msgs int, err error) {
+	for len(withdrawn) > 0 {
+		n := nlriFit(withdrawn, maxBodyBudget, opt)
+		if b, err = appendUpdate(b, &Update{Withdrawn: withdrawn[:n]}, opt); err != nil {
+			return nil, 0, err
+		}
+		msgs++
+		withdrawn = withdrawn[n:]
+	}
+	if attrs == nil {
+		return b, msgs, nil // announcements require attributes; nothing to relay
+	}
+	budget := maxBodyBudget
+	if len(reach) > 1 {
+		// Measured in b's own spare room, then cut back off.
+		if m, err := attrs.appendMarshal(b, opt); err == nil {
+			budget -= len(m) - len(b)
+			b = m[:len(b)]
+		}
+	}
+	for len(reach) > 0 {
+		n := nlriFit(reach, budget, opt)
+		if b, err = appendUpdate(b, &Update{Attrs: attrs, Reach: reach[:n]}, opt); err != nil {
+			return nil, 0, err
+		}
+		msgs++
+		reach = reach[n:]
+	}
+	return b, msgs, nil
+}
+
 // PackUpdates packs withdrawals and announcements into as few UPDATE
 // messages as MaxMsgLen allows: announcements sharing an identical
 // canonical attribute encoding ride in one message, split only when the
@@ -189,7 +230,7 @@ func PackUpdates(withdrawn []NLRI, routes []AttrRoute, opt Options) []*Update {
 	arena := make([]NLRI, 0, total)
 	for i := range groups {
 		off := len(arena)
-		groups[i].NLRIs = arena[off:off:off+counts[i]]
+		groups[i].NLRIs = arena[off : off : off+counts[i]]
 		arena = arena[:off+counts[i]]
 	}
 	for _, r := range routes {

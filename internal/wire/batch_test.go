@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"reflect"
@@ -149,5 +150,50 @@ func TestPackUpdatesDoesNotMutateAttrs(t *testing.T) {
 	}
 	if len(out) != 2 || out[1].Attrs != attrs {
 		t.Fatalf("packed update should alias the caller's attrs (documented contract)")
+	}
+}
+
+// TestAppendRunMatchesPackGrouped: for a single-attrs run AppendRun
+// must write exactly the bytes PackGrouped's messages encode to — same
+// split points under both codecs, withdrawals first — from one NLRI up
+// to a run that overflows several frames, with attributes that leave
+// room for little else, and without allocating.
+func TestAppendRunMatchesPackGrouped(t *testing.T) {
+	fat := batchAttrs(100)
+	for i := 0; i < 900; i++ {
+		fat.Communities = append(fat.Communities, MakeCommunity(47065, uint16(i)))
+	}
+	for _, attrs := range []*Attrs{batchAttrs(100), fat, nil} {
+		for _, n := range []int{0, 1, 2, 700, 2000} {
+			var wd, reach []NLRI
+			for i := 0; i < n; i++ {
+				p := batchPrefix(t, fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))
+				wd = append(wd, NLRI{Prefix: p, ID: PathID(i)})
+				reach = append(reach, NLRI{Prefix: p, ID: PathID(i + 1)})
+			}
+			for _, opt := range []Options{{AS4: true}, {AddPath: true}} {
+				got, msgs, err := AppendRun([]byte("prefix"), wd, attrs, reach, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []byte("prefix")
+				upds := PackGrouped(wd, []AttrGroup{{Attrs: attrs, NLRIs: reach}}, opt)
+				for _, u := range upds {
+					if want, err = AppendMessage(want, u, opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if msgs != len(upds) || !bytes.Equal(got, want) {
+					t.Fatalf("attrs %v, %d NLRIs, %+v: AppendRun wrote %d messages (%d bytes), PackGrouped %d (%d bytes)",
+						attrs != nil, n, opt, msgs, len(got), len(upds), len(want))
+				}
+			}
+		}
+	}
+	wd := []NLRI{{Prefix: batchPrefix(t, "10.1.0.0/24")}}
+	reach := []NLRI{{Prefix: batchPrefix(t, "10.2.0.0/24")}}
+	attrs, buf := batchAttrs(100), make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() { AppendRun(buf, wd, attrs, reach, Options{AS4: true}) }); allocs != 0 {
+		t.Fatalf("AppendRun allocates %.0f times for one withdrawal and one announcement", allocs)
 	}
 }

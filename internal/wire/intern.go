@@ -61,30 +61,49 @@ func (t *InternTable) Intern(a *Attrs) *Attrs {
 		return a
 	}
 	h := a.canonicalHash()
-	for _, c := range t.buckets[h] {
-		if c.Equal(a) {
-			t.mu.RUnlock()
-			t.hits.Add(1)
-			return c
-		}
-	}
+	c := t.find(a, h)
 	t.mu.RUnlock()
+	if c == nil {
+		t.mu.Lock()
+		// Re-check: another goroutine may have interned an equal set
+		// while the lock was released.
+		if c = t.find(a, h); c == nil {
+			t.buckets[h] = append(t.buckets[h], a)
+			t.canon[a] = struct{}{}
+			t.mu.Unlock()
+			t.misses.Add(1)
+			return a
+		}
+		t.mu.Unlock()
+	}
+	t.hits.Add(1)
+	return c
+}
 
-	t.mu.Lock()
-	// Re-check: another goroutine may have interned an equal set while
-	// the lock was released.
+// Lookup returns the canonical pointer for a's attribute set if the
+// table holds it (counted as a hit), nil if not. Unlike Intern it never
+// stores, retains or returns a, so a may be a scratch value on the
+// caller's stack: a caller whose attribute sets are nearly always known
+// already makes a copy worth keeping only on a miss.
+func (t *InternTable) Lookup(a *Attrs) *Attrs {
+	t.mu.RLock()
+	c := t.find(a, a.canonicalHash())
+	t.mu.RUnlock()
+	if c != nil {
+		t.hits.Add(1)
+	}
+	return c
+}
+
+// find returns the stored set Equal to a, whose canonical hash is h, or
+// nil. Callers hold t.mu.
+func (t *InternTable) find(a *Attrs, h uint64) *Attrs {
 	for _, c := range t.buckets[h] {
 		if c.Equal(a) {
-			t.mu.Unlock()
-			t.hits.Add(1)
 			return c
 		}
 	}
-	t.buckets[h] = append(t.buckets[h], a)
-	t.canon[a] = struct{}{}
-	t.mu.Unlock()
-	t.misses.Add(1)
-	return a
+	return nil
 }
 
 // Len reports how many distinct attribute sets the table holds.

@@ -61,6 +61,36 @@ func TestInternIdentity(t *testing.T) {
 // TestInternConcurrent hammers one table from many goroutines with a
 // mix of shared and distinct attribute sets; run under -race this is
 // the interner's concurrency proof.
+// TestInternLookup: Lookup finds what Intern stored, by content, and
+// stores nothing itself — so a scratch value costs no allocation.
+func TestInternLookup(t *testing.T) {
+	tbl := NewInternTable()
+	if got := tbl.Lookup(testAttrs(1)); got != nil {
+		t.Fatalf("Lookup in an empty table returned %p", got)
+	}
+	if tbl.Len() != 0 {
+		t.Fatalf("Lookup stored its argument: Len = %d", tbl.Len())
+	}
+	canon := tbl.Intern(testAttrs(1))
+	scratch := *testAttrs(1)
+	if got := tbl.Lookup(&scratch); got != canon {
+		t.Fatalf("Lookup of equal content = %p, want the canonical %p", got, canon)
+	}
+	if got := tbl.Lookup(testAttrs(2)); got != nil || tbl.Len() != 1 {
+		t.Fatalf("Lookup of an unknown set = %p, Len = %d", got, tbl.Len())
+	}
+	if hits, misses := tbl.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("hits, misses = %d, %d; want 1, 1", hits, misses)
+	}
+	path, comms := scratch.ASPath, scratch.Communities
+	if allocs := testing.AllocsPerRun(100, func() {
+		a := Attrs{ASPath: path, NextHop: scratch.NextHop, Communities: comms}
+		tbl.Lookup(&a)
+	}); allocs != 0 {
+		t.Fatalf("Lookup of a stack value allocates %.0f times", allocs)
+	}
+}
+
 func TestInternConcurrent(t *testing.T) {
 	tbl := NewInternTable()
 	const goroutines = 16

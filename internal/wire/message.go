@@ -105,9 +105,28 @@ func AppendMessage(b []byte, m Message, opt Options) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return closeMessage(b, start, m.Type())
+}
+
+// appendUpdate is AppendMessage for an UPDATE held by concrete type:
+// nothing is boxed in an interface, so u can stay on the caller's stack.
+func appendUpdate(b []byte, u *Update, opt Options) ([]byte, error) {
+	start := len(b)
+	b = append(b, marker[:]...)
+	b = append(b, 0, 0, byte(MsgUpdate))
+	b, err := u.marshalBody(b, opt)
+	if err != nil {
+		return nil, err
+	}
+	return closeMessage(b, start, MsgUpdate)
+}
+
+// closeMessage backfills the length of the message that starts at
+// b[start], refusing one longer than MaxMsgLen.
+func closeMessage(b []byte, start int, typ MsgType) ([]byte, error) {
 	msgLen := len(b) - start
 	if msgLen > MaxMsgLen {
-		return nil, fmt.Errorf("wire: %s message length %d exceeds %d", m.Type(), msgLen, MaxMsgLen)
+		return nil, fmt.Errorf("wire: %s message length %d exceeds %d", typ, msgLen, MaxMsgLen)
 	}
 	binary.BigEndian.PutUint16(b[start+16:start+18], uint16(msgLen))
 	return b, nil
