@@ -104,9 +104,10 @@ bench-federation:
 	$(profdir)
 	BENCH_FEDERATION_JSON=$(CURDIR)/BENCH_federation.json $(GO) test ./internal/federation/ -run TestFederationBenchmark -count=1 -v $(call profflags,federation)
 
-# Short coverage-guided fuzz runs over the wire-format decoders and the
+# Short coverage-guided fuzz runs over the wire-format decoders, the
 # attribute-equality invariant that interning rests on (Equal(a,b) ⟺
-# identical canonical encoding). Go runs one fuzz target per
+# identical canonical encoding) and the frozen longest-prefix-match
+# table against the trie it is built from. Go runs one fuzz target per
 # invocation, hence one command each. Seeds come from the golden MRT
 # fixtures and canonical attribute blocks, so a corpus regression fails
 # fast.
@@ -116,6 +117,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzAttrsEqual$$' -fuzztime 10s
 	$(GO) test ./internal/policy/compiled/ -run '^$$' -fuzz '^FuzzVerdict$$' -fuzztime 10s
 	$(GO) test ./internal/tunnel/ -run '^$$' -fuzz '^FuzzTunnelFrame$$' -fuzztime 10s
+	$(GO) test ./internal/trie/ -run '^$$' -fuzz '^FuzzFlatLookup$$' -fuzztime 10s
 
 # Documentation gate: vet plus a check that every internal package (and
 # the root module) carries a package comment — godoc is part of the

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -57,15 +59,27 @@ func TestForwardZeroAlloc(t *testing.T) {
 	if got, st := f.out.n.Load(), f.r.Stats(); got != 1002 || st.Forwarded != got {
 		t.Fatalf("egress saw %d packets, stats %+v", got, st)
 	}
+	// All but the first packet took the frozen FIB, not the trie.
+	if st := f.r.Stats(); st.FIBFreezes != 1 || f.r.flat.Load() == nil {
+		t.Fatalf("FIB frozen %d times, copy published: %v; want once, by the first packet", st.FIBFreezes, f.r.flat.Load() != nil)
+	}
 }
 
 // Forwarding takes no lock that a control change holds for long, and
 // loses no count to one: four goroutines forward while a fifth rewrites
 // routes, processors, uRPF and local addresses under them. Every packet
-// must end in exactly one counter. Run with -race.
+// must end in exactly one counter, and a route nobody touches must
+// resolve on every lookup, whether the frozen FIB or the trie answers
+// it. Run with -race.
 func TestForwardDuringControlChanges(t *testing.T) {
 	const senders, perSender = 4, 5000
 	f := newForwardRig()
+	// Enough routes that the trie serves a run of lookups after each
+	// write before the copy is rebuilt: both paths carry traffic.
+	for i := 0; i < 256; i++ {
+		f.r.SetRoute(netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(i), 0}), 24), netip.Addr{}, f.egress)
+	}
+	steady := addr("100.64.77.1")
 	flap := prefix("198.51.100.128/25")
 	stop := make(chan struct{})
 	var mutator sync.WaitGroup
@@ -112,6 +126,10 @@ func TestForwardDuringControlChanges(t *testing.T) {
 				pkt.TTL = uint8(1 + i%3) // 1 expires
 				pkt.Trace = pkt.Trace[:0]
 				f.r.Receive(pkt, f.ingress)
+				if e := f.r.LookupRoute(steady); e == nil || e.Out != f.egress {
+					t.Errorf("untouched route resolved to %+v during FIB writes", e)
+					return
+				}
 			}
 		}(s)
 	}
@@ -127,7 +145,7 @@ func TestForwardDuringControlChanges(t *testing.T) {
 	if st.Forwarded != f.out.n.Load() {
 		t.Fatalf("Forwarded = %d, egress saw %d", st.Forwarded, f.out.n.Load())
 	}
-	for name, n := range map[string]uint64{"Forwarded": st.Forwarded, "NoRoute": st.NoRoute, "TTLExpired": st.TTLExpired} {
+	for name, n := range map[string]uint64{"Forwarded": st.Forwarded, "NoRoute": st.NoRoute, "TTLExpired": st.TTLExpired, "FIBFreezes": st.FIBFreezes} {
 		if n == 0 {
 			t.Errorf("%s = 0: the test no longer reaches that outcome", name)
 		}
@@ -150,5 +168,140 @@ func TestControlSnapshotIsCopyOnWrite(t *testing.T) {
 	now := f.r.ctl.Load()
 	if len(now.ifaces) != nIfaces+1 || !now.local[addr("203.0.113.1")] || !now.local[addr("203.0.113.9")] || !now.urpf[f.ingress] || len(now.processors) != 1 {
 		t.Fatalf("setters lost an edit: %+v", now)
+	}
+}
+
+// The FIB against a brute-force model, through any interleaving of
+// writes and lookups: a lookup after SetRoute or DelRoute returns sees
+// it, whether the frozen copy was fresh, stale or being paid off, and
+// IPv6 routes resolve beside IPv4 ones.
+func TestFIBMatchesModel(t *testing.T) {
+	r := NewRouter("r")
+	rng := rand.New(rand.NewSource(3))
+	outs := make([]*Iface, 4)
+	for i := range outs {
+		_, outs[i], _ = Connect(r, netip.Addr{}, fmt.Sprint("if", i), &countNode{}, netip.Addr{}, "eth0")
+	}
+	randPrefix := func() netip.Prefix {
+		if rng.Intn(8) == 0 {
+			a := [16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rng.Intn(4)), byte(rng.Intn(4))}
+			return netip.PrefixFrom(netip.AddrFrom16(a), 32+8*rng.Intn(3)).Masked()
+		}
+		a := [4]byte{byte(10 + rng.Intn(2)), byte(rng.Intn(4)), byte(rng.Intn(256)), byte(rng.Intn(256))}
+		return netip.PrefixFrom(netip.AddrFrom4(a), []int{0, 8, 12, 16, 20, 24, 28, 32}[rng.Intn(8)]).Masked()
+	}
+	randAddr := func() netip.Addr {
+		p := randPrefix()
+		if rng.Intn(2) == 0 {
+			return p.Addr()
+		}
+		b := p.Addr().AsSlice()
+		b[len(b)-1] ^= byte(rng.Intn(256))
+		b[len(b)-2] ^= byte(rng.Intn(4))
+		a, _ := netip.AddrFromSlice(b)
+		return a
+	}
+	model := map[netip.Prefix]*Iface{}
+	check := func(step int, a netip.Addr) {
+		t.Helper()
+		var want *Iface
+		bits := -1
+		for p, out := range model {
+			if p.Contains(a) && p.Bits() > bits {
+				want, bits = out, p.Bits()
+			}
+		}
+		e := r.LookupRoute(a)
+		if (e == nil) != (bits < 0) || (e != nil && (e.Out != want || e.Prefix.Bits() != bits)) {
+			t.Fatalf("step %d: LookupRoute(%v) = %+v, model says %d-bit route via %v", step, a, e, bits, want)
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 2 || (op < 5 && len(model) < 200):
+			p, out := randPrefix(), outs[rng.Intn(len(outs))]
+			r.SetRoute(p, netip.Addr{}, out)
+			model[p] = out
+			check(step, p.Addr())
+		case op < 4:
+			p := randPrefix()
+			for q := range model { // usually one that is there
+				if rng.Intn(4) > 0 {
+					p = q
+				}
+				break
+			}
+			r.DelRoute(p)
+			delete(model, p)
+			check(step, p.Addr())
+		default:
+			// A run of lookups, often long enough to pay for a freeze.
+			for n := rng.Intn(2 * (1 + len(model)/8)); n >= 0; n-- {
+				check(step, randAddr())
+			}
+		}
+		if r.FIBLen() != len(model) {
+			t.Fatalf("step %d: FIBLen = %d, model holds %d", step, r.FIBLen(), len(model))
+		}
+	}
+	if st := r.Stats(); st.FIBFreezes == 0 {
+		t.Fatal("the frozen FIB never served: the test did not cover it")
+	}
+}
+
+// The frozen FIB is rebuilt only when lookups have paid for it: a bulk
+// load freezes nothing, and however writes and lookups interleave the
+// rebuilds number at most one per Len/8 trie-served lookups, plus one.
+func TestFIBFreezeIsPaidFor(t *testing.T) {
+	const (
+		routes    = 4000
+		perFreeze = routes / 8
+	)
+	f := newForwardRig()
+	for i := 0; f.r.FIBLen() < routes; i++ {
+		f.r.SetRoute(netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(64 + i>>8), byte(i), 0}), 24), netip.Addr{}, f.egress)
+	}
+	if n := f.r.Stats().FIBFreezes; n != 0 {
+		t.Fatalf("a bulk load of %d routes froze the FIB %d times, want 0", routes, n)
+	}
+	dst := addr("100.64.9.9")
+	lookups := 0
+	look := func(n int) {
+		for i := 0; i < n; i++ {
+			if f.r.LookupRoute(dst) == nil {
+				t.Fatal("route lost")
+			}
+		}
+		lookups += n
+	}
+	look(perFreeze)
+	if n := f.r.Stats().FIBFreezes; n != 0 {
+		t.Fatalf("%d lookups on a %d-route FIB froze it %d times, want 0 until they exceed %d", perFreeze, routes, n, perFreeze)
+	}
+	look(1)
+	if n := f.r.Stats().FIBFreezes; n != 1 {
+		t.Fatalf("FIB frozen %d times after %d lookups, want 1", n, lookups)
+	}
+	look(10 * perFreeze) // served by the copy: no further rebuild
+	if n := f.r.Stats().FIBFreezes; n != 1 {
+		t.Fatalf("FIB frozen %d times with no write since the first, want 1", n)
+	}
+	// Writes interleaved with lookup runs of every length around the
+	// threshold: never more rebuilds than the lookups paid for.
+	flap := prefix("198.51.100.128/25")
+	stale := 0 // lookups the trie served: those after a write, until a freeze
+	for i := 0; i < 200; i++ {
+		f.r.SetRoute(flap, netip.Addr{}, f.egress)
+		f.r.DelRoute(flap)
+		n := (i * 37) % (2 * perFreeze)
+		before := f.r.Stats().FIBFreezes
+		look(n)
+		stale += min(n, perFreeze+1)
+		if got := f.r.Stats().FIBFreezes - before; got != uint64(n/(perFreeze+1)) {
+			t.Fatalf("round %d: %d lookups after a write froze the FIB %d times", i, n, got)
+		}
+	}
+	if n, most := f.r.Stats().FIBFreezes, uint64(1+stale/perFreeze); n > most {
+		t.Fatalf("FIB frozen %d times for %d trie-served lookups, want at most %d", n, stale, most)
 	}
 }

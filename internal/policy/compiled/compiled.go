@@ -195,6 +195,12 @@ type Filter struct {
 	metros        map[wire.Community]string // metro-local tag → metro name
 	compileTime   time.Duration
 
+	// prefixes4 and origins4 are the IPv4 halves of the two tables,
+	// frozen once by Compile: a Filter never changes, so they are never
+	// stale. Nil (a table too large to freeze) leaves IPv4 on the tries.
+	prefixes4 *trie.Flat[[]cpRule]
+	origins4  *trie.Flat[[]cOrigin]
+
 	// paths memoizes pathFacts per interned *wire.Attrs, for Verdict
 	// alone. Correct because interned attribute sets are frozen and
 	// canonical (equal attrs resolve to one pointer), and bounded only
@@ -265,6 +271,7 @@ func Compile(rs *RuleSet) *Filter {
 	for _, m := range rs.Metros {
 		f.metros[m.Community] = m.Name
 	}
+	f.prefixes4, f.origins4 = f.prefixes.Freeze(), f.origins.Freeze()
 	f.compileTime = time.Since(start)
 	return f
 }
@@ -299,7 +306,7 @@ func (f *Filter) MatchPrefix(p netip.Prefix) bool {
 	bits := int16(p.Bits())
 	best := int32(-1)
 	permit := f.defaultPermit
-	f.prefixes.Supernets(p, func(_ netip.Prefix, rules []cpRule) bool {
+	covering(f.prefixes, f.prefixes4, p, func(_ netip.Prefix, rules []cpRule) bool {
 		for _, r := range rules {
 			if bits < r.ge || bits > r.le {
 				continue
@@ -313,6 +320,17 @@ func (f *Filter) MatchPrefix(p netip.Prefix) bool {
 	return permit
 }
 
+// covering visits the entries of one rule table that cover p, least
+// specific first: from its frozen half when p is IPv4, from the trie
+// otherwise.
+func covering[V any](t *trie.Trie[V], t4 *trie.Flat[V], p netip.Prefix, visit func(netip.Prefix, V) bool) {
+	if t4 != nil && p.Addr().Is4() {
+		t4.Supernets(p, visit)
+	} else {
+		t.Supernets(p, visit)
+	}
+}
+
 // Origin classifies (p, origin) against the compiled authorizations:
 // Valid if some covering rule authorizes the origin at p's length,
 // Invalid if p is covered but nothing matches, Unknown if no covering
@@ -321,7 +339,7 @@ func (f *Filter) MatchPrefix(p netip.Prefix) bool {
 func (f *Filter) Origin(p netip.Prefix, origin uint32) OriginState {
 	bits := int16(p.Bits())
 	state := OriginUnknown
-	f.origins.Supernets(p, func(_ netip.Prefix, ents []cOrigin) bool {
+	covering(f.origins, f.origins4, p, func(_ netip.Prefix, ents []cOrigin) bool {
 		state = OriginInvalid
 		for _, e := range ents {
 			if e.origin == origin && bits <= e.maxLen {

@@ -5,8 +5,9 @@ package compiled
 // prefix and AS path synthesized from the fuzz input, must always
 // produce a verdict. The invariants checked beyond "no panic": a
 // filter with no prefix rules and default permit never rejects with
-// ClassPrefix, and a verdict on a path without any protected AS never
-// rejects with a Peerlock class.
+// ClassPrefix, a verdict on a path without any protected AS never
+// rejects with a Peerlock class, and the frozen rule tables give the
+// verdicts the bit tries they were frozen from give.
 
 import (
 	"bytes"
@@ -29,6 +30,8 @@ func FuzzVerdict(f *testing.F) {
 			rs = &RuleSet{}
 		}
 		flt := Compile(rs)
+		ref := Compile(rs) // the same rules answered from the bit tries
+		ref.prefixes4, ref.origins4 = nil, nil
 
 		// Synthesize a prefix: 4 address bytes + mask byte (mod 33).
 		var a4 [4]byte
@@ -59,6 +62,9 @@ func FuzzVerdict(f *testing.F) {
 
 		for _, peer := range []Peer{{}, {AS: attrs.FirstAS(), Transit: true}} {
 			v := flt.Verdict(p, attrs, peer)
+			if want := ref.Verdict(p, attrs, peer); v != want {
+				t.Fatalf("Verdict(%v) = %+v from the frozen tables, %+v from the tries (rules %q)", p, v, want, rules)
+			}
 			if v.Accept && v.Class != ClassNone {
 				t.Fatalf("accept verdict carries class %v", v.Class)
 			}
@@ -84,8 +90,12 @@ func FuzzVerdict(f *testing.F) {
 			}
 		}
 		// MatchPrefix and Origin must be total on their own, too.
-		flt.MatchPrefix(p)
-		flt.Origin(p, attrs.OriginAS())
+		if got, want := flt.MatchPrefix(p), ref.MatchPrefix(p); got != want {
+			t.Fatalf("MatchPrefix(%v) = %v frozen, %v from the trie (rules %q)", p, got, want, rules)
+		}
+		if got, want := flt.Origin(p, attrs.OriginAS()), ref.Origin(p, attrs.OriginAS()); got != want {
+			t.Fatalf("Origin(%v) = %v frozen, %v from the trie (rules %q)", p, got, want, rules)
+		}
 		_ = strings.TrimSpace(flt.String())
 	})
 }

@@ -96,6 +96,23 @@ func newAnnounceRig(tb testing.TB, mode muxproto.Mode, n int, quota QuotaConfig)
 	if err := cl.WaitEstablished(10 * time.Second); err != nil {
 		tb.Fatal(err)
 	}
+	// The client has sent each session's establish-time end-of-RIB, but
+	// the mux may not have handled it yet — and handled late, it flushes
+	// whatever a test has marked stale by then. A session's reader counts
+	// a message before handling it and handles one at a time, so once
+	// the mux has counted a second UPDATE on every session the markers
+	// are behind it. The second is a withdrawal of a prefix never
+	// announced, which changes nothing whenever it is handled.
+	if err := cl.Withdraw(prefix("10.255.255.0/24"), nil); err != nil {
+		tb.Fatal(err)
+	}
+	sessions := uint64(n)
+	if mode == muxproto.ModeBIRD {
+		sessions = 1
+	}
+	waitFor(tb, "the client's end-of-RIB markers handled", func() bool {
+		return r.srv.metrics.bgp.MsgsIn.With("update").Value() == 2*sessions
+	})
 	r.srv.clMu.RLock()
 	r.c = r.srv.clients["exp1"]
 	r.srv.clMu.RUnlock()

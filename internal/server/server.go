@@ -410,6 +410,9 @@ type Server struct {
 	acctMu   sync.RWMutex
 	accounts map[string]ClientAccount
 	alloc    *trie.Trie[string] // prefix → client ID
+	// allocFlat is alloc as frozen by RegisterClient, its only writer:
+	// the spoof filter reads it without acctMu.
+	allocFlat atomic.Pointer[trie.Flat[string]]
 
 	// timerMu guards restartTimers, which backstop per-client
 	// graceful-restart windows: if the client has not re-announced its
@@ -842,6 +845,7 @@ func (s *Server) RegisterClient(acct ClientAccount) error {
 		for _, p := range acct.Allocation {
 			s.alloc.Insert(p, acct.ID)
 		}
+		s.allocFlat.Store(s.alloc.Freeze())
 	}
 	s.accounts[acct.ID] = acct
 	return nil
@@ -876,14 +880,6 @@ func (s *Server) accountOf(id string) (ClientAccount, bool) {
 	defer s.acctMu.RUnlock()
 	acct, ok := s.accounts[id]
 	return acct, ok
-}
-
-// ownerOfAddr returns the client owning the allocation containing addr.
-func (s *Server) ownerOfAddr(addr netip.Addr) (string, bool) {
-	s.acctMu.RLock()
-	defer s.acctMu.RUnlock()
-	_, owner, ok := s.alloc.Lookup(addr)
-	return owner, ok
 }
 
 // AcceptClient binds transport conn to the registered account id: it
@@ -1166,10 +1162,11 @@ func (t *tunnelEndpoint) Receive(pkt *dataplane.Packet, _ *dataplane.Iface) {
 }
 
 // handleClientPacket is the client → Internet direction: spoof-filter,
-// then forward through the server's FIB.
+// then forward through the server's FIB. The filter reads the frozen
+// allocations, which hold IPv4 only — the one family the tunnel carries.
 func (s *Server) handleClientPacket(c *clientConn, pkt *dataplane.Packet) {
 	if !c.account.SpoofAllowed {
-		if owner, ok := s.ownerOfAddr(pkt.Src); !ok || owner != c.account.ID {
+		if _, owner, ok := s.allocFlat.Load().Lookup(pkt.Src); !ok || owner != c.account.ID {
 			s.metrics.spoofsBlocked.Inc()
 			return
 		}

@@ -435,6 +435,45 @@ func TestSpoofedTrafficBlocked(t *testing.T) {
 	}
 }
 
+// The spoof filter reads allocations frozen at registration: a client's
+// verdicts do not change when another client registers, and the
+// newcomer is filtered against the same table from its first packet.
+func TestSpoofFilterAcrossRegistrations(t *testing.T) {
+	r := newRig(t, muxproto.ModeQuagga)
+	egress := r.addEgress()
+	exp1 := r.connectClient(t, "exp1", clientAlloc(), false)
+	// verdicts sends one packet per source and reports which passed.
+	verdicts := func(cl *client.Client, srcs ...string) string {
+		out := ""
+		for _, src := range srcs {
+			sent, blocked := egress.packets.Load(), r.srv.Stats().SpoofsBlocked
+			if err := cl.SendPacket(dataplane.NewPacket(addr(src), addr("93.184.216.34"), dataplane.ProtoUDP)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "a verdict on "+src, func() bool {
+				return egress.packets.Load()+r.srv.Stats().SpoofsBlocked == sent+blocked+1
+			})
+			out += fmt.Sprintf("%s:%v ", src, egress.packets.Load() > sent)
+		}
+		return out
+	}
+	srcs := []string{"184.164.224.10", "184.164.224.255", "184.164.225.10", "184.164.223.255", "8.8.8.8", "0.0.0.0"}
+	before := verdicts(exp1, srcs...)
+	if want := "184.164.224.10:true 184.164.224.255:true 184.164.225.10:false 184.164.223.255:false 8.8.8.8:false 0.0.0.0:false "; before != want {
+		t.Fatalf("verdicts = %s, want %s", before, want)
+	}
+	exp2 := r.connectClient(t, "exp2", []netip.Prefix{prefix("184.164.225.0/24")}, false)
+	if err := r.srv.RegisterClient(ClientAccount{ID: "agent", Federated: true, Allocation: clientAlloc()}); err != nil {
+		t.Fatal(err)
+	}
+	if after := verdicts(exp1, srcs...); after != before {
+		t.Fatalf("exp1's verdicts changed when exp2 registered:\n before %s\n after  %s", before, after)
+	}
+	if got, want := verdicts(exp2, "184.164.225.10", "184.164.224.10"), "184.164.225.10:true 184.164.224.10:false "; got != want {
+		t.Fatalf("exp2's verdicts = %s, want %s", got, want)
+	}
+}
+
 func TestControlledSpoofingGrant(t *testing.T) {
 	r := newRig(t, muxproto.ModeQuagga)
 	cl := r.connectClient(t, "exp1", clientAlloc(), true) // spoof grant

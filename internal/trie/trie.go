@@ -4,9 +4,12 @@
 // longest-prefix match for forwarding, and subtree walks for
 // "covered-by" queries used by export filters.
 //
-// The trie is not safe for concurrent use; callers (RIBs, FIBs) guard it
+// A Trie is not safe for concurrent use; callers (RIBs, FIBs) guard it
 // with their own locks so that a lookup and the decision that follows it
-// stay atomic.
+// stay atomic. A Flat — the trie's IPv4 prefixes frozen into sorted
+// arrays by Freeze — is: it never changes, so per-packet lookups (the
+// FIB, the spoof filter) read one through an atomic pointer without a
+// lock, and the writer publishes a new one when the table has changed.
 package trie
 
 import (
@@ -31,6 +34,7 @@ type Trie[V any] struct {
 	root4 *node[V]
 	root6 *node[V]
 	size  int
+	size4 int // the IPv4 share of size: what Freeze sizes a Flat by
 }
 
 // New returns an empty trie.
@@ -43,6 +47,15 @@ func New[V any]() *Trie[V] {
 
 // Len reports the number of prefixes stored.
 func (t *Trie[V]) Len() int { return t.size }
+
+// resize records that a prefix of p's family was added (+1) or removed
+// (-1).
+func (t *Trie[V]) resize(p netip.Prefix, d int) {
+	t.size += d
+	if p.Addr().Is4() {
+		t.size4 += d
+	}
+}
 
 func (t *Trie[V]) rootFor(p netip.Prefix) *node[V] {
 	if p.Addr().Is4() {
@@ -74,9 +87,7 @@ func canon(p netip.Prefix) netip.Prefix { return p.Masked() }
 func commonPrefixLen(a, b netip.Addr, maxLen int) int {
 	var n int
 	if a.Is4() && b.Is4() {
-		ab, bb := a.As4(), b.As4()
-		x := binary.BigEndian.Uint32(ab[:]) ^ binary.BigEndian.Uint32(bb[:])
-		n = bits.LeadingZeros32(x)
+		n = bits.LeadingZeros32(key4(a) ^ key4(b))
 	} else {
 		ab, bb := a.As16(), b.As16()
 		if x := binary.BigEndian.Uint64(ab[:8]) ^ binary.BigEndian.Uint64(bb[:8]); x != 0 {
@@ -104,7 +115,7 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 			added := !n.hasValue
 			n.value, n.hasValue = v, true
 			if added {
-				t.size++
+				t.resize(p, 1)
 			}
 			return added
 		}
@@ -114,7 +125,7 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 		if child == nil {
 			nn := &node[V]{prefix: p, value: v, hasValue: true}
 			n.children[bit] = nn
-			t.size++
+			t.resize(p, 1)
 			return true
 		}
 		if child.prefix.Contains(p.Addr()) && child.prefix.Bits() <= p.Bits() {
@@ -129,12 +140,12 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 		mid.children[bitAt(child.prefix.Addr(), cl)] = child
 		if joint == p {
 			mid.value, mid.hasValue = v, true
-			t.size++
+			t.resize(p, 1)
 			return true
 		}
 		nn := &node[V]{prefix: p, value: v, hasValue: true}
 		mid.children[bitAt(p.Addr(), cl)] = nn
-		t.size++
+		t.resize(p, 1)
 		return true
 	}
 }
@@ -162,18 +173,21 @@ func (t *Trie[V]) Get(p netip.Prefix) (V, bool) {
 	return zero, false
 }
 
-// Delete removes prefix p, reporting whether it was present. Interior
-// structure is left in place (path compression is not re-run); lookups
-// remain correct and memory is reclaimed when subtrees empty out on
-// subsequent inserts.
+// Delete removes prefix p, reporting whether it was present. It leaves
+// no structure behind: every valueless node other than the two roots
+// has two children before and after, so an emptied trie is two roots
+// and a trie of n prefixes has fewer than 2n nodes besides them.
 func (t *Trie[V]) Delete(p netip.Prefix) bool {
 	if !p.IsValid() {
 		return false
 	}
 	p = canon(p)
 	n := t.rootFor(p)
-	var parent *node[V]
-	var parentBit int
+	// slot is the child pointer that holds n, up the node it belongs to
+	// and upSlot the pointer that holds up; nil for a root, which is
+	// never unlinked.
+	var up *node[V]
+	var slot, upSlot **node[V]
 	for n != nil {
 		if n.prefix == p {
 			if !n.hasValue {
@@ -181,19 +195,30 @@ func (t *Trie[V]) Delete(p netip.Prefix) bool {
 			}
 			var zero V
 			n.value, n.hasValue = zero, false
-			t.size--
-			// Prune a now-valueless leaf.
-			if parent != nil && n.children[0] == nil && n.children[1] == nil {
-				parent.children[parentBit] = nil
+			t.resize(p, -1)
+			// A valueless node stays only as a root or as the joint of
+			// two subtrees. Left with one child, that child takes its
+			// place; left with none it goes, and the node above, if it
+			// was a joint only because of n, goes the same way.
+			for slot != nil && !n.hasValue && (n.children[0] == nil || n.children[1] == nil) {
+				child := n.children[0]
+				if child == nil {
+					child = n.children[1]
+				}
+				*slot = child
+				if child != nil {
+					break
+				}
+				n, slot = up, upSlot
 			}
 			return true
 		}
 		if !n.prefix.Contains(p.Addr()) || n.prefix.Bits() > p.Bits() {
 			return false
 		}
-		parent = n
-		parentBit = bitAt(p.Addr(), n.prefix.Bits())
-		n = n.children[parentBit]
+		up, upSlot = n, slot
+		slot = &n.children[bitAt(p.Addr(), n.prefix.Bits())]
+		n = *slot
 	}
 	return false
 }

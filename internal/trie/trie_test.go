@@ -374,7 +374,9 @@ func BenchmarkTrieInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkTrieLookup(b *testing.B) {
+// benchTable is the table and the addresses BenchmarkTrieLookup and
+// BenchmarkFlatLookup share.
+func benchTable() (*Trie[int], []netip.Addr) {
 	tr := New[int]()
 	for i := 0; i < 100000; i++ {
 		a := netip.AddrFrom4([4]byte{byte(1 + i%200), byte(i / 200 % 256), byte(i / 51200 % 256), 0})
@@ -385,6 +387,11 @@ func BenchmarkTrieLookup(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = netip.AddrFrom4([4]byte{byte(1 + r.Intn(200)), byte(r.Intn(256)), byte(r.Intn(10)), byte(r.Intn(256))})
 	}
+	return tr, addrs
+}
+
+func BenchmarkTrieLookup(b *testing.B) {
+	tr, addrs := benchTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Lookup(addrs[i%len(addrs)])
@@ -414,11 +421,115 @@ func TestLookupAndGetAllocFree(t *testing.T) {
 	tr6.Insert(mustPrefix("2001:db8::/32"), 1)
 	a6 := netip.MustParseAddr("2001:db8::1")
 
+	fl := tr.Freeze()
 	if n := testing.AllocsPerRun(200, func() {
 		tr.Lookup(a4)
 		tr.Get(p4)
 		tr6.Lookup(a6)
+		fl.Lookup(a4)
+		fl.Supernets(p4, func(netip.Prefix, int) bool { return true })
 	}); n != 0 {
 		t.Fatalf("lookup path allocates %v per run, want 0", n)
+	}
+}
+
+// nodes counts the trie's vertices, the two roots included.
+func nodes[V any](t *Trie[V]) int {
+	var count func(*node[V]) int
+	count = func(n *node[V]) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + count(n.children[0]) + count(n.children[1])
+	}
+	return count(t.root4) + count(t.root6)
+}
+
+// Delete must take the structure it orphans with it: RIBs and FIBs
+// under churn delete as often as they insert, and every vertex left
+// behind is walked by every later Walk, CoveredBy, Freeze and lookup.
+func TestDeleteReclaimsNodes(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	tr := New[int]()
+	var ps []netip.Prefix
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20000; i++ {
+			var b [4]byte
+			r.Read(b[:])
+			p := netip.PrefixFrom(netip.AddrFrom4(b), 24).Masked()
+			if tr.Insert(p, i) {
+				ps = append(ps, p)
+			}
+		}
+		tr.Insert(mustPrefix("2001:db8::/32"), 1)
+		tr.Insert(mustPrefix("2001:db8:1::/48"), 2)
+		ps = append(ps, mustPrefix("2001:db8::/32"), mustPrefix("2001:db8:1::/48"))
+		r.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+		for _, p := range ps {
+			if !tr.Delete(p) {
+				t.Fatalf("Delete(%v) of a stored prefix failed", p)
+			}
+		}
+		ps = ps[:0]
+		if n := nodes(tr); tr.Len() != 0 || n != 2 {
+			t.Fatalf("round %d: emptied trie has Len %d and %d nodes, want 0 and the 2 roots", round, tr.Len(), n)
+		}
+	}
+
+	// Under random insert/delete of every mask length the structure
+	// stays proportional to what is stored, and lookups stay right.
+	set := map[netip.Prefix]int{}
+	for i := 0; i < 30000; i++ {
+		p := randomPrefix(r)
+		if r.Intn(3) > 0 {
+			tr.Insert(p, i)
+			set[p] = i
+		} else if _, had := set[p]; tr.Delete(p) != had {
+			t.Fatalf("Delete(%v) = %v, stored = %v", p, !had, had)
+		} else {
+			delete(set, p)
+		}
+		if i%4 == 0 && len(set) > 0 {
+			// Delete something that is there, too: random prefixes rarely collide.
+			for q := range set {
+				tr.Delete(q)
+				delete(set, q)
+				break
+			}
+		}
+		if i%50 != 0 {
+			continue
+		}
+		if n := nodes(tr); tr.Len() != len(set) || n > 2*tr.Len()+2 {
+			t.Fatalf("step %d: %d nodes for Len %d (model %d), want at most 2·Len+2", i, n, tr.Len(), len(set))
+		}
+	}
+	for p, v := range set {
+		if got, ok := tr.Get(p); !ok || got != v {
+			t.Fatalf("Get(%v) = %d,%v after churn, want %d", p, got, ok, v)
+		}
+	}
+	f := tr.Freeze()
+	checkFlatAgainstModel(t, tr, f, set, r)
+}
+
+// checkFlatAgainstModel compares both lookup forms with a brute-force
+// scan of the model.
+func checkFlatAgainstModel(t *testing.T, tr *Trie[int], f *Flat[int], set map[netip.Prefix]int, r *rand.Rand) {
+	t.Helper()
+	for i := 0; i < 300; i++ {
+		a := addr4(r.Uint32())
+		var best netip.Prefix
+		bits := -1
+		for p := range set {
+			if p.Contains(a) && p.Bits() > bits {
+				best, bits = p, p.Bits()
+			}
+		}
+		tp, tv, tok := tr.Lookup(a)
+		fp, fv, fok := f.Lookup(a)
+		if tok != (bits >= 0) || tp != best || tv != set[best] || fok != tok || fp != tp || fv != tv {
+			t.Fatalf("Lookup(%v): trie %v,%d,%v flat %v,%d,%v model %v", a, tp, tv, tok, fp, fv, fok, best)
+		}
 	}
 }
