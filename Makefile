@@ -11,12 +11,19 @@ profflags =
 profdir = @true
 endif
 
-.PHONY: all build vet fmt-check staticcheck test race chaos bench bench-fulltable bench-policy bench-federation fuzz-smoke check docs lines
+.PHONY: all build vet fmt-check staticcheck test race chaos bench bench-build bench-fulltable bench-policy bench-federation fuzz-smoke check docs lines
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# bench/ is its own module (`replace peering => ../`) that the pipeline
+# builds from this tree: compile and vet it here, so a change that
+# breaks its build against internal/ fails this gate first. Its tests
+# stay out until ROADMAP item 1 has them green.
+bench-build:
+	cd bench && $(GO) build ./... && $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...
@@ -134,7 +141,7 @@ docs: vet
 # grows past the committed ceiling: code added there has to pay for
 # itself by deleting something, or raise the figure in the same change
 # and say why.
-SERVER_LINES_MAX = 3547
+SERVER_LINES_MAX = 3449
 lines:
 	@n=$$(cat $$(ls internal/server/*.go | grep -v _test.go) | wc -l); \
 	echo "internal/server: $$n non-test lines (ceiling $(SERVER_LINES_MAX))"; \
@@ -145,4 +152,4 @@ lines:
 # the verdict, the packet forward path and tunnel round trip — and the
 # relay-path budget) only assert without the race runtime's own
 # allocations in the way.
-check: build fmt-check docs lines staticcheck test race fuzz-smoke
+check: build bench-build fmt-check docs lines staticcheck test race fuzz-smoke

@@ -279,7 +279,7 @@ func Compile(rs *RuleSet) *Filter {
 // clampRange resolves a rule's [ge, le] against its prefix: zeros
 // default to the prefix's own length, bounds are clamped to [bits,
 // family bitlen], and an inverted range stays inverted (matches
-// nothing), mirroring the interpreted PrefixList.
+// nothing) — a router prefix-list's ge/le semantics.
 func clampRange(p netip.Prefix, ge, le int) (int16, int16) {
 	if ge == 0 {
 		ge = p.Bits()
@@ -300,8 +300,8 @@ func clampRange(p netip.Prefix, ge, le int) (int16, int16) {
 
 // MatchPrefix evaluates p against the compiled prefix-ownership rules
 // alone: first source-order match wins, the default applies when
-// nothing matches. This is the compiled equivalent of
-// policy.PrefixList.Match.
+// nothing matches — a router prefix-list, whose linear scan is kept
+// as the oracle in compiled_test.go.
 func (f *Filter) MatchPrefix(p netip.Prefix) bool {
 	bits := int16(p.Bits())
 	best := int32(-1)
@@ -334,8 +334,8 @@ func covering[V any](t *trie.Trie[V], t4 *trie.Flat[V], p netip.Prefix, visit fu
 // Origin classifies (p, origin) against the compiled authorizations:
 // Valid if some covering rule authorizes the origin at p's length,
 // Invalid if p is covered but nothing matches, Unknown if no covering
-// rule exists. This is the compiled equivalent of
-// policy.OriginTable.Allowed, with the unknown case made explicit.
+// rule exists. A closed-world table ("only what is listed may be
+// originated") treats anything but Valid as not allowed.
 func (f *Filter) Origin(p netip.Prefix, origin uint32) OriginState {
 	bits := int16(p.Bits())
 	state := OriginUnknown

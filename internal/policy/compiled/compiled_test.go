@@ -94,6 +94,108 @@ func TestOriginValidation(t *testing.T) {
 	}
 }
 
+// TestOriginNestedEntries pins the "some covering entry" semantics: an
+// aggregate's authorization extends to more-specifics even when a
+// narrower entry for a different origin nests inside it. (A scan that
+// consults only the most specific covering entry gets this wrong.)
+func TestOriginNestedEntries(t *testing.T) {
+	aggregate := OriginRule{Prefix: pfx("100.64.0.0/19"), MaxLen: 32, Origin: 47065}
+	nested := OriginRule{Prefix: pfx("100.64.5.0/24"), MaxLen: 32, Origin: 64500}
+	f := Compile(&RuleSet{Origins: []OriginRule{aggregate, nested}})
+	for _, tc := range []struct {
+		p      string
+		origin uint32
+		want   OriginState
+	}{
+		{"100.64.5.0/24", 64500, OriginValid},   // the nested entry's own origin
+		{"100.64.5.0/24", 47065, OriginValid},   // the aggregate reaches under it
+		{"100.64.0.0/19", 64500, OriginInvalid}, // the /24 does not widen to the /19
+		{"100.64.0.0/18", 47065, OriginUnknown}, // wider than anything listed: not Valid
+	} {
+		if got := f.Origin(pfx(tc.p), tc.origin); got != tc.want {
+			t.Errorf("Origin(%s, %d) = %v, want %v", tc.p, tc.origin, got, tc.want)
+		}
+	}
+	// Without the aggregate, only the nested entry's origin remains.
+	f = Compile(&RuleSet{Origins: []OriginRule{nested}})
+	if got := f.Origin(pfx("100.64.5.0/24"), 47065); got != OriginInvalid {
+		t.Errorf("aggregate's origin under the nested entry alone = %v, want invalid", got)
+	}
+	if got := f.Origin(pfx("100.64.5.0/24"), 64500); got != OriginValid {
+		t.Errorf("nested entry's origin = %v once the aggregate is gone, want valid", got)
+	}
+}
+
+// matchReference is a router prefix-list's linear scan — first rule in
+// source order that covers p with mask length in its [ge, le] wins —
+// kept as the semantic oracle for MatchPrefix.
+func matchReference(rules []PrefixRule, permitDefault bool, p netip.Prefix) bool {
+	for _, r := range rules {
+		ge, le := r.Ge, r.Le
+		if ge == 0 {
+			ge = r.Prefix.Bits()
+		}
+		if le == 0 {
+			le = r.Prefix.Bits()
+		}
+		if p.Bits() < ge || p.Bits() > le {
+			continue
+		}
+		if !r.Prefix.Contains(p.Addr()) || r.Prefix.Bits() > p.Bits() {
+			continue
+		}
+		return r.Permit
+	}
+	return permitDefault
+}
+
+// TestMatchPrefixMatchesLinearReference drives MatchPrefix against the
+// linear scan over randomized rule lists and probes, under both
+// defaults.
+func TestMatchPrefixMatchesLinearReference(t *testing.T) {
+	rnd := func(seed *uint64) uint64 { // xorshift, deterministic
+		*seed ^= *seed << 13
+		*seed ^= *seed >> 7
+		*seed ^= *seed << 17
+		return *seed
+	}
+	seed := uint64(20140827)
+	for trial := 0; trial < 50; trial++ {
+		var rules []PrefixRule
+		n := int(rnd(&seed)%20) + 1
+		for i := 0; i < n; i++ {
+			v := rnd(&seed)
+			bits := int(v % 25) // /0../24 rule prefixes
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)}), bits).Masked()
+			r := PrefixRule{Prefix: p, Permit: v&1 == 0}
+			if v&2 != 0 {
+				r.Ge = bits + int(v>>40%8)
+			}
+			if v&4 != 0 {
+				r.Le = min(32, bits+int(v>>43%12))
+			}
+			rules = append(rules, r)
+		}
+		permitDefault := trial%2 == 0
+		f := Compile(&RuleSet{Prefixes: rules, DefaultDeny: !permitDefault})
+		for probe := 0; probe < 200; probe++ {
+			v := rnd(&seed)
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)}), int(v%33)).Masked()
+			// Half the probes land inside a rule's space so matches are common.
+			if probe%2 == 0 {
+				base := rules[probe%len(rules)].Prefix
+				bits := base.Bits() + int(v%uint64(33-base.Bits()))
+				p = netip.PrefixFrom(base.Addr(), bits).Masked()
+			}
+			want := matchReference(rules, permitDefault, p)
+			if got := f.MatchPrefix(p); got != want {
+				t.Fatalf("trial %d: MatchPrefix(%v) = %v, reference says %v\nrules: %+v (default %v)",
+					trial, p, got, want, rules, permitDefault)
+			}
+		}
+	}
+}
+
 func TestPeerlockAdjacency(t *testing.T) {
 	f := Compile(&RuleSet{Peerlock: []PeerlockRule{
 		{Protected: 174, Allowed: []uint32{3356, 2914}},

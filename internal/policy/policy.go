@@ -1,7 +1,7 @@
-// Package policy implements BGP routing policy: prefix lists, AS-path
-// and community matching, import/export statement chains with attribute
-// actions, and the Gao–Rexford export rules that govern the economics of
-// interdomain route propagation.
+// Package policy implements BGP routing policy: AS-path and community
+// matching, import/export statement chains with attribute actions, and
+// the Gao–Rexford export rules that govern the economics of interdomain
+// route propagation.
 //
 // Policies are what a PEERING server interposes between clients and the
 // real Internet (safety filters) and what the synthetic Internet's ASes
@@ -16,14 +16,12 @@
 //   - The compiled layer in the nested package policy/compiled lowers
 //     prefix-ownership, ROA origin, and Peerlock rules into an immutable
 //     verdict structure for the server's ingest hot path, where a filter
-//     faces millions of routes and may not allocate. [PrefixList] and
-//     [OriginTable] below are thin veneers over that compiler, so the
-//     classic router-config API keeps working while sharing one matching
-//     engine (and one set of semantics) with the line-rate filters.
+//     faces millions of routes and may not allocate. Prefix lists and
+//     origin tables exist only there: a caller that wants one compiles
+//     a compiled.RuleSet and holds the compiled.Filter.
 //
-// Conditions ([MatchPrefixList], [MatchCommunity], [MatchASInPath],
-// [MatchOriginAS], [MatchMaxPathLen], [MatchAny], [All]) are route
-// predicates; actions ([SetLocalPref], [SetMED], [Prepend],
+// Conditions ([MatchCommunity], [MatchASInPath], [MatchOriginAS],
+// [MatchMaxPathLen], [MatchAny], [All]) are route predicates; actions ([SetLocalPref], [SetMED], [Prepend],
 // [AddCommunity], [RemoveCommunity], [SetNextHop]) rewrite attributes on
 // a clone. A [Statement] pairs one condition with actions and an
 // accept/reject disposition; a [Policy] is the ordered chain.
@@ -33,7 +31,6 @@ import (
 	"fmt"
 	"net/netip"
 
-	"peering/internal/policy/compiled"
 	"peering/internal/rib"
 	"peering/internal/wire"
 )
@@ -100,144 +97,10 @@ func LocalPrefFor(rel Relationship) uint32 {
 }
 
 // ---------------------------------------------------------------------
-// Prefix lists
-
-// PrefixRule is one prefix-list entry: match prefixes covered by Prefix
-// with mask length in [Ge, Le]. Zero Ge/Le default to the prefix's own
-// length (exact match).
-type PrefixRule struct {
-	Prefix netip.Prefix
-	Ge, Le int
-	Permit bool
-}
-
-// PrefixList is an ordered prefix filter with a default action for
-// non-matching prefixes. Matching runs on a compiled trie (rebuilt
-// lazily after Add or a PermitDefault change), so Match costs O(prefix
-// bits) regardless of list length instead of the linear scan it used to
-// be. Like the rest of this layer it is not safe for concurrent use;
-// guard it externally or compile a policy/compiled.Filter instead.
-type PrefixList struct {
-	rules         []PrefixRule
-	PermitDefault bool
-	// idx is the compiled form of rules with compiledDefault; it is
-	// invalidated by Add and rebuilt on the next Match.
-	idx             *compiled.Filter
-	compiledLen     int
-	compiledDefault bool
-}
-
-// NewPrefixList builds a list from rules; the default (no rule matches)
-// is deny.
-func NewPrefixList(rules ...PrefixRule) *PrefixList {
-	return &PrefixList{rules: rules}
-}
-
-// Add appends a rule.
-func (l *PrefixList) Add(r PrefixRule) { l.rules = append(l.rules, r) }
-
-// compile lowers the current rules through the policy/compiled filter
-// compiler. PrefixRule and compiled.PrefixRule share semantics field
-// for field, so this is a copy, not a translation.
-func (l *PrefixList) compile() *compiled.Filter {
-	if l.idx == nil || l.compiledLen != len(l.rules) || l.compiledDefault != l.PermitDefault {
-		rs := compiled.RuleSet{DefaultDeny: !l.PermitDefault}
-		rs.Prefixes = make([]compiled.PrefixRule, len(l.rules))
-		for i, r := range l.rules {
-			rs.Prefixes[i] = compiled.PrefixRule{Prefix: r.Prefix, Ge: r.Ge, Le: r.Le, Permit: r.Permit}
-		}
-		l.idx = compiled.Compile(&rs)
-		l.compiledLen, l.compiledDefault = len(l.rules), l.PermitDefault
-	}
-	return l.idx
-}
-
-// Match evaluates p against the list: first rule in insertion order
-// that covers p with mask length in the rule's [ge, le] wins; the
-// default applies when nothing matches.
-func (l *PrefixList) Match(p netip.Prefix) bool {
-	return l.compile().MatchPrefix(p)
-}
-
-// ---------------------------------------------------------------------
-// Origin validation (the testbed's anti-hijack filter)
-
-// OriginTable maps prefixes to their set of authorized origin ASNs —
-// the testbed's ROA-like database. A client announcement whose origin
-// is not authorized for the exact prefix or a covering prefix is
-// rejected. Lookups run on a compiled covering-entry trie (rebuilt
-// lazily after Authorize/Revoke), shared with the line-rate origin
-// validation in policy/compiled. Not safe for concurrent use.
-type OriginTable struct {
-	auth map[netip.Prefix]map[uint32]bool
-	f    *compiled.Filter // nil when auth has changed since last compile
-}
-
-// NewOriginTable returns an empty table.
-func NewOriginTable() *OriginTable {
-	return &OriginTable{auth: make(map[netip.Prefix]map[uint32]bool)}
-}
-
-// Authorize records that asn may originate p and any more-specific of p.
-func (o *OriginTable) Authorize(p netip.Prefix, asn uint32) {
-	p = p.Masked()
-	m := o.auth[p]
-	if m == nil {
-		m = map[uint32]bool{}
-		o.auth[p] = m
-	}
-	m[asn] = true
-	o.f = nil
-}
-
-// Revoke removes authorization.
-func (o *OriginTable) Revoke(p netip.Prefix, asn uint32) {
-	p = p.Masked()
-	if m, ok := o.auth[p]; ok {
-		delete(m, asn)
-		if len(m) == 0 {
-			delete(o.auth, p)
-		}
-		o.f = nil
-	}
-}
-
-// compile lowers the authorization map into origin rules. Authorize's
-// "and any more-specific" contract maps to a MaxLen of the full
-// address width (an unbounded ROA).
-func (o *OriginTable) compile() *compiled.Filter {
-	if o.f == nil {
-		var rs compiled.RuleSet
-		for p, m := range o.auth {
-			for asn := range m {
-				rs.Origins = append(rs.Origins, compiled.OriginRule{
-					Prefix: p, MaxLen: p.Addr().BitLen(), Origin: asn,
-				})
-			}
-		}
-		o.f = compiled.Compile(&rs)
-	}
-	return o.f
-}
-
-// Allowed reports whether asn may originate p: some covering (or exact)
-// authorization entry must list it. Unlike an RPKI validator, a prefix
-// with no covering entry at all is NOT allowed — the table is a closed
-// world, because the testbed knows every prefix it may ever originate.
-func (o *OriginTable) Allowed(p netip.Prefix, asn uint32) bool {
-	return o.compile().Origin(p, asn) == compiled.OriginValid
-}
-
-// ---------------------------------------------------------------------
 // Statement policies
 
 // Cond is a route predicate.
 type Cond func(*rib.Route) bool
-
-// MatchPrefixList matches routes whose prefix the list permits.
-func MatchPrefixList(l *PrefixList) Cond {
-	return func(r *rib.Route) bool { return l.Match(r.Prefix) }
-}
 
 // MatchCommunity matches routes carrying c.
 func MatchCommunity(c wire.Community) Cond {

@@ -57,190 +57,12 @@ func TestLocalPrefOrdering(t *testing.T) {
 	}
 }
 
-func TestPrefixListExactAndRanges(t *testing.T) {
-	l := NewPrefixList(
-		PrefixRule{Prefix: prefix("100.64.0.0/19"), Ge: 19, Le: 24, Permit: true},
-		PrefixRule{Prefix: prefix("203.0.113.0/24"), Permit: true}, // exact only
-	)
-	cases := []struct {
-		p    string
-		want bool
-	}{
-		{"100.64.0.0/19", true},
-		{"100.64.0.0/24", true},
-		{"100.64.31.0/24", true},
-		{"100.64.0.0/25", false}, // longer than le
-		{"100.64.0.0/18", false}, // shorter than ge (and not covered)
-		{"203.0.113.0/24", true},
-		{"203.0.113.0/25", false}, // exact-only rule
-		{"8.8.8.0/24", false},     // default deny
-	}
-	for _, c := range cases {
-		if got := l.Match(prefix(c.p)); got != c.want {
-			t.Errorf("Match(%s) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPrefixListFirstMatchWins(t *testing.T) {
-	l := NewPrefixList(
-		PrefixRule{Prefix: prefix("10.1.0.0/16"), Ge: 16, Le: 32, Permit: false},
-		PrefixRule{Prefix: prefix("10.0.0.0/8"), Ge: 8, Le: 32, Permit: true},
-	)
-	if l.Match(prefix("10.1.2.0/24")) {
-		t.Fatal("earlier deny must win")
-	}
-	if !l.Match(prefix("10.2.0.0/16")) {
-		t.Fatal("later permit must apply")
-	}
-}
-
-func TestPrefixListPermitDefault(t *testing.T) {
-	l := NewPrefixList(PrefixRule{Prefix: prefix("10.0.0.0/8"), Ge: 8, Le: 32, Permit: false})
-	l.PermitDefault = true
-	if l.Match(prefix("10.0.0.0/16")) {
-		t.Fatal("deny rule ignored")
-	}
-	if !l.Match(prefix("192.168.0.0/16")) {
-		t.Fatal("default permit ignored")
-	}
-}
-
-func TestOriginTable(t *testing.T) {
-	o := NewOriginTable()
-	o.Authorize(prefix("100.64.0.0/19"), 47065)
-	if !o.Allowed(prefix("100.64.0.0/19"), 47065) {
-		t.Fatal("exact authorization rejected")
-	}
-	if !o.Allowed(prefix("100.64.5.0/24"), 47065) {
-		t.Fatal("covered more-specific rejected")
-	}
-	if o.Allowed(prefix("100.64.0.0/19"), 65000) {
-		t.Fatal("unauthorized ASN allowed")
-	}
-	if o.Allowed(prefix("8.8.8.0/24"), 47065) {
-		t.Fatal("uncovered prefix allowed")
-	}
-	// A /18 that covers the /19 is NOT authorized (announcement wider
-	// than the allocation).
-	if o.Allowed(prefix("100.64.0.0/18"), 47065) {
-		t.Fatal("covering aggregate allowed — hijack of adjacent space")
-	}
-	o.Revoke(prefix("100.64.0.0/19"), 47065)
-	if o.Allowed(prefix("100.64.0.0/19"), 47065) {
-		t.Fatal("revoked authorization still allowed")
-	}
-}
-
-// TestOriginTableNestedEntries pins the documented "some covering
-// entry" semantics the compiled backend restored: an aggregate's
-// authorization extends to more-specifics even when a narrower entry
-// for a different origin nests inside it. (The old LookupPrefix-based
-// scan consulted only the most specific covering entry and got this
-// wrong.)
-func TestOriginTableNestedEntries(t *testing.T) {
-	o := NewOriginTable()
-	o.Authorize(prefix("100.64.0.0/19"), 47065)
-	o.Authorize(prefix("100.64.5.0/24"), 64500)
-	if !o.Allowed(prefix("100.64.5.0/24"), 64500) {
-		t.Fatal("nested entry's own origin rejected")
-	}
-	if !o.Allowed(prefix("100.64.5.0/24"), 47065) {
-		t.Fatal("aggregate authorization must extend under a nested entry")
-	}
-	if o.Allowed(prefix("100.64.0.0/19"), 64500) {
-		t.Fatal("nested /24 authorization must not widen to the /19")
-	}
-	// Mutation after first lookup must invalidate the compiled form.
-	o.Revoke(prefix("100.64.0.0/19"), 47065)
-	if o.Allowed(prefix("100.64.5.0/24"), 47065) {
-		t.Fatal("revocation not visible after recompile")
-	}
-	if !o.Allowed(prefix("100.64.5.0/24"), 64500) {
-		t.Fatal("revoking one origin must not disturb the other entry")
-	}
-}
-
-// matchReference is the original linear-scan PrefixList.Match,
-// preserved as the semantic oracle for the compiled implementation.
-func matchReference(rules []PrefixRule, permitDefault bool, p netip.Prefix) bool {
-	for _, r := range rules {
-		ge, le := r.Ge, r.Le
-		if ge == 0 {
-			ge = r.Prefix.Bits()
-		}
-		if le == 0 {
-			le = r.Prefix.Bits()
-		}
-		if p.Bits() < ge || p.Bits() > le {
-			continue
-		}
-		if !r.Prefix.Contains(p.Addr()) || r.Prefix.Bits() > p.Bits() {
-			continue
-		}
-		return r.Permit
-	}
-	return permitDefault
-}
-
-// TestPrefixListMatchesLinearReference drives the compiled Match
-// against the old linear scan over randomized rule lists and probes —
-// the regression fence for the satellite "replace linear scans" fix.
-func TestPrefixListMatchesLinearReference(t *testing.T) {
-	rnd := func(seed *uint64) uint64 { // xorshift, deterministic
-		*seed ^= *seed << 13
-		*seed ^= *seed >> 7
-		*seed ^= *seed << 17
-		return *seed
-	}
-	seed := uint64(20140827)
-	for trial := 0; trial < 50; trial++ {
-		var rules []PrefixRule
-		n := int(rnd(&seed)%20) + 1
-		for i := 0; i < n; i++ {
-			v := rnd(&seed)
-			bits := int(v % 25) // /0../24 rule prefixes
-			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)}), bits).Masked()
-			r := PrefixRule{Prefix: p, Permit: v&1 == 0}
-			if v&2 != 0 {
-				r.Ge = bits + int(v>>40%8)
-			}
-			if v&4 != 0 {
-				r.Le = min(32, bits+int(v>>43%12))
-			}
-			rules = append(rules, r)
-		}
-		l := NewPrefixList(rules...)
-		l.PermitDefault = trial%2 == 0
-		for probe := 0; probe < 200; probe++ {
-			v := rnd(&seed)
-			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)}), int(v%33)).Masked()
-			// Half the probes land inside a rule's space so matches are common.
-			if probe%2 == 0 && len(rules) > 0 {
-				base := rules[probe%len(rules)].Prefix
-				bits := base.Bits() + int(v%uint64(33-base.Bits()))
-				p = netip.PrefixFrom(base.Addr(), bits).Masked()
-			}
-			want := matchReference(rules, l.PermitDefault, p)
-			if got := l.Match(p); got != want {
-				t.Fatalf("trial %d: Match(%v) = %v, reference says %v\nrules: %+v (default %v)",
-					trial, p, got, want, rules, l.PermitDefault)
-			}
-		}
-		// Exercise the Add invalidation path mid-trial.
-		extra := PrefixRule{Prefix: prefix("203.0.113.0/24"), Permit: true}
-		l.Add(extra)
-		rules = append(rules, extra)
-		if got, want := l.Match(prefix("203.0.113.0/24")), matchReference(rules, l.PermitDefault, prefix("203.0.113.0/24")); got != want {
-			t.Fatalf("trial %d after Add: Match = %v, want %v", trial, got, want)
-		}
-	}
-}
-
 func TestPolicyApplyAcceptRejectDefault(t *testing.T) {
 	p := (&Policy{Name: "test"}).
 		Then(Statement{Cond: MatchOriginAS(666), Accept: false}).
-		Then(Statement{Cond: MatchPrefixList(NewPrefixList(PrefixRule{Prefix: prefix("10.0.0.0/8"), Ge: 8, Le: 24, Permit: true})), Accept: true})
+		Then(Statement{Cond: func(r *rib.Route) bool {
+			return prefix("10.0.0.0/8").Contains(r.Prefix.Addr()) && r.Prefix.Bits() <= 24
+		}, Accept: true})
 
 	if _, ok := p.Apply(route("10.0.0.0/16", 100, 666)); ok {
 		t.Fatal("route from bad origin accepted")

@@ -82,29 +82,26 @@ func prefixShard(p netip.Prefix) uint32 {
 // the server's per-upstream Adj-RIB-In, where ingest workers mutate
 // disjoint shards concurrently while replays and snapshots walk them.
 //
-// Routes handed out by Get and the walk methods are owned by the
+// Every mutation goes through Update, one shard at a time — the
+// server's ingest workers are its only writers — and every read through
+// ReadShard or Walk. Routes handed out by the walks are owned by the
 // table and must be treated as read-only snapshots; AdjRIB.Set's
 // copy-on-replace contract guarantees a later Set never mutates them.
 type ShardedAdj struct {
 	shards []adjShard
-	mask   uint32
 	n      atomic.Int64
 }
 
 type adjShard struct {
 	mu  sync.RWMutex
 	rib *AdjRIB
-	// gen counts mutations of this shard (bumped under mu). Snapshot
-	// consumers (the server's bulk initial sync) use it to tell whether
-	// a cached per-shard view is still current.
-	gen uint64
 }
 
 // NewShardedAdj returns an empty table with n shards (rounded up to a
 // power of two; n <= 0 means DefaultShards).
 func NewShardedAdj(n int) *ShardedAdj {
 	n = shardCount(n)
-	s := &ShardedAdj{shards: make([]adjShard, n), mask: uint32(n - 1)}
+	s := &ShardedAdj{shards: make([]adjShard, n)}
 	for i := range s.shards {
 		s.shards[i].rib = NewAdjRIB()
 	}
@@ -114,13 +111,6 @@ func NewShardedAdj(n int) *ShardedAdj {
 // Shards reports the shard count.
 func (s *ShardedAdj) Shards() int { return len(s.shards) }
 
-// ShardOf returns the index of the shard holding prefix p. Callers
-// that partition work per shard (the server's ingest pool) use it to
-// route operations to the worker owning the shard.
-func (s *ShardedAdj) ShardOf(p netip.Prefix) int {
-	return int(prefixShard(p) & s.mask)
-}
-
 // SetInterner configures attribute canonicalization on every shard.
 // Call before concurrent use.
 func (s *ShardedAdj) SetInterner(t *wire.InternTable) {
@@ -129,36 +119,8 @@ func (s *ShardedAdj) SetInterner(t *wire.InternTable) {
 	}
 }
 
-// Set stores a copy of *r (see AdjRIB.Set), reporting whether it
-// replaced an existing route.
-func (s *ShardedAdj) Set(r *Route) bool {
-	sh := &s.shards[prefixShard(r.Prefix)&s.mask]
-	sh.mu.Lock()
-	replaced := sh.rib.Set(r)
-	sh.gen++
-	sh.mu.Unlock()
-	if !replaced {
-		s.n.Add(1)
-	}
-	return replaced
-}
-
-// Remove deletes the route for (prefix, id), returning it if present.
-func (s *ShardedAdj) Remove(p netip.Prefix, id wire.PathID) *Route {
-	sh := &s.shards[prefixShard(p)&s.mask]
-	sh.mu.Lock()
-	r := sh.rib.Remove(p, id)
-	sh.gen++
-	sh.mu.Unlock()
-	if r != nil {
-		s.n.Add(-1)
-	}
-	return r
-}
-
 // Update runs fn on shard i's table under its write lock: one lock
-// round-trip (and one generation bump) covers an entire batch of Sets
-// and Removes, which is what makes batched ingest one shard-writer
+// round-trip covers an entire batch of Sets and Removes, which is what makes batched ingest one shard-writer
 // pass instead of a lock acquisition per route. The route-count delta
 // is folded into Len from the table's own before/after lengths. fn
 // must only mutate routes whose prefixes hash to shard i — everything
@@ -169,32 +131,25 @@ func (s *ShardedAdj) Update(i int, fn func(*AdjRIB)) {
 	before := sh.rib.Len()
 	fn(sh.rib)
 	d := sh.rib.Len() - before
-	sh.gen++
 	sh.mu.Unlock()
 	if d != 0 {
 		s.n.Add(int64(d))
 	}
 }
 
-// ReadShard runs fn on shard i's table under its read lock, passing
-// the shard's current generation. Mutators are excluded while fn runs,
-// so anything fn enqueues is ordered before any route that later
-// supersedes it — the same ordering guarantee Walk gives the replay
-// path, but scoped to one shard so bulk initial sync can build (and
-// cache, keyed by gen) one snapshot frame per shard.
+// ReadShard runs fn on shard i's table under its read lock. Mutators
+// are excluded while fn runs, so anything fn enqueues is ordered before
+// any route that later supersedes it — the guarantee the server's
+// replay walk relies on, scoped to one shard so a joiner's snapshot
+// frames are built and queued shard by shard. fn's first argument is
+// vestigial (always 0; it was a per-shard mutation count no caller
+// reads any more) and stays only because the benchmark module calls
+// ReadShard with this signature.
 func (s *ShardedAdj) ReadShard(i int, fn func(gen uint64, t *AdjRIB)) {
 	sh := &s.shards[i]
 	sh.mu.RLock()
-	fn(sh.gen, sh.rib)
+	fn(0, sh.rib)
 	sh.mu.RUnlock()
-}
-
-// Get returns the route for (prefix, id); treat it as read-only.
-func (s *ShardedAdj) Get(p netip.Prefix, id wire.PathID) *Route {
-	sh := &s.shards[prefixShard(p)&s.mask]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.rib.Get(p, id)
 }
 
 // Len reports the number of stored routes (not prefixes).
@@ -225,26 +180,6 @@ func (s *ShardedAdj) Walk(fn func(*Route) bool) {
 	}
 }
 
-// WalkGrouped visits every stored route grouped by shared attribute
-// set, accumulated across all shards (shard read locks are released
-// before fn runs, so fn may send on slow transports freely). The NLRI
-// slices are freshly built per call and may be retained.
-func (s *ShardedAdj) WalkGrouped(fn func(attrs *wire.Attrs, nlris []wire.NLRI)) {
-	groups := make(map[*wire.Attrs][]wire.NLRI)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		sh.rib.Walk(func(r *Route) bool {
-			groups[r.Attrs] = append(groups[r.Attrs], wire.NLRI{Prefix: r.Prefix, ID: r.Src.PathID})
-			return true
-		})
-		sh.mu.RUnlock()
-	}
-	for attrs, ns := range groups {
-		fn(attrs, ns)
-	}
-}
-
 // MarkAllStale flags every stored route stale (graceful restart
 // entry), returning how many were newly marked.
 func (s *ShardedAdj) MarkAllStale() int {
@@ -253,49 +188,7 @@ func (s *ShardedAdj) MarkAllStale() int {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		n += sh.rib.MarkAllStale()
-		sh.gen++
 		sh.mu.Unlock()
 	}
-	return n
-}
-
-// SweepStale removes and returns every route still marked stale.
-func (s *ShardedAdj) SweepStale() []*Route {
-	var stale []*Route
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		swept := sh.rib.SweepStale()
-		sh.gen++
-		sh.mu.Unlock()
-		s.n.Add(int64(-len(swept)))
-		stale = append(stale, swept...)
-	}
-	return stale
-}
-
-// StaleCount reports how many routes are currently marked stale.
-func (s *ShardedAdj) StaleCount() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += sh.rib.StaleCount()
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Clear drops all routes, returning how many were removed.
-func (s *ShardedAdj) Clear() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.rib.Clear()
-		sh.gen++
-		sh.mu.Unlock()
-	}
-	s.n.Add(int64(-n))
 	return n
 }

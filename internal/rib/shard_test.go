@@ -2,6 +2,7 @@ package rib
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -255,8 +256,33 @@ func TestLocRIBConcurrentShardOps(t *testing.T) {
 	}
 }
 
+// shardOf is the shard of s holding prefix p — the routing every writer
+// of a ShardedAdj applies before Update.
+func shardOf(s *ShardedAdj, p netip.Prefix) int {
+	return int(PrefixShard(p)) & (s.Shards() - 1)
+}
+
+// shardedSet and shardedRemove mutate one route through Update, the
+// table's only write path.
+func shardedSet(s *ShardedAdj, r *Route) {
+	s.Update(shardOf(s, r.Prefix), func(t *AdjRIB) { t.Set(r) })
+}
+
+func shardedRemove(s *ShardedAdj, p netip.Prefix) {
+	s.Update(shardOf(s, p), func(t *AdjRIB) { t.Remove(p, 0) })
+}
+
+// shardedStale sums the per-shard stale counts.
+func shardedStale(s *ShardedAdj) int {
+	n := 0
+	for i := 0; i < s.Shards(); i++ {
+		s.ReadShard(i, func(_ uint64, t *AdjRIB) { n += t.StaleCount() })
+	}
+	return n
+}
+
 // TestShardedAdjConcurrent exercises ShardedAdj under concurrent
-// Set/Remove/Walk/stale cycling (race-detector coverage for the
+// Update/Walk/ReadShard/stale cycling (race-detector coverage for the
 // server's ingest-worker access pattern).
 func TestShardedAdjConcurrent(t *testing.T) {
 	s := NewShardedAdj(8)
@@ -271,9 +297,9 @@ func TestShardedAdjConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				p := fmt.Sprintf("10.%d.%d.0/24", w, rng.Intn(64))
 				if rng.Intn(4) == 0 {
-					s.Remove(prefix(p), 0)
+					shardedRemove(s, prefix(p))
 				} else {
-					s.Set(mkRoute(p, "192.0.2.9", nil))
+					shardedSet(s, mkRoute(p, "192.0.2.9", nil))
 				}
 			}
 		}(w)
@@ -284,9 +310,13 @@ func TestShardedAdjConcurrent(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			n := 0
 			s.Walk(func(*Route) bool { n++; return true })
-			s.WalkGrouped(func(*wire.Attrs, []wire.NLRI) {})
+			for sh := 0; sh < s.Shards(); sh++ {
+				s.ReadShard(sh, func(_ uint64, t *AdjRIB) {
+					t.WalkGrouped(func(*wire.Attrs, []wire.NLRI) {})
+				})
+			}
 			_ = s.Len()
-			_ = s.StaleCount()
+			_ = shardedStale(s)
 		}
 	}()
 	wg.Wait()
@@ -296,43 +326,68 @@ func TestShardedAdjConcurrent(t *testing.T) {
 	if n != s.Len() {
 		t.Fatalf("marked %d of %d", n, s.Len())
 	}
-	if got := len(s.SweepStale()); got != n {
-		t.Fatalf("swept %d, want %d", got, n)
+	swept := 0
+	for i := 0; i < s.Shards(); i++ {
+		s.Update(i, func(t *AdjRIB) { swept += len(t.SweepStale()) })
 	}
-	if s.Len() != 0 || s.StaleCount() != 0 {
-		t.Fatalf("table not empty after sweep: len=%d stale=%d", s.Len(), s.StaleCount())
+	if swept != n {
+		t.Fatalf("swept %d, want %d", swept, n)
+	}
+	if s.Len() != 0 || shardedStale(s) != 0 {
+		t.Fatalf("table not empty after sweep: len=%d stale=%d", s.Len(), shardedStale(s))
 	}
 }
 
 // TestShardedAdjParity checks ShardedAdj against a plain AdjRIB over a
-// deterministic op sequence: same membership, same Len, same groups.
+// deterministic op sequence, for several shard counts: same membership,
+// same Len, same attribute groups — the shard count must never change
+// what the table holds.
 func TestShardedAdjParity(t *testing.T) {
-	ref := NewAdjRIB()
-	s := NewShardedAdj(16)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		p := fmt.Sprintf("10.%d.%d.0/24", rng.Intn(8), rng.Intn(200))
-		if rng.Intn(3) == 0 {
-			ref.Remove(prefix(p), 0)
-			s.Remove(prefix(p), 0)
-		} else {
-			ref.Set(mkRoute(p, "192.0.2.1", nil))
-			s.Set(mkRoute(p, "192.0.2.1", nil))
+	for _, shards := range []int{1, 4, 16} {
+		intern := wire.NewInternTable()
+		ref := NewAdjRIB()
+		ref.SetInterner(intern)
+		s := NewShardedAdj(shards)
+		s.SetInterner(intern)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 2000; i++ {
+			p := fmt.Sprintf("10.%d.%d.0/24", rng.Intn(8), rng.Intn(200))
+			if rng.Intn(3) == 0 {
+				ref.Remove(prefix(p), 0)
+				shardedRemove(s, prefix(p))
+				continue
+			}
+			peer := fmt.Sprintf("192.0.2.%d", 1+rng.Intn(3)) // three attribute groups
+			ref.Set(mkRoute(p, "192.0.2.1", func(r *Route) { r.Attrs.NextHop = addr(peer) }))
+			shardedSet(s, mkRoute(p, "192.0.2.1", func(r *Route) { r.Attrs.NextHop = addr(peer) }))
 		}
-	}
-	if ref.Len() != s.Len() {
-		t.Fatalf("Len: sharded %d, ref %d", s.Len(), ref.Len())
-	}
-	ref.Walk(func(r *Route) bool {
-		if s.Get(r.Prefix, r.Src.PathID) == nil {
-			t.Fatalf("sharded table missing %v", r.Prefix)
+		if ref.Len() != s.Len() {
+			t.Fatalf("%d shards: Len: sharded %d, ref %d", shards, s.Len(), ref.Len())
 		}
-		return true
-	})
-	if n := s.Clear(); n != ref.Len() {
-		t.Fatalf("Clear removed %d, want %d", n, ref.Len())
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", s.Len())
+		// Membership both ways: every sharded route is the reference's,
+		// attributes included, and there are as many of them.
+		walked := 0
+		s.Walk(func(r *Route) bool {
+			walked++
+			if want := ref.Get(r.Prefix, r.Src.PathID); want == nil || want.Attrs != r.Attrs {
+				t.Fatalf("%d shards: sharded table holds %v, reference has %v", shards, r, want)
+			}
+			return true
+		})
+		if walked != ref.Len() {
+			t.Fatalf("%d shards: walked %d routes, reference holds %d", shards, walked, ref.Len())
+		}
+		// Groups: the per-shard grouped walks the replay path uses add up
+		// to the reference's groups.
+		want, got := map[*wire.Attrs]int{}, map[*wire.Attrs]int{}
+		ref.WalkGrouped(func(a *wire.Attrs, ns []wire.NLRI) { want[a] += len(ns) })
+		for i := 0; i < s.Shards(); i++ {
+			s.ReadShard(i, func(_ uint64, t *AdjRIB) {
+				t.WalkGrouped(func(a *wire.Attrs, ns []wire.NLRI) { got[a] += len(ns) })
+			})
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%d shards: attribute groups differ: sharded %v, ref %v", shards, got, want)
+		}
 	}
 }

@@ -113,9 +113,7 @@ func newAnnounceRig(tb testing.TB, mode muxproto.Mode, n int, quota QuotaConfig)
 	waitFor(tb, "the client's end-of-RIB markers handled", func() bool {
 		return r.srv.metrics.bgp.MsgsIn.With("update").Value() == 2*sessions
 	})
-	r.srv.clMu.RLock()
-	r.c = r.srv.clients["exp1"]
-	r.srv.clMu.RUnlock()
+	r.c = clientByID(r.srv, "exp1")
 	return r
 }
 

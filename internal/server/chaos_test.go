@@ -14,6 +14,7 @@ import (
 	"maps"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"peering/internal/faultconn"
 	"peering/internal/mrt"
 	"peering/internal/muxproto"
+	"peering/internal/policy/compiled"
 	"peering/internal/rib"
 	"peering/internal/router"
 	"peering/internal/tunnel"
@@ -545,6 +547,13 @@ func TestChaosSlowClientShedAndResync(t *testing.T) {
 	if n := srv.ClientCount(); n != 3 {
 		t.Fatalf("client count = %d, want 3", n)
 	}
+	// The resync is a replay through the queue, so it is counted like
+	// one: the healthy pair's live routes plus at least one whole table
+	// for the laggard.
+	wantRelayed := uint64(2*(total-preStall) + total)
+	waitFor(t, "resynced table on the relay counters", func() bool {
+		return srv.Stats().RoutesRelayedToClients-base.RoutesRelayedToClients >= wantRelayed
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -702,6 +711,77 @@ func TestChaosKillAndWarmRestart(t *testing.T) {
 	}
 }
 
+// TestWarmRestoreHonoursPolicy: the archive records what the peers sent,
+// not what the filter let through, so a warm restore must vet what it
+// reads like any live UPDATE. The same deny rule is loaded on both
+// incarnations (the successor adds one the predecessor lacked): neither
+// the announcement the live mux rejected, nor the one its snapshot took
+// under the laxer rules, may reach the successor's Adj-RIB-In or a
+// client that joins before the upstream returns.
+func TestWarmRestoreHonoursPolicy(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	dir := t.TempDir()
+	denied, laterDenied, permitted := prefix("96.0.9.0/24"), prefix("96.0.8.0/24"), prefix("96.0.0.0/24")
+	deny := func(ps ...netip.Prefix) *compiled.RuleSet {
+		rs := &compiled.RuleSet{}
+		for _, p := range ps {
+			rs.Prefixes = append(rs.Prefixes, compiled.PrefixRule{Prefix: p})
+		}
+		return rs
+	}
+
+	srvA := chaosServer(t, clk, QuotaConfig{})
+	srvA.LoadPolicy(deny(denied))
+	arch, err := mrt.NewArchive(mrt.ArchiveConfig{Dir: dir, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA.AttachArchive(arch)
+	upA, uA := attachChaosUpstream(t, srvA, clk)
+	for _, p := range []netip.Prefix{denied, laterDenied, permitted} {
+		upA.Announce(p, router.AnnounceSpec{})
+	}
+	waitFor(t, "live mux vets its upstream", func() bool {
+		return uA.RoutesIn() == 2 && srvA.Stats().PolicyRejected == 1
+	})
+	// Seal the segment so the restore reads a snapshot as well as a tail.
+	if _, err := arch.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	srvA.Close() // the archive on disk is all the successor gets
+
+	srvB := chaosServer(t, clk, QuotaConfig{})
+	srvB.LoadPolicy(deny(denied, laterDenied))
+	uB, err := srvB.AddUpstream(chaosUpstreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srvB.WarmRestore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotRoutes != 2 || st.TailUpdates == 0 {
+		t.Fatalf("warm restore read %d snapshot routes and %d tail updates, want 2 and some", st.SnapshotRoutes, st.TailUpdates)
+	}
+	want := adjInOf(t, uB)
+	if _, ok := want[permitted]; !ok || len(want) != 1 || st.Restored != 1 {
+		t.Fatalf("warm-restored Adj-RIB-In holds %v (restored %d), want only %v",
+			slices.Collect(maps.Keys(want)), st.Restored, permitted)
+	}
+	// The tail offered the denied route once; the snapshot and the tail
+	// each offered the one only the successor denies.
+	if got := rejectCount(srvB, compiled.ClassPrefix); got != 3 {
+		t.Fatalf("successor rejected %d restored routes, want 3", got)
+	}
+	cl := connectChaosClient(t, srvB, clk, "exp1", addr("10.250.0.1"), prefix("184.164.224.0/24"))
+	waitFor(t, "client convergence from disk", func() bool { return cl.RouteCount(1) == 1 })
+	time.Sleep(20 * time.Millisecond) // a leaked route would trail the permitted one
+	if got := tableOf(t, cl.Routes(1)); !maps.Equal(got, want) {
+		t.Fatalf("client joined before the upstream returned and holds %v, want only %v",
+			slices.Collect(maps.Keys(got)), permitted)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Scenario 5: shared-frame broadcast vs a stalled laggard
 
@@ -837,4 +917,23 @@ func TestChaosFrameShedAndResync(t *testing.T) {
 			t.Fatalf("withdrawn prefix %v survived the shed on the laggard", wd[i])
 		}
 	}
+	// The resync is a replay through the queue, so it is counted like
+	// one: the healthy pair's live routes plus at least one whole table
+	// for the laggard.
+	wantRelayed := uint64(2*(next-2048) + total)
+	waitFor(t, "resynced table on the relay counters", func() bool {
+		return srv.Stats().RoutesRelayedToClients-base.RoutesRelayedToClients >= wantRelayed
+	})
+
+	// --- The laggard dies with replays in flight: one stuck mid-flush on
+	// the stalled transport, one waiting in the queue behind it. Nothing
+	// they hold may outlive the client (newCheckedServer's cleanup). ---
+	fcSrv.Stall()
+	c := clientByID(srv, "slow")
+	srv.enqueueReplay(c, u, false)
+	srv.enqueueReplay(c, u, false)
+	if srv.liveFrames.Load() == 0 {
+		t.Fatal("no replay frame in flight on the stalled transport")
+	}
+	fcSrv.Reset()
 }

@@ -8,10 +8,10 @@ package server
 // worker drains it, shipping each frame's encode-once bytes. Upstream
 // readers therefore never block on a slow client; a client that cannot
 // keep up shows as queue depth and backpressure counters, and past
-// Quota.MaxQueueOps as a shed and a resync, never as head-of-line
-// blocking for its peers. Coalescing happens before the queue, once for
-// all clients, when the ingest worker folds a batch to final state per
-// prefix (ingest.go).
+// Quota.MaxQueueOps live routes as a shed and a replay, never as
+// head-of-line blocking for its peers. Coalescing happens before the
+// queue, once for all clients, when the ingest worker folds a batch to
+// final state per prefix (ingest.go).
 
 import (
 	"sync"
@@ -21,8 +21,10 @@ import (
 	"peering/internal/wire"
 )
 
-// DefaultFanoutHighWater is used when Config.FanoutHighWater is zero.
-const DefaultFanoutHighWater = 32768
+// fanoutHighWater is the queue depth, in routes, above which an enqueue
+// counts as backpressure: when a client is reported as slow. The bound
+// on the queue is Quota.MaxQueueOps.
+const fanoutHighWater = 32768
 
 // outCounters are the per-queue deltas merged into Server.Stats on each
 // flush.
@@ -65,31 +67,29 @@ type outQueue struct {
 	// Cross-shard depth and pressure accounting, all lock-free so an
 	// enqueue on one shard never touches another shard's lock. Depth
 	// counts logical routes: a frame stands for every route it carries.
+	// depthSnap is the part of depthOps held in snapshot frames, which
+	// the cap leaves out.
 	depthOps     atomic.Int64
+	depthSnap    atomic.Int64
 	depthEoRs    atomic.Int64
 	highWater    atomic.Int64
 	backpressure atomic.Uint64
 	shed         atomic.Uint64
 	overflow     atomic.Bool
 
-	softLimit int
-	// hardLimit caps queued routes across all shards; 0 disables. Above
-	// it, announcements are shed (withdrawals still queue — they are
-	// what bounds correctness) and overflow marks the queue for a full
-	// resync.
+	// hardLimit caps queued live routes across all shards; 0 disables.
+	// Above it, live announcements are shed (withdrawals still queue —
+	// they are what bounds correctness) and overflow marks the queue for
+	// a full resync.
 	hardLimit int
 }
 
-func newOutQueue(highWater, hardLimit, shards int) *outQueue {
-	if highWater <= 0 {
-		highWater = DefaultFanoutHighWater
-	}
+func newOutQueue(hardLimit, shards int) *outQueue {
 	shards = rib.ShardCount(shards)
 	q := &outQueue{
 		shards:    make([]outQueueShard, shards),
 		mask:      uint32(shards - 1),
 		notify:    make(chan struct{}, 1),
-		softLimit: highWater,
 		hardLimit: hardLimit,
 	}
 	for i := range q.shards {
@@ -138,15 +138,17 @@ func (q *outQueue) putFrame(i int, f *broadcastFrame) {
 		f.release()
 		return
 	}
-	if q.hardLimit > 0 && f.nlris > 0 && q.depthOps.Load() >= int64(q.hardLimit) {
+	if q.hardLimit > 0 && f.nlris > 0 && !f.snapshot &&
+		q.depthOps.Load()-q.depthSnap.Load() >= int64(q.hardLimit) {
 		// Laggard at its cap (this client only — every client has its
 		// own queue): a frame cannot be partially shed, so drop its
 		// announcements and flag the queue; the worker recovers by
-		// resyncing the full table directly down the session, bypassing
-		// the very cap that shed it. Withdrawals are never shed — they
-		// are what bounds correctness — so they stay behind as a
-		// private withdraw-only frame, and the shed-then-resync cycle
-		// cannot leave the client holding a route the world withdrew.
+		// replaying the full table into this queue as snapshot frames,
+		// which the cap exempts (broadcastFrame.snapshot). Withdrawals
+		// are never shed — they are what bounds correctness — so they
+		// stay behind as a private withdraw-only frame, and the
+		// shed-then-resync cycle cannot leave the client holding a
+		// route the world withdrew.
 		q.shed.Add(uint64(f.nlris))
 		q.overflow.Store(true)
 		wd, live := f.wd, f.live
@@ -161,9 +163,12 @@ func (q *outQueue) putFrame(i int, f *broadcastFrame) {
 	}
 	sh.frames = append(sh.frames, f)
 	sh.mu.Unlock()
+	if f.snapshot {
+		q.depthSnap.Add(int64(f.nlris))
+	}
 	d := q.depthOps.Add(int64(f.logicalOps()))
 	q.bumpHighWater(d + q.depthEoRs.Load())
-	if d > int64(q.softLimit) {
+	if d > fanoutHighWater {
 		q.backpressure.Add(1)
 	}
 	q.wake()
@@ -212,11 +217,15 @@ func (q *outQueue) take(framesReuse []*broadcastFrame, eorsReuse []uint32) (fram
 		sh.frames = sh.frames[:0]
 		sh.mu.Unlock()
 	}
-	taken := 0
+	taken, snap := 0, 0
 	for _, f := range frames {
 		taken += f.logicalOps()
+		if f.snapshot {
+			snap += f.nlris
+		}
 	}
 	q.depthOps.Add(int64(-taken))
+	q.depthSnap.Add(int64(-snap))
 	ctr.backpressure = q.backpressure.Swap(0)
 	ctr.shed = q.shed.Swap(0)
 	ctr.highWater = int(q.highWater.Swap(0))
@@ -346,8 +355,8 @@ func (s *Server) runFanout(c *clientConn) {
 		s.flushFanout(c, frames, eors, ctr)
 		clear(frames) // flushed frames must not stay pinned by the reused array
 		if overflow {
-			// Announcements were shed while this client lagged: rebuild
-			// its view synchronously from the Adj-RIB-In (quota.go).
+			// Announcements were shed while this client lagged: queue a
+			// replay of the Adj-RIB-Ins behind what is left (quota.go).
 			s.resyncClient(c)
 		}
 	}

@@ -62,7 +62,7 @@ func TestOutQueueFrameOrder(t *testing.T) {
 	// One shard: exact drain order across prefixes is only defined
 	// within a shard.
 	var live atomic.Int64
-	q := newOutQueue(0, 0, 1)
+	q := newOutQueue(0, 1)
 	q.beginSync(0, 1)
 	q.beginSync(0, 2)
 	a1, a2 := fanoutAttrs(100), fanoutAttrs(200)
@@ -125,7 +125,7 @@ func TestOutQueueFrameOrder(t *testing.T) {
 // client holding a route the world withdrew.
 func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
 	var live atomic.Int64
-	q := newOutQueue(0, 8, 1)
+	q := newOutQueue(8, 1)
 	q.beginSync(0, 1)
 	a := fanoutAttrs(100)
 	entries := func(lo, hi int, attrs *wire.Attrs) []batchEntry {
@@ -188,7 +188,7 @@ func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
 // queue shuts every gate for good.
 func TestOutQueueSyncGate(t *testing.T) {
 	var live atomic.Int64
-	q := newOutQueue(0, 0, 1)
+	q := newOutQueue(0, 1)
 	a := fanoutAttrs(100)
 	const pA = "11.0.0.0/16"
 
@@ -229,19 +229,24 @@ func TestOutQueueSyncGate(t *testing.T) {
 // count logical routes, whatever the frames' sizes.
 func TestOutQueueBackpressureCounters(t *testing.T) {
 	var live atomic.Int64
-	q := newOutQueue(2, 0, 1)
+	q := newOutQueue(0, 1)
 	q.beginSync(0, 1)
 	a := fanoutAttrs(100)
+	// One big frame leaves the queue two routes short of the mark.
+	const base = fanoutHighWater - 2
+	filler := &broadcastFrame{skey: 1, upstream: 1, nlris: base}
+	filler.retain(1, &live)
+	q.putFrame(0, filler)
 	q.putFrame(0, queueFrame(&live, 1, ann("11.0.0.0/16", a)))
 	q.putFrame(0, queueFrame(&live, 1, ann("11.0.0.0/16", a))) // same prefix again: still a route queued
-	q.putFrame(0, queueFrame(&live, 1, ann("11.1.0.0/16", a))) // depth 3: over the soft limit
+	q.putFrame(0, queueFrame(&live, 1, ann("11.1.0.0/16", a))) // base+3: over the mark
 	q.putFrame(0, queueFrame(&live, 1, ann("11.2.0.0/16", a), wdr("11.3.0.0/16")))
 	frames, _, ctr, _ := q.take(nil, nil)
 	if ctr.backpressure != 2 {
-		t.Fatalf("backpressure = %d, want 2 (the enqueues that found depth 3 and 5 over limit 2)", ctr.backpressure)
+		t.Fatalf("backpressure = %d, want 2 (the enqueues that found depth 3 and 5 over the mark)", ctr.backpressure)
 	}
-	if ctr.highWater != 5 {
-		t.Fatalf("highWater = %d, want 5 routes", ctr.highWater)
+	if ctr.highWater != base+5 {
+		t.Fatalf("highWater = %d, want %d routes", ctr.highWater, base+5)
 	}
 	releaseAll(frames)
 	if q.depth() != 0 || live.Load() != 0 {

@@ -52,7 +52,11 @@ type broadcastFrame struct {
 	// a frame made for one (a joiner's snapshot, a shed remainder, a
 	// lone client) is counted private when flushed.
 	shared bool
-	refs   atomic.Int32
+	// snapshot marks a replay's chunk of the table: bounded by the table,
+	// not by the client's slowness, and the recovery from a shed (which
+	// shedding it would undo) — the queue cap neither counts nor sheds it.
+	snapshot bool
+	refs     atomic.Int32
 	// live is the owning server's count of frames some queue still
 	// references (debug accounting: it is back to zero once every queue
 	// has flushed or dropped what it held).
@@ -108,7 +112,7 @@ func newBroadcastFrame(skey, upstream uint32, pathID wire.PathID, entries []batc
 // chunk gathered under a RIB shard's read lock) in a frame. The group
 // NLRI slices are retained and must be owned by the frame from here on.
 func newSnapshotFrame(skey, upstream uint32, groups []wire.AttrGroup) *broadcastFrame {
-	f := &broadcastFrame{skey: skey, upstream: upstream, groups: groups}
+	f := &broadcastFrame{skey: skey, upstream: upstream, groups: groups, snapshot: true}
 	for _, g := range groups {
 		f.nlris += len(g.NLRIs)
 	}

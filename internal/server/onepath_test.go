@@ -7,6 +7,8 @@ package server
 
 import (
 	"fmt"
+	"maps"
+	"net"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -54,9 +56,14 @@ type frameRig struct {
 
 func newFrameRig(t testing.TB, mode muxproto.Mode, shards, upstreams int) *frameRig {
 	t.Helper()
+	return newFrameRigQuota(t, mode, shards, upstreams, QuotaConfig{})
+}
+
+func newFrameRigQuota(t testing.TB, mode muxproto.Mode, shards, upstreams int, quota QuotaConfig) *frameRig {
+	t.Helper()
 	r := &frameRig{srv: newCheckedServer(t, Config{
 		Site: "frames01", ASN: testbedASN, RouterID: addr("184.164.224.1"),
-		Mode: mode, Shards: shards,
+		Mode: mode, Shards: shards, Quota: quota,
 	})}
 	for i := 1; i <= upstreams; i++ {
 		u, err := r.srv.AddUpstream(UpstreamConfig{
@@ -143,10 +150,39 @@ func (rec *recorder) announced(upstream uint32) map[netip.Prefix]int {
 	return out
 }
 
+// heldConn is a client's end of its transport that keeps what the
+// client writes to itself until release. The server starts a client's
+// BGP sessions when it reads the provisioning ack, which Connect sends
+// before it returns; holding the ack back is what lets a test register
+// its recorder before any route can arrive.
+type heldConn struct {
+	net.Conn
+	mu       sync.Mutex
+	held     []byte
+	released bool
+}
+
+func (h *heldConn) Write(p []byte) (int, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.released {
+		return h.Conn.Write(p)
+	}
+	h.held = append(h.held, p...)
+	return len(p), nil
+}
+
+func (h *heldConn) release() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.released = true
+	_, err := h.Conn.Write(h.held)
+	return err
+}
+
 // join connects client number k (1-based) with a recorder registered
-// before any route can reach it (the BGP handshakes that precede the
-// replay only start once Connect has returned) and returns once the
-// server has replayed every upstream to it.
+// before any route can reach it (heldConn) and returns once the server
+// has replayed every upstream to it.
 func (r *frameRig) join(t *testing.T, k int) (*client.Client, *recorder) {
 	t.Helper()
 	id := fmt.Sprintf("exp%d", k)
@@ -161,22 +197,24 @@ func (r *frameRig) join(t *testing.T, k int) (*client.Client, *recorder) {
 	if err := r.srv.AcceptClient(id, ca); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.Connect(client.Config{Name: id, RouterID: tun}, cb)
+	held := &heldConn{Conn: cb}
+	cl, err := client.Connect(client.Config{Name: id, RouterID: tun}, held)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &recorder{}
 	cl.OnRoute(rec.onRoute)
 	t.Cleanup(func() { cl.Close() })
+	if err := held.release(); err != nil {
+		t.Fatal(err)
+	}
 	if err := cl.WaitEstablished(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Established on the client's side says nothing about the server's
 	// replay walk; until it has opened the sync gates, live frames are
 	// (rightly) dropped in favour of the snapshot.
-	r.srv.clMu.RLock()
-	c := r.srv.clients[id]
-	r.srv.clMu.RUnlock()
+	c := clientByID(r.srv, id)
 	waitFor(t, id+"'s sync gates to open", func() bool {
 		for i := range c.out.shards {
 			sh := &c.out.shards[i]
@@ -256,6 +294,44 @@ func TestBatchOfOneOrderAndFold(t *testing.T) {
 	}
 }
 
+// TestJoinLargerThanCap: a replay's own snapshot frames do not count
+// against the queue cap, so a healthy client joining a table far larger
+// than Quota.MaxQueueOps is sent it once — nothing shed, no resync —
+// and ends up with what a client of a capless mux holds.
+func TestJoinLargerThanCap(t *testing.T) {
+	const n = 2000
+	tables := make([]map[netip.Prefix]string, 2)
+	for k, quota := range []QuotaConfig{{MaxQueueOps: 64}, {MaxQueueOps: -1}} {
+		r := newFrameRigQuota(t, muxproto.ModeQuagga, 4, 1, quota)
+		for i := 0; i < n; i += 100 {
+			upd := &wire.Update{Attrs: medAttrs(3001, uint32(i))}
+			for j := i; j < i+100; j++ {
+				upd.Reach = append(upd.Reach, wire.NLRI{Prefix: prefix(fmt.Sprintf("96.%d.%d.0/24", j/256, j%256))})
+			}
+			r.feed(1, upd)
+		}
+		r.srv.ingest.barrier()
+		base := r.srv.Stats()
+		cl, _ := r.join(t, 1)
+		waitFor(t, "joiner holds the table", func() bool {
+			return cl.RouteCount(1) == n && r.srv.Stats().RoutesRelayedToClients == base.RoutesRelayedToClients+n
+		})
+		time.Sleep(20 * time.Millisecond) // a second copy would trail the first
+		st := r.srv.Stats()
+		if st.FanoutShed != base.FanoutShed || st.FanoutResyncs != base.FanoutResyncs {
+			t.Fatalf("quota %+v: joiner shed %d routes and resynced %d times, want 0 and 0",
+				quota, st.FanoutShed-base.FanoutShed, st.FanoutResyncs-base.FanoutResyncs)
+		}
+		if got := st.RoutesRelayedToClients - base.RoutesRelayedToClients; got != n {
+			t.Fatalf("quota %+v: %d routes relayed to the joiner, want exactly %d", quota, got, n)
+		}
+		tables[k] = tableOf(t, cl.Routes(1))
+	}
+	if !maps.Equal(tables[0], tables[1]) {
+		t.Fatalf("capped joiner's table (%d prefixes) differs from the capless mux's (%d)", len(tables[0]), len(tables[1]))
+	}
+}
+
 // TestJoinMidIngestExactlyOnce: clients attaching while single-NLRI
 // UPDATEs stream in get each route exactly once — from their replay
 // snapshot or from a live batch-of-one frame, never both — and a
@@ -316,12 +392,26 @@ func TestJoinMidIngestExactlyOnce(t *testing.T) {
 			}()
 			clients[3], recs[3] = r.join(t, 4)
 			<-swept
-			for k, cl := range clients {
-				waitFor(t, fmt.Sprintf("client %d holds the refreshed half", k+1), func() bool { return cl.RouteCount(1) == n/2 })
+			// The fourth client's count passes through n/2 on its way up
+			// (its replay carries shards the sweep has not reached yet), so
+			// the count alone does not say it has settled.
+			sweptLeft := func(cl *client.Client) netip.Prefix {
 				for _, rt := range cl.Routes(1) {
 					if i := int(rt.Prefix.Addr().As4()[1])*256 + int(rt.Prefix.Addr().As4()[2]); i%2 != 0 {
-						t.Fatalf("client %d still holds swept prefix %v", k+1, rt.Prefix)
+						return rt.Prefix
 					}
+				}
+				return netip.Prefix{}
+			}
+			for k, cl := range clients {
+				waitFor(t, fmt.Sprintf("client %d holds the refreshed half", k+1), func() bool {
+					return cl.RouteCount(1) == n/2 && !sweptLeft(cl).IsValid()
+				})
+			}
+			time.Sleep(20 * time.Millisecond) // a late frame would undo it
+			for k, cl := range clients {
+				if p := sweptLeft(cl); p.IsValid() || cl.RouteCount(1) != n/2 {
+					t.Fatalf("client %d holds %d routes, swept prefix %v among them", k+1, cl.RouteCount(1), p)
 				}
 			}
 			if got := u.RoutesIn(); got != n/2 {

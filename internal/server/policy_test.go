@@ -180,6 +180,7 @@ func TestPolicyReloadUnderChurn(t *testing.T) {
 		st := srv.Stats()
 		return st.PolicyAccepted+st.PolicyRejected == n
 	})
+	srv.ingest.barrier() // a verdict is counted before its route is installed
 	st := srv.Stats()
 	if table := adjInOf(t, u); uint64(len(table)) != st.PolicyAccepted {
 		t.Fatalf("Adj-RIB-In holds %d routes but %d were accepted: a verdict was dropped or double-applied",

@@ -3,27 +3,23 @@ package server
 // Per-client resource quotas and graceful shedding. The mux interposes
 // on everything a client does (§3); quotas make that interposition
 // bounded: a runaway client hits its max-prefix limit (warn →
-// dampen-new → teardown), a stalled client has its queued
-// announcements shed and replaced by a synchronous resync, and neither
-// ever degrades service for a healthy client. All containment actions are
-// counted on the peering_quota_* telemetry family.
+// dampen-new → teardown), a stalled client has its queued live
+// announcements shed and replaced by a replay of the tables, and neither
+// ever degrades service for a healthy client. All containment actions
+// are counted on the peering_quota_* telemetry family.
 
-import (
-	"math"
+import "math"
 
-	"peering/internal/wire"
-)
-
-// Default quota parameters, used where QuotaConfig fields are zero.
 const (
-	// DefaultQuotaWarnFraction of the max-prefix limit at which a
-	// client's first excursion is counted as a warning.
-	DefaultQuotaWarnFraction = 0.8
-	// DefaultMaxQueueOps hard-caps one client's fan-out queue, counted
-	// in routes. It is the queue's only bound — the queue is a FIFO of
-	// frames and folds nothing — and so bounds the memory a stalled
-	// client's worker can strand. Beyond it, announcements are shed and
-	// recovered by a full resync.
+	// quotaWarnFraction of the max-prefix limit is where a client's
+	// excursion is counted as a warning, once until it drops back.
+	quotaWarnFraction = 0.8
+	// DefaultMaxQueueOps caps the live routes one client's fan-out queue
+	// may hold (QuotaConfig.MaxQueueOps zero). It is the only bound on
+	// live traffic — the queue is a FIFO of frames and folds nothing —
+	// and so, with the one table a replay may add, bounds the memory a
+	// stalled client's worker can strand. Beyond it, live announcements
+	// are shed and recovered by a replay.
 	DefaultMaxQueueOps = 1 << 17
 )
 
@@ -35,18 +31,15 @@ type QuotaConfig struct {
 	// limit, enforced per client × upstream). Zero means unlimited.
 	// ClientAccount.MaxPrefixes overrides it per client.
 	MaxPrefixes int
-	// WarnFraction of the limit at which the warning tier fires (once
-	// per excursion above the line). Zero means
-	// DefaultQuotaWarnFraction.
-	WarnFraction float64
 	// TeardownAfter is how many announcements a client may have
 	// rejected over the limit before the teardown tier fires: its
 	// sessions end with Cease/max-prefixes-reached (RFC 4486) and its
 	// routes are withdrawn. Zero disables teardown — the client stays
 	// connected, capped at dampen-new.
 	TeardownAfter int
-	// MaxQueueOps hard-caps a client's fan-out queue depth in routes.
-	// Zero means DefaultMaxQueueOps; negative disables the cap.
+	// MaxQueueOps caps the live routes queued toward one client; a
+	// replay's snapshot frames are exempt (outQueue.putFrame). Zero
+	// means DefaultMaxQueueOps; negative disables the cap.
 	MaxQueueOps int
 }
 
@@ -71,12 +64,8 @@ func (s *Server) prefixLimit(c *clientConn) int {
 }
 
 // warnLine is the advert count at which the warning tier fires.
-func (s *Server) warnLine(limit int) int {
-	f := s.cfg.Quota.WarnFraction
-	if f <= 0 || f > 1 {
-		f = DefaultQuotaWarnFraction
-	}
-	return int(math.Ceil(float64(limit) * f))
+func warnLine(limit int) int {
+	return int(math.Ceil(float64(limit) * quotaWarnFraction))
 }
 
 // admitPrefixLocked admits or rejects one net-new announcement by client
@@ -95,7 +84,7 @@ func (s *Server) admitPrefixLocked(c *clientConn, u *Upstream) bool {
 		s.metrics.quotaRejected.Inc()
 		return false
 	}
-	if count+1 >= s.warnLine(limit) && !u.quotaWarned[id] {
+	if count+1 >= warnLine(limit) && !u.quotaWarned[id] {
 		u.quotaWarned[id] = true
 		s.metrics.quotaWarnings.Inc()
 	}
@@ -142,32 +131,16 @@ func (s *Server) tearDownClient(c *clientConn, subcode uint8) {
 	c.mux.Close()
 }
 
-// resyncClient rebuilds a laggard client's view after fan-out shedding:
-// the full Adj-RIB-In of every upstream is packed and sent down the
-// client's session(s) directly — not through the queue, whose cap is
-// what triggered the shed — so a table larger than the cap still
-// converges. Announcements only: withdrawals are never shed, so the
-// client's view is complete once the walk lands (re-announcing a route
-// the client already holds is an idempotent implicit update).
+// resyncClient rebuilds a laggard client's view after fan-out shedding
+// by replaying every upstream's table into its queue, the way a joiner
+// gets it; the cap that shed the live frames exempts the replay's, so a
+// table larger than the cap still converges. Announcements only:
+// withdrawals are never shed, and re-announcing a route the client holds
+// is an idempotent implicit update. The client's worker is the only
+// caller, between two drains, so at most one resync is ever queued.
 func (s *Server) resyncClient(c *clientConn) {
 	s.metrics.quotaResyncs.Inc()
 	for _, u := range s.Upstreams() {
-		skey, pathID := s.sessionKey(u)
-		sess := c.session(skey)
-		if sess == nil || !sess.Established() {
-			continue // the Established replay will rebuild the view instead
-		}
-		var groups []wire.AttrGroup
-		u.adjIn.WalkGrouped(func(attrs *wire.Attrs, nlris []wire.NLRI) {
-			for i := range nlris {
-				nlris[i].ID = pathID
-			}
-			groups = append(groups, wire.AttrGroup{Attrs: attrs, NLRIs: nlris})
-		})
-		for _, upd := range wire.PackGrouped(nil, groups, sess.Options()) {
-			if sess.Send(upd) != nil {
-				break // session died mid-resync; its replay recovers
-			}
-		}
+		s.enqueueReplay(c, u, false)
 	}
 }

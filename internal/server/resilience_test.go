@@ -53,14 +53,22 @@ func relaxedDampening() dampen.Config {
 	return cfg
 }
 
+// clientByID finds a connected client in the registry (nil if absent).
+func clientByID(s *Server, id string) *clientConn {
+	for _, c := range s.clientList() {
+		if c.account.ID == id {
+			return c
+		}
+	}
+	return nil
+}
+
 // clientSupFailures reads a client-session supervisor's consecutive
 // failure count. Non-zero means the session died AND its redial timer is
 // armed (both happen under one lock), so it is safe to Advance past the
 // backoff delay.
 func clientSupFailures(s *Server, id string, key uint32) int {
-	s.clMu.RLock()
-	c := s.clients[id]
-	s.clMu.RUnlock()
+	c := clientByID(s, id)
 	if c == nil {
 		return 0
 	}

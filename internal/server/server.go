@@ -71,12 +71,6 @@ type Config struct {
 	// Reconnect shapes supervised session redial backoff; zero value
 	// uses the bgp.Backoff defaults.
 	Reconnect bgp.Backoff
-	// FanoutHighWater is the per-client fan-out queue depth (routes
-	// queued) above which enqueues count as backpressure. The queue
-	// itself is bounded by Quota.MaxQueueOps (shed + resync); this
-	// threshold only tunes when a client is reported as slow. Zero
-	// means DefaultFanoutHighWater.
-	FanoutHighWater int
 	// Quota bounds per-client resource usage (max-prefix limits,
 	// fan-out queue caps); see QuotaConfig. The zero value applies no
 	// prefix limit and the default queue cap.
@@ -117,8 +111,8 @@ type Stats struct {
 	// client queue saw them (counted once, not per client).
 	FanoutCoalesced uint64
 	// FanoutBackpressure counts enqueues that found a client's queue
-	// above Config.FanoutHighWater (a slow client; upstream readers
-	// keep going regardless).
+	// above 32 768 routes (a slow client; upstream readers keep going
+	// regardless).
 	FanoutBackpressure uint64
 	// FanoutQueueHighWater is the deepest any client's queue has been.
 	FanoutQueueHighWater uint64
@@ -259,7 +253,7 @@ func (u *Upstream) delAdvertLocked(p netip.Prefix) {
 		if acct, ok := u.srv.accountOf(ad.owner); ok && acct.MaxPrefixes > 0 {
 			limit = acct.MaxPrefixes
 		}
-		if limit <= 0 || n < u.srv.warnLine(limit) {
+		if limit <= 0 || n < warnLine(limit) {
 			delete(u.quotaWarned, ad.owner)
 		}
 	}
@@ -371,12 +365,13 @@ func (c *clientConn) drainSupervisors() {
 
 // Server is a PEERING server instance.
 //
-// Lock hierarchy (DESIGN.md §12): the registry locks below are leaves —
-// code holding an Upstream.mu or clientConn.mu may take them, never the
-// reverse, and no code path holds two registry locks at once. All three
-// registries are read-mostly: the hot path (relay, vetting, stats) only
-// ever read-locks them, so concurrent upstream readers stop serializing
-// on client admission and bookkeeping.
+// Lock hierarchy (DESIGN.md §12): the registry locks below — upMu,
+// clMu, acctMu, timerMu, archMu — are leaves: code holding an
+// Upstream.mu or clientConn.mu may take them, never the reverse, and no
+// code path holds two of them at once. The registries are read-mostly:
+// the hot path (relay, vetting, stats) read-locks upMu and acctMu and
+// takes no lock at all for the client list, so concurrent upstream
+// readers never serialize on client admission and bookkeeping.
 type Server struct {
 	cfg     Config
 	damper  *dampen.Damper
@@ -399,13 +394,12 @@ type Server struct {
 	upMu      sync.RWMutex
 	upstreams map[uint32]*Upstream
 
-	clMu    sync.RWMutex
-	clients map[string]*clientConn
-	// clientSnap is a copy-on-write snapshot of clients, rebuilt under
-	// clMu on every membership change and read lock-free by the ingest
-	// workers (once per relayed update — a fresh slice there would be
-	// the hot path's dominant allocation).
-	clientSnap atomic.Pointer[[]*clientConn]
+	// clients is the registry of connected clients, one per account ID:
+	// a copy-on-write slice, swapped under clMu on every membership
+	// change and read lock-free by the ingest workers — once per relayed
+	// update, where a fresh slice would dominate the hot path's allocation.
+	clMu    sync.Mutex
+	clients atomic.Pointer[[]*clientConn]
 
 	acctMu   sync.RWMutex
 	accounts map[string]ClientAccount
@@ -460,12 +454,11 @@ func New(cfg Config) *Server {
 		intern:        wire.NewInternTable(),
 		shards:        rib.ShardCount(cfg.Shards),
 		upstreams:     make(map[uint32]*Upstream),
-		clients:       make(map[string]*clientConn),
 		accounts:      make(map[string]ClientAccount),
 		alloc:         trie.New[string](),
 		restartTimers: make(map[string]clock.Timer),
 	}
-	s.clientSnap.Store(&[]*clientConn{})
+	s.clients.Store(&[]*clientConn{})
 	s.ingest = newIngestPool(s, s.shards)
 	s.metrics = newServerMetrics(reg, s)
 	s.damper.Instrument(reg)
@@ -747,16 +740,20 @@ func (s *Server) handleUpstreamDown(u *Upstream, err error) {
 	// outlive the peering it was guarding: after a clean teardown the
 	// Adj-RIB-In is empty, and a late firing would wrongly disarm a
 	// future window. After Close nobody is left to stop a new one.
+	s.setStaleTimerLocked(u, retain && !s.closed.Load())
+	u.mu.Unlock()
+}
+
+// setStaleTimerLocked stops u's restart-window backstop and, with arm
+// set, starts a fresh one. Callers hold u.mu.
+func (s *Server) setStaleTimerLocked(u *Upstream, arm bool) {
 	if u.staleTimer != nil {
 		u.staleTimer.Stop()
 		u.staleTimer = nil
 	}
-	if retain && !s.closed.Load() {
-		u.staleTimer = s.clk.AfterFunc(s.cfg.RestartWindow, func() {
-			s.flushUpstreamStale(u)
-		})
+	if arm {
+		u.staleTimer = s.clk.AfterFunc(s.cfg.RestartWindow, func() { s.flushUpstreamStale(u) })
 	}
-	u.mu.Unlock()
 }
 
 // flushUpstreamStale withdraws from clients every adjIn route still
@@ -769,10 +766,7 @@ func (s *Server) flushUpstreamStale(u *Upstream) {
 	s.ingest.barrier()
 	swept := s.sweepUpstream(u, (*rib.AdjRIB).SweepStale)
 	u.mu.Lock()
-	if u.staleTimer != nil {
-		u.staleTimer.Stop()
-		u.staleTimer = nil
-	}
+	s.setStaleTimerLocked(u, false)
 	u.mu.Unlock()
 	if swept > 0 {
 		s.metrics.staleFlushed.Add(uint64(swept))
@@ -811,18 +805,33 @@ func (s *Server) sweepUpstream(u *Upstream, take func(*rib.AdjRIB) []*rib.Route)
 	return total
 }
 
-// clientList returns the copy-on-write snapshot of connected clients.
-// The returned slice is shared and must not be mutated.
-func (s *Server) clientList() []*clientConn { return *s.clientSnap.Load() }
+// clientList returns the connected clients. The returned slice is
+// shared and must not be mutated.
+func (s *Server) clientList() []*clientConn { return *s.clients.Load() }
 
-// refreshClientSnapLocked rebuilds the copy-on-write client snapshot.
-// Callers hold clMu.
-func (s *Server) refreshClientSnapLocked() {
-	clients := make([]*clientConn, 0, len(s.clients))
-	for _, c := range s.clients {
-		clients = append(clients, c)
+// swapClient makes c the registry's entry for account id (nil: no
+// entry) and returns the entry it displaced. With only set, nothing
+// changes unless the current entry is exactly that connection.
+func (s *Server) swapClient(id string, c, only *clientConn) (old *clientConn) {
+	s.clMu.Lock()
+	defer s.clMu.Unlock()
+	cur := s.clientList()
+	next := make([]*clientConn, 0, len(cur)+1)
+	for _, x := range cur {
+		if x.account.ID == id {
+			old = x
+		} else {
+			next = append(next, x)
+		}
 	}
-	s.clientSnap.Store(&clients)
+	if only != nil && old != only {
+		return nil
+	}
+	if c != nil {
+		next = append(next, c)
+	}
+	s.clients.Store(&next)
+	return old
 }
 
 // ---------------------------------------------------------------------
@@ -895,11 +904,7 @@ func (s *Server) AcceptClient(id string, conn net.Conn) error {
 	if !ok {
 		return fmt.Errorf("server: unknown client %q (experiments must be vetted first)", id)
 	}
-	s.clMu.Lock()
-	old := s.clients[id]
-	delete(s.clients, id)
-	s.refreshClientSnapLocked()
-	s.clMu.Unlock()
+	old := s.swapClient(id, nil, nil)
 	upstreams := s.Upstreams()
 	if old != nil {
 		old.stopSupervisors()
@@ -908,13 +913,9 @@ func (s *Server) AcceptClient(id string, conn net.Conn) error {
 	}
 
 	c := &clientConn{account: acct, sups: make(map[uint32]*bgp.Supervisor)}
-	c.out = newOutQueue(s.cfg.FanoutHighWater, s.cfg.Quota.maxQueueOps(), s.shards)
+	c.out = newOutQueue(s.cfg.Quota.maxQueueOps(), s.shards)
 	c.mux = tunnel.NewMux(conn, nil)
-
-	s.clMu.Lock()
-	s.clients[id] = c
-	s.refreshClientSnapLocked()
-	s.clMu.Unlock()
+	s.swapClient(id, c, nil)
 
 	// The fan-out worker drains c.out for the life of the transport.
 	go s.runFanout(c)
@@ -1021,16 +1022,12 @@ func (s *Server) clientHandshake(c *clientConn, upstreams []*Upstream) {
 }
 
 // ClientCount reports connected clients.
-func (s *Server) ClientCount() int {
-	s.clMu.RLock()
-	defer s.clMu.RUnlock()
-	return len(s.clients)
-}
+func (s *Server) ClientCount() int { return len(s.clientList()) }
 
 // QueueDepths reports each connected client's fan-out queue depth
 // (routes plus end-of-RIB markers not yet flushed) — the live
-// backpressure view behind GET /stats. Stats pollers hold only the
-// read lock, so they never stall client admission or the relay path.
+// backpressure view behind GET /stats. It reads atomics only, so stats
+// pollers never stall client admission or the relay path.
 func (s *Server) QueueDepths() map[string]int {
 	out := make(map[string]int)
 	for _, c := range s.clientList() {
@@ -1048,14 +1045,9 @@ func (s *Server) QueueDepths() map[string]int {
 // left to retain.
 func (s *Server) detachClient(c *clientConn) {
 	id := c.account.ID
-	s.clMu.Lock()
-	if s.clients[id] != c {
-		s.clMu.Unlock()
+	if s.swapClient(id, nil, c) != c {
 		return // superseded by a newer connection, or already detached
 	}
-	delete(s.clients, id)
-	s.refreshClientSnapLocked()
-	s.clMu.Unlock()
 	c.drainSupervisors()
 	s.markClientStale(id, nil)
 }
@@ -1196,10 +1188,7 @@ func (s *Server) Close() {
 		u.mu.Lock()
 		sup := u.sup
 		sess := u.sess
-		if u.staleTimer != nil {
-			u.staleTimer.Stop()
-			u.staleTimer = nil
-		}
+		s.setStaleTimerLocked(u, false)
 		u.mu.Unlock()
 		if sup != nil {
 			sup.Stop()

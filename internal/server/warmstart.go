@@ -3,10 +3,12 @@ package server
 // Server-side MRT archival and warm restart. With an archive attached,
 // every UPDATE an upstream sends is appended as a BGP4MP_ET record and
 // each segment seal dumps a TABLE_DUMP_V2 snapshot of all Adj-RIB-Ins.
-// After a crash, WarmRestore reads the newest snapshot plus the update
-// tail back into the Adj-RIB-Ins before the real sessions return, so
-// reconnecting clients converge from disk immediately. Everything
-// restored is marked stale under RFC 4724 semantics: the recovered
+// After a crash, WarmRestore feeds the newest snapshot plus the update
+// tail through the ingest pool — the one writer of an Adj-RIB-In, so
+// what comes off disk is vetted by the loaded safety filter like any
+// live UPDATE — before the real sessions return, and reconnecting
+// clients converge from disk immediately. Everything restored is
+// marked stale under RFC 4724 semantics: the recovered
 // peer's replay refreshes what still exists, and End-of-RIB (or the
 // restart window) sweeps the routes the world dropped while the server
 // was dead — no full re-announce, only the diff.
@@ -19,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"peering/internal/bgp"
 	"peering/internal/mrt"
@@ -189,9 +190,9 @@ type WarmRestoreStats struct {
 	// Snapshot is the rib-*.mrt file the restore seeded from ("" when
 	// the directory held none).
 	Snapshot string
-	// SnapshotRoutes counts routes loaded from the snapshot;
-	// TailSegments and TailUpdates count the updates-*.mrt segments and
-	// the UPDATEs replayed on top of it.
+	// SnapshotRoutes counts routes read from the snapshot; TailSegments
+	// and TailUpdates count the updates-*.mrt segments and the UPDATEs
+	// replayed on top of it — all offered to the safety filter first.
 	SnapshotRoutes int
 	TailSegments   int
 	TailUpdates    int
@@ -209,10 +210,12 @@ type WarmRestoreStats struct {
 // the lexically newest rib-*.mrt snapshot seeds the tables, the
 // updates-*.mrt segments stamped at or after it replay the tail, and
 // everything restored is marked stale with the restart window armed
-// (RFC 4724). Call after AddUpstream but before attaching live
-// upstream sessions: snapshot entries are matched to upstreams by peer
-// address. A truncated tail — the expected shape after kill -9 — ends
-// that segment's replay without error.
+// (RFC 4724). Call after AddUpstream (and LoadPolicy: the archive holds
+// what the peers sent, not what the filter let through, so the restore
+// re-vets every route under the rules in force now) but before
+// attaching live upstream sessions: snapshot entries are matched to
+// upstreams by peer address. A truncated tail — the expected shape
+// after kill -9 — ends that segment's replay without error.
 func (s *Server) WarmRestore(dir string) (WarmRestoreStats, error) {
 	var st WarmRestoreStats
 	entries, err := os.ReadDir(dir)
@@ -257,20 +260,17 @@ func (s *Server) WarmRestore(dir string) (WarmRestoreStats, error) {
 		s.replayTailSegment(filepath.Join(dir, name), byAddr, &st)
 	}
 
-	// RFC 4724: everything restored is a guess about the present. Mark
-	// it stale and arm the restart window; the live peer's replay
-	// refreshes survivors and End-of-RIB sweeps the rest.
+	// RFC 4724: everything restored is a guess about the present. Once
+	// the workers have installed it all, mark it stale and arm the
+	// restart window; the live peer's replay refreshes survivors and
+	// End-of-RIB sweeps the rest.
+	s.ingest.barrier()
 	for _, u := range s.Upstreams() {
 		n := u.adjIn.MarkAllStale()
 		st.Restored += u.adjIn.Len()
 		if n > 0 {
 			u.mu.Lock()
-			if u.staleTimer != nil {
-				u.staleTimer.Stop()
-			}
-			u.staleTimer = s.clk.AfterFunc(s.cfg.RestartWindow, func() {
-				s.flushUpstreamStale(u)
-			})
+			s.setStaleTimerLocked(u, true)
 			u.mu.Unlock()
 			s.metrics.staleRetained.Add(uint64(n))
 		}
@@ -278,9 +278,9 @@ func (s *Server) WarmRestore(dir string) (WarmRestoreStats, error) {
 	return st, nil
 }
 
-// restoreSnapshot loads one TABLE_DUMP_V2 snapshot into the Adj-RIB-Ins
-// of the upstreams its peer table matches. A truncated snapshot (crash
-// mid-dump) keeps what was readable.
+// restoreSnapshot dispatches one TABLE_DUMP_V2 snapshot, an
+// announcement per RIB entry, to the upstreams its peer table matches.
+// A truncated snapshot (crash mid-dump) keeps what was readable.
 func (s *Server) restoreSnapshot(path string, byAddr map[netip.Addr]*Upstream, st *WarmRestoreStats) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -298,14 +298,6 @@ func (s *Server) restoreSnapshot(path string, byAddr map[netip.Addr]*Upstream, s
 	pi, err := mrt.ParsePeerIndex(head)
 	if err != nil {
 		return fmt.Errorf("server: warm restore: snapshot %s: %w", path, err)
-	}
-	byIdx := make([]*Upstream, len(pi.Peers))
-	peerAS := make([]uint32, len(pi.Peers))
-	peerBGPID := make([]netip.Addr, len(pi.Peers))
-	for i, p := range pi.Peers {
-		byIdx[i] = byAddr[p.Addr]
-		peerAS[i] = p.AS
-		peerBGPID[i] = p.BGPID
 	}
 	for {
 		rec, err := r.Next()
@@ -325,34 +317,29 @@ func (s *Server) restoreSnapshot(path string, byAddr map[netip.Addr]*Upstream, s
 			continue
 		}
 		for _, e := range rr.Entries {
-			if int(e.PeerIndex) >= len(byIdx) || byIdx[e.PeerIndex] == nil {
+			if int(e.PeerIndex) >= len(pi.Peers) || byAddr[pi.Peers[e.PeerIndex].Addr] == nil {
 				st.Skipped++
 				continue
 			}
-			u := byIdx[e.PeerIndex]
-			u.adjIn.Set(&rib.Route{
-				Prefix:  rr.Prefix,
-				Attrs:   e.Attrs,
-				Src:     rib.PeerKey{Addr: u.cfg.PeerAddr, PathID: e.PathID},
-				PeerAS:  peerAS[e.PeerIndex],
-				PeerID:  peerBGPID[e.PeerIndex],
-				EBGP:    true,
-				Learned: e.Originated,
-			})
+			peer := pi.Peers[e.PeerIndex]
+			s.ingest.dispatch(byAddr[peer.Addr], peer.AS, peer.BGPID, []*wire.Update{{
+				Attrs: s.intern.Intern(e.Attrs),
+				Reach: []wire.NLRI{{Prefix: rr.Prefix}},
+			}})
 			st.SnapshotRoutes++
 		}
 	}
 	return nil
 }
 
-// replayTailSegment applies one updates-*.mrt segment to the
-// Adj-RIB-Ins, newest state winning. Decoded updates arrive in batched
-// runs (mrt.ReplayBatched) and each run is applied with one write-lock
-// pass per touched shard, so restoring a million-route tail is a few
-// thousand lock round-trips instead of one per route. Malformed
-// records are skipped (the MRT length field keeps the stream aligned);
-// truncation — the live segment the crashed process never sealed —
-// ends the replay with everything before it already applied.
+// replayTailSegment dispatches one updates-*.mrt segment in archive
+// order, so the newest state wins. Decoded updates arrive in batched
+// runs (mrt.ReplayBatched); each stretch of one peer's consecutive
+// updates is one dispatch — one op per touched shard, like a batched
+// session read. Malformed records are skipped (the MRT length field
+// keeps the stream aligned); truncation — the live segment the crashed
+// process never sealed — ends the replay with everything before it
+// already dispatched.
 func (s *Server) replayTailSegment(path string, byAddr map[netip.Addr]*Upstream, st *WarmRestoreStats) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -366,79 +353,22 @@ func (s *Server) replayTailSegment(path string, byAddr map[netip.Addr]*Upstream,
 	}
 	rst, _ := mrt.ReplayBatched(r, mrt.ReplayConfig{Metrics: met, Intern: s.intern}, 0,
 		func(ms []*mrt.BGP4MP, upds []*wire.Update) error {
-			s.applyTailBatch(byAddr, ms, upds, st)
+			for i := 0; i < len(upds); {
+				m, j := ms[i], i+1
+				for j < len(upds) && ms[j].PeerIP == m.PeerIP && ms[j].PeerAS == m.PeerAS {
+					j++
+				}
+				if u := byAddr[m.PeerIP]; u != nil {
+					s.ingest.dispatch(u, m.PeerAS, netip.Addr{}, upds[i:j])
+					st.TailUpdates += j - i
+				} else {
+					st.Skipped += j - i
+				}
+				i = j
+			}
 			return nil
 		})
 	st.Skipped += rst.Skipped
-}
-
-// tailOp is one route mutation from an archived tail update: set when
-// attrs is non-nil, remove otherwise.
-type tailOp struct {
-	nlri    wire.NLRI
-	attrs   *wire.Attrs
-	peerAS  uint32
-	learned time.Time
-}
-
-// applyTailBatch replays one batched run of archived updates into the
-// Adj-RIB-Ins. Ops are bucketed per (upstream, shard) in arrival order
-// — a prefix always hashes to the same shard, so per-prefix ordering
-// (and therefore newest-state-wins) survives the regrouping — and each
-// bucket applies under a single shard write lock.
-func (s *Server) applyTailBatch(byAddr map[netip.Addr]*Upstream, ms []*mrt.BGP4MP, upds []*wire.Update, st *WarmRestoreStats) {
-	type bucket struct {
-		u   *Upstream
-		ops map[int][]tailOp
-	}
-	buckets := make(map[*Upstream]*bucket)
-	for i, upd := range upds {
-		m := ms[i]
-		u := byAddr[m.PeerIP]
-		if u == nil {
-			st.Skipped++
-			continue
-		}
-		b := buckets[u]
-		if b == nil {
-			b = &bucket{u: u, ops: make(map[int][]tailOp)}
-			buckets[u] = b
-		}
-		for _, n := range upd.Withdrawn {
-			si := u.adjIn.ShardOf(n.Prefix)
-			b.ops[si] = append(b.ops[si], tailOp{nlri: n})
-		}
-		if upd.Attrs != nil {
-			for _, n := range upd.Reach {
-				si := u.adjIn.ShardOf(n.Prefix)
-				b.ops[si] = append(b.ops[si], tailOp{
-					nlri: n, attrs: upd.Attrs, peerAS: m.PeerAS, learned: m.Time,
-				})
-			}
-		}
-		st.TailUpdates++
-	}
-	for _, b := range buckets {
-		u := b.u
-		for si, ops := range b.ops {
-			u.adjIn.Update(si, func(t *rib.AdjRIB) {
-				for _, op := range ops {
-					if op.attrs == nil {
-						t.Remove(op.nlri.Prefix, op.nlri.ID)
-						continue
-					}
-					t.Set(&rib.Route{
-						Prefix:  op.nlri.Prefix,
-						Attrs:   op.attrs,
-						Src:     rib.PeerKey{Addr: u.cfg.PeerAddr, PathID: op.nlri.ID},
-						PeerAS:  op.peerAS,
-						EBGP:    true,
-						Learned: op.learned,
-					})
-				}
-			})
-		}
-	}
 }
 
 // segmentStamp extracts the UTC timestamp token of an archive file name
