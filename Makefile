@@ -58,10 +58,12 @@ race:
 # kill/warm-restart cycles — deterministic on the virtual clock, so
 # -race and -count=2 cost seconds, not flake. The federation scenarios
 # (DESIGN.md §14) add backhaul partitions and remote-peering L2 flaps
-# across a three-mux mesh.
+# across a three-mux mesh. The timeout is what turns a stopped virtual
+# clock (a write made from a timer callback, DESIGN.md §9 "Who writes")
+# into a goroutine dump after two minutes instead of the default ten.
 chaos:
-	$(GO) test ./internal/server/ -race -run '^TestChaos' -count=2 -v
-	$(GO) test ./internal/federation/ -race -run '^TestChaos' -count=2 -v
+	$(GO) test ./internal/server/ -race -run '^TestChaos' -count=2 -v -timeout 120s
+	$(GO) test ./internal/federation/ -race -run '^TestChaos' -count=2 -v -timeout 120s
 
 # Fan-out pipeline benchmarks. The acceptance tests measure UPDATE
 # messages spent relaying a 1000-route table to 8 clients
@@ -141,7 +143,7 @@ docs: vet
 # grows past the committed ceiling: code added there has to pay for
 # itself by deleting something, or raise the figure in the same change
 # and say why.
-SERVER_LINES_MAX = 3449
+SERVER_LINES_MAX = 3448
 lines:
 	@n=$$(cat $$(ls internal/server/*.go | grep -v _test.go) | wc -l); \
 	echo "internal/server: $$n non-test lines (ceiling $(SERVER_LINES_MAX))"; \

@@ -10,6 +10,12 @@
 // client's perspective, it essentially has direct connections to the
 // upstream and peer ASes").
 //
+// A session's one goroutine, Run's, reads. Nothing queues on the write
+// side: whoever has a message — Send, SendEncoded, the keepalive tick,
+// a NOTIFICATION on the way out — writes it to the transport, whole,
+// under one write mutex, so Send blocks while the transport does and
+// what was handed to it is the caller's again when it returns.
+//
 // Sessions and supervisors are instrumented through a shared, optional
 // Metrics instance (Config.Metrics): message counts by type, a live
 // per-FSM-state session gauge, and redial/recovery counters, all on
@@ -116,12 +122,15 @@ type Config struct {
 
 // Handler receives session events. Calls are serialized per session.
 type Handler interface {
-	// Established fires when the session reaches Established.
+	// Established fires when the session reaches Established, on Run's
+	// goroutine before its first read: two peers that each send more
+	// from here than the transport buffers stall each other.
 	Established(*Session)
 	// UpdateReceived fires for each inbound UPDATE.
 	UpdateReceived(*Session, *wire.Update)
 	// Closed fires exactly once when the session ends; err is nil on
-	// clean shutdown.
+	// clean shutdown. It never runs on a goroutine that is inside Send
+	// or SendEncoded, so it may take locks that senders hold.
 	Closed(*Session, error)
 }
 
@@ -186,7 +195,6 @@ type Session struct {
 	opts      wire.Options
 	closeErr  error
 	closed    bool
-	sendQ     chan sendItem
 	done      chan struct{}
 	holdTimer clock.Timer
 	kaTimer   clock.Timer
@@ -194,6 +202,12 @@ type Session struct {
 	// measure of how many messages actually hit the wire. A standalone
 	// telemetry counter: lock-free, readable without s.mu.
 	sent telemetry.Counter
+
+	// wmu makes each write to conn whole messages: a leaf lock, held
+	// only across conn.Write. notified, under it, is set by a
+	// NOTIFICATION; nothing follows one.
+	wmu      sync.Mutex
+	notified bool
 }
 
 // New wraps conn in a session. Call Run (usually in a goroutine) to
@@ -216,7 +230,6 @@ func New(conn net.Conn, cfg Config, h Handler) *Session {
 		handler: h,
 		clk:     clk,
 		state:   StateOpenSent,
-		sendQ:   make(chan sendItem, 256),
 		done:    make(chan struct{}),
 	}
 }
@@ -229,10 +242,13 @@ func (s *Session) State() State {
 }
 
 // Established reports whether the session is currently Established.
-func (s *Session) Established() bool {
+func (s *Session) Established() bool { _, ok := s.established(); return ok }
+
+// established is Established along with the negotiated codec options.
+func (s *Session) established() (wire.Options, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state == StateEstablished && !s.closed
+	return s.opts, s.state == StateEstablished && !s.closed
 }
 
 // SentUpdates reports how many UPDATE messages Send has accepted over
@@ -284,11 +300,8 @@ func (s *Session) Run() error {
 	// (or a partitioned transport) would otherwise pin this goroutine
 	// forever and stall any supervisor redialing through it.
 	hsTimer := s.clk.AfterFunc(s.cfg.HoldTime, func() {
-		s.mu.Lock()
-		pending := s.state != StateEstablished && !s.closed
-		s.mu.Unlock()
-		if pending {
-			s.abort(errors.New("bgp: handshake timed out"))
+		if !s.Established() {
+			s.shutdown(errors.New("bgp: handshake timed out"))
 		}
 	})
 	err := s.handshake()
@@ -297,7 +310,6 @@ func (s *Session) Run() error {
 		s.shutdown(err)
 		return err
 	}
-	go s.writer()
 	s.handler.Established(s)
 	err = s.reader()
 	s.shutdown(err)
@@ -381,22 +393,23 @@ func (s *Session) handshake() error {
 	return nil
 }
 
-// startTimers arms the hold timer and keepalive generator.
+// startTimers arms the hold timer and keepalive generator. Neither
+// callback writes to the transport: a virtual clock runs callbacks
+// inside Advance, and a write that waits on that clock (faultconn's
+// latency) would stop time from inside one.
 func (s *Session) startTimers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.holdTime <= 0 {
 		return // hold time 0: no keepalives (RFC 4271 §4.2)
 	}
-	s.holdTimer = s.clk.AfterFunc(s.holdTime, func() {
-		ne := wire.NotifError(wire.CodeHoldTimerExpired, 0, nil)
-		s.enqueue(ne.Notification())
-		s.abort(errors.New("bgp: hold timer expired"))
-	})
+	// The write lock is tried here, in the callback, so that a keepalive
+	// tick due at the same instant queues behind the NOTIFICATION.
+	s.holdTimer = s.clk.AfterFunc(s.holdTime, func() { go s.holdExpired(s.wmu.TryLock()) })
 	ka := s.holdTime / 3
 	var tick func()
 	tick = func() {
-		s.enqueue(&wire.Keepalive{})
+		go func() { s.wrote(s.writeMsg(&wire.Keepalive{}, wire.DefaultOptions)) }()
 		s.mu.Lock()
 		if !s.closed {
 			s.kaTimer = s.clk.AfterFunc(ka, tick)
@@ -415,143 +428,102 @@ func (s *Session) resetHold() {
 	}
 }
 
-// sendItem is one entry on the send queue: either a message to encode,
-// or a pre-encoded frame of `updates` UPDATE messages to write as-is.
-type sendItem struct {
-	m       wire.Message
-	frame   *bufpool.Frame
-	updates int
+// holdExpired ends a session whose peer went silent, the NOTIFICATION
+// of RFC 4271 §6.5 on the wire before the transport closes. That is a
+// courtesy and was only tried for (locked): a sender wedged in
+// conn.Write holds wmu, and closing the transport is what frees it. If
+// the courtesy is what wedges, the re-armed timer finds wmu taken.
+func (s *Session) holdExpired(locked bool) {
+	if locked {
+		s.resetHold()
+		ne := wire.NotifError(wire.CodeHoldTimerExpired, 0, nil)
+		s.writeLocked(ne.Notification(), wire.DefaultOptions)
+		s.wmu.Unlock()
+	}
+	s.shutdown(errors.New("bgp: hold timer expired"))
 }
 
-// Send queues an UPDATE for transmission. It returns an error if the
-// session is not Established.
+// errDown is what a send reports when the session is not Established.
+func (s *Session) errDown() error {
+	return fmt.Errorf("bgp: session %s not established (state %v)", s.cfg.Describe, s.State())
+}
+
+// Send writes an UPDATE to the transport, blocking while the transport
+// does; u is the caller's again when it returns. It returns an error if
+// the session is not Established or the write fails.
 func (s *Session) Send(u *wire.Update) error {
-	s.mu.Lock()
-	if s.state != StateEstablished || s.closed {
-		st := s.state
-		s.mu.Unlock()
-		return fmt.Errorf("bgp: session %s not established (state %v)", s.cfg.Describe, st)
+	opts, ok := s.established()
+	if !ok {
+		return s.errDown()
 	}
-	s.mu.Unlock()
 	s.sent.Inc()
-	s.enqueue(u)
-	return nil
+	return s.wrote(s.writeMsg(u, opts))
 }
 
-// SendEncoded queues a pre-encoded run of UPDATE messages — the shared
-// fan-out frames every in-sync client references — for transmission in
-// one write. The frame must already be encoded under this session's
-// negotiated Options (the caller checks; see Options) and must carry a
-// reference for this session: the session releases it after the write,
-// or immediately if the session is not Established or is shutting
-// down. updates is the UPDATE count inside the frame, counted on the
-// same instruments per-message sends use.
-func (s *Session) SendEncoded(f *bufpool.Frame, updates int) error {
-	s.mu.Lock()
-	if s.state != StateEstablished || s.closed {
-		st := s.state
-		s.mu.Unlock()
-		f.Release()
-		return fmt.Errorf("bgp: session %s not established (state %v)", s.cfg.Describe, st)
+// SendEncoded writes a pre-encoded run of UPDATE messages — the shared
+// fan-out frames every in-sync client references — in one write, on
+// Send's terms. b must be encoded under this session's negotiated
+// Options (the caller checks) and is only read; updates is the UPDATE
+// count inside it, counted on the instruments per-message sends use.
+func (s *Session) SendEncoded(b []byte, updates int) error {
+	if !s.Established() {
+		return s.errDown()
 	}
-	s.mu.Unlock()
 	s.sent.Add(uint64(updates))
-	select {
-	case s.sendQ <- sendItem{frame: f, updates: updates}:
-		// The writer drains the queue once on its way out; a frame that
-		// slipped in behind that drain is released here, so a reference
-		// handed to a session is always given back.
-		select {
-		case <-s.done:
-			s.releaseQueuedFrames()
-		default:
-		}
-	case <-s.done:
-		f.Release()
-	}
-	return nil
-}
-
-// enqueue places a message on the send queue, dropping it if the session
-// is closing (the writer drains until close).
-func (s *Session) enqueue(m wire.Message) {
-	select {
-	case s.sendQ <- sendItem{m: m}:
-	case <-s.done:
-	}
-}
-
-func (s *Session) writer() {
-	for {
-		select {
-		case it := <-s.sendQ:
-			if it.frame != nil {
-				if err := s.writeFrame(it); err != nil {
-					s.abort(fmt.Errorf("bgp: write: %w", err))
-					s.releaseQueuedFrames()
-					return
-				}
-				continue
-			}
-			s.mu.Lock()
-			opts := s.opts
-			s.mu.Unlock()
-			if err := s.writeMsg(it.m, opts); err != nil {
-				s.abort(fmt.Errorf("bgp: write: %w", err))
-				s.releaseQueuedFrames()
-				return
-			}
-			if n, ok := it.m.(*wire.Notification); ok {
-				s.abort(fmt.Errorf("bgp: sent %v", n))
-				s.releaseQueuedFrames()
-				return
-			}
-		case <-s.done:
-			s.releaseQueuedFrames()
-			return
-		}
-	}
-}
-
-// writeFrame writes one pre-encoded frame and releases the session's
-// reference to it.
-func (s *Session) writeFrame(it sendItem) error {
-	_, err := s.conn.Write(it.frame.Bytes())
+	s.wmu.Lock()
+	err := s.put(b, false)
+	s.wmu.Unlock()
 	if err == nil {
-		s.cfg.Metrics.msgOutUpdates(it.updates)
+		s.cfg.Metrics.msgOutUpdates(updates)
 	}
-	it.frame.Release()
+	return s.wrote(err)
+}
+
+// errClosing refuses a write behind a NOTIFICATION. Whoever wrote that
+// is closing the session, for a reason of its own.
+var errClosing = errors.New("bgp: session closing")
+
+// wrote passes a sender's write error through. A failed write ends the
+// session, but never on the sender's goroutine: senders hold locks that
+// Closed handlers take.
+func (s *Session) wrote(err error) error {
+	if err != nil && err != errClosing {
+		go s.shutdown(fmt.Errorf("bgp: write: %w", err))
+	}
 	return err
 }
 
-// releaseQueuedFrames drops the references held by frames still queued
-// when the writer exits, so their buffers can be recycled. SendEncoded
-// calls it again for a frame enqueued behind the writer's own drain.
-func (s *Session) releaseQueuedFrames() {
-	for {
-		select {
-		case it := <-s.sendQ:
-			if it.frame != nil {
-				it.frame.Release()
-			}
-		default:
-			return
-		}
+// put is the session's one conn.Write: b, whole messages, goes to the
+// transport under wmu (the caller holds it), so nothing lands inside
+// another message, and nothing lands behind a NOTIFICATION (last).
+func (s *Session) put(b []byte, last bool) error {
+	if s.notified {
+		return errClosing
 	}
+	s.notified = last
+	_, err := s.conn.Write(b)
+	return err
 }
 
+// writeMsg encodes m and writes it, waiting its turn on the transport.
 func (s *Session) writeMsg(m wire.Message, opts wire.Options) error {
-	// Encode into a pooled buffer: every transport below (bufconn,
-	// tunnel streams, faultconn) either copies the bytes or completes the
-	// write before returning, so the buffer is reusable as soon as
-	// conn.Write returns.
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.writeLocked(m, opts)
+}
+
+// writeLocked is writeMsg for a caller that holds wmu. It encodes into
+// a pooled buffer: every transport (bufconn, tunnel streams, faultconn)
+// copies the bytes or completes the write before conn.Write returns.
+func (s *Session) writeLocked(m wire.Message, opts wire.Options) error {
 	buf := bufpool.Get(0)
 	b, err := wire.AppendMessage(buf[:0], m, opts)
 	if err != nil {
 		bufpool.Put(buf)
 		return err
 	}
-	if _, err = s.conn.Write(b); err == nil {
+	_, last := m.(*wire.Notification)
+	if err = s.put(b, last); err == nil {
 		s.cfg.Metrics.msgOut(m)
 	}
 	bufpool.Put(b)
@@ -579,18 +551,15 @@ func (s *Session) reader() error {
 		}
 	}
 	for {
-		s.mu.Lock()
-		opts := s.opts
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
+		opts, ok := s.established()
+		if !ok {
 			flush()
 			return nil
 		}
 		msg, err := wire.ReadMessage(s.conn, opts)
 		if err != nil {
 			flush()
-			if s.isClosed() {
+			if s.State() == StateClosed {
 				return nil
 			}
 			// Only session-reset errors reach this point: the codec
@@ -667,30 +636,16 @@ func (s *Session) Close() error {
 // CloseCease performs an administrative shutdown with a specific Cease
 // subcode (RFC 4486) — e.g. max-prefixes-reached when tearing down a
 // peer that breached its quota — and tears the session down cleanly.
+// The Cease waits its turn on the transport rather than trying for it:
+// skipped, an administrative stop would be redialed as a failure.
 func (s *Session) CloseCease(subcode uint8) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	est := s.state == StateEstablished
-	s.mu.Unlock()
-	if est {
+	if s.Established() {
 		ne := wire.NotifError(wire.CodeCease, subcode, nil)
 		s.writeMsg(ne.Notification(), wire.DefaultOptions)
 	}
 	s.shutdown(nil)
 	return nil
 }
-
-func (s *Session) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// abort terminates with err from a helper goroutine.
-func (s *Session) abort(err error) { s.shutdown(err) }
 
 // shutdown closes the session exactly once.
 func (s *Session) shutdown(err error) {

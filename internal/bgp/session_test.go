@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -231,34 +232,28 @@ func TestCleanClose(t *testing.T) {
 	}
 }
 
-func TestHoldTimerExpiry(t *testing.T) {
-	// A proposes 3s hold; B proposes 3s. Stop B's keepalives by closing
-	// abruptly under A... Instead: use a one-sided silent peer — a raw
-	// conn that completes the handshake then goes quiet.
-	connA, connB := bufconn.Pipe()
-	ha := newCollector()
-	sa := New(connA, Config{LocalAS: 1, LocalID: addr("1.1.1.1"), HoldTime: 3 * time.Second, Describe: "A"}, ha)
-	go sa.Run()
-	defer sa.Close()
-
-	// Silent peer: handshake manually, then never send again.
-	if _, err := wire.ReadMessage(connB, wire.DefaultOptions); err != nil { // A's OPEN
+// rawPeer completes the handshake with the session on the other end of
+// conn by hand and returns: a neighbor that reads and writes bytes, not
+// a Session, and goes silent unless the test makes it speak.
+func rawPeer(t *testing.T, conn net.Conn, hold uint16) {
+	t.Helper()
+	if _, err := wire.ReadMessage(conn, wire.DefaultOptions); err != nil { // the session's OPEN
 		t.Fatal(err)
 	}
-	open := &wire.Open{AS: 65001, HoldTime: 60, BGPID: addr("2.2.2.2"), Caps: wire.StandardCaps(65001, false)}
+	open := &wire.Open{AS: 65001, HoldTime: hold, BGPID: addr("2.2.2.2"), Caps: wire.StandardCaps(65001, false)}
 	b, _ := wire.Marshal(open, wire.DefaultOptions)
-	connB.Write(b)
+	conn.Write(b)
 	kb, _ := wire.Marshal(&wire.Keepalive{}, wire.DefaultOptions)
-	connB.Write(kb)
-	if _, err := wire.ReadMessage(connB, wire.DefaultOptions); err != nil { // A's KEEPALIVE
+	conn.Write(kb)
+	if _, err := wire.ReadMessage(conn, wire.DefaultOptions); err != nil { // the session's KEEPALIVE
 		t.Fatal(err)
 	}
+}
 
-	select {
-	case <-ha.estCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("not established")
-	}
+func TestHoldTimerExpiry(t *testing.T) {
+	// A one-sided silent peer, on the system clock.
+	connA, connB := bufconn.Pipe()
+	_, ha := rawSession(t, connA, connB, nil, 3*time.Second)
 	select {
 	case <-ha.closeCh:
 		ha.mu.Lock()

@@ -3,16 +3,15 @@ package bufpool
 import "sync/atomic"
 
 // Frame is a reference-counted pooled buffer for bytes shared by many
-// consumers — the encode-once fan-out path hands one encoded UPDATE
-// batch to every in-sync client's session writer. The creator starts
-// with one reference; each additional holder calls Retain before the
-// bytes escape to it and Release when done. When the count reaches
-// zero the backing buffer returns to its size class.
+// consumers — the encode-once fan-out path writes one encoded UPDATE
+// batch to every in-sync client's session. The creator starts with one
+// reference; each additional holder calls Retain before the bytes
+// escape to it and Release when done. When the count reaches zero the
+// backing buffer returns to its size class.
 //
 // The pool reference is weak in the usual bufpool sense: a Frame that
-// is never fully released (a session torn down with frames still
-// queued) is simply collected by the GC — a missed recycle, never a
-// leak or a use-after-free.
+// is never fully released is simply collected by the GC — a missed
+// recycle, never a leak or a use-after-free.
 type Frame struct {
 	b    []byte
 	refs atomic.Int32
@@ -22,8 +21,8 @@ type Frame struct {
 var live atomic.Int64
 
 // LiveFrames reports how many frames still hold a reference — debug
-// accounting for leak checks: once every queue and session writer that
-// was handed a frame has let go, it reads zero.
+// accounting for leak checks: once everyone that was handed a frame
+// has let go, it reads zero.
 func LiveFrames() int64 { return live.Load() }
 
 // NewFrame wraps b (typically obtained from Get) in a frame holding

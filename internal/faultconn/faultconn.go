@@ -39,9 +39,10 @@ type Stats struct {
 type Conn struct {
 	inner net.Conn
 	clk   clock.Clock
-	// done is closed on Close/Reset so writers parked in an injected
-	// latency delay wake immediately instead of waiting out the clock —
-	// on a virtual clock nobody may ever advance again after shutdown.
+	// done is closed on Close/Reset so writers parked in a stall or an
+	// injected latency delay wake immediately instead of waiting out the
+	// clock — on a virtual clock nobody may ever advance again after
+	// shutdown.
 	done      chan struct{}
 	closeOnce sync.Once
 
@@ -123,7 +124,8 @@ func (c *Conn) CorruptNext(n int64) {
 	c.mu.Unlock()
 }
 
-// Stall blocks every subsequent Write until Unstall (or Reset). Unlike
+// Stall blocks every subsequent Write until Unstall (or Reset or Close,
+// which fail the parked writes). Unlike
 // a partition, nothing is lost — the writer goroutine just stops making
 // progress, like a zero-window peer or a frozen process.
 func (c *Conn) Stall() {
@@ -193,8 +195,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 	for c.stalled != nil {
 		ch := c.stalled
 		c.mu.Unlock()
-		<-ch // parked until Unstall or Reset
-		c.mu.Lock()
+		select {
+		case <-ch: // parked until Unstall or Reset
+			c.mu.Lock()
+		case <-c.done: // or Close, as on a real transport
+			c.mu.Lock()
+			if !c.reset {
+				c.mu.Unlock()
+				return 0, net.ErrClosed
+			}
+		}
 	}
 	if c.reset {
 		c.mu.Unlock()
@@ -242,8 +252,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Close implements net.Conn. Writers parked in an injected latency
-// delay are released with an error.
+// Close implements net.Conn. Writers parked in a stall or an injected
+// latency delay are released with an error.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() { close(c.done) })
 	return c.inner.Close()

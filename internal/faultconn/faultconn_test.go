@@ -2,6 +2,7 @@ package faultconn
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -262,5 +263,28 @@ func TestResetReleasesStalledWriters(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("stalled write not released by Reset")
+	}
+}
+
+// Close fails a stalled write the way closing a real transport fails a
+// blocked one: a session that gives up on a frozen peer must get its
+// writer back.
+func TestCloseReleasesStalledWriters(t *testing.T) {
+	a, _ := Pipe(nil)
+	a.Stall()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := a.Write([]byte("doomed"))
+		wrote <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	a.Close()
+	select {
+	case err := <-wrote:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("stalled write returned %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled write not released by Close")
 	}
 }

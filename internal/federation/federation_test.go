@@ -310,11 +310,13 @@ func TestFederationMetroSuppression(t *testing.T) {
 	})
 
 	// The cross-metro direction converged; the same-metro direction
-	// must have been suppressed at the source, not merely be slow.
+	// must have been suppressed at the source, not merely be slow. The
+	// two exports run on different sessions: phoenix having converged
+	// says nothing of when amsterdam01's export was counted, so wait.
 	met := mesh.metrics
-	if got := met.suppressed.With("amsterdam02", "amsterdam01").Value(); got == 0 {
-		t.Error("suppressed{amsterdam02->amsterdam01} = 0, want > 0")
-	}
+	waitFor(t, "suppressed{amsterdam02->amsterdam01} > 0", func() bool {
+		return met.suppressed.With("amsterdam02", "amsterdam01").Value() > 0
+	})
 	if got := met.exported.With("amsterdam02", "amsterdam01").Value(); got != 0 {
 		t.Errorf("exported{amsterdam02->amsterdam01} = %d, want 0 (same metro)", got)
 	}

@@ -281,7 +281,8 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, wd, reac
 	// message is allocated, outWd and outReach never leave this stack.
 	b, msgs, err := wire.AppendRun(bufpool.Get(0)[:0], outWd, attrs, outReach, sess.Options())
 	if err == nil {
-		err = sess.SendEncoded(bufpool.NewFrame(b), msgs)
+		err = sess.SendEncoded(b, msgs)
+		bufpool.Put(b)
 	}
 	if err != nil {
 		// The session died under us: the adverts stay recorded for its

@@ -556,6 +556,60 @@ func TestChaosSlowClientShedAndResync(t *testing.T) {
 	})
 }
 
+// TestChaosStalledClientReaped closes a client's transport while its
+// flusher is blocked writing to it. The flusher is also the client's
+// reaper, so the close must release the write: the client detaches, and
+// the cleanup's resource check finds no frame, buffer or goroutine left
+// behind a transport that never drained.
+func TestChaosStalledClientReaped(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	srv := chaosServer(t, clk, QuotaConfig{})
+	up, u := attachChaosUpstream(t, srv, clk)
+	if err := srv.RegisterClient(ClientAccount{
+		ID: "slow", Allocation: []netip.Prefix{prefix("184.164.224.0/24")}, TunnelAddr: addr("10.250.0.1"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fcSrv, fcCli := faultconn.Pipe(clk)
+	if err := srv.AcceptClient("slow", fcSrv); err != nil {
+		t.Fatal(err)
+	}
+	slow, err := client.Connect(client.Config{Name: "slow", RouterID: addr("10.250.0.1"), Clock: clk}, fcCli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { slow.Close() })
+	if err := slow.WaitEstablished(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The join's End-of-RIB is on the wire (the counter moves after the
+	// write), so the flusher is idle when the stall begins.
+	waitFor(t, "the join's replay to drain", func() bool {
+		return srv.QueueDepths()["slow"] == 0 && srv.Stats().UpdatesToClients > 0
+	})
+
+	// The first route's frame is taken by the flusher, which blocks
+	// writing it; the second then has nobody to take it.
+	fcSrv.Stall()
+	up.Announce(prefix("96.0.0.0/24"), router.AnnounceSpec{})
+	waitFor(t, "the flusher to take the first frame", func() bool {
+		return u.RoutesIn() == 1 && srv.QueueDepths()["slow"] == 0
+	})
+	up.Announce(prefix("96.0.1.0/24"), router.AnnounceSpec{})
+	waitFor(t, "a frame queued behind the blocked write", func() bool {
+		return u.RoutesIn() == 2 && srv.QueueDepths()["slow"] > 0
+	})
+	if n := slow.RouteCount(1); n != 0 {
+		t.Fatalf("stalled client received %d routes — stall fault ineffective", n)
+	}
+
+	fcSrv.Close()
+	waitFor(t, "the stalled client to be reaped", func() bool { return srv.ClientCount() == 0 })
+	if !u.Established() {
+		t.Fatal("upstream session lost with a stalled client's transport")
+	}
+}
+
 // ---------------------------------------------------------------------
 // Scenario 4: kill -9 and warm restart
 

@@ -337,8 +337,10 @@ func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 	}
 }
 
-// runFanout is the per-client worker: it drains the client's queue and
-// flushes frames until the client's transport dies.
+// runFanout is the per-client worker, the one goroutine that owns the
+// client's outbound side: it drains the queue and writes each frame to
+// the client's session — a stalled client blocks this goroutine, in the
+// write, and no other — until the transport dies, then reaps the client.
 func (s *Server) runFanout(c *clientConn) {
 	var frames []*broadcastFrame
 	var eors []uint32
@@ -347,6 +349,7 @@ func (s *Server) runFanout(c *clientConn) {
 		case <-c.out.notify:
 		case <-c.mux.Done():
 			c.out.close()
+			s.detachClient(c)
 			return
 		}
 		var ctr outCounters

@@ -13,11 +13,11 @@ package server
 // hold the frame before enqueueing; each queue's flush (or shed, gate
 // drop, failed-session skip, or close) calls release exactly once. The
 // encoded bytes live in a bufpool.Frame with one base reference owned
-// by this struct; each SendEncoded hands the session writer its own
-// retained reference, so the buffer recycles only after the last
-// writer and the last queue are done with it. The logical NLRI slices are plain
-// GC-managed memory — private packs alias them into updates consumed
-// asynchronously, so they must never come from a pool.
+// by this struct and dropped with the last queue reference: a flusher
+// writes the bytes to its session before it releases its own, so the
+// buffer never recycles under a write. The logical NLRI slices are
+// plain GC-managed memory, shared by every queue that holds the frame,
+// so they must never come from a pool.
 import (
 	"sync"
 	"sync/atomic"
@@ -132,9 +132,8 @@ func (f *broadcastFrame) retain(n int, live *atomic.Int64) {
 	f.refs.Add(int32(n))
 }
 
-// release drops one queue reference; the last one releases the base
-// reference on the shared encoding so its buffer can recycle (session
-// writers still mid-send hold their own references).
+// release drops one queue reference; the last one releases the shared
+// encoding so its buffer can recycle.
 func (f *broadcastFrame) release() {
 	if f.refs.Add(-1) != 0 {
 		return
@@ -150,11 +149,11 @@ func (f *broadcastFrame) release() {
 }
 
 // encoded returns the shared encoding for opts, building it on first
-// call, with one reference retained for the caller's session. ok is
-// false when the frame was already encoded under different options (or
-// failed to encode): the caller packs privately from the logical
-// content instead.
-func (f *broadcastFrame) encoded(opts wire.Options) (enc *bufpool.Frame, counts []int, ok bool) {
+// call; the bytes stay valid until the caller releases its queue
+// reference. ok is false when the frame was already encoded under
+// different options (or failed to encode): the caller packs privately
+// from the logical content instead.
+func (f *broadcastFrame) encoded(opts wire.Options) (enc []byte, counts []int, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.encDone {
@@ -165,8 +164,7 @@ func (f *broadcastFrame) encoded(opts wire.Options) (enc *bufpool.Frame, counts 
 	if f.encErr || f.enc == nil || f.encOpts != opts {
 		return nil, nil, false
 	}
-	f.enc.Retain()
-	return f.enc, f.counts, true
+	return f.enc.Bytes(), f.counts, true
 }
 
 // encode packs the logical content and appends every resulting UPDATE

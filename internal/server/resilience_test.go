@@ -16,6 +16,7 @@ import (
 	"peering/internal/muxproto"
 	"peering/internal/rib"
 	"peering/internal/router"
+	"peering/internal/wire"
 )
 
 // Chaos tests: scripted faults on the transports, virtual-clock timing,
@@ -409,4 +410,83 @@ func TestClientTransportReconnectRetainsRoutes(t *testing.T) {
 	if st.FlapsSuppressed != base.FlapsSuppressed {
 		t.Fatalf("reconnect charged as flap: FlapsSuppressed %d -> %d", base.FlapsSuppressed, st.FlapsSuppressed)
 	}
+}
+
+// TestRestartWindowWithdrawsOffTheTimer pins the rule that a timer
+// callback never writes to a transport. The client restart window closes
+// with the client's adverts still stale, so they are withdrawn from the
+// upstream — over a transport whose latency waits on the very clock
+// that is running the callback. Written from the callback, the
+// withdrawal would wait inside Advance for time that Advance is holding
+// still; it must leave on a goroutine of its own and land once the
+// clock moves again.
+func TestRestartWindowWithdrawsOffTheTimer(t *testing.T) {
+	const window, latency = 10 * time.Second, time.Second
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	srv := newCheckedServer(t, Config{
+		Site: "window01", ASN: testbedASN, RouterID: addr("184.164.224.1"),
+		Mode: muxproto.ModeQuagga, Clock: clk, RestartWindow: window,
+	})
+	u, err := srv.AddUpstream(chaosUpstreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A bare BGP peer as the upstream, reporting what is withdrawn.
+	mine := prefix("184.164.224.0/24")
+	var withdrawn atomic.Bool
+	fa, fb := faultconn.Pipe(clk)
+	srv.AttachUpstream(u, fa)
+	peer := bgp.New(fb, bgp.Config{LocalAS: 3356, LocalID: addr("4.69.0.1"), PeerAS: testbedASN, Clock: clk},
+		bgp.HandlerFuncs{OnUpdate: func(_ *bgp.Session, upd *wire.Update) {
+			for _, n := range upd.Withdrawn {
+				if n.Prefix == mine {
+					withdrawn.Store(true)
+				}
+			}
+		}})
+	go peer.Run()
+	t.Cleanup(func() { peer.Close() })
+	waitFor(t, "upstream session", func() bool { return u.Established() })
+
+	cl := connectChaosClient(t, srv, clk, "exp1", addr("10.250.0.1"), mine)
+	if err := cl.Announce(mine, client.AnnounceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the advert to be booked", func() bool { return advertisedHas(u, mine, "exp1") })
+
+	// The tunnel dies without a goodbye: the advert is retained stale
+	// and the restart window starts.
+	base := srv.Stats()
+	clientByID(srv, "exp1").mux.Close()
+	waitFor(t, "stale retention after tunnel death", func() bool {
+		return srv.Stats().StaleRoutesRetained == base.StaleRoutesRetained+1
+	})
+
+	fa.SetLatency(latency)
+	defer fa.SetLatency(0) // the closing Cease must not wait for a clock nobody moves
+	advanced := make(chan struct{})
+	go func() {
+		clk.Advance(window)
+		close(advanced)
+	}()
+	select {
+	case <-advanced:
+	case <-time.After(5 * time.Second):
+		fa.Close() // release the write that stopped the clock, so cleanup can run
+		t.Fatal("Advance(RestartWindow) did not return: the window's timer callback wrote to a transport that waits on the same clock")
+	}
+	waitFor(t, "the stale advert to be dropped", func() bool { return !advertisedHas(u, mine, "exp1") })
+	if withdrawn.Load() {
+		t.Fatal("withdrawal reached the upstream before the transport's latency had passed")
+	}
+	// Each step is shorter than a keepalive interval in total, so no
+	// other write is parked on the clock when the server closes.
+	steps := 0
+	waitFor(t, "the withdrawal to reach the upstream once the clock moves", func() bool {
+		if steps < 10 {
+			clk.Advance(latency)
+			steps++
+		}
+		return withdrawn.Load()
+	})
 }

@@ -917,19 +917,14 @@ func (s *Server) AcceptClient(id string, conn net.Conn) error {
 	c.mux = tunnel.NewMux(conn, nil)
 	s.swapClient(id, c, nil)
 
-	// The fan-out worker drains c.out for the life of the transport.
+	// The fan-out worker drains c.out for the life of the transport and
+	// reaps the client's state when it dies.
 	go s.runFanout(c)
 
 	// The handshake (provisioning, client ack, session bring-up) runs
 	// asynchronously: the client may not even be connected yet, and a
 	// server must never block its accept path on one client.
 	go s.clientHandshake(c, upstreams)
-
-	// Reap state when the transport dies.
-	go func() {
-		<-c.mux.Done()
-		s.detachClient(c)
-	}()
 	return nil
 }
 
@@ -1073,8 +1068,10 @@ func (s *Server) markClientStale(id string, only *Upstream) {
 	s.metrics.staleRetained.Add(uint64(n))
 	s.timerMu.Lock()
 	if _, armed := s.restartTimers[id]; !armed && !s.closed.Load() {
+		// Off the callback: the withdrawals are written to upstream
+		// sessions, and a timer callback never writes to a transport.
 		s.restartTimers[id] = s.clk.AfterFunc(s.cfg.RestartWindow, func() {
-			s.dropClientAdverts(id, nil, true)
+			go s.dropClientAdverts(id, nil, true)
 		})
 	}
 	s.timerMu.Unlock()

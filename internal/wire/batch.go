@@ -55,10 +55,9 @@ func nlriFit(ns []NLRI, budget int, opt Options) int {
 // The produced updates ALIAS their inputs: Withdrawn and Reach are
 // subslices of withdrawn and of the groups' NLRI slices, and Attrs
 // pointers are shared. Callers must not mutate or recycle any of these
-// until the updates have been fully consumed (for session fan-out that
-// means written by the session's writer, not merely queued), and must
-// treat Attrs as immutable — the same pointer may sit in the
-// Adj-RIB-In and in every client's queue.
+// until the updates have been fully consumed (for session fan-out,
+// until Send has returned), and must treat Attrs as immutable — the
+// same pointer may sit in the Adj-RIB-In and in every client's queue.
 //
 // Groups with equal-content attrs behind distinct pointers are merged
 // by canonical hash + Equal, so packing density never depends on
