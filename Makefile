@@ -86,10 +86,9 @@ bench: bench-fulltable bench-policy bench-federation
 # at max speed into one mux with 64 count-only clients attached.
 # BENCH_fulltable.json records ingestion rate, fan-out convergence time,
 # and the steady-state heap. The same test runs as a ~25K-prefix smoke
-# in the plain `make test` / `make race` gates, where it also ratchets
-# its ingest rate against the committed full-scale report. The scaling
-# run replays a mid-scale table at GOMAXPROCS 1, 4, and the machine
-# default so the headline number carries its parallelism curve
+# in the plain `make test` / `make race` gates. The scaling run replays
+# a mid-scale table at GOMAXPROCS 1, 4, and the machine default so the
+# headline number carries its parallelism curve
 # (BENCH_fulltable_scaling.json).
 bench-fulltable:
 	$(profdir)

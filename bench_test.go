@@ -13,7 +13,7 @@ package peering
 //	BenchmarkMuxModeAblation       — Quagga vs BIRD multiplexing
 //	BenchmarkRouteServerAblation   — route server vs bilateral-only
 //	BenchmarkDampeningAblation     — flap dampening on/off
-//	BenchmarkTrieVsMap             — RIB index structure choice
+//	BenchmarkTrieVsMap             — LPM index structure choice
 //
 // Run: go test -bench=. -benchmem
 // Absolute values depend on this substrate; the paper-vs-measured
@@ -318,9 +318,10 @@ func BenchmarkDampeningAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkTrieVsMap justifies the radix-trie RIB index: longest-prefix
-// match via the trie vs. a brute-force scan over a map — the design
-// choice DESIGN.md calls out.
+// BenchmarkTrieVsMap justifies the radix trie behind the FIB: longest-
+// prefix match via the trie vs. a brute-force scan over a map — the
+// design choice DESIGN.md calls out. (The RIBs never match by covering
+// prefix and are maps.)
 func BenchmarkTrieVsMap(b *testing.B) {
 	const n = 100000
 	prefixes := make([]netip.Prefix, n)

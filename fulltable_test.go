@@ -10,9 +10,8 @@ package peering
 // Three sizes of the same scenario:
 //
 //   - default `go test`: a ~25K-prefix smoke that checks the plumbing
-//     (every client converges to the exact table) in seconds, and
-//     ratchets the ingest rate against the committed full-scale report;
-//   - under -race: smaller still, same assertions, no ratchet;
+//     (every client converges to the exact table) in seconds;
+//   - under -race: smaller still, same assertions;
 //   - BENCH_FULLTABLE_JSON=<path> (as `make bench-fulltable` arranges):
 //     the full internet.FullTableSpec table — ≥1M prefixes, 64 clients
 //     — with ingestion rate, convergence time, and steady-state heap
@@ -232,27 +231,6 @@ func TestFullTableIngestion(t *testing.T) {
 	}
 	t.Logf("%d prefixes × %d clients: ingested in %.2fs (%.0f routes/s), converged in %.2fs, heap %.1f MB",
 		rep.Prefixes, rep.Clients, rep.IngestSecs, rep.RoutesPerSec, rep.ConvergeSecs, rep.HeapMB)
-
-	// Throughput ratchet: in the smoke sizing (the `make check` gate),
-	// the measured ingest rate may not fall below half the committed
-	// full-scale rate in BENCH_fulltable.json. The two scenarios differ
-	// (25K×8 vs 1M×64), so this is deliberately loose — it exists to
-	// catch an ingest-path regression of the "accidentally serialized
-	// the shards again" magnitude long before anyone reruns the 25-minute
-	// bench. Skipped under -race (instrumentation tax) and when the
-	// committed report is absent.
-	if out == "" && !raceEnabled {
-		if b, err := os.ReadFile("BENCH_fulltable.json"); err == nil {
-			var committed fullTableReport
-			if err := json.Unmarshal(b, &committed); err != nil {
-				t.Fatalf("committed BENCH_fulltable.json is unreadable: %v", err)
-			}
-			if floor := committed.RoutesPerSec / 2; committed.RoutesPerSec > 0 && rep.RoutesPerSec < floor {
-				t.Errorf("smoke ingest rate regressed: %.0f routes/s < %.0f (half the committed full-scale rate %.0f in BENCH_fulltable.json)",
-					rep.RoutesPerSec, floor, committed.RoutesPerSec)
-			}
-		}
-	}
 
 	if out != "" {
 		b, err := json.MarshalIndent(rep, "", "  ")

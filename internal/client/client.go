@@ -519,8 +519,9 @@ func (c *Client) Routes(id uint32) []*rib.Route {
 	}
 	var out []*rib.Route
 	v.Walk(func(r *rib.Route) bool {
-		// Copy: view routes are reused in place on re-announcement, and
-		// the caller reads the result outside c.mu.
+		// Copy: a re-announcement installs a fresh Route, but a session
+		// loss marks the stored one stale in place, and the caller reads
+		// the result outside c.mu. The order is the view's: unspecified.
 		cp := *r
 		out = append(out, &cp)
 		return true
@@ -569,7 +570,7 @@ func (c *Client) RoutesFor(p netip.Prefix) map[uint32]*rib.Route {
 	out := map[uint32]*rib.Route{}
 	for id, v := range c.views {
 		if r := v.Get(p, 0); r != nil {
-			cp := *r // copy: view routes are reused in place on re-announcement
+			cp := *r // copy: a session loss marks the stored route stale in place
 			out[id] = &cp
 		}
 	}

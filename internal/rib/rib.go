@@ -1,6 +1,12 @@
 // Package rib implements BGP routing tables: per-peer Adj-RIB-In and
 // Adj-RIB-Out views, the Loc-RIB with the RFC 4271 §9.1 decision
 // process, and change notifications that drive route export.
+//
+// Every table here is exact-match only — nothing asks one for a covering
+// prefix; the FIB, the allocation table and the compiled filter keep
+// their own tries for that — so each is a Go map keyed by the masked
+// prefix. A prefix given with host bits set is the same key as its
+// masked form, and no walk visits routes in any particular order.
 package rib
 
 import (
@@ -10,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"peering/internal/trie"
 	"peering/internal/wire"
 )
 
@@ -154,16 +159,24 @@ func Better(a, b *Route) bool {
 // Adj-RIB (per-peer view)
 
 // AdjRIB is the set of routes received from (Adj-RIB-In) or sent to
-// (Adj-RIB-Out) a single peer. It is not safe for concurrent use.
+// (Adj-RIB-Out) a single peer: a hash table with one key per (masked
+// prefix, path id). It is not safe for concurrent use.
 type AdjRIB struct {
-	t      *trie.Trie[map[wire.PathID]*Route]
-	n      int
+	m      map[adjKey]*Route
 	intern *wire.InternTable
 }
 
+// adjKey is built by keyOf only, so its prefix is always masked.
+type adjKey struct {
+	prefix netip.Prefix
+	id     wire.PathID
+}
+
+func keyOf(p netip.Prefix, id wire.PathID) adjKey { return adjKey{p.Masked(), id} }
+
 // NewAdjRIB returns an empty per-peer table.
 func NewAdjRIB() *AdjRIB {
-	return &AdjRIB{t: trie.New[map[wire.PathID]*Route]()}
+	return &AdjRIB{m: make(map[adjKey]*Route)}
 }
 
 // SetInterner makes the table canonicalize stored attribute pointers
@@ -186,74 +199,51 @@ func (a *AdjRIB) Set(r *Route) bool {
 	if a.intern != nil {
 		r.Attrs = a.intern.Intern(r.Attrs)
 	}
-	m, ok := a.t.Get(r.Prefix)
-	if !ok {
-		m = make(map[wire.PathID]*Route, 1)
-		a.t.Insert(r.Prefix, m)
-	}
 	nr := new(Route)
 	*nr = *r
-	replaced := m[r.Src.PathID] != nil
-	m[r.Src.PathID] = nr
-	if !replaced {
-		a.n++
-	}
+	k := keyOf(r.Prefix, r.Src.PathID)
+	_, replaced := a.m[k]
+	a.m[k] = nr
 	return replaced
 }
 
 // Remove deletes the route for (prefix, id), returning it if present.
 func (a *AdjRIB) Remove(p netip.Prefix, id wire.PathID) *Route {
-	m, ok := a.t.Get(p)
-	if !ok {
-		return nil
-	}
-	r := m[id]
-	if r == nil {
-		return nil
-	}
-	delete(m, id)
-	a.n--
-	if len(m) == 0 {
-		a.t.Delete(p)
-	}
+	k := keyOf(p, id)
+	r := a.m[k]
+	delete(a.m, k)
 	return r
 }
 
 // Get returns the route for (prefix, id).
 func (a *AdjRIB) Get(p netip.Prefix, id wire.PathID) *Route {
-	m, ok := a.t.Get(p)
-	if !ok {
-		return nil
-	}
-	return m[id]
+	return a.m[keyOf(p, id)]
 }
 
 // Len reports the number of stored routes (not prefixes).
-func (a *AdjRIB) Len() int { return a.n }
+func (a *AdjRIB) Len() int { return len(a.m) }
 
-// Walk visits every stored route.
+// Walk visits every stored route, in no specified order: two walks of
+// the same table may differ.
 func (a *AdjRIB) Walk(fn func(*Route) bool) {
-	a.t.Walk(func(_ netip.Prefix, m map[wire.PathID]*Route) bool {
-		for _, r := range m {
-			if !fn(r) {
-				return false
-			}
+	for _, r := range a.m {
+		if !fn(r) {
+			return
 		}
-		return true
-	})
+	}
 }
 
 // WalkGrouped visits every stored route grouped by shared attribute
 // set — the shape batch packing wants. With an interner configured the
 // grouping key is pointer identity, so a full table resolves to
 // O(distinct policies) groups. The prefix slices are freshly built per
-// call and may be retained by the caller; group order is unspecified.
+// call and may be retained by the caller; the order of groups, and of
+// prefixes within one, is unspecified.
 func (a *AdjRIB) WalkGrouped(fn func(attrs *wire.Attrs, nlris []wire.NLRI)) {
 	groups := make(map[*wire.Attrs][]wire.NLRI)
-	a.Walk(func(r *Route) bool {
+	for _, r := range a.m {
 		groups[r.Attrs] = append(groups[r.Attrs], wire.NLRI{Prefix: r.Prefix, ID: r.Src.PathID})
-		return true
-	})
+	}
 	for attrs, ns := range groups {
 		fn(attrs, ns)
 	}
@@ -263,49 +253,43 @@ func (a *AdjRIB) WalkGrouped(fn func(attrs *wire.Attrs, nlris []wire.NLRI)) {
 // returning how many were newly marked.
 func (a *AdjRIB) MarkAllStale() int {
 	n := 0
-	a.Walk(func(r *Route) bool {
+	for _, r := range a.m {
 		if !r.Stale {
 			r.Stale = true
 			n++
 		}
-		return true
-	})
+	}
 	return n
 }
 
 // SweepStale removes and returns every route still marked stale
 // (graceful restart exit: flush what the peer did not re-announce).
+//
+// A Go map never gives its buckets back, and a torn-down upstream's
+// tables are emptied by exactly this call while the tables themselves
+// live on: a sweep that leaves nothing behind therefore starts a fresh
+// map, as Clear does, instead of holding a full table's buckets for
+// good. A partial sweep keeps them — the peer is about to refill the
+// table.
 func (a *AdjRIB) SweepStale() []*Route {
 	var stale []*Route
-	a.Walk(func(r *Route) bool {
+	for k, r := range a.m {
 		if r.Stale {
 			stale = append(stale, r)
+			delete(a.m, k)
 		}
-		return true
-	})
-	for _, r := range stale {
-		a.Remove(r.Prefix, r.Src.PathID)
+	}
+	if len(a.m) == 0 {
+		a.m = make(map[adjKey]*Route)
 	}
 	return stale
 }
 
-// StaleCount reports how many routes are currently marked stale.
-func (a *AdjRIB) StaleCount() int {
-	n := 0
-	a.Walk(func(r *Route) bool {
-		if r.Stale {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// Clear drops all routes, returning how many were removed.
+// Clear drops all routes, returning how many were removed. The map is
+// replaced, not emptied, so its buckets go with the routes.
 func (a *AdjRIB) Clear() int {
-	n := a.n
-	a.t = trie.New[map[wire.PathID]*Route]()
-	a.n = 0
+	n := len(a.m)
+	a.m = make(map[adjKey]*Route)
 	return n
 }
 
@@ -324,12 +308,12 @@ type Change struct {
 // It is safe for concurrent use.
 //
 // Internally the table is split into prefix-hash shards, each with its
-// own lock and trie (see shard.go for the hash and the default shard
-// count): Update/Withdraw/Best run entirely inside one shard, so
-// concurrent mutators on different prefixes do not serialize on a
-// single table lock. The decision process is per prefix, and a prefix
-// lives in exactly one shard, so the shard count never changes which
-// route wins — only which lock guards it.
+// own lock and hash table keyed by masked prefix (see shard.go for the
+// hash and the default shard count): Update/Withdraw/Best run entirely
+// inside one shard, so concurrent mutators on different prefixes do not
+// serialize on a single table lock. The decision process is per prefix,
+// and a prefix lives in exactly one shard, so the shard count never
+// changes which route wins — only which lock guards it.
 type LocRIB struct {
 	shards []locShard
 	mask   uint32
@@ -338,7 +322,7 @@ type LocRIB struct {
 
 type locShard struct {
 	mu sync.RWMutex
-	t  *trie.Trie[*entry]
+	m  map[netip.Prefix]*entry
 }
 
 type entry struct {
@@ -356,7 +340,7 @@ func NewLocRIBShards(n int) *LocRIB {
 	n = shardCount(n)
 	l := &LocRIB{shards: make([]locShard, n), mask: uint32(n - 1)}
 	for i := range l.shards {
-		l.shards[i].t = trie.New[*entry]()
+		l.shards[i].m = make(map[netip.Prefix]*entry)
 	}
 	return l
 }
@@ -364,21 +348,24 @@ func NewLocRIBShards(n int) *LocRIB {
 // Shards reports the table's shard count.
 func (l *LocRIB) Shards() int { return len(l.shards) }
 
-func (l *LocRIB) shard(p netip.Prefix) *locShard {
-	return &l.shards[prefixShard(p)&l.mask]
+// shard masks p once and returns the shard it hashes to together with
+// the masked prefix, the key it is stored under there.
+func (l *LocRIB) shard(p netip.Prefix) (*locShard, netip.Prefix) {
+	p = p.Masked()
+	return &l.shards[maskedShard(p)&l.mask], p
 }
 
 // Update inserts or replaces the candidate from r.Src for r.Prefix and
 // recomputes the best route. The returned Change has Old == New == best
 // when the best route did not move (callers test Changed).
 func (l *LocRIB) Update(r *Route) (Change, bool) {
-	sh := l.shard(r.Prefix)
+	sh, p := l.shard(r.Prefix)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.t.Get(r.Prefix)
-	if !ok {
+	e := sh.m[p]
+	if e == nil {
 		e = &entry{}
-		sh.t.Insert(r.Prefix, e)
+		sh.m[p] = e
 	}
 	replaced := false
 	for i, c := range e.candidates {
@@ -392,16 +379,16 @@ func (l *LocRIB) Update(r *Route) (Change, bool) {
 		e.candidates = append(e.candidates, r)
 		l.routes.Add(1)
 	}
-	return recompute(r.Prefix, e)
+	return recompute(p, e)
 }
 
 // Withdraw removes the candidate from src for p and recomputes.
 func (l *LocRIB) Withdraw(p netip.Prefix, src PeerKey) (Change, bool) {
-	sh := l.shard(p)
+	sh, p := l.shard(p)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.t.Get(p)
-	if !ok {
+	e := sh.m[p]
+	if e == nil {
 		return Change{Prefix: p}, false
 	}
 	found := false
@@ -424,30 +411,20 @@ func (l *LocRIB) Withdraw(p netip.Prefix, src PeerKey) (Change, bool) {
 	}
 	ch, changed := recompute(p, e)
 	if len(e.candidates) == 0 {
-		sh.t.Delete(p)
+		delete(sh.m, p)
 	}
 	return ch, changed
 }
 
 // WithdrawPeer removes every candidate learned from peer address addr
-// (session teardown), returning the resulting best-route changes.
+// (session teardown), returning the resulting best-route changes in no
+// specified order.
 func (l *LocRIB) WithdrawPeer(addr netip.Addr) []Change {
 	var changes []Change
 	for si := range l.shards {
 		sh := &l.shards[si]
 		sh.mu.Lock()
-		var prefixes []netip.Prefix
-		sh.t.Walk(func(p netip.Prefix, e *entry) bool {
-			for _, c := range e.candidates {
-				if c.Src.Addr == addr {
-					prefixes = append(prefixes, p)
-					break
-				}
-			}
-			return true
-		})
-		for _, p := range prefixes {
-			e, _ := sh.t.Get(p)
+		for p, e := range sh.m {
 			old := e.candidates
 			kept := old[:0]
 			for _, c := range old {
@@ -456,6 +433,9 @@ func (l *LocRIB) WithdrawPeer(addr netip.Addr) []Change {
 					continue
 				}
 				kept = append(kept, c)
+			}
+			if len(kept) == len(old) {
+				continue
 			}
 			// The compaction wrote the survivors over the front of the
 			// backing array; nil out the tail so the dropped *Routes (at
@@ -469,7 +449,7 @@ func (l *LocRIB) WithdrawPeer(addr netip.Addr) []Change {
 				changes = append(changes, ch)
 			}
 			if len(e.candidates) == 0 {
-				sh.t.Delete(p)
+				delete(sh.m, p)
 			}
 		}
 		sh.mu.Unlock()
@@ -496,48 +476,27 @@ func recompute(p netip.Prefix, e *entry) (Change, bool) {
 
 // Best returns the selected route for exactly prefix p.
 func (l *LocRIB) Best(p netip.Prefix) *Route {
-	sh := l.shard(p)
+	sh, p := l.shard(p)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e, ok := sh.t.Get(p)
-	if !ok {
-		return nil
+	if e := sh.m[p]; e != nil {
+		return e.best
 	}
-	return e.best
+	return nil
 }
 
 // Candidates returns all candidate routes for p (copy).
 func (l *LocRIB) Candidates(p netip.Prefix) []*Route {
-	sh := l.shard(p)
+	sh, p := l.shard(p)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e, ok := sh.t.Get(p)
-	if !ok {
+	e := sh.m[p]
+	if e == nil {
 		return nil
 	}
 	out := make([]*Route, len(e.candidates))
 	copy(out, e.candidates)
 	return out
-}
-
-// Lookup performs a longest-prefix match over best routes. Covering
-// prefixes hash to different shards than their more-specifics, so every
-// shard's match is consulted and the longest wins.
-func (l *LocRIB) Lookup(addr netip.Addr) *Route {
-	var best *Route
-	bestBits := -1
-	for si := range l.shards {
-		sh := &l.shards[si]
-		sh.mu.RLock()
-		// Empty entries are pruned on withdraw, so every stored entry has
-		// a best route and a plain LPM per shard suffices.
-		if p, e, ok := sh.t.Lookup(addr); ok && p.Bits() > bestBits {
-			bestBits = p.Bits()
-			best = e.best
-		}
-		sh.mu.RUnlock()
-	}
-	return best
 }
 
 // Prefixes reports the number of distinct prefixes present.
@@ -546,7 +505,7 @@ func (l *LocRIB) Prefixes() int {
 	for si := range l.shards {
 		sh := &l.shards[si]
 		sh.mu.RLock()
-		n += sh.t.Len()
+		n += len(sh.m)
 		sh.mu.RUnlock()
 	}
 	return n
@@ -557,25 +516,18 @@ func (l *LocRIB) Routes() int {
 	return int(l.routes.Load())
 }
 
-// WalkBest visits the best route of every prefix. The walk locks one
-// shard at a time: it is consistent per shard, not a point-in-time
-// snapshot of the whole table, and visits prefixes in per-shard (not
-// global lexicographic) order.
-func (l *LocRIB) WalkBest(fn func(*Route) bool) {
+// walk runs fn on every entry, one shard at a time under that shard's
+// read lock, until fn returns false.
+func (l *LocRIB) walk(fn func(*entry) bool) {
 	for si := range l.shards {
 		sh := &l.shards[si]
 		sh.mu.RLock()
 		done := false
-		sh.t.Walk(func(_ netip.Prefix, e *entry) bool {
-			if e.best == nil {
-				return true
+		for _, e := range sh.m {
+			if done = !fn(e); done {
+				break
 			}
-			if !fn(e.best) {
-				done = true
-				return false
-			}
-			return true
-		})
+		}
 		sh.mu.RUnlock()
 		if done {
 			return
@@ -583,25 +535,24 @@ func (l *LocRIB) WalkBest(fn func(*Route) bool) {
 	}
 }
 
+// WalkBest visits the best route of every prefix. The walk locks one
+// shard at a time: it is consistent per shard, not a point-in-time
+// snapshot of the whole table, and visits prefixes in no specified
+// order.
+func (l *LocRIB) WalkBest(fn func(*Route) bool) {
+	// Empty entries are pruned on withdraw, so every entry has a best.
+	l.walk(func(e *entry) bool { return fn(e.best) })
+}
+
 // WalkAll visits every candidate route of every prefix, with the same
 // per-shard consistency and ordering caveats as WalkBest.
 func (l *LocRIB) WalkAll(fn func(*Route) bool) {
-	for si := range l.shards {
-		sh := &l.shards[si]
-		sh.mu.RLock()
-		done := false
-		sh.t.Walk(func(_ netip.Prefix, e *entry) bool {
-			for _, r := range e.candidates {
-				if !fn(r) {
-					done = true
-					return false
-				}
+	l.walk(func(e *entry) bool {
+		for _, r := range e.candidates {
+			if !fn(r) {
+				return false
 			}
-			return true
-		})
-		sh.mu.RUnlock()
-		if done {
-			return
 		}
-	}
+		return true
+	})
 }

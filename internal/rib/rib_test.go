@@ -372,23 +372,6 @@ func TestLocRIBWithdrawPeer(t *testing.T) {
 	}
 }
 
-func TestLocRIBLookupLPM(t *testing.T) {
-	l := NewLocRIB()
-	l.Update(mkRoute("10.0.0.0/8", "192.0.2.1", nil))
-	l.Update(mkRoute("10.1.0.0/16", "192.0.2.2", nil))
-	r := l.Lookup(addr("10.1.2.3"))
-	if r == nil || r.Prefix != prefix("10.1.0.0/16") {
-		t.Fatalf("Lookup = %v, want /16", r)
-	}
-	r = l.Lookup(addr("10.2.0.1"))
-	if r == nil || r.Prefix != prefix("10.0.0.0/8") {
-		t.Fatalf("Lookup = %v, want /8", r)
-	}
-	if l.Lookup(addr("11.0.0.1")) != nil {
-		t.Fatal("Lookup outside table should be nil")
-	}
-}
-
 // Property: LocRIB best is always the Better-maximum of candidates.
 func TestQuickLocRIBBestIsMax(t *testing.T) {
 	f := func(seed int64) bool {

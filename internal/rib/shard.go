@@ -4,8 +4,8 @@ package rib
 // Internet table (~1M prefixes) under one RWMutex serializes every
 // mutator and makes per-client fan-out gathers linear scans under that
 // same lock; splitting the table by prefix hash gives each shard its
-// own lock and trie so table operations on different prefixes proceed
-// independently. The shard of a prefix is a pure function of the
+// own lock and hash table so table operations on different prefixes
+// proceed independently. The shard of a prefix is a pure function of the
 // prefix, so a given (prefix, path) always lands in the same shard and
 // per-prefix orderings are preserved no matter how many shards exist.
 
@@ -61,13 +61,15 @@ func shardCount(n int) int {
 // PrefixShard hashes a prefix to a shard selector; masking with a
 // power-of-two shard count picks the shard. Exported so the server can
 // partition ingest work and queue slots on the same function the
-// tables use, keeping one prefix on one worker end to end.
-func PrefixShard(p netip.Prefix) uint32 { return prefixShard(p) }
+// tables use, keeping one prefix on one worker end to end. It hashes
+// the masked form of p, the form the tables key by, so a prefix given
+// with host bits set lands in the shard that holds it.
+func PrefixShard(p netip.Prefix) uint32 { return maskedShard(p.Masked()) }
 
-// prefixShard hashes a prefix to a shard selector (FNV-1a over the
-// 16-byte address plus the prefix length, with the high half folded in
-// so small masks still see the whole hash).
-func prefixShard(p netip.Prefix) uint32 {
+// maskedShard hashes an already masked prefix to a shard selector
+// (FNV-1a over the 16-byte address plus the prefix length, with the
+// high half folded in so small masks still see the whole hash).
+func maskedShard(p netip.Prefix) uint32 {
 	b := p.Addr().As16()
 	h := uint32(2166136261)
 	for _, c := range b {

@@ -236,18 +236,22 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, wd, reac
 		if attrs == nil {
 			attrs = s.attrsFor(u, vetted)
 		}
+		// mine: this client already holds the prefix. One held by another
+		// client (a federation agent and a local client share the
+		// supernet) is net-new to this one, like one nobody holds.
 		ad := u.advertised[n.Prefix]
+		mine := ad != nil && ad.owner == id
 		// Graceful re-announcement of a prefix retained stale across the
 		// client's restart, attributes identical (both interned: a
 		// pointer compare). Reclaimed silently — no upstream churn, no
 		// penalty for a flap the world never saw.
-		if ad != nil && ad.owner == id && ad.stale && ad.attrs == attrs {
+		if mine && ad.stale && ad.attrs == attrs {
 			ad.stale = false
 			continue
 		}
 		// Max-prefix quota: only a net-new prefix consumes headroom; over
 		// the limit the announcement is dropped and counts a strike.
-		if ad == nil && !s.admitPrefixLocked(c, u) {
+		if !mine && !s.admitPrefixLocked(c, u) {
 			strikes++
 			continue
 		}
@@ -262,7 +266,9 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, wd, reac
 			outReach = append(outReach, wire.NLRI{Prefix: n.Prefix})
 		}
 		// pending until first sent: below if u is up, else by its replay.
-		if ad == nil {
+		// A takeover releases the displaced owner's count with its advert.
+		if !mine {
+			u.delAdvertLocked(n.Prefix)
 			u.advCount[id]++
 		}
 		u.advertised[n.Prefix] = &advert{owner: id, attrs: attrs, announced: recv, pending: !est}

@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,23 +80,10 @@ func newAnnounceRig(tb testing.TB, mode muxproto.Mode, n int, quota QuotaConfig)
 		waitFor(tb, "upstream session", u.Established)
 		r.ups = append(r.ups, u)
 	}
-	if err := r.srv.RegisterClient(ClientAccount{
+	var cl *client.Client
+	r.c, cl = r.connect(tb, ClientAccount{
 		ID: "exp1", Allocation: []netip.Prefix{prefix("10.0.0.0/8")}, TunnelAddr: addr("10.250.0.1"),
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	ca, cb := bufconn.Pipe()
-	if err := r.srv.AcceptClient("exp1", ca); err != nil {
-		tb.Fatal(err)
-	}
-	cl, err := client.Connect(client.Config{Name: "exp1", RouterID: addr("10.250.0.1")}, cb)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { cl.Close() })
-	if err := cl.WaitEstablished(10 * time.Second); err != nil {
-		tb.Fatal(err)
-	}
+	})
 	// The client has sent each session's establish-time end-of-RIB, but
 	// the mux may not have handled it yet — and handled late, it flushes
 	// whatever a test has marked stale by then. A session's reader counts
@@ -113,8 +101,29 @@ func newAnnounceRig(tb testing.TB, mode muxproto.Mode, n int, quota QuotaConfig)
 	waitFor(tb, "the client's end-of-RIB markers handled", func() bool {
 		return r.srv.metrics.bgp.MsgsIn.With("update").Value() == 2*sessions
 	})
-	r.c = clientByID(r.srv, "exp1")
 	return r
+}
+
+// connect registers acct and connects a client for it, returning both
+// ends once every session is established.
+func (r *announceRig) connect(tb testing.TB, acct ClientAccount) (*clientConn, *client.Client) {
+	tb.Helper()
+	if err := r.srv.RegisterClient(acct); err != nil {
+		tb.Fatal(err)
+	}
+	ca, cb := bufconn.Pipe()
+	if err := r.srv.AcceptClient(acct.ID, ca); err != nil {
+		tb.Fatal(err)
+	}
+	cl, err := client.Connect(client.Config{Name: acct.ID, RouterID: acct.TunnelAddr}, cb)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cl.Close() })
+	if err := cl.WaitEstablished(10 * time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	return clientByID(r.srv, acct.ID), cl
 }
 
 // feed hands the mux one client UPDATE: whole in BIRD mode, where path
@@ -377,6 +386,56 @@ func TestMixedUpdateCounters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdvertTakeoverKeepsQuotaCounts is the regression test for an
+// advert that changes owner. A federation agent and a local client
+// share the testbed supernet, so both may announce one prefix; the
+// second announcement used to skip the quota check, overwrite the owner
+// and touch neither client's count, so that once the agent withdrew,
+// exp1 was still charged for a prefix nobody advertised and lost one of
+// its two slots. Now the newcomer is admitted and counted as for any
+// net-new prefix and the displaced owner's count is released.
+func TestAdvertTakeoverKeepsQuotaCounts(t *testing.T) {
+	r := newAnnounceRig(t, muxproto.ModeQuagga, 1, QuotaConfig{MaxPrefixes: 2})
+	u := r.ups[0]
+	agent, _ := r.connect(t, ClientAccount{
+		ID: "agent", Federated: true, Allocation: []netip.Prefix{prefix("10.0.0.0/8")}, TunnelAddr: addr("10.250.0.9"),
+	})
+	announce := func(c *clientConn, i int) {
+		r.srv.handleClientUpdate(c, u, &wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(benchPrefix(i), 0)})
+	}
+	counts := func() string {
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		return fmt.Sprint(len(u.advertised), u.advCount)
+	}
+	announce(r.c, 0)
+	announce(agent, 0)
+	if got, want := counts(), "1 map[agent:1]"; got != want {
+		t.Fatalf("after the takeover: advertised, advCount = %s, want %s", got, want)
+	}
+	if got := upstreamAdverts(u)[benchPrefix(0)]; !strings.HasPrefix(got, "agent ") {
+		t.Fatalf("the advert is %q, want it owned by the agent", got)
+	}
+	r.srv.handleClientUpdate(agent, u, &wire.Update{Withdrawn: to(benchPrefix(0), 0)})
+	if got, want := counts(), "0 map[]"; got != want {
+		t.Fatalf("after the withdrawal: advertised, advCount = %s, want %s", got, want)
+	}
+	// Nothing is advertised: exp1 has both of its slots.
+	announce(r.c, 1)
+	announce(r.c, 2)
+	if st := r.srv.Stats(); st.QuotaRejected != 0 || counts() != "2 map[exp1:2]" {
+		t.Fatalf("exp1's two announcements: %d rejected, advertised, advCount = %s", st.QuotaRejected, counts())
+	}
+	// A takeover is net-new to the newcomer: at its limit it is refused
+	// and the advert stays with its owner.
+	announce(agent, 3)
+	announce(agent, 4)
+	announce(agent, 1)
+	if st := r.srv.Stats(); st.QuotaRejected != 1 || counts() != "4 map[agent:2 exp1:2]" {
+		t.Fatalf("a takeover over quota: %d rejected, advertised, advCount = %s", st.QuotaRejected, counts())
 	}
 }
 

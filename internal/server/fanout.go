@@ -316,11 +316,7 @@ func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 					}
 				}
 				for len(nlris) > 0 {
-					room := snapFrameNLRIs - count
-					take := len(nlris)
-					if take > room {
-						take = room
-					}
+					take := min(len(nlris), snapFrameNLRIs-count)
 					groups = append(groups, wire.AttrGroup{Attrs: attrs, NLRIs: nlris[:take]})
 					count += take
 					nlris = nlris[take:]

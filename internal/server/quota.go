@@ -54,11 +54,11 @@ func (q QuotaConfig) maxQueueOps() int {
 	return q.MaxQueueOps
 }
 
-// prefixLimit resolves the max-prefix limit for one client: the
-// account's override, else the server-wide default. 0 = unlimited.
-func (s *Server) prefixLimit(c *clientConn) int {
-	if c.account.MaxPrefixes > 0 {
-		return c.account.MaxPrefixes
+// prefixLimit resolves the max-prefix limit for one account: its
+// override, else the server-wide default. 0 = unlimited.
+func (s *Server) prefixLimit(acct ClientAccount) int {
+	if acct.MaxPrefixes > 0 {
+		return acct.MaxPrefixes
 	}
 	return s.cfg.Quota.MaxPrefixes
 }
@@ -75,7 +75,7 @@ func warnLine(limit int) int {
 // lacks; on false they drop the announcement and own the teardown
 // escalation via quotaStrike. Callers hold u.mu.
 func (s *Server) admitPrefixLocked(c *clientConn, u *Upstream) bool {
-	limit, id := s.prefixLimit(c), c.account.ID
+	limit, id := s.prefixLimit(c.account), c.account.ID
 	if limit <= 0 {
 		return true
 	}

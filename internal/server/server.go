@@ -249,11 +249,8 @@ func (u *Upstream) delAdvertLocked(p netip.Prefix) {
 		u.advCount[ad.owner] = n
 	}
 	if u.quotaWarned[ad.owner] {
-		limit := u.srv.cfg.Quota.MaxPrefixes
-		if acct, ok := u.srv.accountOf(ad.owner); ok && acct.MaxPrefixes > 0 {
-			limit = acct.MaxPrefixes
-		}
-		if limit <= 0 || n < warnLine(limit) {
+		acct, _ := u.srv.accountOf(ad.owner) // unregistered: the default limit
+		if limit := u.srv.prefixLimit(acct); limit <= 0 || n < warnLine(limit) {
 			delete(u.quotaWarned, ad.owner)
 		}
 	}

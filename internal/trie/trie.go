@@ -1,10 +1,13 @@
 // Package trie implements a binary radix (Patricia-style) trie keyed by
-// IP prefixes. It is the index structure behind every RIB, FIB, and
-// prefix filter in the testbed: it supports exact-match insert/delete,
-// longest-prefix match for forwarding, and subtree walks for
-// "covered-by" queries used by export filters.
+// IP prefixes. It is the index structure behind the tables that answer
+// covering queries — the data plane's FIB, the server's allocation
+// table and the compiled prefix filter: it supports exact-match
+// insert/delete, longest-prefix match for forwarding, and the walk up
+// through every covering prefix that filters and origin validation
+// need. The RIBs are exact-match only and use hash tables instead
+// (internal/rib).
 //
-// A Trie is not safe for concurrent use; callers (RIBs, FIBs) guard it
+// A Trie is not safe for concurrent use; callers guard it
 // with their own locks so that a lookup and the decision that follows it
 // stay atomic. A Flat — the trie's IPv4 prefixes frozen into sorted
 // arrays by Freeze — is: it never changes, so per-packet lookups (the
@@ -276,10 +279,9 @@ func (t *Trie[V]) LookupPrefix(p netip.Prefix) (netip.Prefix, V, bool) {
 // Supernets visits every stored prefix that covers all of p — p's
 // exact entry included, if stored — from the least specific (shortest
 // mask) to the most specific. The callback returns false to stop
-// early. This is the dual of CoveredBy and the primitive behind
-// compiled prefix filters and origin (ROA) validation, where a match
-// may live at any covering aggregate, not just the longest one that
-// LookupPrefix reports.
+// early. This is the primitive behind compiled prefix filters and
+// origin (ROA) validation, where a match may live at any covering
+// aggregate, not just the longest one that LookupPrefix reports.
 func (t *Trie[V]) Supernets(p netip.Prefix, fn func(netip.Prefix, V) bool) {
 	if !p.IsValid() {
 		return
@@ -319,30 +321,4 @@ func walk[V any](n *node[V], fn func(netip.Prefix, V) bool) bool {
 		}
 	}
 	return walk(n.children[0], fn) && walk(n.children[1], fn)
-}
-
-// CoveredBy visits every stored prefix contained within p (including p
-// itself if stored).
-func (t *Trie[V]) CoveredBy(p netip.Prefix, fn func(netip.Prefix, V) bool) {
-	p = canon(p)
-	n := t.rootFor(p)
-	for n != nil {
-		if n.prefix.Bits() >= p.Bits() {
-			if p.Contains(n.prefix.Addr()) {
-				walk(n, fn)
-			}
-			return
-		}
-		if !n.prefix.Contains(p.Addr()) {
-			return
-		}
-		n = n.children[bitAt(p.Addr(), n.prefix.Bits())]
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

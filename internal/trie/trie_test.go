@@ -143,29 +143,6 @@ func TestWalkOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-func TestCoveredBy(t *testing.T) {
-	tr := New[int]()
-	for i, s := range []string{
-		"100.64.0.0/19", "100.64.0.0/24", "100.64.5.0/24", "100.64.32.0/24", "8.8.8.0/24",
-	} {
-		tr.Insert(mustPrefix(s), i)
-	}
-	var got []string
-	tr.CoveredBy(mustPrefix("100.64.0.0/19"), func(p netip.Prefix, _ int) bool {
-		got = append(got, p.String())
-		return true
-	})
-	want := map[string]bool{"100.64.0.0/19": true, "100.64.0.0/24": true, "100.64.5.0/24": true}
-	if len(got) != len(want) {
-		t.Fatalf("CoveredBy = %v, want keys %v", got, want)
-	}
-	for _, s := range got {
-		if !want[s] {
-			t.Fatalf("CoveredBy returned %s outside the covering block", s)
-		}
-	}
-}
-
 func TestSupernets(t *testing.T) {
 	tr := New[int]()
 	for i, s := range []string{
@@ -445,9 +422,9 @@ func nodes[V any](t *Trie[V]) int {
 	return count(t.root4) + count(t.root6)
 }
 
-// Delete must take the structure it orphans with it: RIBs and FIBs
-// under churn delete as often as they insert, and every vertex left
-// behind is walked by every later Walk, CoveredBy, Freeze and lookup.
+// Delete must take the structure it orphans with it: FIBs under churn
+// delete as often as they insert, and every vertex left behind is
+// walked by every later Walk, Freeze and lookup.
 func TestDeleteReclaimsNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tr := New[int]()
