@@ -61,8 +61,13 @@ race:
 # across a three-mux mesh. The timeout is what turns a stopped virtual
 # clock (a write made from a timer callback, DESIGN.md §9 "Who writes")
 # into a goroutine dump after two minutes instead of the default ten.
+# The join and replay-slot tests ride along at -count=5: joiners,
+# flushers, ingest writers, sweeps, scrapes and Close all reach a
+# shard's replay slot (DESIGN.md §15), and which of them gets there
+# first differs run to run.
 chaos:
 	$(GO) test ./internal/server/ -race -run '^TestChaos' -count=2 -v -timeout 120s
+	$(GO) test ./internal/server/ -race -run '^TestReplaySlot|^TestJoin' -count=5 -timeout 120s
 	$(GO) test ./internal/federation/ -race -run '^TestChaos' -count=2 -v -timeout 120s
 
 # Fan-out pipeline benchmarks. The acceptance tests measure UPDATE
@@ -142,7 +147,14 @@ docs: vet
 # grows past the committed ceiling: code added there has to pay for
 # itself by deleting something, or raise the figure in the same change
 # and say why.
-SERVER_LINES_MAX = 3448
+# PR 23 raised it from 3448: the replay slots (one cached wire snapshot
+# per upstream and shard, DESIGN.md §15 "Bulk initial sync") are a new
+# mechanism, not a second path for an old job — enqueueReplay is still
+# the only code that sends a table — and nothing they replace could be
+# deleted to pay for them. Over a third of the growth is the reference,
+# accounting and lock-order rules written down in frame.go and
+# fanout.go, which the issue asked to have where the code is.
+SERVER_LINES_MAX = 3688
 lines:
 	@n=$$(cat $$(ls internal/server/*.go | grep -v _test.go) | wc -l); \
 	echo "internal/server: $$n non-test lines (ceiling $(SERVER_LINES_MAX))"; \

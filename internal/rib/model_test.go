@@ -225,6 +225,9 @@ func checkAdjAgainstModel(t *testing.T, step int, a *AdjRIB, m adjModel, nPrefix
 		if len(ns) != wantGroups[at] {
 			t.Fatalf("step %d: WalkGrouped group of %d routes, model has %d with those attrs", step, len(ns), wantGroups[at])
 		}
+		if cap(ns) != len(ns) {
+			t.Fatalf("step %d: WalkGrouped group of %d routes has room for %d: an append would write into its neighbour", step, len(ns), cap(ns))
+		}
 		for _, n := range ns {
 			if j := m.find(n.Prefix, n.ID); j < 0 || m[j].attrs != at || m[j].given != n.Prefix {
 				t.Fatalf("step %d: WalkGrouped put %v#%d in the wrong group", step, n.Prefix, n.ID)

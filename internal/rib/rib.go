@@ -239,13 +239,40 @@ func (a *AdjRIB) Walk(fn func(*Route) bool) {
 // O(distinct policies) groups. The prefix slices are freshly built per
 // call and may be retained by the caller; the order of groups, and of
 // prefixes within one, is unspecified.
+//
+// Two passes: the first sizes every group, the second fills them, so
+// the groups are exact-length cuts of one backing array and nothing
+// grows route by route.
 func (a *AdjRIB) WalkGrouped(fn func(attrs *wire.Attrs, nlris []wire.NLRI)) {
-	groups := make(map[*wire.Attrs][]wire.NLRI)
-	for _, r := range a.m {
-		groups[r.Attrs] = append(groups[r.Attrs], wire.NLRI{Prefix: r.Prefix, ID: r.Src.PathID})
+	type group struct {
+		attrs      *wire.Attrs
+		start, end int // into arena; end counts routes until the groups are laid out
 	}
-	for attrs, ns := range groups {
-		fn(attrs, ns)
+	idx := make(map[*wire.Attrs]int)
+	var groups []group
+	for _, r := range a.m {
+		i, ok := idx[r.Attrs]
+		if !ok {
+			i = len(groups)
+			idx[r.Attrs] = i
+			groups = append(groups, group{attrs: r.Attrs})
+		}
+		groups[i].end++
+	}
+	off := 0
+	for i := range groups {
+		n := groups[i].end
+		groups[i].start, groups[i].end = off, off
+		off += n
+	}
+	arena := make([]wire.NLRI, len(a.m))
+	for _, r := range a.m {
+		g := &groups[idx[r.Attrs]]
+		arena[g.end] = wire.NLRI{Prefix: r.Prefix, ID: r.Src.PathID}
+		g.end++
+	}
+	for _, g := range groups {
+		fn(g.attrs, arena[g.start:g.end:g.end])
 	}
 }
 

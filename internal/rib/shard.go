@@ -97,6 +97,9 @@ type ShardedAdj struct {
 type adjShard struct {
 	mu  sync.RWMutex
 	rib *AdjRIB
+	// gen counts Updates: two reads that see the same gen saw the same
+	// routes.
+	gen uint64
 }
 
 // NewShardedAdj returns an empty table with n shards (rounded up to a
@@ -126,10 +129,13 @@ func (s *ShardedAdj) SetInterner(t *wire.InternTable) {
 // pass instead of a lock acquisition per route. The route-count delta
 // is folded into Len from the table's own before/after lengths. fn
 // must only mutate routes whose prefixes hash to shard i — everything
-// the batching dispatcher sends a worker already does.
+// the batching dispatcher sends a worker already does. Every call moves
+// the shard's gen, whatever fn did: Update is the only way to add,
+// replace or remove a route.
 func (s *ShardedAdj) Update(i int, fn func(*AdjRIB)) {
 	sh := &s.shards[i]
 	sh.mu.Lock()
+	sh.gen++
 	before := sh.rib.Len()
 	fn(sh.rib)
 	d := sh.rib.Len() - before
@@ -143,14 +149,15 @@ func (s *ShardedAdj) Update(i int, fn func(*AdjRIB)) {
 // are excluded while fn runs, so anything fn enqueues is ordered before
 // any route that later supersedes it — the guarantee the server's
 // replay walk relies on, scoped to one shard so a joiner's snapshot
-// frames are built and queued shard by shard. fn's first argument is
-// vestigial (always 0; it was a per-shard mutation count no caller
-// reads any more) and stays only because the benchmark module calls
-// ReadShard with this signature.
+// frames are built and queued shard by shard. gen is how many Updates
+// the shard has seen: anything derived from the routes under one gen
+// (the server's cached replay snapshot) is still exact while a later
+// read reports the same gen. Reads never move it, and neither does
+// MarkAllStale, which changes no route's prefix or attributes.
 func (s *ShardedAdj) ReadShard(i int, fn func(gen uint64, t *AdjRIB)) {
 	sh := &s.shards[i]
 	sh.mu.RLock()
-	fn(0, sh.rib)
+	fn(sh.gen, sh.rib)
 	sh.mu.RUnlock()
 }
 

@@ -385,3 +385,47 @@ func TestShardedAdjParity(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedAdjGen: a shard's gen moves on every Update of that shard,
+// whatever the callback did, and on nothing else — not a read, a walk
+// or a stale mark, which leave every route's prefix and attributes as
+// they were. It is what lets the server keep a replay snapshot of an
+// unwritten shard.
+func TestShardedAdjGen(t *testing.T) {
+	s := NewShardedAdj(4)
+	gens := func() []uint64 {
+		out := make([]uint64, s.Shards())
+		for i := range out {
+			s.ReadShard(i, func(gen uint64, _ *AdjRIB) { out[i] = gen })
+		}
+		return out
+	}
+	r := mkRoute("10.1.0.0/24", "192.0.2.9", nil)
+	home := shardOf(s, r.Prefix)
+	for step, write := range []func(*AdjRIB){
+		func(t *AdjRIB) { t.Set(r) },
+		func(t *AdjRIB) { t.Set(r) }, // a replace
+		func(*AdjRIB) {},             // an Update that wrote nothing
+		func(t *AdjRIB) { t.Remove(r.Prefix, 0) },
+	} {
+		before := gens()
+		s.Update(home, write)
+		for i, g := range gens() {
+			want := before[i]
+			if i == home {
+				want++
+			}
+			if g != want {
+				t.Fatalf("step %d: shard %d gen = %d, want %d (home shard %d)", step, i, g, want, home)
+			}
+		}
+	}
+	shardedSet(s, r)
+	before := gens()
+	s.Walk(func(*Route) bool { return true })
+	s.MarkAllStale()
+	_ = s.Len()
+	if after := gens(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("gens moved from %v to %v without an Update", before, after)
+	}
+}

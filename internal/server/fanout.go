@@ -268,11 +268,68 @@ func (s *Server) broadcast(si int, clients []*clientConn, f *broadcastFrame) {
 	}
 }
 
-// snapFrameNLRIs caps one frame's logical size so its encoding stays
-// inside a pooled size class (~6000 routes ≈ 54KB of NLRI) and far
-// under any transport frame limit. It bounds bulk-sync chunks, withdraw
-// sweeps and the ingest workers' merged batches alike.
+// snapFrameNLRIs caps one frame's logical size, far under any transport
+// frame limit (6000 routes encode to 55–180 KB, by how many share an
+// attribute set). It bounds bulk-sync chunks, withdraw sweeps and the
+// ingest workers' merged batches alike.
 const snapFrameNLRIs = 6000
+
+// replaySlot keeps the last replay snapshot of one (upstream, RIB
+// shard): the frames enqueueReplay built from the shard at gen, for a
+// session with opts. While the shard stays unwritten every replay for
+// the same options queues these frames again — one walk, one grouping
+// and one encode per table version, not per joiner. frame.go has the
+// reference rules.
+//
+// mu orders joiners, who hold only the shard's read lock, against each
+// other, and it is held across a build, so joiners arriving together
+// wait for the first and ride its frames. Whoever writes the shard
+// (ingestPool.process, sweepUpstream) drops the slot under the write
+// lock it already holds: a table under churn keeps no image.
+type replaySlot struct {
+	mu     sync.Mutex
+	valid  bool
+	gen    uint64
+	opts   wire.Options
+	frames []*broadcastFrame
+}
+
+// reset empties the slot and lets go of its frames' buffers (once the
+// queues still holding them have flushed). The caller holds mu.
+func (sl *replaySlot) reset() {
+	for _, f := range sl.frames {
+		f.unref()
+	}
+	sl.frames, sl.valid = nil, false
+}
+
+// drop is reset for whoever holds the shard's write lock, which
+// excludes every joiner and every other dropper, so valid is read
+// unlocked: a shard nobody joined since its last write pays this one
+// check. mu is for the scrape-time reader.
+func (sl *replaySlot) drop() {
+	if sl.valid {
+		sl.mu.Lock()
+		sl.reset()
+		sl.mu.Unlock()
+	}
+}
+
+// replaySnapshotBytes sums the wire bytes the replay slots hold now.
+func (s *Server) replaySnapshotBytes() (n int) {
+	for _, u := range s.Upstreams() {
+		for i := range u.replay {
+			sl := &u.replay[i]
+			sl.mu.Lock()
+			frames := sl.frames // replaced whole, never written in place
+			sl.mu.Unlock()
+			for _, f := range frames {
+				n += f.wireLen()
+			}
+		}
+	}
+	return n
+}
 
 // enqueueReplay queues upstream u's current Adj-RIB-In for client c,
 // followed by an End-of-RIB marker when eor is set. Replays flow
@@ -287,50 +344,95 @@ const snapFrameNLRIs = 6000
 // carries them), live frames after it pass. Every route therefore
 // reaches the client exactly once even when it attaches mid-ingest.
 //
-// A shard is streamed as private snapshot frames — attr-grouped chunks
-// of at most snapFrameNLRIs routes — so a full-table join costs
-// O(frames), not O(routes), in queue traffic.
+// A shard is streamed as snapshot frames — attr-grouped chunks of at
+// most snapFrameNLRIs routes — so a full-table join costs O(frames),
+// not O(routes), in queue traffic. They are the shard's slot's frames
+// when the slot was built from this version of the shard for the
+// options c's session negotiated, and a cold slot is filled on the way.
+// A client with other options than a warm slot's, or no established
+// session to read them from, gets private frames and leaves the slot
+// alone; so does everyone once the server is closing, which has
+// released the slots for good.
 func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 	skey, pathID := s.sessionKey(u)
+	var opts wire.Options
+	sess := c.session(skey)
+	share := sess != nil && sess.Established()
+	if share {
+		opts = sess.Options()
+	}
 	for i := 0; i < u.adjIn.Shards(); i++ {
-		u.adjIn.ReadShard(i, func(_ uint64, t *rib.AdjRIB) {
+		u.adjIn.ReadShard(i, func(gen uint64, t *rib.AdjRIB) {
 			c.out.beginSync(i, u.cfg.ID)
-			// One pass groups by interned attrs; chunk the groups into
-			// frames. The NLRI slices are freshly built by WalkGrouped,
-			// so the frames own them outright.
-			var groups []wire.AttrGroup
-			count := 0
-			emit := func() {
-				if len(groups) == 0 {
+			build := func() []*broadcastFrame {
+				s.metrics.replayBuilds.Inc()
+				return snapshotFrames(t, skey, u.cfg.ID, pathID)
+			}
+			if sl := &u.replay[i]; share && !s.closed.Load() {
+				sl.mu.Lock()
+				if !sl.valid || sl.gen != gen {
+					sl.reset()
+					sl.valid, sl.gen, sl.opts, sl.frames = true, gen, opts, build()
+					for _, f := range sl.frames {
+						f.pin(opts, &s.liveFrames)
+					}
+				} else if sl.opts == opts {
+					s.metrics.replayHits.Inc()
+				}
+				mine := sl.opts == opts
+				if mine {
+					for _, f := range sl.frames {
+						f.join()
+						c.out.putFrame(i, f)
+					}
+				}
+				sl.mu.Unlock()
+				if mine {
 					return
 				}
-				f := newSnapshotFrame(skey, u.cfg.ID, groups)
+			}
+			for _, f := range build() {
 				f.retain(1, &s.liveFrames)
 				c.out.putFrame(i, f)
-				groups, count = nil, 0
 			}
-			t.WalkGrouped(func(attrs *wire.Attrs, nlris []wire.NLRI) {
-				if pathID != 0 {
-					for k := range nlris {
-						nlris[k].ID = pathID
-					}
-				}
-				for len(nlris) > 0 {
-					take := min(len(nlris), snapFrameNLRIs-count)
-					groups = append(groups, wire.AttrGroup{Attrs: attrs, NLRIs: nlris[:take]})
-					count += take
-					nlris = nlris[take:]
-					if count >= snapFrameNLRIs {
-						emit()
-					}
-				}
-			})
-			emit()
 		})
 	}
 	if eor {
 		c.out.putEoR(skey)
 	}
+}
+
+// snapshotFrames walks one shard's table into snapshot frames. One pass
+// groups by interned attrs; the groups are chunked into frames. The
+// NLRI slices are freshly built by WalkGrouped, so the frames own them
+// outright.
+func snapshotFrames(t *rib.AdjRIB, skey, upstream uint32, pathID wire.PathID) (frames []*broadcastFrame) {
+	var groups []wire.AttrGroup
+	count := 0
+	emit := func() {
+		if len(groups) > 0 {
+			frames = append(frames, newSnapshotFrame(skey, upstream, groups))
+			groups, count = nil, 0
+		}
+	}
+	t.WalkGrouped(func(attrs *wire.Attrs, nlris []wire.NLRI) {
+		if pathID != 0 {
+			for k := range nlris {
+				nlris[k].ID = pathID
+			}
+		}
+		for len(nlris) > 0 {
+			take := min(len(nlris), snapFrameNLRIs-count)
+			groups = append(groups, wire.AttrGroup{Attrs: attrs, NLRIs: nlris[:take]})
+			count += take
+			nlris = nlris[take:]
+			if count >= snapFrameNLRIs {
+				emit()
+			}
+		}
+	})
+	emit()
+	return frames
 }
 
 // runFanout is the per-client worker, the one goroutine that owns the
@@ -416,6 +518,9 @@ func (s *Server) flushFrame(c *clientConn, f *broadcastFrame) (sent, relayed uin
 			m.fanoutFramePrivate.Inc()
 		}
 		return uint64(len(counts)), uint64(f.nlris)
+	}
+	if f.cached {
+		return 0, 0 // wire bytes only, under other options: see frame.go
 	}
 	m.fanoutFramePrivate.Inc()
 	for _, upd := range wire.PackGrouped(f.wd, f.groups, opts) {

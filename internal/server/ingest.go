@@ -295,6 +295,7 @@ func (p *ingestPool) process(op *ingestOp, si int, entries []batchEntry) []batch
 		// is then strictly before or strictly after this whole op, never
 		// between the install and the fan-out.
 		u.adjIn.Update(si, func(t *rib.AdjRIB) {
+			u.replay[si].drop()
 			for _, e := range entries {
 				if e.attrs == nil {
 					t.Remove(e.nlri.Prefix, 0)

@@ -72,6 +72,11 @@ type serverMetrics struct {
 	fanoutFrameShared  *telemetry.Counter
 	fanoutFramePrivate *telemetry.Counter
 
+	// Replay snapshots (enqueueReplay): shard replays walked and built
+	// from the table, and shard replays served from a slot's frames.
+	replayBuilds *telemetry.Counter
+	replayHits   *telemetry.Counter
+
 	// Compiled-policy verdict counters (policy/compiled, wired in
 	// ingest.go and handleClientUpdate). The CounterVec is the registered
 	// family; policyAccepted and policyRejected are its label children,
@@ -140,9 +145,14 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 		ingestBatchSize: r.Histogram("peering_ingest_batch_size",
 			"Folded NLRI entries per shard-ingest operation (1 = a lone single-NLRI UPDATE).", batchBuckets),
 		fanoutFrameShared: r.Counter("peering_fanout_frames_shared_total",
-			"Frame flushes served from bytes encoded once for two or more client queues."),
+			"Frame flushes served from bytes encoded once for two or more client queues, or for a replay slot."),
 		fanoutFramePrivate: r.Counter("peering_fanout_frames_private_total",
-			"Frame flushes whose encoding served this client alone: a frame built for one queue (a joiner's snapshot, a shed remainder, a lone client) or a re-pack under diverged codec options."),
+			"Frame flushes whose encoding served this client alone: a frame built for one queue (a private snapshot, a shed remainder, a lone client) or a re-pack under diverged codec options."),
+
+		replayBuilds: r.Counter("peering_replay_snapshot_builds_total",
+			"Shard replays walked, grouped and encoded from the table: the shard was written since its last replay, or the joiner's codec options differ from the cached snapshot's."),
+		replayHits: r.Counter("peering_replay_snapshot_hits_total",
+			"Shard replays served from the cached snapshot of an unwritten shard (near 0 on a busy mux: writes release the snapshots)."),
 
 		policyVerdicts: r.CounterVec("peering_policy_verdicts_total",
 			"Compiled safety-filter verdicts by rule class and outcome (upstream ingest and client vetting).",
@@ -191,7 +201,7 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 			emit(float64(st.MetroRules), "metro")
 		})
 	r.GaugeFunc("peering_fanout_shared_frame_ratio",
-		"Fraction of frame flushes served from bytes shared by two or more clients (near 1 under live fan-out; falls toward 0 while joiners replay private snapshots; 0 when no frames have been flushed).",
+		"Fraction of frame flushes served from bytes shared by two or more clients or kept for later joiners (near 1 on a homogeneous mux; 0 when no frames have been flushed).",
 		func() float64 {
 			shared := m.fanoutFrameShared.Value()
 			total := shared + m.fanoutFramePrivate.Value()
@@ -200,6 +210,9 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 			}
 			return float64(shared) / float64(total)
 		})
+	r.GaugeFunc("peering_replay_snapshot_bytes",
+		"Wire bytes held in cached replay snapshots right now (only shards joined and not written since hold any).",
+		func() float64 { return float64(s.replaySnapshotBytes()) })
 	r.GaugeFunc("peering_server_clients",
 		"Clients currently connected.",
 		func() float64 { return float64(s.ClientCount()) })
@@ -284,6 +297,9 @@ func (s *Server) Stats() Stats {
 		QuotaTeardowns:         m.quotaTeardowns.Value(),
 		FanoutShed:             m.quotaShed.Value(),
 		FanoutResyncs:          m.quotaResyncs.Value(),
+		ReplaySnapshotBuilds:   m.replayBuilds.Value(),
+		ReplaySnapshotHits:     m.replayHits.Value(),
+		ReplaySnapshotBytes:    uint64(s.replaySnapshotBytes()),
 	}
 }
 

@@ -28,15 +28,17 @@ import (
 
 // newCheckedServer builds a server whose cleanup asserts the resource
 // invariant once the server and everything registered after it have
-// closed: no queue references a frame, no pooled frame buffer is held,
-// and the goroutine count is back at its reading from before New.
+// closed: no queue references a frame, and the pooled frame buffers
+// held and the goroutine count are back at their readings from before
+// New (an earlier server of the same test may still be open, with warm
+// replay slots).
 func newCheckedServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
-	base := runtime.NumGoroutine()
+	base, baseBufs := runtime.NumGoroutine(), bufpool.LiveFrames()
 	srv := New(cfg)
 	t.Cleanup(func() { // registered first, so it runs after srv.Close
 		waitFor(t, "every frame reference released", func() bool {
-			return srv.liveFrames.Load() == 0 && bufpool.LiveFrames() == 0
+			return srv.liveFrames.Load() == 0 && bufpool.LiveFrames() <= baseBufs
 		})
 		waitFor(t, "goroutines back to baseline", func() bool {
 			return runtime.NumGoroutine() <= base
@@ -185,15 +187,29 @@ func (h *heldConn) release() error {
 // has replayed every upstream to it.
 func (r *frameRig) join(t *testing.T, k int) (*client.Client, *recorder) {
 	t.Helper()
-	id := fmt.Sprintf("exp%d", k)
-	tun := addr(fmt.Sprintf("10.250.0.%d", k))
+	ca, cb := bufconn.Pipe()
+	return r.joinOver(t, k, ca, cb)
+}
+
+// register gives client number k its account.
+func (r *frameRig) register(t *testing.T, k int) (id string, tun netip.Addr) {
+	t.Helper()
+	id = fmt.Sprintf("exp%d", k)
+	tun = addr(fmt.Sprintf("10.250.0.%d", k))
 	if err := r.srv.RegisterClient(ClientAccount{
 		ID: id, TunnelAddr: tun,
 		Allocation: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{184, 164, byte(224 + k), 0}), 24)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ca, cb := bufconn.Pipe()
+	return id, tun
+}
+
+// joinOver is join over a transport of the caller's (ca the server's
+// end, cb the client's).
+func (r *frameRig) joinOver(t *testing.T, k int, ca, cb net.Conn) (*client.Client, *recorder) {
+	t.Helper()
+	id, tun := r.register(t, k)
 	if err := r.srv.AcceptClient(id, ca); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,453 @@
+package server
+
+// Replay slots (fanout.go, frame.go): one cached snapshot per (upstream,
+// RIB shard), shared by every joiner until the shard's next write. All
+// on newCheckedServer rigs, so a reference or pooled buffer that
+// outlives Close fails the test that leaked it.
+
+import (
+	"fmt"
+	"maps"
+	"net/netip"
+	"sync"
+	"testing"
+	"time"
+
+	"peering/internal/bgp"
+	"peering/internal/bufconn"
+	"peering/internal/bufpool"
+	"peering/internal/client"
+	"peering/internal/faultconn"
+	"peering/internal/muxproto"
+	"peering/internal/rib"
+	"peering/internal/tunnel"
+	"peering/internal/wire"
+)
+
+func slotPfx(i int) netip.Prefix { return prefix(fmt.Sprintf("96.%d.%d.0/24", i/256, i%256)) }
+
+// load feeds routes [lo, hi) from upstream 1, a hundred to an UPDATE,
+// each UPDATE with attributes of its own, and waits for them.
+func (r *frameRig) load(lo, hi int) {
+	for i := lo; i < hi; i += 100 {
+		upd := &wire.Update{Attrs: medAttrs(3001, uint32(i))}
+		for j := i; j < hi && j < i+100; j++ {
+			upd.Reach = append(upd.Reach, wire.NLRI{Prefix: slotPfx(j)})
+		}
+		r.feed(1, upd)
+	}
+	r.srv.ingest.barrier()
+}
+
+// model is upstream 1's Adj-RIB-In in the shape tableOf gives a client's
+// view.
+func (r *frameRig) model(t testing.TB) map[netip.Prefix]string {
+	var routes []*rib.Route
+	r.ups[0].adjIn.Walk(func(rt *rib.Route) bool {
+		routes = append(routes, rt)
+		return true
+	})
+	return tableOf(t, routes)
+}
+
+// holds waits until the client's view of upstream 1 is the model.
+func (r *frameRig) holds(t *testing.T, who string, cl *client.Client) map[netip.Prefix]string {
+	t.Helper()
+	want := r.model(t)
+	var got map[netip.Prefix]string
+	waitFor(t, who+" to hold the table", func() bool {
+		got = tableOf(t, cl.Routes(1))
+		return maps.Equal(got, want)
+	})
+	return got
+}
+
+// wantSlotDelta checks the snapshot builds and hits counted since base.
+func (r *frameRig) wantSlotDelta(t *testing.T, base Stats, builds, hits uint64) {
+	t.Helper()
+	st := r.srv.Stats()
+	if b, h := st.ReplaySnapshotBuilds-base.ReplaySnapshotBuilds, st.ReplaySnapshotHits-base.ReplaySnapshotHits; b != builds || h != hits {
+		t.Fatalf("snapshot builds, hits = %d, %d; want %d, %d", b, h, builds, hits)
+	}
+}
+
+// sameShard returns the first k of slotPfx(lo..hi) that hash where like
+// does.
+func sameShard(t *testing.T, shards int, like netip.Prefix, lo, hi, k int) []netip.Prefix {
+	t.Helper()
+	mask := uint32(shards - 1)
+	var out []netip.Prefix
+	for i := lo; i < hi && len(out) < k; i++ {
+		if p := slotPfx(i); rib.PrefixShard(p)&mask == rib.PrefixShard(like)&mask {
+			out = append(out, p)
+		}
+	}
+	if len(out) < k {
+		t.Fatalf("only %d of %d prefixes share %v's shard", len(out), k, like)
+	}
+	return out
+}
+
+// TestReplaySlotServesLaterJoiners: joiners to a quiet table each get
+// the whole table exactly once, the first builds every shard's snapshot
+// and the others ride it; at rest the slots hold encoded bytes and no
+// logical groups, and no queue references them.
+func TestReplaySlotServesLaterJoiners(t *testing.T) {
+	const n, joiners = 2000, 4
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
+			r.load(0, n)
+			base, bufs := r.srv.Stats(), bufpool.LiveFrames()
+			for k := 1; k <= joiners; k++ {
+				cl, rec := r.join(t, k)
+				r.holds(t, fmt.Sprintf("joiner %d", k), cl)
+				for p, times := range rec.announced(1) {
+					if times != 1 {
+						t.Fatalf("joiner %d saw %v announced %d times", k, p, times)
+					}
+				}
+			}
+			r.wantSlotDelta(t, base, uint64(shards), uint64((joiners-1)*shards))
+			waitFor(t, "the queues to let go of the slots' frames", func() bool { return r.srv.liveFrames.Load() == 0 })
+			st := r.srv.Stats()
+			if got := st.RoutesRelayedToClients - base.RoutesRelayedToClients; got != joiners*n {
+				t.Fatalf("%d routes relayed to %d joiners of a %d-route table", got, joiners, n)
+			}
+			if st.ReplaySnapshotBytes == 0 || bufpool.LiveFrames() <= bufs {
+				t.Fatalf("warm slots hold %d bytes in %d buffers", st.ReplaySnapshotBytes, bufpool.LiveFrames()-bufs)
+			}
+			for i := range r.ups[0].replay {
+				for _, f := range r.ups[0].replay[i].frames {
+					if f.groups != nil || f.wireLen() == 0 {
+						t.Fatalf("shard %d: a flushed slot frame keeps %d logical groups beside %d wire bytes", i, len(f.groups), f.wireLen())
+					}
+				}
+			}
+			if m := r.srv.metrics; m.fanoutFramePrivate.Value() != 0 || m.fanoutFrameShared.Value() == 0 {
+				t.Fatalf("slot flushes counted %d shared, %d private", m.fanoutFrameShared.Value(), m.fanoutFramePrivate.Value())
+			}
+		})
+	}
+}
+
+// TestReplaySlotRebuiltAfterWrite: an announce, a replace with new
+// attributes and a withdraw landing in one shard between two joins cost
+// that shard's snapshot and no other; a graceful-restart stale sweep
+// costs every shard's. Either way the next joiner gets the table as it
+// is, and no route that left it.
+func TestReplaySlotRebuiltAfterWrite(t *testing.T) {
+	const n, shards = 2000, 4
+	r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
+	r.load(0, n)
+	first, _ := r.join(t, 1)
+	r.holds(t, "first joiner", first)
+
+	ps := sameShard(t, shards, slotPfx(0), 0, n, 2)
+	replaced, withdrawn := ps[0], ps[1]
+	added := sameShard(t, shards, slotPfx(0), n, 2*n, 1)[0]
+	r.feed(1, announce(medAttrs(3001, 7_000_001), added), announce(medAttrs(3001, 7_000_002), replaced), withdraw(withdrawn))
+	r.srv.ingest.barrier()
+
+	base := r.srv.Stats()
+	cl, _ := r.join(t, 2)
+	got := r.holds(t, "joiner after the write", cl)
+	if _, ok := got[withdrawn]; ok {
+		t.Fatalf("joiner holds %v, withdrawn before it joined", withdrawn)
+	}
+	if _, ok := got[added]; !ok {
+		t.Fatalf("joiner lacks %v, announced before it joined", added)
+	}
+	r.wantSlotDelta(t, base, 1, shards-1)
+	r.holds(t, "first joiner, after the write", first)
+
+	// Graceful restart: everything goes stale, the peer comes back with
+	// all but the first hundred routes, and the rest are swept.
+	u := r.ups[0]
+	u.adjIn.MarkAllStale()
+	r.load(100, n)
+	r.srv.flushUpstreamStale(u)
+	base = r.srv.Stats()
+	cl, _ = r.join(t, 3)
+	got = r.holds(t, "joiner after the sweep", cl)
+	for _, p := range []netip.Prefix{added, slotPfx(0), slotPfx(99)} {
+		if _, ok := got[p]; ok {
+			t.Fatalf("joiner holds %v, swept as stale before it joined", p)
+		}
+	}
+	r.wantSlotDelta(t, base, shards, 0)
+	r.holds(t, "first joiner, after the sweep", first)
+}
+
+// plainClient is a client that offers no ADD-PATH: on a BIRD-mode mux
+// its session negotiates other codec options than everyone else's.
+type plainClient struct {
+	mu    sync.Mutex
+	table map[netip.Prefix]string
+}
+
+func (pc *plainClient) onUpdate(t *testing.T) func(*bgp.Session, *wire.Update) {
+	return func(_ *bgp.Session, upd *wire.Update) {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		for _, n := range upd.Withdrawn {
+			delete(pc.table, n.Prefix)
+		}
+		if len(upd.Reach) == 0 {
+			return
+		}
+		b, err := wire.MarshalAttrs(upd.Attrs, wire.DefaultOptions)
+		if err != nil {
+			t.Errorf("marshal attrs: %v", err)
+		}
+		for _, n := range upd.Reach {
+			pc.table[n.Prefix] = string(b)
+		}
+	}
+}
+
+func (pc *plainClient) snapshot() map[netip.Prefix]string {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return maps.Clone(pc.table)
+}
+
+func (r *frameRig) joinPlain(t *testing.T, k int) *plainClient {
+	t.Helper()
+	id, tun := r.register(t, k)
+	ca, cb := bufconn.Pipe()
+	if err := r.srv.AcceptClient(id, ca); err != nil {
+		t.Fatal(err)
+	}
+	pc := &plainClient{table: make(map[netip.Prefix]string)}
+	mux := tunnel.NewMux(cb, func(st *tunnel.Stream) {
+		switch {
+		case st.ID() == muxproto.StreamControl:
+			go func() {
+				if _, err := muxproto.ReadProvisioning(st); err == nil {
+					st.Write([]byte("ok\n"))
+				}
+			}()
+		case st.ID() >= muxproto.StreamBGPBase:
+			go bgp.New(st, bgp.Config{LocalAS: testbedASN, LocalID: tun}, bgp.HandlerFuncs{OnUpdate: pc.onUpdate(t)}).Run()
+		}
+	})
+	t.Cleanup(func() { mux.Close() })
+	return pc
+}
+
+// TestReplaySlotOtherOptions: a joiner whose session negotiated other
+// options than a warm slot's gets the table from private frames, and
+// the slot is still there for the next joiner it fits.
+func TestReplaySlotOtherOptions(t *testing.T) {
+	const n, shards = 1000, 4
+	r := newFrameRig(t, muxproto.ModeBIRD, shards, 1)
+	r.load(0, n)
+	cl, _ := r.join(t, 1)
+	r.holds(t, "ADD-PATH joiner", cl)
+
+	base := r.srv.Stats()
+	private := r.srv.metrics.fanoutFramePrivate.Value()
+	pc := r.joinPlain(t, 2)
+	want := r.model(t)
+	waitFor(t, "the joiner without ADD-PATH to hold the table", func() bool { return maps.Equal(pc.snapshot(), want) })
+	r.wantSlotDelta(t, base, shards, 0)
+	if r.srv.metrics.fanoutFramePrivate.Value() == private {
+		t.Fatal("the joiner without ADD-PATH was served no private frame")
+	}
+
+	cl, _ = r.join(t, 3)
+	r.holds(t, "second ADD-PATH joiner", cl)
+	r.wantSlotDelta(t, base, shards, shards)
+}
+
+// TestReplaySlotReleasedByWriteAndClose: the first write to a shard
+// after a join hands the slot's buffers back, and a slot left warm is
+// released by Close (the rig's cleanup checks).
+func TestReplaySlotReleasedByWriteAndClose(t *testing.T) {
+	const n, shards = 1000, 4
+	r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
+	r.load(0, n)
+	bufs := bufpool.LiveFrames()
+	cl, _ := r.join(t, 1)
+	r.holds(t, "joiner", cl)
+	if bufpool.LiveFrames() <= bufs || r.srv.Stats().ReplaySnapshotBytes == 0 {
+		t.Fatal("the join left no snapshot behind")
+	}
+	for i := 0; i < shards; i++ {
+		// One shard at a time: the others keep theirs.
+		held := r.srv.Stats().ReplaySnapshotBytes
+		mask := uint32(shards - 1)
+		for j := n; ; j++ {
+			if p := slotPfx(j); rib.PrefixShard(p)&mask == uint32(i) {
+				r.feed(1, announce(medAttrs(3001, 1), p))
+				break
+			}
+		}
+		r.srv.ingest.barrier()
+		if now := r.srv.Stats().ReplaySnapshotBytes; now >= held {
+			t.Fatalf("a write to shard %d left %d snapshot bytes held, of %d", i, now, held)
+		}
+	}
+	waitFor(t, "every slot buffer to go back", func() bool { return bufpool.LiveFrames() == bufs })
+	if held := r.srv.Stats().ReplaySnapshotBytes; held != 0 {
+		t.Fatalf("%d snapshot bytes held after every shard was written", held)
+	}
+	r.holds(t, "joiner, after the writes", cl)
+
+	cl, _ = r.join(t, 2)
+	r.holds(t, "second joiner", cl)
+	if bufpool.LiveFrames() <= bufs {
+		t.Fatal("the second join left no snapshot behind")
+	}
+}
+
+// TestReplaySlotResyncUnderCap: a laggard shed at its queue cap is
+// resynced from the slots a healthy joiner warmed meanwhile — snapshot
+// frames the cap neither counts nor sheds — and every queue that held
+// them accounts them back out.
+func TestReplaySlotResyncUnderCap(t *testing.T) {
+	const shards = 4
+	r := newFrameRigQuota(t, muxproto.ModeQuagga, shards, 1, QuotaConfig{MaxQueueOps: 64})
+	r.load(0, 512)
+	fcSrv, fcCli := faultconn.Pipe(nil)
+	slow, _ := r.joinOver(t, 1, fcSrv, fcCli)
+	healthy, _ := r.join(t, 2)
+	r.holds(t, "laggard, before the stall", slow)
+
+	fcSrv.Stall()
+	laggard := clientByID(r.srv, "exp1")
+	next := 512
+	for i := 0; i < 64 && laggard.out.shed.Load() == 0 && r.srv.Stats().FanoutShed == 0; i++ {
+		r.load(next, next+512)
+		next += 512
+	}
+	if laggard.out.shed.Load() == 0 && r.srv.Stats().FanoutShed == 0 {
+		t.Fatal("laggard never shed a frame at its queue cap")
+	}
+	r.holds(t, "healthy client, through the stall", healthy)
+	late, _ := r.join(t, 3) // warms every slot at the table's last version
+	r.holds(t, "late joiner", late)
+
+	base := r.srv.Stats()
+	fcSrv.Unstall()
+	r.holds(t, "laggard, resynced", slow)
+	st := r.srv.Stats()
+	resyncs := st.FanoutResyncs - base.FanoutResyncs
+	if resyncs == 0 {
+		t.Fatal("laggard converged without a resync")
+	}
+	r.wantSlotDelta(t, base, 0, resyncs*shards)
+	waitFor(t, "every queue to drain", func() bool {
+		for _, c := range r.srv.clientList() {
+			if c.out.depthSnap.Load() != 0 || c.out.depthOps.Load() != 0 {
+				return false
+			}
+		}
+		return r.srv.liveFrames.Load() == 0
+	})
+}
+
+// TestReplaySlotConcurrentJoinsWritesClose: replays for several clients
+// (what a route refresh or a resync queues), stats scrapes, live writes,
+// a stale sweep and finally Close all reach the slots at once. Every
+// client ends on the table, and the rig's cleanup finds nothing held.
+func TestReplaySlotConcurrentJoinsWritesClose(t *testing.T) {
+	const n, shards, clients = 1500, 4, 3
+	r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
+	r.load(0, n)
+	u := r.ups[0]
+	cls := make([]*client.Client, clients)
+	for k := range cls {
+		cls[k], _ = r.join(t, k+1)
+	}
+	replayAll := func(stop <-chan struct{}) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		for _, c := range r.srv.clientList() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						r.srv.enqueueReplay(c, u, false)
+						r.srv.Stats()
+						time.Sleep(time.Millisecond)
+					}
+				}
+			}()
+		}
+		return &wg
+	}
+	base := r.srv.Stats()
+	stop := make(chan struct{})
+	wg := replayAll(stop)
+	for round := 0; round < 30; round++ {
+		r.feed(1,
+			announce(medAttrs(3001, uint32(round)), slotPfx(n+round)),
+			announce(medAttrs(3001, 7_000_000+uint32(round)), slotPfx(300+round)),
+			withdraw(slotPfx(round)))
+		if round == 15 {
+			r.srv.ingest.barrier()
+			u.adjIn.MarkAllStale()
+			r.load(200, n)
+			r.srv.flushUpstreamStale(u)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	r.srv.ingest.barrier()
+	st := r.srv.Stats()
+	if st.ReplaySnapshotBuilds == base.ReplaySnapshotBuilds || st.ReplaySnapshotHits == base.ReplaySnapshotHits {
+		t.Fatalf("%d builds and %d hits: the run exercised one path only",
+			st.ReplaySnapshotBuilds-base.ReplaySnapshotBuilds, st.ReplaySnapshotHits-base.ReplaySnapshotHits)
+	}
+	for k, cl := range cls {
+		got := r.holds(t, fmt.Sprintf("client %d", k+1), cl)
+		if _, ok := got[slotPfx(0)]; ok {
+			t.Fatalf("client %d holds %v, withdrawn and swept", k+1, slotPfx(0))
+		}
+	}
+	stop = make(chan struct{})
+	wg = replayAll(stop)
+	r.srv.Close()
+	close(stop)
+	wg.Wait()
+}
+
+// TestReplaySlotWarmJoinAllocs: queueing a table from warm slots
+// allocates per frame at most, never per route.
+func TestReplaySlotWarmJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not enforced under -race")
+	}
+	const n, shards = 20000, 2
+	r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
+	r.load(0, n)
+	// The client's end stalls once it is in sync, so its flusher parks in
+	// the first write and the runs below measure the enqueue alone, not
+	// a receiver decoding the table in this process.
+	fcSrv, fcCli := faultconn.Pipe(nil)
+	cl, _ := r.joinOver(t, 1, fcSrv, fcCli)
+	r.holds(t, "joiner", cl)
+	fcSrv.Stall()
+	c, u := clientByID(r.srv, "exp1"), r.ups[0]
+	base := r.srv.Stats()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() { r.srv.enqueueReplay(c, u, false) })
+	r.wantSlotDelta(t, base, 0, (runs+1)*shards)
+	frames := 0
+	for i := range u.replay {
+		frames += len(u.replay[i].frames)
+	}
+	if frames < n/snapFrameNLRIs {
+		t.Fatalf("%d routes sit in %d slot frames", n, frames)
+	}
+	if budget := float64(8 * (frames + shards)); allocs > budget {
+		t.Fatalf("a warm replay of %d routes in %d frames allocates %.0f times, budget %.0f", n, frames, allocs, budget)
+	}
+	fcSrv.Reset()
+}

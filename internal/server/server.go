@@ -155,6 +155,15 @@ type Stats struct {
 	QuotaTeardowns uint64
 	FanoutShed     uint64
 	FanoutResyncs  uint64
+	// ReplaySnapshotBuilds counts shard replays built from the table,
+	// ReplaySnapshotHits those served from the snapshot an earlier
+	// replay of the still unwritten shard left behind, and
+	// ReplaySnapshotBytes the wire bytes such snapshots hold right now.
+	// Hits near zero on a busy mux are writes releasing the snapshots,
+	// not a fault.
+	ReplaySnapshotBuilds uint64
+	ReplaySnapshotHits   uint64
+	ReplaySnapshotBytes  uint64
 }
 
 // UpstreamConfig describes one upstream peer of the server.
@@ -215,6 +224,9 @@ type Upstream struct {
 	// here. u.mu still orders session identity, advert bookkeeping, and
 	// the stale timer.
 	adjIn *rib.ShardedAdj
+	// replay is the cached replay snapshot of each adjIn shard
+	// (fanout.go), guarded by that shard's lock and its own mutex.
+	replay []replaySlot
 
 	mu   sync.RWMutex
 	sess *bgp.Session
@@ -512,6 +524,7 @@ func (s *Server) AddUpstream(cfg UpstreamConfig) (*Upstream, error) {
 	}
 	u := &Upstream{
 		cfg: cfg, srv: s, adjIn: rib.NewShardedAdj(s.shards),
+		replay:      make([]replaySlot, s.shards),
 		advertised:  make(map[netip.Prefix]*advert),
 		advCount:    make(map[string]int),
 		quotaWarned: make(map[string]bool),
@@ -782,6 +795,7 @@ func (s *Server) sweepUpstream(u *Upstream, take func(*rib.AdjRIB) []*rib.Route)
 	total := 0
 	for i := 0; i < u.adjIn.Shards(); i++ {
 		u.adjIn.Update(i, func(t *rib.AdjRIB) {
+			u.replay[i].drop()
 			gone := take(t)
 			total += len(gone)
 			clients := s.clientList()
@@ -1194,4 +1208,11 @@ func (s *Server) Close() {
 	// delivered, then exit. Any straggler barrier (a Closed handler
 	// racing us) unblocks immediately against the stopped pool.
 	s.ingest.close()
+	// The replay slots give up their buffers; closed keeps a joiner
+	// still on its way from filling one again (enqueueReplay).
+	for _, u := range ups {
+		for i := range u.replay {
+			u.adjIn.Update(i, func(*rib.AdjRIB) { u.replay[i].drop() })
+		}
+	}
 }
