@@ -518,12 +518,9 @@ func (c *Client) Routes(id uint32) []*rib.Route {
 		return nil
 	}
 	var out []*rib.Route
-	v.Walk(func(r *rib.Route) bool {
-		// Copy: a re-announcement installs a fresh Route, but a session
-		// loss marks the stored one stale in place, and the caller reads
-		// the result outside c.mu. The order is the view's: unspecified.
-		cp := *r
-		out = append(out, &cp)
+	// The order is the view's: unspecified.
+	v.Walk(func(r rib.Route) bool {
+		out = append(out, &r)
 		return true
 	})
 	return out
@@ -569,9 +566,8 @@ func (c *Client) RoutesFor(p netip.Prefix) map[uint32]*rib.Route {
 	defer c.mu.Unlock()
 	out := map[uint32]*rib.Route{}
 	for id, v := range c.views {
-		if r := v.Get(p, 0); r != nil {
-			cp := *r // copy: a session loss marks the stored route stale in place
-			out[id] = &cp
+		if r, ok := v.Get(p, 0); ok {
+			out[id] = &r
 		}
 	}
 	return out

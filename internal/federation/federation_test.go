@@ -174,7 +174,7 @@ func routerInTable(t testing.TB, up *router.Router, peerAddr netip.Addr) map[net
 		t.Fatalf("router has no peer %v", peerAddr)
 	}
 	out := make(map[netip.Prefix]string)
-	p.WalkIn(func(r *rib.Route) bool {
+	p.WalkIn(func(r rib.Route) bool {
 		b, err := wire.MarshalAttrs(r.Attrs, wire.DefaultOptions)
 		if err != nil {
 			t.Fatalf("marshal attrs for %v: %v", r.Prefix, err)

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
+	"time"
+	"unsafe"
 
 	"peering/internal/wire"
 )
@@ -21,10 +24,11 @@ func TestUncanonicalPrefixIsOneKey(t *testing.T) {
 	if a.Set(mkRoute(given.String(), "192.0.2.1", nil)) {
 		t.Fatal("first Set reported a replacement")
 	}
-	if r := a.Get(masked, 0); r == nil || r.Prefix != given {
-		t.Fatalf("Get(masked) = %v, want the route stored as given", r)
+	r, ok := a.Get(masked, 0)
+	if !ok || r.Prefix != masked {
+		t.Fatalf("Get(masked) = %v, %v; want the route under its canonical prefix", r, ok)
 	}
-	if a.Get(given, 0) != a.Get(masked, 0) {
+	if g, _ := a.Get(given, 0); g != r {
 		t.Fatal("given and masked prefix read different routes")
 	}
 	if !a.Set(mkRoute(masked.String(), "192.0.2.1", nil)) {
@@ -33,7 +37,7 @@ func TestUncanonicalPrefixIsOneKey(t *testing.T) {
 	if a.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", a.Len())
 	}
-	if a.Remove(given, 0) == nil || a.Len() != 0 {
+	if !a.Remove(given, 0) || a.Len() != 0 {
 		t.Fatalf("Remove(given) missed; Len = %d", a.Len())
 	}
 
@@ -68,21 +72,15 @@ func TestUncanonicalPrefixIsOneKey(t *testing.T) {
 	}
 }
 
-// modelRoute is one entry of the reference table TestAdjRIBModel checks
-// an AdjRIB against: a slice scanned end to end for every operation.
-type modelRoute struct {
-	masked, given netip.Prefix
-	id            wire.PathID
-	attrs         *wire.Attrs
-	stale         bool
-}
-
-type adjModel []modelRoute
+// adjModel is the reference table TestAdjRIBModel checks an AdjRIB
+// against: the Routes it should hold, each under its masked prefix, in
+// a slice scanned end to end for every operation.
+type adjModel []Route
 
 func (m adjModel) find(p netip.Prefix, id wire.PathID) int {
 	p = p.Masked()
 	for i := range m {
-		if m[i].masked == p && m[i].id == id {
+		if m[i].Prefix == p && m[i].Src.PathID == id {
 			return i
 		}
 	}
@@ -91,19 +89,27 @@ func (m adjModel) find(p netip.Prefix, id wire.PathID) int {
 
 // TestAdjRIBModel drives a seeded stream of Set (new and replacing),
 // Remove, MarkAllStale and SweepStale — several path ids per prefix,
-// some prefixes given with host bits set — into an AdjRIB and a naive
-// slice-scan model, and compares the two after every operation: Len,
-// Get of every possible key, the set of routes Walk yields and the
-// per-attrs group sizes of WalkGrouped. A displaced *Route must keep
-// reading what it held when it was stored (copy-on-replace, per path
-// id). Walk order differs on every run, so nothing here may depend on
-// it.
+// some prefixes given with host bits set, several peer records in the
+// one table (a client's view sets PeerAS route by route), learned times
+// and IGP costs that must read back as written — into an AdjRIB and a
+// naive slice-scan model, and compares the two after every operation:
+// Len, Get of every possible key, the routes Walk and AppendSlots
+// yield, and the per-attrs group sizes of WalkGrouped, all by value. A
+// route replaced after MarkAllStale is fresh and must outlive the next
+// SweepStale. Walk order differs on every run, so nothing here may
+// depend on it.
 func TestAdjRIBModel(t *testing.T) {
 	const nPrefixes, nIDs, steps = 200, 4, 3000
 	rng := rand.New(rand.NewSource(22))
 	attrs := make([]*wire.Attrs, 8)
 	for i := range attrs {
 		attrs[i] = &wire.Attrs{Origin: wire.OriginIGP, NextHop: addr("192.0.2.1"), MED: uint32(i), HasMED: true}
+	}
+	peers := []Route{
+		{Src: PeerKey{Addr: addr("192.0.2.1")}, PeerAS: 65001, PeerID: addr("192.0.2.1"), EBGP: true},
+		{Src: PeerKey{Addr: addr("192.0.2.1")}, PeerAS: 65002, PeerID: addr("192.0.2.1"), EBGP: true},
+		{Src: PeerKey{Addr: addr("192.0.2.1")}, PeerAS: 65001, PeerID: addr("192.0.2.7")},
+		{Src: PeerKey{Addr: addr("2001:db8::1")}, PeerAS: 65003, PeerID: addr("192.0.2.9"), EBGP: true},
 	}
 	// pick returns one of the nPrefixes /24s, half the time with host
 	// bits set.
@@ -121,39 +127,35 @@ func TestAdjRIBModel(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(100); {
 		case op < 60:
-			p, id, at := pick(), wire.PathID(rng.Intn(nIDs)), attrs[rng.Intn(len(attrs))]
-			i := m.find(p, id)
-			old := a.Get(p, id)
-			replaced := a.Set(&Route{Prefix: p, Attrs: at, Src: PeerKey{Addr: addr("192.0.2.1"), PathID: id}})
-			if replaced != (i >= 0) {
-				t.Fatalf("step %d: Set(%v#%d) replaced = %v, model has it = %v", step, p, id, replaced, i >= 0)
+			r := peers[rng.Intn(len(peers))]
+			r.Prefix, r.Src.PathID, r.Attrs = pick(), wire.PathID(rng.Intn(nIDs)), attrs[rng.Intn(len(attrs))]
+			r.IGPCost = uint32(rng.Intn(3))
+			if rng.Intn(8) != 0 { // else the zero time, which must stay zero
+				r.Learned = time.Unix(0, rng.Int63())
+			}
+			i := m.find(r.Prefix, r.Src.PathID)
+			if replaced := a.Set(&r); replaced != (i >= 0) {
+				t.Fatalf("step %d: Set(%v) replaced = %v, model has it = %v", step, &r, replaced, i >= 0)
 			}
 			if i < 0 {
-				m, i = append(m, modelRoute{}), len(m)
-			} else if old == a.Get(p, id) {
-				t.Fatalf("step %d: Set(%v#%d) reused the stored Route", step, p, id)
-			} else if old.Attrs != m[i].attrs || old.Prefix != m[i].given || old.Stale != m[i].stale {
-				t.Fatalf("step %d: displaced route %v changed under its holder", step, old)
+				m, i = append(m, Route{}), len(m)
 			}
-			m[i] = modelRoute{p.Masked(), p, id, at, false}
+			r.Prefix = r.Prefix.Masked()
+			m[i] = r
 		case op < 90:
 			p, id := pick(), wire.PathID(rng.Intn(nIDs))
 			i := m.find(p, id)
-			r := a.Remove(p, id)
-			if (r != nil) != (i >= 0) {
-				t.Fatalf("step %d: Remove(%v#%d) = %v, model has it = %v", step, p, id, r, i >= 0)
+			if had := a.Remove(p, id); had != (i >= 0) {
+				t.Fatalf("step %d: Remove(%v#%d) = %v, model has it = %v", step, p, id, had, i >= 0)
 			}
 			if i >= 0 {
-				if r.Attrs != m[i].attrs || r.Prefix != m[i].given {
-					t.Fatalf("step %d: Remove(%v#%d) returned %v, model holds %+v", step, p, id, r, m[i])
-				}
 				m = append(m[:i], m[i+1:]...)
 			}
 		case op < 95:
 			want := 0
 			for i := range m {
-				if !m[i].stale {
-					m[i].stale = true
+				if !m[i].Stale {
+					m[i].Stale = true
 					want++
 				}
 			}
@@ -162,22 +164,22 @@ func TestAdjRIBModel(t *testing.T) {
 			}
 		default:
 			kept := m[:0]
-			want := 0
+			want := map[wire.NLRI]bool{}
 			for _, mr := range m {
-				if mr.stale {
-					want++
+				if mr.Stale {
+					want[wire.NLRI{Prefix: mr.Prefix, ID: mr.Src.PathID}] = true
 					continue
 				}
 				kept = append(kept, mr)
 			}
 			m = kept
 			swept := a.SweepStale()
-			if len(swept) != want {
-				t.Fatalf("step %d: SweepStale returned %d routes, want %d", step, len(swept), want)
+			if len(swept) != len(want) {
+				t.Fatalf("step %d: SweepStale returned %d routes, want %d", step, len(swept), len(want))
 			}
-			for _, r := range swept {
-				if !r.Stale || m.find(r.Prefix, r.Src.PathID) >= 0 {
-					t.Fatalf("step %d: SweepStale returned %v, which the model keeps", step, r)
+			for _, n := range swept {
+				if !want[n] {
+					t.Fatalf("step %d: SweepStale returned %v#%d, which the model keeps", step, n.Prefix, n.ID)
 				}
 			}
 		}
@@ -193,31 +195,44 @@ func checkAdjAgainstModel(t *testing.T, step int, a *AdjRIB, m adjModel, nPrefix
 	for i := 0; i < nPrefixes; i++ {
 		p := prefix(fmt.Sprintf("10.%d.%d.0/24", i/100, i%100))
 		for id := wire.PathID(0); int(id) < nIDs; id++ {
-			r, j := a.Get(p, id), m.find(p, id)
-			if (r != nil) != (j >= 0) {
-				t.Fatalf("step %d: Get(%v#%d) = %v, model has it = %v", step, p, id, r, j >= 0)
+			r, ok := a.Get(p, id)
+			j := m.find(p, id)
+			if ok != (j >= 0) {
+				t.Fatalf("step %d: Get(%v#%d) found = %v, model has it = %v", step, p, id, ok, j >= 0)
 			}
-			if j >= 0 && (r.Prefix != m[j].given || r.Attrs != m[j].attrs || r.Stale != m[j].stale || r.Src.PathID != id) {
+			if ok && r != m[j] {
 				t.Fatalf("step %d: Get(%v#%d) = %+v, model holds %+v", step, p, id, r, m[j])
 			}
 		}
 	}
 	// Get agreed on every key, so Walk is right iff it yields each
-	// stored route exactly once.
-	seen := make(map[*Route]bool, len(m))
-	a.Walk(func(r *Route) bool {
-		if seen[r] || a.Get(r.Prefix, r.Src.PathID) != r {
-			t.Fatalf("step %d: Walk yielded %v twice or not from the table", step, r)
+	// stored route exactly once; likewise AppendSlots.
+	seen := make(map[wire.NLRI]bool, len(m))
+	a.Walk(func(r Route) bool {
+		n := wire.NLRI{Prefix: r.Prefix, ID: r.Src.PathID}
+		if got, _ := a.Get(n.Prefix, n.ID); seen[n] || got != r {
+			t.Fatalf("step %d: Walk yielded %v twice or not from the table", step, &r)
 		}
-		seen[r] = true
+		seen[n] = true
 		return true
 	})
 	if len(seen) != len(m) {
 		t.Fatalf("step %d: Walk yielded %d routes, model holds %d", step, len(seen), len(m))
 	}
+	slots := a.AppendSlots(nil)
+	if len(slots) != len(m) {
+		t.Fatalf("step %d: AppendSlots yielded %d routes, model holds %d", step, len(slots), len(m))
+	}
+	for _, sl := range slots {
+		n := sl.NLRI()
+		if j := m.find(n.Prefix, n.ID); !seen[n] || m[j].Attrs != sl.Attrs || m[j].Learned != sl.Learned() {
+			t.Fatalf("step %d: AppendSlots yielded %v#%d twice or not as the model holds it", step, n.Prefix, n.ID)
+		}
+		delete(seen, n)
+	}
 	wantGroups := make(map[*wire.Attrs]int)
 	for _, mr := range m {
-		wantGroups[mr.attrs]++
+		wantGroups[mr.Attrs]++
 	}
 	groups := 0
 	a.WalkGrouped(func(at *wire.Attrs, ns []wire.NLRI) {
@@ -229,7 +244,7 @@ func checkAdjAgainstModel(t *testing.T, step int, a *AdjRIB, m adjModel, nPrefix
 			t.Fatalf("step %d: WalkGrouped group of %d routes has room for %d: an append would write into its neighbour", step, len(ns), cap(ns))
 		}
 		for _, n := range ns {
-			if j := m.find(n.Prefix, n.ID); j < 0 || m[j].attrs != at || m[j].given != n.Prefix {
+			if j := m.find(n.Prefix, n.ID); j < 0 || m[j].Attrs != at || m[j].Prefix != n.Prefix {
 				t.Fatalf("step %d: WalkGrouped put %v#%d in the wrong group", step, n.Prefix, n.ID)
 			}
 		}
@@ -239,14 +254,93 @@ func checkAdjAgainstModel(t *testing.T, step int, a *AdjRIB, m adjModel, nPrefix
 	}
 }
 
-// TestAdjRIBSetAllocs pins what a route costs the table beyond itself:
-// a Set that replaces an existing key allocates the fresh *Route and
-// nothing else — no node, no per-prefix map.
+// TestAdjKeyRoundTrip: a prefix comes back out of a slot's key as its
+// masked form, whatever its family and length, and prefixes that differ
+// only in family — or routes only in path id — are different keys.
+func TestAdjKeyRoundTrip(t *testing.T) {
+	cases := []struct{ given, want string }{
+		{"10.0.0.0/24", "10.0.0.0/24"},
+		{"10.1.2.3/16", "10.1.0.0/16"}, // host bits set
+		{"0.0.0.0/0", "0.0.0.0/0"},
+		{"203.0.113.7/32", "203.0.113.7/32"},
+		{"2001:db8::/32", "2001:db8::/32"},
+		{"2001:db8::1/64", "2001:db8::/64"}, // host bits set
+		{"::/0", "::/0"},
+		{"2001:db8::1/128", "2001:db8::1/128"},
+		{"::ffff:10.0.0.0/120", "::ffff:10.0.0.0/120"}, // 4-in-6: not 10.0.0.0/24
+		{"::ffff:10.0.0.9/128", "::ffff:10.0.0.9/128"},
+	}
+	a := NewAdjRIB()
+	for i, tc := range cases {
+		for _, id := range []wire.PathID{0, 1, 1<<32 - 1} {
+			k := keyOf(prefix(tc.given), id)
+			if got := k.nlri(); got != (wire.NLRI{Prefix: prefix(tc.want), ID: id}) {
+				t.Errorf("keyOf(%s#%d) reads back as %v#%d, want %s", tc.given, id, got.Prefix, got.ID, tc.want)
+			}
+			a.Set(&Route{Prefix: prefix(tc.given), Src: PeerKey{PathID: id}, IGPCost: uint32(i)})
+		}
+	}
+	if a.Len() != 3*len(cases) {
+		t.Fatalf("Len = %d, want %d: two of the cases share a key", a.Len(), 3*len(cases))
+	}
+	for i, tc := range cases {
+		if r, ok := a.Get(prefix(tc.want), 1); !ok || r.Prefix != prefix(tc.want) || r.IGPCost != uint32(i) {
+			t.Errorf("Get(%s#1) = %+v, %v", tc.want, r, ok)
+		}
+	}
+}
+
+// TestAdjSlotSize is the deterministic form of the bytes-per-route
+// claim: what one route adds to the table's map is a pointer-free key
+// and a value of 56 bytes together (one of them the attrs pointer), and
+// a snapshot's Slot is 40.
+func TestAdjSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(adjKey{}) + unsafe.Sizeof(adjVal{}); n > 56 {
+		t.Errorf("adjKey + adjVal = %d bytes, want <= 56", n)
+	}
+	if n := unsafe.Sizeof(Slot{}); n > 40 {
+		t.Errorf("Slot = %d bytes, want <= 40", n)
+	}
+	var pointers func(reflect.Type) bool
+	pointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Array:
+			return pointers(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if pointers(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+			reflect.Chan, reflect.Func, reflect.Interface:
+			return true
+		}
+		return false
+	}
+	if pointers(reflect.TypeOf(adjKey{})) {
+		t.Error("adjKey holds a pointer: the GC would scan every key")
+	}
+}
+
+// TestAdjRIBSetAllocs pins what a route costs the table beyond its
+// slot: nothing. A Set that replaces a key and one that inserts into a
+// table with room both allocate 0 times — no Route, no node, no
+// per-prefix map.
 func TestAdjRIBSetAllocs(t *testing.T) {
 	a := NewAdjRIB()
-	r := mkRoute("10.0.0.0/24", "192.0.2.1", nil)
+	a.SetInterner(wire.NewInternTable())
+	r := mkRoute("10.0.0.0/24", "192.0.2.1", func(r *Route) { r.Learned = time.Unix(1, 0) })
 	a.Set(r)
-	if n := testing.AllocsPerRun(100, func() { a.Set(r) }); n != 1 {
-		t.Fatalf("replacing Set allocates %v times, want 1 (the Route)", n)
+	if n := testing.AllocsPerRun(100, func() { a.Set(r) }); n != 0 {
+		t.Fatalf("replacing Set allocates %v times, want 0", n)
+	}
+	insert := func() {
+		a.Remove(r.Prefix, 0)
+		a.Set(r)
+	}
+	if n := testing.AllocsPerRun(100, insert); n != 0 {
+		t.Fatalf("steady-state insert allocates %v times, want 0", n)
 	}
 }

@@ -6,12 +6,17 @@
 // prefix; the FIB, the allocation table and the compiled filter keep
 // their own tries for that — so each is a Go map keyed by the masked
 // prefix. A prefix given with host bits set is the same key as its
-// masked form, and no walk visits routes in any particular order.
+// masked form, and the masked form is what an Adj-RIB reports back: it
+// keeps the key, not the spelling it was given (the wire codec masks on
+// decode and on encode, so no byte on a session differs). No walk
+// visits routes in any particular order.
 package rib
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,24 +164,83 @@ func Better(a, b *Route) bool {
 // Adj-RIB (per-peer view)
 
 // AdjRIB is the set of routes received from (Adj-RIB-In) or sent to
-// (Adj-RIB-Out) a single peer: a hash table with one key per (masked
-// prefix, path id). It is not safe for concurrent use.
+// (Adj-RIB-Out) a single peer: a hash table with one 56-byte slot per
+// (masked prefix, path id) and no heap object per route. What a Route
+// says of its source besides the path id — address, AS, BGP identifier,
+// eBGP bit — is interned per table and a slot holds its index. It is
+// per table, not one field of the table, because a client's view sets
+// PeerAS route by route; the server's tables hold one record each. A
+// Route is what goes in and comes out, by value: nothing points into
+// the table. It is not safe for concurrent use.
 type AdjRIB struct {
-	m      map[adjKey]*Route
+	m      map[adjKey]adjVal
 	intern *wire.InternTable
+	peers  []peerRec
+	peerAt map[peerRec]uint32 // index into peers
+	last   uint32             // the record the last Set used
 }
 
-// adjKey is built by keyOf only, so its prefix is always masked.
+// adjKey is built by keyOf only, so its prefix is always masked. It
+// holds no pointer; the family bit keeps 10.0.0.0/24 and
+// ::ffff:10.0.0.0/120, whose 16-byte forms agree, two keys.
 type adjKey struct {
-	prefix netip.Prefix
-	id     wire.PathID
+	addr [16]byte
+	id   wire.PathID
+	bits uint8
+	is6  bool
 }
 
-func keyOf(p netip.Prefix, id wire.PathID) adjKey { return adjKey{p.Masked(), id} }
+type adjVal struct {
+	attrs   *wire.Attrs
+	learned int64  // Route.Learned as stamp encodes it
+	peer    uint32 // index into AdjRIB.peers
+	igpCost uint32
+	stale   bool
+}
+
+type peerRec struct {
+	addr, id netip.Addr
+	as       uint32
+	ebgp     bool
+}
+
+func keyOf(p netip.Prefix, id wire.PathID) adjKey {
+	p = p.Masked()
+	return adjKey{addr: p.Addr().As16(), id: id, bits: uint8(p.Bits()), is6: p.Addr().Is6()}
+}
+
+func (k adjKey) prefix() netip.Prefix {
+	if k.is6 {
+		return netip.PrefixFrom(netip.AddrFrom16(k.addr), int(k.bits))
+	}
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte(k.addr[12:])), int(k.bits))
+}
+
+func (k adjKey) nlri() wire.NLRI { return wire.NLRI{Prefix: k.prefix(), ID: k.id} }
+
+// noTime is the stamp of the zero Time, whose UnixNano is undefined.
+const noTime = math.MinInt64
+
+// stamp and unstamp turn a learned time into a slot's 8 bytes and back:
+// the instant survives, to the nanosecond; location and monotonic
+// reading do not.
+func stamp(t time.Time) int64 {
+	if t.IsZero() {
+		return noTime
+	}
+	return t.UnixNano()
+}
+
+func unstamp(n int64) time.Time {
+	if n == noTime {
+		return time.Time{}
+	}
+	return time.Unix(0, n)
+}
 
 // NewAdjRIB returns an empty per-peer table.
 func NewAdjRIB() *AdjRIB {
-	return &AdjRIB{m: make(map[adjKey]*Route)}
+	return &AdjRIB{m: make(map[adjKey]adjVal)}
 }
 
 // SetInterner makes the table canonicalize stored attribute pointers
@@ -187,37 +251,67 @@ func (a *AdjRIB) SetInterner(t *wire.InternTable) {
 	a.intern = t
 }
 
-// Set stores a copy of *r, reporting whether it replaced a previous
-// route with the same prefix and path ID. r itself is never retained,
-// so callers can pass a stack-allocated Route. A replacement installs a
-// freshly allocated Route rather than overwriting the old one in place:
-// the displaced *Route stays valid as an immutable snapshot, so a
-// pointer previously handed to another table (e.g. LocRIB.Update) or a
-// queue cannot be silently mutated out from under it. With an interner
+// peerIndex interns r's peer record. The last record used is tried
+// first: a table fed by one session never looks further.
+func (a *AdjRIB) peerIndex(r *Route) uint32 {
+	rec := peerRec{addr: r.Src.Addr, id: r.PeerID, as: r.PeerAS, ebgp: r.EBGP}
+	if int(a.last) < len(a.peers) && a.peers[a.last] == rec {
+		return a.last
+	}
+	i, ok := a.peerAt[rec]
+	if !ok {
+		if a.peerAt == nil {
+			a.peerAt = make(map[peerRec]uint32)
+		}
+		i = uint32(len(a.peers))
+		a.peerAt[rec] = i
+		a.peers = append(a.peers, rec)
+	}
+	a.last = i
+	return i
+}
+
+func (a *AdjRIB) route(k adjKey, v adjVal) Route {
+	p := &a.peers[v.peer]
+	return Route{
+		Prefix: k.prefix(), Attrs: v.attrs, Src: PeerKey{Addr: p.addr, PathID: k.id},
+		PeerAS: p.as, PeerID: p.id, EBGP: p.ebgp,
+		IGPCost: v.igpCost, Learned: unstamp(v.learned), Stale: v.stale,
+	}
+}
+
+// Set stores *r under its masked prefix and path ID, reporting whether
+// that replaced a previous route. r itself is never retained, so
+// callers can pass a stack-allocated Route. With an interner
 // configured, the stored Attrs is the canonical pointer.
 func (a *AdjRIB) Set(r *Route) bool {
+	attrs := r.Attrs
 	if a.intern != nil {
-		r.Attrs = a.intern.Intern(r.Attrs)
+		attrs = a.intern.Intern(attrs)
 	}
-	nr := new(Route)
-	*nr = *r
-	k := keyOf(r.Prefix, r.Src.PathID)
-	_, replaced := a.m[k]
-	a.m[k] = nr
-	return replaced
+	n := len(a.m)
+	a.m[keyOf(r.Prefix, r.Src.PathID)] = adjVal{
+		attrs: attrs, learned: stamp(r.Learned), peer: a.peerIndex(r), igpCost: r.IGPCost, stale: r.Stale,
+	}
+	return len(a.m) == n
 }
 
-// Remove deletes the route for (prefix, id), returning it if present.
-func (a *AdjRIB) Remove(p netip.Prefix, id wire.PathID) *Route {
+// Remove deletes the route for (prefix, id), reporting whether there
+// was one.
+func (a *AdjRIB) Remove(p netip.Prefix, id wire.PathID) bool {
+	n := len(a.m)
+	delete(a.m, keyOf(p, id))
+	return len(a.m) < n
+}
+
+// Get returns the route for (prefix, id), if there is one.
+func (a *AdjRIB) Get(p netip.Prefix, id wire.PathID) (Route, bool) {
 	k := keyOf(p, id)
-	r := a.m[k]
-	delete(a.m, k)
-	return r
-}
-
-// Get returns the route for (prefix, id).
-func (a *AdjRIB) Get(p netip.Prefix, id wire.PathID) *Route {
-	return a.m[keyOf(p, id)]
+	v, ok := a.m[k]
+	if !ok {
+		return Route{}, false
+	}
+	return a.route(k, v), true
 }
 
 // Len reports the number of stored routes (not prefixes).
@@ -225,12 +319,33 @@ func (a *AdjRIB) Len() int { return len(a.m) }
 
 // Walk visits every stored route, in no specified order: two walks of
 // the same table may differ.
-func (a *AdjRIB) Walk(fn func(*Route) bool) {
-	for _, r := range a.m {
-		if !fn(r) {
+func (a *AdjRIB) Walk(fn func(Route) bool) {
+	for k, v := range a.m {
+		if !fn(a.route(k, v)) {
 			return
 		}
 	}
+}
+
+// Slot is a stored route without its peer — prefix, path id, attrs and
+// learned time in 40 bytes — for a reader that copies a table out from
+// under its lock and works on the copy (the warm-restart snapshot).
+type Slot struct {
+	key     adjKey
+	Attrs   *wire.Attrs
+	learned int64
+}
+
+func (s Slot) NLRI() wire.NLRI    { return s.key.nlri() }
+func (s Slot) Learned() time.Time { return unstamp(s.learned) }
+
+// AppendSlots appends every stored route to dst, in no specified order.
+func (a *AdjRIB) AppendSlots(dst []Slot) []Slot {
+	dst = slices.Grow(dst, len(a.m))
+	for k, v := range a.m {
+		dst = append(dst, Slot{k, v.attrs, v.learned})
+	}
+	return dst
 }
 
 // WalkGrouped visits every stored route grouped by shared attribute
@@ -250,12 +365,12 @@ func (a *AdjRIB) WalkGrouped(fn func(attrs *wire.Attrs, nlris []wire.NLRI)) {
 	}
 	idx := make(map[*wire.Attrs]int)
 	var groups []group
-	for _, r := range a.m {
-		i, ok := idx[r.Attrs]
+	for _, v := range a.m {
+		i, ok := idx[v.attrs]
 		if !ok {
 			i = len(groups)
-			idx[r.Attrs] = i
-			groups = append(groups, group{attrs: r.Attrs})
+			idx[v.attrs] = i
+			groups = append(groups, group{attrs: v.attrs})
 		}
 		groups[i].end++
 	}
@@ -266,9 +381,9 @@ func (a *AdjRIB) WalkGrouped(fn func(attrs *wire.Attrs, nlris []wire.NLRI)) {
 		off += n
 	}
 	arena := make([]wire.NLRI, len(a.m))
-	for _, r := range a.m {
-		g := &groups[idx[r.Attrs]]
-		arena[g.end] = wire.NLRI{Prefix: r.Prefix, ID: r.Src.PathID}
+	for k, v := range a.m {
+		g := &groups[idx[v.attrs]]
+		arena[g.end] = k.nlri()
 		g.end++
 	}
 	for _, g := range groups {
@@ -280,43 +395,46 @@ func (a *AdjRIB) WalkGrouped(fn func(attrs *wire.Attrs, nlris []wire.NLRI)) {
 // returning how many were newly marked.
 func (a *AdjRIB) MarkAllStale() int {
 	n := 0
-	for _, r := range a.m {
-		if !r.Stale {
-			r.Stale = true
+	for k, v := range a.m {
+		if !v.stale {
+			v.stale = true
+			a.m[k] = v
 			n++
 		}
 	}
 	return n
 }
 
-// SweepStale removes and returns every route still marked stale
-// (graceful restart exit: flush what the peer did not re-announce).
+// SweepStale removes every route still marked stale (graceful restart
+// exit: flush what the peer did not re-announce) and returns their
+// prefixes and path ids, which is what a withdrawal is made of.
 //
 // A Go map never gives its buckets back, and a torn-down upstream's
 // tables are emptied by exactly this call while the tables themselves
-// live on: a sweep that leaves nothing behind therefore starts a fresh
-// map, as Clear does, instead of holding a full table's buckets for
-// good. A partial sweep keeps them — the peer is about to refill the
-// table.
-func (a *AdjRIB) SweepStale() []*Route {
-	var stale []*Route
-	for k, r := range a.m {
-		if r.Stale {
-			stale = append(stale, r)
+// live on: a sweep that leaves nothing behind therefore starts afresh,
+// as Clear does, instead of holding a full table's buckets for good. A
+// partial sweep keeps them — the peer is about to refill the table.
+func (a *AdjRIB) SweepStale() []wire.NLRI {
+	var stale []wire.NLRI
+	for k, v := range a.m {
+		if v.stale {
+			stale = append(stale, k.nlri())
 			delete(a.m, k)
 		}
 	}
 	if len(a.m) == 0 {
-		a.m = make(map[adjKey]*Route)
+		a.Clear()
 	}
 	return stale
 }
 
 // Clear drops all routes, returning how many were removed. The map is
-// replaced, not emptied, so its buckets go with the routes.
+// replaced, not emptied, so its buckets go with the routes, and so do
+// the peer records.
 func (a *AdjRIB) Clear() int {
 	n := len(a.m)
-	a.m = make(map[adjKey]*Route)
+	a.m = make(map[adjKey]adjVal)
+	a.peers, a.peerAt = nil, nil
 	return n
 }
 

@@ -221,12 +221,17 @@ func TestMEDIntransitivityExists(t *testing.T) {
 
 func TestAdjRIBSetRemove(t *testing.T) {
 	a := NewAdjRIB()
+	p := prefix("10.0.0.0/8")
 	r1 := mkRoute("10.0.0.0/8", "192.0.2.1", nil)
 	if a.Set(r1) {
 		t.Fatal("first Set reported a replacement")
 	}
-	stored := a.Get(prefix("10.0.0.0/8"), 0)
-	if stored == nil || stored == r1 {
+	stored, ok := a.Get(p, 0)
+	if !ok || stored != *r1 {
+		t.Fatalf("Get = %+v, %v; want what was Set: %+v", stored, ok, *r1)
+	}
+	r1.IGPCost = 9
+	if got, _ := a.Get(p, 0); got != stored {
 		t.Fatal("Set must store a copy, not retain the caller's Route")
 	}
 	r2 := mkRoute("10.0.0.0/8", "192.0.2.1", func(r *Route) { r.Attrs.Origin = wire.OriginEGP })
@@ -236,21 +241,18 @@ func TestAdjRIBSetRemove(t *testing.T) {
 	if a.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", a.Len())
 	}
-	got := a.Get(prefix("10.0.0.0/8"), 0)
-	if got == stored {
-		t.Fatal("replacement must install a fresh Route, not mutate the stored one in place")
-	}
+	got, _ := a.Get(p, 0)
 	if stored.Attrs.Origin != wire.OriginIGP {
-		t.Fatal("displaced route snapshot was mutated by the replacement")
+		t.Fatal("a Route read before the replacement was mutated by it")
 	}
-	if got.Attrs.Origin != wire.OriginEGP {
+	if got != *r2 {
 		t.Fatal("replacement did not update stored route contents")
 	}
-	if rm := a.Remove(prefix("10.0.0.0/8"), 0); rm != got {
-		t.Fatal("Remove returned wrong route")
+	if !a.Remove(p, 0) {
+		t.Fatal("Remove missed a stored route")
 	}
-	if a.Len() != 0 || a.Remove(prefix("10.0.0.0/8"), 0) != nil {
-		t.Fatal("Remove of absent route should return nil")
+	if a.Len() != 0 || a.Remove(p, 0) {
+		t.Fatal("Remove of an absent route should report false")
 	}
 }
 
@@ -264,7 +266,7 @@ func TestAdjRIBAddPathCoexist(t *testing.T) {
 		t.Fatalf("Len = %d, want 2 distinct path IDs", a.Len())
 	}
 	count := 0
-	a.Walk(func(*Route) bool { count++; return true })
+	a.Walk(func(Route) bool { count++; return true })
 	if count != 2 {
 		t.Fatalf("walk count = %d", count)
 	}

@@ -86,9 +86,8 @@ func maskedShard(p netip.Prefix) uint32 {
 //
 // Every mutation goes through Update, one shard at a time — the
 // server's ingest workers are its only writers — and every read through
-// ReadShard or Walk. Routes handed out by the walks are owned by the
-// table and must be treated as read-only snapshots; AdjRIB.Set's
-// copy-on-replace contract guarantees a later Set never mutates them.
+// ReadShard; the tables hand out Routes by value, so nothing a reader
+// holds is the table's.
 type ShardedAdj struct {
 	shards []adjShard
 	n      atomic.Int64
@@ -163,31 +162,6 @@ func (s *ShardedAdj) ReadShard(i int, fn func(gen uint64, t *AdjRIB)) {
 
 // Len reports the number of stored routes (not prefixes).
 func (s *ShardedAdj) Len() int { return int(s.n.Load()) }
-
-// Walk visits every stored route, holding each shard's read lock for
-// the duration of that shard's callbacks. Mutators of a shard are
-// therefore excluded while it is being walked — the property the
-// server's replay path relies on to never enqueue a route that a
-// concurrent ingest has already superseded — but the walk is not a
-// point-in-time snapshot across shards.
-func (s *ShardedAdj) Walk(fn func(*Route) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		done := false
-		sh.rib.Walk(func(r *Route) bool {
-			if !fn(r) {
-				done = true
-				return false
-			}
-			return true
-		})
-		sh.mu.RUnlock()
-		if done {
-			return
-		}
-	}
-}
 
 // MarkAllStale flags every stored route stale (graceful restart
 // entry), returning how many were newly marked.

@@ -111,10 +111,11 @@ func locEntry(t *testing.T, l *LocRIB, p netip.Prefix) *entry {
 }
 
 // TestAdjRIBSetAliasing is the AdjRIB.Set / LocRIB.Update aliasing
-// regression: Set used to overwrite the stored Route in place, so a
+// regression: Set used to overwrite a stored *Route in place, so a
 // pointer previously passed to LocRIB.Update was silently mutated
-// without a recompute. Now a replacement must leave the old snapshot
-// intact until the caller re-runs the decision process.
+// without a recompute. The table now hands out Routes by value, so what
+// the Loc-RIB holds is a copy no Set can reach: a replacement must leave
+// it intact until the caller re-runs the decision process.
 func TestAdjRIBSetAliasing(t *testing.T) {
 	intern := wire.NewInternTable()
 	adj := NewAdjRIB()
@@ -123,12 +124,11 @@ func TestAdjRIBSetAliasing(t *testing.T) {
 	p := prefix("10.3.0.0/24")
 
 	adj.Set(mkRoute("10.3.0.0/24", "192.0.2.1", nil))
-	stored := adj.Get(p, 0)
-	loc.Update(stored)
+	stored, _ := adj.Get(p, 0)
+	loc.Update(&stored)
 	oldAttrs := stored.Attrs
 
-	// Replace the route with a longer path. Pre-fix this overwrote
-	// *stored, mutating the Loc-RIB's candidate behind its back.
+	// Replace the route with a longer path.
 	adj.Set(mkRoute("10.3.0.0/24", "192.0.2.1", func(r *Route) {
 		r.Attrs = &wire.Attrs{
 			Origin:  wire.OriginIGP,
@@ -147,7 +147,8 @@ func TestAdjRIBSetAliasing(t *testing.T) {
 
 	// The boundary protocol: feed the freshly stored route back through
 	// Update, and the best must be re-decided on the new attrs.
-	loc.Update(adj.Get(p, 0))
+	fresh, _ := adj.Get(p, 0)
+	loc.Update(&fresh)
 	if got := loc.Best(p).Attrs; got == oldAttrs || got.PathLen() != 4 {
 		t.Fatalf("best not re-decided after Update: path %v", got.PathString())
 	}
@@ -263,10 +264,17 @@ func shardedRemove(s *ShardedAdj, p netip.Prefix) {
 	s.Update(shardOf(s, p), func(t *AdjRIB) { t.Remove(p, 0) })
 }
 
+// shardedWalk visits every stored route, shard by shard.
+func shardedWalk(s *ShardedAdj, fn func(Route) bool) {
+	for i := 0; i < s.Shards(); i++ {
+		s.ReadShard(i, func(_ uint64, t *AdjRIB) { t.Walk(fn) })
+	}
+}
+
 // shardedStale counts the routes currently marked stale.
 func shardedStale(s *ShardedAdj) int {
 	n := 0
-	s.Walk(func(r *Route) bool {
+	shardedWalk(s, func(r Route) bool {
 		if r.Stale {
 			n++
 		}
@@ -303,7 +311,7 @@ func TestShardedAdjConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			n := 0
-			s.Walk(func(*Route) bool { n++; return true })
+			shardedWalk(s, func(Route) bool { n++; return true })
 			for sh := 0; sh < s.Shards(); sh++ {
 				s.ReadShard(sh, func(_ uint64, t *AdjRIB) {
 					t.WalkGrouped(func(*wire.Attrs, []wire.NLRI) {})
@@ -361,9 +369,9 @@ func TestShardedAdjParity(t *testing.T) {
 		// Membership both ways: every sharded route is the reference's,
 		// attributes included, and there are as many of them.
 		walked := 0
-		s.Walk(func(r *Route) bool {
+		shardedWalk(s, func(r Route) bool {
 			walked++
-			if want := ref.Get(r.Prefix, r.Src.PathID); want == nil || want.Attrs != r.Attrs {
+			if want, ok := ref.Get(r.Prefix, r.Src.PathID); !ok || want.Attrs != r.Attrs {
 				t.Fatalf("%d shards: sharded table holds %v, reference has %v", shards, r, want)
 			}
 			return true
@@ -422,7 +430,7 @@ func TestShardedAdjGen(t *testing.T) {
 	}
 	shardedSet(s, r)
 	before := gens()
-	s.Walk(func(*Route) bool { return true })
+	shardedWalk(s, func(Route) bool { return true })
 	s.MarkAllStale()
 	_ = s.Len()
 	if after := gens(); fmt.Sprint(after) != fmt.Sprint(before) {

@@ -108,7 +108,7 @@ func (p *Peer) RoutesOut() int {
 }
 
 // WalkIn visits the Adj-RIB-In.
-func (p *Peer) WalkIn(fn func(*rib.Route) bool) {
+func (p *Peer) WalkIn(fn func(rib.Route) bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.adjIn.Walk(fn)
@@ -440,7 +440,7 @@ func (r *Router) exportRoute(p *Peer, rt *rib.Route) {
 // withdrawFrom retracts prefix from p if previously advertised.
 func (r *Router) withdrawFrom(p *Peer, prefix netip.Prefix) {
 	p.mu.Lock()
-	had := p.adjOut.Remove(prefix, 0) != nil
+	had := p.adjOut.Remove(prefix, 0)
 	sess := p.sess
 	p.mu.Unlock()
 	if !had || sess == nil {

@@ -118,10 +118,14 @@ func adjInOf(t testing.TB, u *Upstream) map[netip.Prefix]string {
 	t.Helper()
 	var routes []*rib.Route
 	u.mu.RLock()
-	u.adjIn.Walk(func(r *rib.Route) bool {
-		routes = append(routes, r)
-		return true
-	})
+	for i := 0; i < u.adjIn.Shards(); i++ {
+		u.adjIn.ReadShard(i, func(_ uint64, t *rib.AdjRIB) {
+			t.Walk(func(r rib.Route) bool {
+				routes = append(routes, &r)
+				return true
+			})
+		})
+	}
 	u.mu.RUnlock()
 	return tableOf(t, routes)
 }

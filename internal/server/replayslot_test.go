@@ -42,12 +42,7 @@ func (r *frameRig) load(lo, hi int) {
 // model is upstream 1's Adj-RIB-In in the shape tableOf gives a client's
 // view.
 func (r *frameRig) model(t testing.TB) map[netip.Prefix]string {
-	var routes []*rib.Route
-	r.ups[0].adjIn.Walk(func(rt *rib.Route) bool {
-		routes = append(routes, rt)
-		return true
-	})
-	return tableOf(t, routes)
+	return adjInOf(t, r.ups[0])
 }
 
 // holds waits until the client's view of upstream 1 is the model.

@@ -739,7 +739,7 @@ func (s *Server) handleUpstreamDown(u *Upstream, err error) {
 			s.metrics.staleRetained.Add(uint64(n))
 		}
 	} else {
-		s.sweepUpstream(u, func(t *rib.AdjRIB) []*rib.Route {
+		s.sweepUpstream(u, func(t *rib.AdjRIB) []wire.NLRI {
 			t.MarkAllStale() // everything goes: the sweep empties the shard
 			return t.SweepStale()
 		})
@@ -790,7 +790,7 @@ func (s *Server) flushUpstreamStale(u *Upstream) {
 // the routes — the ingest workers' contract, so a sweep racing live
 // ingest or a joiner's replay can never leave a client holding a route
 // the table dropped. It returns how many routes went.
-func (s *Server) sweepUpstream(u *Upstream, take func(*rib.AdjRIB) []*rib.Route) int {
+func (s *Server) sweepUpstream(u *Upstream, take func(*rib.AdjRIB) []wire.NLRI) int {
 	skey, pathID := s.sessionKey(u)
 	total := 0
 	for i := 0; i < u.adjIn.Shards(); i++ {
@@ -802,14 +802,13 @@ func (s *Server) sweepUpstream(u *Upstream, take func(*rib.AdjRIB) []*rib.Route)
 			if len(clients) == 0 {
 				return
 			}
+			for k := range gone {
+				gone[k].ID = pathID
+			}
 			for len(gone) > 0 {
-				chunk := gone[:min(len(gone), snapFrameNLRIs)]
-				gone = gone[len(chunk):]
-				wd := make([]wire.NLRI, len(chunk))
-				for k, r := range chunk {
-					wd[k] = wire.NLRI{Prefix: r.Prefix, ID: pathID}
-				}
-				s.broadcast(i, clients, &broadcastFrame{skey: skey, upstream: u.cfg.ID, wd: wd})
+				n := min(len(gone), snapFrameNLRIs)
+				s.broadcast(i, clients, &broadcastFrame{skey: skey, upstream: u.cfg.ID, wd: gone[:n:n]})
+				gone = gone[n:]
 			}
 		})
 	}

@@ -123,27 +123,28 @@ func (s *Server) dumpArchiveSnapshot() {
 	records := []*mrt.Record{head}
 
 	seq := uint32(0)
+	var slots []rib.Slot
 	for _, u := range ups {
 		idx := index[u]
-		var routes []rib.Route
-		u.adjIn.Walk(func(r *rib.Route) bool {
-			routes = append(routes, *r)
-			return true
-		})
-		for i := range routes {
-			rt := &routes[i]
-			r := &mrt.RIB{
-				Sequence: seq, Prefix: rt.Prefix, AddPath: rt.Src.PathID != 0,
-				Entries: []mrt.RIBEntry{{
-					PeerIndex: idx, Originated: rt.Learned, PathID: rt.Src.PathID, Attrs: rt.Attrs,
-				}},
+		// Shard by shard: ingest waits for a copy of the slots, not for
+		// the encoder, and the transient is one shard at 40 B a route.
+		for i := 0; i < u.adjIn.Shards(); i++ {
+			u.adjIn.ReadShard(i, func(_ uint64, t *rib.AdjRIB) { slots = t.AppendSlots(slots[:0]) })
+			for _, sl := range slots {
+				n := sl.NLRI()
+				r := &mrt.RIB{
+					Sequence: seq, Prefix: n.Prefix, AddPath: n.ID != 0,
+					Entries: []mrt.RIBEntry{{
+						PeerIndex: idx, Originated: sl.Learned(), PathID: n.ID, Attrs: sl.Attrs,
+					}},
+				}
+				rec, err := r.Record(now)
+				if err != nil {
+					continue
+				}
+				records = append(records, rec)
+				seq++
 			}
-			rec, err := r.Record(now)
-			if err != nil {
-				continue
-			}
-			records = append(records, rec)
-			seq++
 		}
 	}
 
