@@ -3,34 +3,27 @@ package bufpool
 import "sync/atomic"
 
 // Frame is a reference-counted pooled buffer for bytes shared by many
-// consumers — the encode-once fan-out path writes one encoded UPDATE
-// batch to every in-sync client's session. The creator starts with one
-// reference; each additional holder calls Retain before the bytes
-// escape to it and Release when done. When the count reaches zero the
-// backing buffer returns to its size class.
+// consumers. The creator starts with one reference; each additional
+// holder calls Retain before the bytes escape to it and Release when
+// done. When the count reaches zero the backing buffer returns to its
+// size class.
 //
 // The pool reference is weak in the usual bufpool sense: a Frame that
 // is never fully released is simply collected by the GC — a missed
 // recycle, never a leak or a use-after-free.
+//
+// Nothing in the mux uses it any more (its fan-out bytes are GC memory);
+// bench/layers.go still prices it and it retires with those rows.
 type Frame struct {
 	b    []byte
 	refs atomic.Int32
 }
-
-// live counts frames created and not yet fully released.
-var live atomic.Int64
-
-// LiveFrames reports how many frames still hold a reference — debug
-// accounting for leak checks: once everyone that was handed a frame
-// has let go, it reads zero.
-func LiveFrames() int64 { return live.Load() }
 
 // NewFrame wraps b (typically obtained from Get) in a frame holding
 // one reference. b must not be used directly by the caller afterwards.
 func NewFrame(b []byte) *Frame {
 	f := &Frame{b: b}
 	f.refs.Store(1)
-	live.Add(1)
 	return f
 }
 
@@ -42,7 +35,6 @@ func (f *Frame) Retain() { f.refs.Add(1) }
 // the last holder lets go. The caller must not touch Bytes afterwards.
 func (f *Frame) Release() {
 	if f.refs.Add(-1) == 0 {
-		live.Add(-1)
 		b := f.b
 		f.b = nil
 		Put(b)

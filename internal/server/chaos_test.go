@@ -984,14 +984,16 @@ func TestChaosFrameShedAndResync(t *testing.T) {
 	})
 
 	// --- The laggard dies with replays in flight: one stuck mid-flush on
-	// the stalled transport, one waiting in the queue behind it. Nothing
-	// they hold may outlive the client (newCheckedServer's cleanup). ---
+	// the stalled transport, one waiting in the queue behind it. The
+	// queue must still end empty (newCheckedServer's cleanup). ---
 	fcSrv.Stall()
 	c := clientByID(srv, "slow")
 	srv.enqueueReplay(c, u, false)
-	srv.enqueueReplay(c, u, false)
-	if srv.liveFrames.Load() == 0 {
-		t.Fatal("no replay frame in flight on the stalled transport")
-	}
+	// Once the flusher has taken a drain it is parked in the write, and
+	// the next replay stays queued behind it.
+	waitFor(t, "a replay queued behind the stalled write", func() bool {
+		srv.enqueueReplay(c, u, false)
+		return c.out.depth() > 0
+	})
 	fcSrv.Reset()
 }

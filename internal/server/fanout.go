@@ -3,8 +3,8 @@ package server
 // This file is the fan-out pipeline: every route relayed from an
 // upstream to a client passes through that client's outbound queue
 // instead of being sent synchronously on the upstream's reader
-// goroutine. The queue holds one thing — refcounted broadcast frames
-// (frame.go), in enqueue order per shard — and a dedicated per-client
+// goroutine. The queue holds one thing — broadcast frames (frame.go),
+// in enqueue order per shard — and a dedicated per-client
 // worker drains it, shipping each frame's encode-once bytes. Upstream
 // readers therefore never block on a slow client; a client that cannot
 // keep up shows as queue depth and backpressure counters, and past
@@ -125,17 +125,14 @@ func (q *outQueue) bumpHighWater(d int64) {
 }
 
 // putFrame queues a frame on queue shard i (frames are shard-local:
-// every prefix inside hashes to the same RIB/queue shard). The caller
-// has already retained the frame for this queue; the flush path (or the
-// gate and shed paths here) releases it. Until the shard's replay walk
-// opens the gate (beginSync) frames are dropped: the walk delivers the
-// current state of every route they carry.
+// every prefix inside hashes to the same RIB/queue shard). Until the
+// shard's replay walk opens the gate (beginSync) frames are dropped:
+// the walk delivers the current state of every route they carry.
 func (q *outQueue) putFrame(i int, f *broadcastFrame) {
 	sh := &q.shards[i&int(q.mask)]
 	sh.mu.Lock()
 	if !sh.synced[f.upstream] {
 		sh.mu.Unlock()
-		f.release()
 		return
 	}
 	if q.hardLimit > 0 && f.nlris > 0 && !f.snapshot &&
@@ -151,15 +148,12 @@ func (q *outQueue) putFrame(i int, f *broadcastFrame) {
 		// route the world withdrew.
 		q.shed.Add(uint64(f.nlris))
 		q.overflow.Store(true)
-		wd, live := f.wd, f.live
-		f.release()
-		if len(wd) == 0 {
+		if len(f.wd) == 0 {
 			sh.mu.Unlock()
 			q.wake()
 			return
 		}
-		f = &broadcastFrame{skey: f.skey, upstream: f.upstream, wd: wd}
-		f.retain(1, live)
+		f = &broadcastFrame{skey: f.skey, upstream: f.upstream, wd: f.wd}
 	}
 	sh.frames = append(sh.frames, f)
 	sh.mu.Unlock()
@@ -233,10 +227,10 @@ func (q *outQueue) take(framesReuse []*broadcastFrame, eorsReuse []uint32) (fram
 	return frames, eors, ctr, overflow
 }
 
-// close shuts every gate for good and releases whatever is still
-// queued. The client's worker calls it on exit, so no frame reference
-// outlives the client: an ingest worker still holding the client in its
-// snapshot finds the gate closed and releases its reference itself.
+// close shuts every gate for good and drops whatever is still queued.
+// The client's worker calls it on exit, so the queue ends empty: an
+// ingest worker still holding the client in its snapshot finds the gate
+// closed.
 func (q *outQueue) close() {
 	for i := range q.shards {
 		sh := &q.shards[i]
@@ -244,10 +238,7 @@ func (q *outQueue) close() {
 		sh.synced = nil
 		sh.mu.Unlock()
 	}
-	frames, _, _, _ := q.take(nil, nil)
-	for _, f := range frames {
-		f.release()
-	}
+	q.take(nil, nil)
 }
 
 // depth reports queued routes plus End-of-RIB markers.
@@ -262,7 +253,7 @@ func (q *outQueue) depth() int {
 // RIB shard's lock (write for ingest and sweeps), which is what orders
 // the frame against replay walks.
 func (s *Server) broadcast(si int, clients []*clientConn, f *broadcastFrame) {
-	f.retain(len(clients), &s.liveFrames)
+	f.shared = len(clients) > 1
 	for _, c := range clients {
 		c.out.putFrame(si, f)
 	}
@@ -279,7 +270,7 @@ const snapFrameNLRIs = 6000
 // session with opts. While the shard stays unwritten every replay for
 // the same options queues these frames again — one walk, one grouping
 // and one encode per table version, not per joiner. frame.go has the
-// reference rules.
+// rules for a cached frame.
 //
 // mu orders joiners, who hold only the shard's read lock, against each
 // other, and it is held across a build, so joiners arriving together
@@ -294,23 +285,15 @@ type replaySlot struct {
 	frames []*broadcastFrame
 }
 
-// reset empties the slot and lets go of its frames' buffers (once the
-// queues still holding them have flushed). The caller holds mu.
-func (sl *replaySlot) reset() {
-	for _, f := range sl.frames {
-		f.unref()
-	}
-	sl.frames, sl.valid = nil, false
-}
-
-// drop is reset for whoever holds the shard's write lock, which
-// excludes every joiner and every other dropper, so valid is read
-// unlocked: a shard nobody joined since its last write pays this one
-// check. mu is for the scrape-time reader.
+// drop empties the slot; queues still holding its frames flush them as
+// usual. The caller holds the shard's write lock, which excludes every
+// joiner and every other dropper, so valid is read unlocked: a shard
+// nobody joined since its last write pays this one check. mu is for the
+// scrape-time reader.
 func (sl *replaySlot) drop() {
 	if sl.valid {
 		sl.mu.Lock()
-		sl.reset()
+		sl.frames, sl.valid = nil, false
 		sl.mu.Unlock()
 	}
 }
@@ -351,8 +334,7 @@ func (s *Server) replaySnapshotBytes() (n int) {
 // options c's session negotiated, and a cold slot is filled on the way.
 // A client with other options than a warm slot's, or no established
 // session to read them from, gets private frames and leaves the slot
-// alone; so does everyone once the server is closing, which has
-// released the slots for good.
+// alone.
 func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 	skey, pathID := s.sessionKey(u)
 	var opts wire.Options
@@ -368,31 +350,25 @@ func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 				s.metrics.replayBuilds.Inc()
 				return snapshotFrames(t, skey, u.cfg.ID, pathID)
 			}
-			if sl := &u.replay[i]; share && !s.closed.Load() {
+			var frames []*broadcastFrame
+			mine := false
+			if sl := &u.replay[i]; share {
 				sl.mu.Lock()
 				if !sl.valid || sl.gen != gen {
-					sl.reset()
 					sl.valid, sl.gen, sl.opts, sl.frames = true, gen, opts, build()
 					for _, f := range sl.frames {
-						f.pin(opts, &s.liveFrames)
+						f.cached, f.shared, f.encOpts = true, true, opts
 					}
 				} else if sl.opts == opts {
 					s.metrics.replayHits.Inc()
 				}
-				mine := sl.opts == opts
-				if mine {
-					for _, f := range sl.frames {
-						f.join()
-						c.out.putFrame(i, f)
-					}
-				}
+				frames, mine = sl.frames, sl.opts == opts
 				sl.mu.Unlock()
-				if mine {
-					return
-				}
 			}
-			for _, f := range build() {
-				f.retain(1, &s.liveFrames)
+			if !mine {
+				frames = build()
+			}
+			for _, f := range frames {
 				c.out.putFrame(i, f)
 			}
 		})
@@ -496,9 +472,8 @@ func (s *Server) flushFanout(c *clientConn, frames []*broadcastFrame, eors []uin
 // otherwise. A frame whose session is down is dropped: the Established
 // replay of the Adj-RIB-In (plus End-of-RIB) reconstructs the client's
 // view when the session comes back, so nothing is lost — only
-// deferred. The queue's reference is released either way.
+// deferred.
 func (s *Server) flushFrame(c *clientConn, f *broadcastFrame) (sent, relayed uint64) {
-	defer f.release()
 	sess := c.session(f.skey)
 	if sess == nil || !sess.Established() {
 		return 0, 0

@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,24 +32,15 @@ func fanoutAttrs(asn uint32) *wire.Attrs {
 	}
 }
 
-// Queue-level helpers: frames of one queue, counted on the test's own
-// live counter so each test can assert every reference came back.
+// Queue-level helpers: batch entries and a frame built from them.
 func ann(p string, a *wire.Attrs) batchEntry {
 	return batchEntry{nlri: wire.NLRI{Prefix: prefix(p)}, attrs: a}
 }
 
 func wdr(p string) batchEntry { return ann(p, nil) }
 
-func queueFrame(live *atomic.Int64, upstream uint32, entries ...batchEntry) *broadcastFrame {
-	f := newBroadcastFrame(upstream, upstream, 0, entries)
-	f.retain(1, live)
-	return f
-}
-
-func releaseAll(frames []*broadcastFrame) {
-	for _, f := range frames {
-		f.release() // the flush path would do this
-	}
+func queueFrame(upstream uint32, entries ...batchEntry) *broadcastFrame {
+	return newBroadcastFrame(upstream, upstream, 0, entries)
 }
 
 // TestOutQueueFrameOrder pins the queue's contract now that frames are
@@ -61,16 +51,15 @@ func releaseAll(frames []*broadcastFrame) {
 func TestOutQueueFrameOrder(t *testing.T) {
 	// One shard: exact drain order across prefixes is only defined
 	// within a shard.
-	var live atomic.Int64
 	q := newOutQueue(0, 1)
 	q.beginSync(0, 1)
 	q.beginSync(0, 2)
 	a1, a2 := fanoutAttrs(100), fanoutAttrs(200)
 	const pA = "11.0.0.0/16"
 
-	f1 := queueFrame(&live, 1, ann(pA, a1))
-	f2 := queueFrame(&live, 1, wdr(pA))
-	f3 := queueFrame(&live, 1, ann(pA, a2))
+	f1 := queueFrame(1, ann(pA, a1))
+	f2 := queueFrame(1, wdr(pA))
+	f3 := queueFrame(1, ann(pA, a2))
 	for _, f := range []*broadcastFrame{f1, f2, f3} {
 		q.putFrame(0, f)
 	}
@@ -81,28 +70,25 @@ func TestOutQueueFrameOrder(t *testing.T) {
 	if len(frames) != 3 || frames[0] != f1 || frames[1] != f2 || frames[2] != f3 || len(eors) != 0 {
 		t.Fatalf("drained %v (eors %v), want the three frames in enqueue order", frames, eors)
 	}
-	releaseAll(frames)
 
 	// The same prefix via different upstreams is distinct state, each
 	// behind its own frame.
-	q.putFrame(0, queueFrame(&live, 1, ann(pA, a1)))
-	q.putFrame(0, queueFrame(&live, 2, ann(pA, a1)))
+	q.putFrame(0, queueFrame(1, ann(pA, a1)))
+	q.putFrame(0, queueFrame(2, ann(pA, a1)))
 	frames, _, _, _ = q.take(frames, nil)
 	if len(frames) != 2 || frames[0].upstream != 1 || frames[1].upstream != 2 {
 		t.Fatalf("cross-upstream drain = %v, want upstream 1 then 2", frames)
 	}
-	releaseAll(frames)
 
 	// End-of-RIB markers drain alongside frames, and take empties the
 	// queue — including the shard's backing array, or flushed frames
 	// (and a joiner's snapshot NLRIs) would stay reachable from it.
-	q.putFrame(0, queueFrame(&live, 1, ann(pA, a1)))
+	q.putFrame(0, queueFrame(1, ann(pA, a1)))
 	q.putEoR(1)
 	frames, eors, _, _ = q.take(frames, eors)
 	if len(frames) != 1 || len(eors) != 1 || eors[0] != 1 {
 		t.Fatalf("frames=%d eors=%v, want 1 frame and EoR for upstream 1", len(frames), eors)
 	}
-	releaseAll(frames)
 	sh := &q.shards[0]
 	for i, f := range sh.frames[:cap(sh.frames)] {
 		if f != nil {
@@ -111,9 +97,6 @@ func TestOutQueueFrameOrder(t *testing.T) {
 	}
 	if frames, eors, _, _ := q.take(nil, nil); len(frames) != 0 || len(eors) != 0 || q.depth() != 0 {
 		t.Fatalf("queue not empty after take: %d frames, %d eors, depth %d", len(frames), len(eors), q.depth())
-	}
-	if n := live.Load(); n != 0 {
-		t.Fatalf("%d frames still referenced after every queue released them", n)
 	}
 }
 
@@ -124,7 +107,6 @@ func TestOutQueueFrameOrder(t *testing.T) {
 // as a private withdraw-only frame — shedding must never leave a
 // client holding a route the world withdrew.
 func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
-	var live atomic.Int64
 	q := newOutQueue(8, 1)
 	q.beginSync(0, 1)
 	a := fanoutAttrs(100)
@@ -138,27 +120,24 @@ func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
 
 	// A frame bigger than the cap enqueues whole when the queue is
 	// empty: frames are all-or-nothing.
-	f1 := queueFrame(&live, 1, entries(0, 10, a)...)
+	f1 := queueFrame(1, entries(0, 10, a)...)
 	q.putFrame(0, f1)
 	if d := q.depth(); d != 10 {
 		t.Fatalf("depth after frame = %d, want 10 logical ops", d)
 	}
 
 	// The queue is now over its cap of 8: the next frame's announcements
-	// shed, its withdrawals survive in a frame of their own, and the
-	// shed frame's queue reference is released without being flushed.
-	f2 := queueFrame(&live, 1, append(entries(10, 14, a), entries(20, 22, nil)...)...)
+	// shed and its withdrawals survive in a frame of their own; the shed
+	// frame itself is not queued.
+	f2 := queueFrame(1, append(entries(10, 14, a), entries(20, 22, nil)...)...)
 	q.putFrame(0, f2)
-	if n := f2.refs.Load(); n != 0 {
-		t.Fatalf("shed frame holds %d refs, want 0", n)
-	}
 	if d := q.depth(); d != 12 {
 		t.Fatalf("depth after shed = %d, want 10 + 2 withdrawals", d)
 	}
 	// Pure announcements at the cap leave nothing behind; pure
 	// withdrawals are never shed.
-	q.putFrame(0, queueFrame(&live, 1, entries(30, 33, a)...))
-	f4 := queueFrame(&live, 1, entries(40, 41, nil)...)
+	q.putFrame(0, queueFrame(1, entries(30, 33, a)...))
+	f4 := queueFrame(1, entries(40, 41, nil)...)
 	q.putFrame(0, f4)
 
 	frames, _, ctr, overflow := q.take(nil, nil)
@@ -174,10 +153,6 @@ func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
 	if kept := frames[1]; kept == f2 || kept.nlris != 0 || len(kept.wd) != 2 || kept.shared {
 		t.Fatalf("kept frame %+v, want a private frame of f2's 2 withdrawals", kept)
 	}
-	releaseAll(frames)
-	if n := live.Load(); n != 0 {
-		t.Fatalf("%d frames still referenced after the drain released them", n)
-	}
 }
 
 // TestOutQueueSyncGate pins the replay handoff rule: a fresh queue
@@ -187,70 +162,59 @@ func TestOutQueueFrameShedKeepsWithdrawals(t *testing.T) {
 // so one upstream's replay does not open another's, and closing the
 // queue shuts every gate for good.
 func TestOutQueueSyncGate(t *testing.T) {
-	var live atomic.Int64
 	q := newOutQueue(0, 1)
 	a := fanoutAttrs(100)
 	const pA = "11.0.0.0/16"
 
-	one := queueFrame(&live, 1, ann(pA, a)) // a batch of one
+	one := queueFrame(1, ann(pA, a)) // a batch of one
 	sweep := &broadcastFrame{skey: 1, upstream: 1, wd: []wire.NLRI{{Prefix: prefix(pA)}}}
-	sweep.retain(1, &live)
 	q.putFrame(0, one)
 	q.putFrame(0, sweep)
-	if one.refs.Load() != 0 || sweep.refs.Load() != 0 || live.Load() != 0 {
-		t.Fatalf("gated frames hold refs %d/%d (live %d), want dropped and released",
-			one.refs.Load(), sweep.refs.Load(), live.Load())
-	}
 	if frames, _, _, _ := q.take(nil, nil); len(frames) != 0 || q.depth() != 0 {
 		t.Fatalf("gated queue drained %d frames (depth %d), want none", len(frames), q.depth())
 	}
 
 	q.beginSync(0, 1)
-	q.putFrame(0, queueFrame(&live, 1, ann(pA, a)))
-	q.putFrame(0, queueFrame(&live, 2, ann(pA, a))) // upstream 2 has not synced: still dropped
+	q.putFrame(0, queueFrame(1, ann(pA, a)))
+	q.putFrame(0, queueFrame(2, ann(pA, a))) // upstream 2 has not synced: still dropped
 	frames, _, _, _ := q.take(nil, nil)
 	if len(frames) != 1 || frames[0].upstream != 1 {
 		t.Fatalf("post-sync drain = %v, want exactly upstream 1's frame", frames)
 	}
-	releaseAll(frames)
 
-	// close releases what is queued and nothing gets in afterwards, not
-	// even behind a late beginSync.
-	q.putFrame(0, queueFrame(&live, 1, ann(pA, a)))
+	// close drops what is queued and nothing gets in afterwards, not even
+	// behind a late beginSync.
+	q.putFrame(0, queueFrame(1, ann(pA, a)))
 	q.close()
 	q.beginSync(0, 1)
-	q.putFrame(0, queueFrame(&live, 1, ann(pA, a)))
-	if frames, _, _, _ := q.take(nil, nil); len(frames) != 0 || q.depth() != 0 || live.Load() != 0 {
-		t.Fatalf("closed queue holds %d frames (depth %d, live %d), want none", len(frames), q.depth(), live.Load())
+	q.putFrame(0, queueFrame(1, ann(pA, a)))
+	if frames, _, _, _ := q.take(nil, nil); len(frames) != 0 || q.depth() != 0 {
+		t.Fatalf("closed queue holds %d frames (depth %d), want none", len(frames), q.depth())
 	}
 }
 
 // TestOutQueueBackpressureCounters: depth, high water and backpressure
 // count logical routes, whatever the frames' sizes.
 func TestOutQueueBackpressureCounters(t *testing.T) {
-	var live atomic.Int64
 	q := newOutQueue(0, 1)
 	q.beginSync(0, 1)
 	a := fanoutAttrs(100)
 	// One big frame leaves the queue two routes short of the mark.
 	const base = fanoutHighWater - 2
-	filler := &broadcastFrame{skey: 1, upstream: 1, nlris: base}
-	filler.retain(1, &live)
-	q.putFrame(0, filler)
-	q.putFrame(0, queueFrame(&live, 1, ann("11.0.0.0/16", a)))
-	q.putFrame(0, queueFrame(&live, 1, ann("11.0.0.0/16", a))) // same prefix again: still a route queued
-	q.putFrame(0, queueFrame(&live, 1, ann("11.1.0.0/16", a))) // base+3: over the mark
-	q.putFrame(0, queueFrame(&live, 1, ann("11.2.0.0/16", a), wdr("11.3.0.0/16")))
-	frames, _, ctr, _ := q.take(nil, nil)
+	q.putFrame(0, &broadcastFrame{skey: 1, upstream: 1, nlris: base})
+	q.putFrame(0, queueFrame(1, ann("11.0.0.0/16", a)))
+	q.putFrame(0, queueFrame(1, ann("11.0.0.0/16", a))) // same prefix again: still a route queued
+	q.putFrame(0, queueFrame(1, ann("11.1.0.0/16", a))) // base+3: over the mark
+	q.putFrame(0, queueFrame(1, ann("11.2.0.0/16", a), wdr("11.3.0.0/16")))
+	_, _, ctr, _ := q.take(nil, nil)
 	if ctr.backpressure != 2 {
 		t.Fatalf("backpressure = %d, want 2 (the enqueues that found depth 3 and 5 over the mark)", ctr.backpressure)
 	}
 	if ctr.highWater != base+5 {
 		t.Fatalf("highWater = %d, want %d routes", ctr.highWater, base+5)
 	}
-	releaseAll(frames)
-	if q.depth() != 0 || live.Load() != 0 {
-		t.Fatalf("depth %d, live %d after the drain", q.depth(), live.Load())
+	if q.depth() != 0 {
+		t.Fatalf("depth %d after the drain", q.depth())
 	}
 }
 

@@ -9,49 +9,28 @@ package server
 // the shared encoding fall back to a private pack of the same logical
 // content.
 //
-// Lifetime: the builder sets refs to the number of queues that will
-// hold the frame before enqueueing; each queue's flush (or shed, gate
-// drop, failed-session skip, or close) calls release exactly once. The
-// encoded bytes live in a bufpool.Frame with one base reference owned
-// by this struct and dropped with the last reference: a flusher writes
-// the bytes to its session before it releases its own, so the buffer
-// never recycles under a write. The logical NLRI slices are plain
-// GC-managed memory, shared by every queue that holds the frame, so
-// they must never come from a pool.
+// A frame is a value: nothing counts who holds it. Its logical content
+// and its encoded bytes are plain GC memory, immutable once published
+// (by putFrame, and for the bytes by f.mu). A flusher reaches the bytes
+// only through the frame it took from its queue and holds that pointer
+// across the synchronous SendEncoded, so no write outlives its bytes;
+// the frame is garbage once no queue, drain or replay slot lists it.
 //
-// Slot-held frames. A replay slot (replaySlot, fanout.go) keeps the
-// snapshot frames of one (upstream, RIB shard) so that later joiners
-// ride the same frames, and the same bytes, instead of walking and
-// encoding the shard again. The rules that differ for such a frame:
+// A replay slot (replaySlot, fanout.go) keeps the snapshot frames of one
+// (upstream, RIB shard) so later joiners ride the same frames and bytes.
+// Such a frame is cached: encoded under its slot's options and no
+// others, and once encoded it drops its logical groups, so at rest a
+// slot holds wire bytes only. A flusher whose session has other options
+// has nothing to pack from and skips it; enqueueReplay never hands a
+// slot's frames to such a client, so this is only a session replaced
+// between the enqueue and the flush, whose Established replay delivers
+// the table anyway.
 //
-//   - The slot owns one reference of its own in refs, from pin until
-//     the slot is reset, and joiners take theirs (join) under the slot's
-//     mutex while the slot still lists the frame — so refs is at least
-//     one whenever a joiner adds to it, and no Add can bring a frame
-//     back from zero.
-//   - live keeps meaning "frames some client queue references": the
-//     slot's reference is not counted, join counts the frame on live
-//     when it gives it its first queue reference (never by running
-//     retain again), and the last queue's release takes it off. With a
-//     warm slot and idle queues Server.liveFrames reads zero while
-//     bufpool.LiveFrames() reads the buffers the slots hold; after
-//     Server.Close both read zero.
-//   - It is encoded under the options its slot was built for and no
-//     others (encOpts, fixed by pin), and once encoded it drops its
-//     logical groups: at rest a slot holds wire bytes only. A flusher
-//     whose session has other options therefore has nothing to pack
-//     from and skips the frame; enqueueReplay never hands a slot's
-//     frames to such a client, so this is only a session replaced
-//     between the enqueue and the flush, whose Established replay
-//     delivers the table anyway.
-//   - Its flushes count as shared.
-//
-// Lock order: RIB shard lock → slot mutex → queue-shard mutex → f.mu.
+// Lock order: under a RIB shard lock, a slot mutex or a queue-shard
+// mutex, never both; f.mu alone.
 import (
 	"sync"
-	"sync/atomic"
 
-	"peering/internal/bufpool"
 	"peering/internal/wire"
 )
 
@@ -85,25 +64,18 @@ type broadcastFrame struct {
 	// not by the client's slowness, and the recovery from a shed (which
 	// shedding it would undo) — the queue cap neither counts nor sheds it.
 	snapshot bool
-	// cached marks a slot-held frame (see the header); set by pin before
-	// the frame is published, never changed. queued is the part of refs
-	// that client queues hold, kept for cached frames only.
+	// cached marks a slot-held frame (see the header), with encOpts its
+	// slot's options; both set before the frame is published.
 	cached bool
-	refs   atomic.Int32
-	queued atomic.Int32
-	// live is the owning server's count of frames some queue still
-	// references (debug accounting: it is back to zero once every queue
-	// has flushed or dropped what it held).
-	live *atomic.Int64
 
 	// Lazy shared encoding, built under mu by the first flusher and
-	// keyed to the wire.Options it encoded under.
+	// keyed to the wire.Options it encoded under; enc stays nil when the
+	// frame failed to encode.
 	mu      sync.Mutex
 	encOpts wire.Options
-	enc     *bufpool.Frame
+	enc     []byte
 	counts  []int // NLRIs (reach+withdrawn) per encoded UPDATE
 	encDone bool
-	encErr  bool
 }
 
 // newBroadcastFrame builds a frame from a batch's folded final state.
@@ -157,79 +129,20 @@ func newSnapshotFrame(skey, upstream uint32, groups []wire.AttrGroup) *broadcast
 // logical route it carries.
 func (f *broadcastFrame) logicalOps() int { return f.nlris + len(f.wd) }
 
-// retain adds n (≥ 1) queue references before the frame is enqueued
-// and counts the frame on live until the last of them is released.
-func (f *broadcastFrame) retain(n int, live *atomic.Int64) {
-	f.live = live
-	live.Add(1)
-	f.shared = n > 1
-	f.refs.Add(int32(n))
-}
-
-// pin makes f a slot-held frame with the slot's reference as its first:
-// to be encoded under opts only, and counted on live while some queue
-// holds it.
-func (f *broadcastFrame) pin(opts wire.Options, live *atomic.Int64) {
-	f.cached, f.shared, f.encOpts, f.live = true, true, opts, live
-	f.refs.Store(1)
-}
-
-// join adds one queue reference to a slot-held frame. The caller holds
-// the slot's mutex and found f in the slot.
-func (f *broadcastFrame) join() {
-	f.refs.Add(1)
-	if f.queued.Add(1) == 1 {
-		f.live.Add(1)
-	}
-}
-
-// release drops one queue reference.
-func (f *broadcastFrame) release() {
-	if f.cached {
-		if f.queued.Add(-1) == 0 {
-			f.live.Add(-1)
-		}
-		f.unref()
-	} else if f.unref() {
-		f.live.Add(-1)
-	}
-}
-
-// unref drops one reference — release for a queue, the slot directly
-// for its own — and reports whether it was the last, which releases the
-// shared encoding so its buffer can recycle.
-func (f *broadcastFrame) unref() bool {
-	if f.refs.Add(-1) != 0 {
-		return false
-	}
-	f.mu.Lock()
-	enc := f.enc
-	f.enc = nil
-	f.mu.Unlock()
-	if enc != nil {
-		enc.Release()
-	}
-	return true
-}
-
 // wireLen reports the size of the shared encoding, 0 before the first
 // flusher has built it.
 func (f *broadcastFrame) wireLen() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.enc == nil {
-		return 0
-	}
-	return f.enc.Len()
+	return len(f.enc)
 }
 
 // encoded returns the shared encoding for opts, building it on first
-// call; the bytes stay valid until the caller releases its queue
-// reference. ok is false when the frame was already encoded under
-// different options (or failed to encode): the caller packs privately
-// from the logical content instead — unless the frame is slot-held,
-// which has none to pack from and is never encoded under options other
-// than its slot's.
+// call; the caller must not modify the bytes. ok is false when the
+// frame was already encoded under different options (or failed to
+// encode): the caller packs privately from the logical content instead
+// — unless the frame is slot-held, which has none to pack from and is
+// never encoded under options other than its slot's.
 func (f *broadcastFrame) encoded(opts wire.Options) (enc []byte, counts []int, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -244,10 +157,10 @@ func (f *broadcastFrame) encoded(opts wire.Options) (enc []byte, counts []int, o
 			f.groups = nil
 		}
 	}
-	if f.encErr || f.enc == nil || f.encOpts != opts {
+	if f.enc == nil || f.encOpts != opts {
 		return nil, nil, false
 	}
-	return f.enc.Bytes(), f.counts, true
+	return f.enc, f.counts, true
 }
 
 // attrsLenGuess is what encode reserves for one UPDATE's path
@@ -260,24 +173,17 @@ const attrsLenGuess = 64
 func (f *broadcastFrame) encode(opts wire.Options) {
 	upds := wire.PackGrouped(f.wd, f.groups, opts)
 	if len(upds) == 0 {
-		f.encErr = true
 		return
 	}
 	// Size estimate: 9 bytes bound an IPv4 NLRI with its path ID, and
 	// every UPDATE pays a header, two length fields and one attribute
-	// block. A miss just grows the buffer (never truncates). Only small
-	// frames land inside a bufpool class and recycle: a full snapshot
-	// frame of a table with 2–3 NLRIs per attribute set is ≈ 30 B per
-	// route, 180 KB, plain GC memory.
+	// block. A miss just grows the buffer (never truncates).
 	est := f.logicalOps()*9 + len(upds)*(wire.HeaderLen+4+attrsLenGuess)
-	b := bufpool.Get(est)[:0]
+	b := make([]byte, 0, est)
 	counts := make([]int, 0, len(upds))
 	for _, upd := range upds {
 		var err error
-		b, err = wire.AppendMessage(b, upd, opts)
-		if err != nil {
-			bufpool.Put(b)
-			f.encErr = true
+		if b, err = wire.AppendMessage(b, upd, opts); err != nil {
 			return
 		}
 		counts = append(counts, len(upd.Reach)+len(upd.Withdrawn))
@@ -285,10 +191,7 @@ func (f *broadcastFrame) encode(opts wire.Options) {
 	if f.cached && cap(b) > len(b) {
 		// A slot keeps these bytes for as long as the shard is unwritten:
 		// hold the bytes sent and no spare room.
-		exact := append(make([]byte, 0, len(b)), b...)
-		bufpool.Put(b)
-		b = exact
+		b = append(make([]byte, 0, len(b)), b...)
 	}
-	f.enc = bufpool.NewFrame(b)
-	f.counts = counts
+	f.enc, f.counts = b, counts
 }

@@ -2,8 +2,8 @@ package server
 
 // Tests for the one delivery form: every ingest op — a batch of one
 // included — reaches clients as a frame, the worker merges what queued
-// up behind it, withdraw sweeps are frames too, and nothing (frame
-// references, pooled buffers, goroutines, timers) outlives a run.
+// up behind it, withdraw sweeps are frames too, and nothing (registered
+// clients, queued frames, goroutines, timers) outlives a run.
 
 import (
 	"fmt"
@@ -17,7 +17,6 @@ import (
 
 	"peering/internal/bgp"
 	"peering/internal/bufconn"
-	"peering/internal/bufpool"
 	"peering/internal/client"
 	"peering/internal/clock"
 	"peering/internal/muxproto"
@@ -26,26 +25,38 @@ import (
 	"peering/internal/wire"
 )
 
-// newCheckedServer builds a server whose cleanup asserts the resource
+// newCheckedServer builds a server whose cleanup asserts the end-of-run
 // invariant once the server and everything registered after it have
-// closed: no queue references a frame, and the pooled frame buffers
-// held and the goroutine count are back at their readings from before
-// New (an earlier server of the same test may still be open, with warm
-// replay slots).
+// closed: no client is left registered, every queue of a client still
+// registered when Close began is empty, and the goroutine count is back
+// at its reading from before New.
 func newCheckedServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
-	base, baseBufs := runtime.NumGoroutine(), bufpool.LiveFrames()
+	base := runtime.NumGoroutine()
 	srv := New(cfg)
+	var held []*clientConn
 	t.Cleanup(func() { // registered first, so it runs after srv.Close
-		waitFor(t, "every frame reference released", func() bool {
-			return srv.liveFrames.Load() == 0 && bufpool.LiveFrames() <= baseBufs
+		waitFor(t, "every client detached, its queue empty", func() bool {
+			return srv.ClientCount() == 0 && queuesEmpty(held)
 		})
 		waitFor(t, "goroutines back to baseline", func() bool {
 			return runtime.NumGoroutine() <= base
 		})
 	})
 	t.Cleanup(srv.Close)
+	t.Cleanup(func() { held = srv.clientList() })
 	return srv
+}
+
+// queuesEmpty reports whether no frame or End-of-RIB marker is queued
+// for any of cs.
+func queuesEmpty(cs []*clientConn) bool {
+	for _, c := range cs {
+		if c.out.depth() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // frameRig is a mux whose upstreams have no sessions: tests inject runs
@@ -535,7 +546,7 @@ func TestFlushedFrameIsCollectable(t *testing.T) {
 		r.ups[0].adjIn.Update(0, func(*rib.AdjRIB) { r.srv.broadcast(0, r.srv.clientList(), f) })
 	}()
 	waitFor(t, "both clients flushed the frame", func() bool {
-		return r.srv.Stats().RoutesRelayedToClients == 2 && r.srv.liveFrames.Load() == 0
+		return r.srv.Stats().RoutesRelayedToClients == 2 && queuesEmpty(r.srv.clientList())
 	})
 	waitFor(t, "the flushed frame to be collected", func() bool {
 		runtime.GC()

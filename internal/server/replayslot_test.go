@@ -2,20 +2,20 @@ package server
 
 // Replay slots (fanout.go, frame.go): one cached snapshot per (upstream,
 // RIB shard), shared by every joiner until the shard's next write. All
-// on newCheckedServer rigs, so a reference or pooled buffer that
-// outlives Close fails the test that leaked it.
+// on newCheckedServer rigs, so a client or a queued frame that outlives
+// Close fails the test that left it.
 
 import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"peering/internal/bgp"
 	"peering/internal/bufconn"
-	"peering/internal/bufpool"
 	"peering/internal/client"
 	"peering/internal/faultconn"
 	"peering/internal/muxproto"
@@ -86,14 +86,14 @@ func sameShard(t *testing.T, shards int, like netip.Prefix, lo, hi, k int) []net
 // TestReplaySlotServesLaterJoiners: joiners to a quiet table each get
 // the whole table exactly once, the first builds every shard's snapshot
 // and the others ride it; at rest the slots hold encoded bytes and no
-// logical groups, and no queue references them.
+// logical groups, and every queue is empty.
 func TestReplaySlotServesLaterJoiners(t *testing.T) {
 	const n, joiners = 2000, 4
 	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
 			r.load(0, n)
-			base, bufs := r.srv.Stats(), bufpool.LiveFrames()
+			base := r.srv.Stats()
 			for k := 1; k <= joiners; k++ {
 				cl, rec := r.join(t, k)
 				r.holds(t, fmt.Sprintf("joiner %d", k), cl)
@@ -104,13 +104,13 @@ func TestReplaySlotServesLaterJoiners(t *testing.T) {
 				}
 			}
 			r.wantSlotDelta(t, base, uint64(shards), uint64((joiners-1)*shards))
-			waitFor(t, "the queues to let go of the slots' frames", func() bool { return r.srv.liveFrames.Load() == 0 })
+			waitFor(t, "the queues to flush the slots' frames", func() bool { return queuesEmpty(r.srv.clientList()) })
 			st := r.srv.Stats()
 			if got := st.RoutesRelayedToClients - base.RoutesRelayedToClients; got != joiners*n {
 				t.Fatalf("%d routes relayed to %d joiners of a %d-route table", got, joiners, n)
 			}
-			if st.ReplaySnapshotBytes == 0 || bufpool.LiveFrames() <= bufs {
-				t.Fatalf("warm slots hold %d bytes in %d buffers", st.ReplaySnapshotBytes, bufpool.LiveFrames()-bufs)
+			if st.ReplaySnapshotBytes == 0 {
+				t.Fatal("warm slots hold no bytes")
 			}
 			for i := range r.ups[0].replay {
 				for _, f := range r.ups[0].replay[i].frames {
@@ -256,35 +256,26 @@ func TestReplaySlotOtherOptions(t *testing.T) {
 	r.wantSlotDelta(t, base, shards, shards)
 }
 
-// TestReplaySlotReleasedByWriteAndClose: the first write to a shard
-// after a join hands the slot's buffers back, and a slot left warm is
-// released by Close (the rig's cleanup checks).
-func TestReplaySlotReleasedByWriteAndClose(t *testing.T) {
+// TestReplaySlotReleasedByWrite: the first write to a shard after a
+// join lets that shard's snapshot go and leaves the others' alone.
+func TestReplaySlotReleasedByWrite(t *testing.T) {
 	const n, shards = 1000, 4
 	r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
 	r.load(0, n)
-	bufs := bufpool.LiveFrames()
 	cl, _ := r.join(t, 1)
 	r.holds(t, "joiner", cl)
-	if bufpool.LiveFrames() <= bufs || r.srv.Stats().ReplaySnapshotBytes == 0 {
+	if r.srv.Stats().ReplaySnapshotBytes == 0 {
 		t.Fatal("the join left no snapshot behind")
 	}
 	for i := 0; i < shards; i++ {
 		// One shard at a time: the others keep theirs.
 		held := r.srv.Stats().ReplaySnapshotBytes
-		mask := uint32(shards - 1)
-		for j := n; ; j++ {
-			if p := slotPfx(j); rib.PrefixShard(p)&mask == uint32(i) {
-				r.feed(1, announce(medAttrs(3001, 1), p))
-				break
-			}
-		}
+		r.feed(1, announce(medAttrs(3001, 1), inShard(shards, i, n)))
 		r.srv.ingest.barrier()
 		if now := r.srv.Stats().ReplaySnapshotBytes; now >= held {
 			t.Fatalf("a write to shard %d left %d snapshot bytes held, of %d", i, now, held)
 		}
 	}
-	waitFor(t, "every slot buffer to go back", func() bool { return bufpool.LiveFrames() == bufs })
 	if held := r.srv.Stats().ReplaySnapshotBytes; held != 0 {
 		t.Fatalf("%d snapshot bytes held after every shard was written", held)
 	}
@@ -292,8 +283,71 @@ func TestReplaySlotReleasedByWriteAndClose(t *testing.T) {
 
 	cl, _ = r.join(t, 2)
 	r.holds(t, "second joiner", cl)
-	if bufpool.LiveFrames() <= bufs {
+	if r.srv.Stats().ReplaySnapshotBytes == 0 {
 		t.Fatal("the second join left no snapshot behind")
+	}
+}
+
+// inShard returns the first slotPfx(j), j ≥ from, that hashes to shard i.
+func inShard(shards, i, from int) netip.Prefix {
+	for j := from; ; j++ {
+		if p := slotPfx(j); int(rib.PrefixShard(p)&uint32(shards-1)) == i {
+			return p
+		}
+	}
+}
+
+// TestReplaySlotFrameOutlivesSlot: a slot's frames queued for a client
+// whose writes are stalled stay whole while every shard is written and
+// lets its slot go; once unstalled, the client ends on the written
+// table with every route announced exactly once by the replay or the
+// writes after it.
+func TestReplaySlotFrameOutlivesSlot(t *testing.T) {
+	const n, shards = 1000, 4
+	r := newFrameRig(t, muxproto.ModeQuagga, shards, 1)
+	r.load(0, n)
+	fcSrv, fcCli := faultconn.Pipe(nil)
+	cl, rec := r.joinOver(t, 1, fcSrv, fcCli)
+	r.holds(t, "joiner", cl)
+	waitFor(t, "the join on the recorder", func() bool { return len(rec.announced(1)) == n })
+	before := rec.announced(1)
+
+	// A refresh served from the warm slots, its flusher parked in a write.
+	fcSrv.Stall()
+	base := r.srv.Stats()
+	r.srv.enqueueReplay(clientByID(r.srv, "exp1"), r.ups[0], false)
+	r.wantSlotDelta(t, base, 0, shards)
+
+	// Every shard gains a route and loses one, and drops its slot: the
+	// client's queue and drain are all that hold those frames now.
+	for i := 0; i < shards; i++ {
+		r.feed(1, announce(medAttrs(3001, 9_000_000), inShard(shards, i, n)), withdraw(inShard(shards, i, 0)))
+	}
+	r.srv.ingest.barrier()
+	if held := r.srv.Stats().ReplaySnapshotBytes; held != 0 {
+		t.Fatalf("%d snapshot bytes held after every shard was written", held)
+	}
+	runtime.GC()
+
+	fcSrv.Unstall()
+	r.holds(t, "client, after the writes", cl)
+	delta := func() (map[netip.Prefix]int, int) {
+		d, sum := rec.announced(1), 0
+		for p := range d {
+			d[p] -= before[p]
+			sum += d[p]
+		}
+		return d, sum
+	}
+	waitFor(t, "the replay and the writes on the recorder", func() bool { _, sum := delta(); return sum >= n+shards })
+	d, sum := delta()
+	if sum != n+shards {
+		t.Fatalf("%d announcements after the refresh, want %d", sum, n+shards)
+	}
+	for p, k := range d {
+		if k != 1 {
+			t.Fatalf("%v announced %d times after the refresh, want once", p, k)
+		}
 	}
 }
 
@@ -339,7 +393,7 @@ func TestReplaySlotResyncUnderCap(t *testing.T) {
 				return false
 			}
 		}
-		return r.srv.liveFrames.Load() == 0
+		return true
 	})
 }
 

@@ -374,13 +374,13 @@ func (c *clientConn) drainSupervisors() {
 
 // Server is a PEERING server instance.
 //
-// Lock hierarchy (DESIGN.md §12): the registry locks below — upMu,
-// clMu, acctMu, timerMu, archMu — are leaves: code holding an
-// Upstream.mu or clientConn.mu may take them, never the reverse, and no
-// code path holds two of them at once. The registries are read-mostly:
-// the hot path (relay, vetting, stats) read-locks upMu and acctMu and
-// takes no lock at all for the client list, so concurrent upstream
-// readers never serialize on client admission and bookkeeping.
+// Lock hierarchy (DESIGN.md §12): the four registry locks below — upMu,
+// clMu, acctMu, timerMu — are leaves: code holding an Upstream.mu or
+// clientConn.mu may take them, never the reverse, and no code path
+// holds two of them at once. The registries are read-mostly: the hot
+// path (relay, vetting, stats) read-locks upMu and acctMu and takes no
+// lock at all for the client list or the archive, so concurrent
+// upstream readers never serialize on client admission and bookkeeping.
 type Server struct {
 	cfg     Config
 	damper  *dampen.Damper
@@ -423,18 +423,14 @@ type Server struct {
 	timerMu       sync.Mutex
 	restartTimers map[string]clock.Timer
 
-	// archMu guards the optional MRT archive and its snapshot sequence
-	// (see warmstart.go).
-	archMu      sync.Mutex
-	arch        *mrt.Archive
-	archSnapSeq int
+	// arch is the optional MRT archive and archSnapSeq its snapshot
+	// sequence (see warmstart.go).
+	arch        atomic.Pointer[mrt.Archive]
+	archSnapSeq atomic.Int64
 
 	// closed is set first thing in Close: a session or transport dying
 	// afterwards must not arm a restart-window timer nobody will stop.
 	closed atomic.Bool
-	// liveFrames counts broadcast frames some client queue still
-	// references (see broadcastFrame.live).
-	liveFrames atomic.Int64
 }
 
 // New creates a server.
@@ -1207,11 +1203,4 @@ func (s *Server) Close() {
 	// delivered, then exit. Any straggler barrier (a Closed handler
 	// racing us) unblocks immediately against the stopped pool.
 	s.ingest.close()
-	// The replay slots give up their buffers; closed keeps a joiner
-	// still on its way from filling one again (enqueueReplay).
-	for _, u := range ups {
-		for i := range u.replay {
-			u.adjIn.Update(i, func(*rib.AdjRIB) { u.replay[i].drop() })
-		}
-	}
 }

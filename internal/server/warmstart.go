@@ -33,24 +33,15 @@ import (
 // sessions come up to capture a complete trace; WarmRestore reads the
 // same directory back after a crash.
 func (s *Server) AttachArchive(arch *mrt.Archive) {
-	s.archMu.Lock()
-	s.arch = arch
-	s.archMu.Unlock()
+	s.arch.Store(arch)
 	arch.SetOnRotate(func(string, uint64) { s.dumpArchiveSnapshot() })
-}
-
-// archive returns the attached archive, if any.
-func (s *Server) archive() *mrt.Archive {
-	s.archMu.Lock()
-	defer s.archMu.Unlock()
-	return s.arch
 }
 
 // archiveUpstream appends one upstream UPDATE to the attached archive
 // (a no-op without one). The message is re-encoded on the session's
 // negotiated options, so the archived bytes match the wire.
 func (s *Server) archiveUpstream(u *Upstream, sess *bgp.Session, upd *wire.Update) {
-	arch := s.archive()
+	arch := s.arch.Load()
 	if arch == nil {
 		return
 	}
@@ -92,7 +83,7 @@ func archiveLocalIP(u *Upstream) netip.Addr {
 // seal, so the newest snapshot plus the later segments always
 // reconstruct the present.
 func (s *Server) dumpArchiveSnapshot() {
-	arch := s.archive()
+	arch := s.arch.Load()
 	if arch == nil {
 		return
 	}
@@ -148,10 +139,7 @@ func (s *Server) dumpArchiveSnapshot() {
 		}
 	}
 
-	s.archMu.Lock()
-	s.archSnapSeq++
-	name := fmt.Sprintf("rib-%s-%04d.mrt", now.UTC().Format("20060102T150405Z"), s.archSnapSeq)
-	s.archMu.Unlock()
+	name := fmt.Sprintf("rib-%s-%04d.mrt", now.UTC().Format("20060102T150405Z"), s.archSnapSeq.Add(1))
 	mrt.WriteFile(filepath.Join(arch.Dir(), name), records, arch.Metrics())
 }
 
@@ -289,7 +277,7 @@ func (s *Server) restoreSnapshot(path string, byAddr map[netip.Addr]*Upstream, s
 	}
 	defer f.Close()
 	r := mrt.NewReader(f)
-	if arch := s.archive(); arch != nil {
+	if arch := s.arch.Load(); arch != nil {
 		r.Instrument(arch.Metrics())
 	}
 	head, err := r.Next()
@@ -349,7 +337,7 @@ func (s *Server) replayTailSegment(path string, byAddr map[netip.Addr]*Upstream,
 	defer f.Close()
 	r := mrt.NewReader(f)
 	var met *mrt.Metrics
-	if arch := s.archive(); arch != nil {
+	if arch := s.arch.Load(); arch != nil {
 		met = arch.Metrics()
 	}
 	rst, _ := mrt.ReplayBatched(r, mrt.ReplayConfig{Metrics: met, Intern: s.intern}, 0,
