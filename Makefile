@@ -119,8 +119,10 @@ bench-federation:
 
 # Short coverage-guided fuzz runs over the wire-format decoders, the
 # attribute-equality invariant that interning rests on (Equal(a,b) ⟺
-# identical canonical encoding) and the frozen longest-prefix-match
-# table against the trie it is built from. Go runs one fuzz target per
+# identical canonical encoding), the frozen longest-prefix-match
+# table against the trie it is built from, and the tunnel's vectored
+# write (buffers cut anywhere read back byte for byte, over bufconn and
+# faultconn). Go runs one fuzz target per
 # invocation, hence one command each. Seeds come from the golden MRT
 # fixtures and canonical attribute blocks, so a corpus regression fails
 # fast.
@@ -130,6 +132,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzAttrsEqual$$' -fuzztime 10s
 	$(GO) test ./internal/policy/compiled/ -run '^$$' -fuzz '^FuzzVerdict$$' -fuzztime 10s
 	$(GO) test ./internal/tunnel/ -run '^$$' -fuzz '^FuzzTunnelFrame$$' -fuzztime 10s
+	$(GO) test ./internal/tunnel/ -run '^$$' -fuzz '^FuzzStreamWriteBuffers$$' -fuzztime 10s
 	$(GO) test ./internal/trie/ -run '^$$' -fuzz '^FuzzFlatLookup$$' -fuzztime 10s
 
 # Documentation gate: vet plus a check that every internal package (and
@@ -147,9 +150,11 @@ docs: vet
 # when it grows past the committed ceiling: code added there has to pay for
 # itself by deleting something, or raise the figure in the same change
 # and say why.
-# The ceiling is PR 25's count: the replay slots of PR 23 with frames
-# that are plain values (no reference counts, no pooled encoding).
-SERVER_LINES_MAX = 3543
+# The ceiling is the measured count: 3543 with frames as plain values,
+# plus the flusher writing a whole drain as one SendEncoded per session
+# (grouping by session, counting once per drain) in the per-frame
+# flushFrame's place.
+SERVER_LINES_MAX = 3580
 # internal/rib has a ceiling too since PR 24, set to that PR's count. It
 # was 788 before: the compact Adj-RIB (DESIGN.md §12 "The table at
 # rest") added the slot codec — key to prefix and back, the learned time

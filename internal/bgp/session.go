@@ -184,6 +184,7 @@ func (h HandlerFuncs) Closed(s *Session, err error) {
 type Session struct {
 	cfg     Config
 	conn    net.Conn
+	bw      buffersWriter // conn, when it takes a vectored write whole
 	handler Handler
 	clk     clock.Clock
 
@@ -204,10 +205,12 @@ type Session struct {
 	sent telemetry.Counter
 
 	// wmu makes each write to conn whole messages: a leaf lock, held
-	// only across conn.Write. notified, under it, is set by a
-	// NOTIFICATION; nothing follows one.
+	// only across the conn's write. notified, under it, is set by a
+	// NOTIFICATION; nothing follows one. vec, under it, is
+	// SendEncoded's reused copy of its caller's buffers.
 	wmu      sync.Mutex
 	notified bool
+	vec      net.Buffers
 }
 
 // New wraps conn in a session. Call Run (usually in a goroutine) to
@@ -224,9 +227,11 @@ func New(conn net.Conn, cfg Config, h Handler) *Session {
 		h = HandlerFuncs{}
 	}
 	cfg.Metrics.sessionState(-1, StateOpenSent)
+	bw, _ := conn.(buffersWriter)
 	return &Session{
 		cfg:     cfg,
 		conn:    conn,
+		bw:      bw,
 		handler: h,
 		clk:     clk,
 		state:   StateOpenSent,
@@ -460,23 +465,54 @@ func (s *Session) Send(u *wire.Update) error {
 	return s.wrote(s.writeMsg(u, opts))
 }
 
-// SendEncoded writes a pre-encoded run of UPDATE messages — the shared
-// fan-out frames every in-sync client references — in one write, on
-// Send's terms. b must be encoded under this session's negotiated
-// Options (the caller checks) and is only read; updates is the UPDATE
-// count inside it, counted on the instruments per-message sends use.
-func (s *Session) SendEncoded(b []byte, updates int) error {
+// SendEncoded writes pre-encoded UPDATE messages — a fan-out flusher's
+// whole drain for this session, shared bytes every in-sync client
+// references, or an announcement's one run — on Send's terms, as one
+// transport write: a conn with a WriteBuffers method (a tunnel stream,
+// bufconn, faultconn) takes bufs in one call and copies none of it,
+// any other gets net.Buffers.WriteTo (writev on a *net.TCPConn). Each
+// buffer holds whole messages encoded under this session's negotiated
+// Options (the caller checks); bufs and the bytes are only read, and
+// are the caller's again when SendEncoded returns. updates is the
+// UPDATE count across them, counted on the instruments per-message
+// sends use.
+func (s *Session) SendEncoded(bufs net.Buffers, updates int) error {
 	if !s.Established() {
 		return s.errDown()
 	}
 	s.sent.Add(uint64(updates))
 	s.wmu.Lock()
-	err := s.put(b, false)
+	err := s.putBuffers(bufs)
 	s.wmu.Unlock()
 	if err == nil {
 		s.cfg.Metrics.msgOutUpdates(updates)
 	}
 	return s.wrote(err)
+}
+
+// putBuffers is put for SendEncoded's vector, which it copies into the
+// session's own (under wmu) first: what goes to the conn escapes, and
+// a caller's one-buffer literal should not have to.
+func (s *Session) putBuffers(bufs net.Buffers) error {
+	if s.notified {
+		return errClosing
+	}
+	s.vec = append(s.vec[:0], bufs...)
+	var err error
+	if s.bw != nil {
+		_, err = s.bw.WriteBuffers(s.vec)
+	} else {
+		v := s.vec // WriteTo consumes its receiver
+		_, err = v.WriteTo(s.conn)
+	}
+	clear(s.vec) // the bytes are the caller's: do not pin them
+	return err
+}
+
+// buffersWriter is a transport that takes a vectored write as one call:
+// a tunnel stream, bufconn, faultconn.
+type buffersWriter interface {
+	WriteBuffers(net.Buffers) (int64, error)
 }
 
 // errClosing refuses a write behind a NOTIFICATION. Whoever wrote that
@@ -493,9 +529,9 @@ func (s *Session) wrote(err error) error {
 	return err
 }
 
-// put is the session's one conn.Write: b, whole messages, goes to the
-// transport under wmu (the caller holds it), so nothing lands inside
-// another message, and nothing lands behind a NOTIFICATION (last).
+// put writes b, whole messages, to the transport under wmu (the caller
+// holds it), so nothing lands inside another message, and nothing lands
+// behind a NOTIFICATION (last). putBuffers is its vectored twin.
 func (s *Session) put(b []byte, last bool) error {
 	if s.notified {
 		return errClosing

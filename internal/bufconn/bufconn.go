@@ -60,29 +60,33 @@ func newBuffer(limit int) *buffer {
 	return b
 }
 
-func (b *buffer) write(p []byte) (int, error) {
+// write appends bufs, in order, taking the lock once for all of them;
+// it waits (and lets the reader in) only while the buffer is full.
+func (b *buffer) write(bufs ...[]byte) (int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	total := 0
-	for len(p) > 0 {
-		if b.closed {
-			return total, io.ErrClosedPipe
+	var total int64
+	for _, p := range bufs {
+		for len(p) > 0 {
+			if b.closed {
+				return total, io.ErrClosedPipe
+			}
+			space := b.limit - (len(b.data) - b.off)
+			if space == 0 {
+				b.cond.Wait()
+				continue
+			}
+			n := min(space, len(p))
+			if b.off > 0 && len(b.data)+n > cap(b.data) {
+				// Reclaim the consumed head instead of growing.
+				b.data = b.data[:copy(b.data, b.data[b.off:])]
+				b.off = 0
+			}
+			b.data = append(b.data, p[:n]...)
+			p = p[n:]
+			total += int64(n)
+			b.cond.Broadcast()
 		}
-		space := b.limit - (len(b.data) - b.off)
-		if space == 0 {
-			b.cond.Wait()
-			continue
-		}
-		n := min(space, len(p))
-		if b.off > 0 && len(b.data)+n > cap(b.data) {
-			// Reclaim the consumed head instead of growing.
-			b.data = b.data[:copy(b.data, b.data[b.off:])]
-			b.off = 0
-		}
-		b.data = append(b.data, p[:n]...)
-		p = p[n:]
-		total += n
-		b.cond.Broadcast()
 	}
 	return total, nil
 }
@@ -145,7 +149,17 @@ var _ net.Conn = (*Conn)(nil)
 func (c *Conn) Read(p []byte) (int, error) { return c.r.read(p) }
 
 // Write implements net.Conn.
-func (c *Conn) Write(p []byte) (int, error) { return c.w.write(p) }
+func (c *Conn) Write(p []byte) (int, error) {
+	n, err := c.w.write(p)
+	return int(n), err
+}
+
+// WriteBuffers writes bufs in order as one call, the in-memory
+// counterpart of a writev: every buffer is appended under one hold of
+// the direction's lock, which it lets go only to wait for the reader
+// when the pipe is full. bufs is only read. It returns the bytes
+// written.
+func (c *Conn) WriteBuffers(bufs net.Buffers) (int64, error) { return c.w.write(bufs...) }
 
 // Buffered reports how many bytes are queued for Read. Batch-aware
 // readers (the BGP session layer) use it to drain a burst of messages

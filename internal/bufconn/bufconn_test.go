@@ -3,6 +3,7 @@ package bufconn
 import (
 	"bytes"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +121,47 @@ func TestAddrs(t *testing.T) {
 	}
 	if a.LocalAddr().Network() != "bufconn" {
 		t.Fatalf("network = %q", a.LocalAddr().Network())
+	}
+}
+
+// TestWriteBuffersLargerThanPipe: one vectored write of more than the
+// pipe holds arrives whole and in order while a reader drains it, and
+// the caller's buffers are left as they were.
+func TestWriteBuffersLargerThanPipe(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	defer b.Close()
+	var bufs net.Buffers
+	var want []byte
+	for i := 0; len(want) <= defaultLimit*5/2; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 1+i*7919%65536)
+		bufs = append(bufs, p)
+		want = append(want, p...)
+	}
+	orig := append(net.Buffers(nil), bufs...)
+	type result struct {
+		n   int64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := a.WriteBuffers(bufs)
+		done <- result{n, err}
+	}()
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(b, got); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-done; r.err != nil || r.n != int64(len(want)) {
+		t.Fatalf("WriteBuffers = %d, %v; want %d, nil", r.n, r.err, len(want))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the reader got the buffers' bytes out of order")
+	}
+	for i := range bufs {
+		if len(bufs[i]) != len(orig[i]) || &bufs[i][0] != &orig[i][0] {
+			t.Fatalf("WriteBuffers changed the caller's buffer %d", i)
+		}
 	}
 }
 

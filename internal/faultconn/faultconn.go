@@ -1,14 +1,16 @@
 // Package faultconn wraps any net.Conn with scriptable fault injection
 // for chaos testing: one-way latency, partitions that silently blackhole
 // traffic, byte-count-triggered drops, and hard resets. Faults are
-// applied per Write/Read call, never mid-call, so message framing on the
-// wrapped transport stays aligned — a partition eats whole frames, not
-// half a header.
+// applied per Write/WriteBuffers/Read call, never mid-call, so message
+// framing on the wrapped transport stays aligned — a partition eats
+// whole frames, not half a header, and a vectored write (a tunnel's
+// frames for one drain) is lost or delivered whole.
 package faultconn
 
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,12 +26,12 @@ type Stats struct {
 	// BytesRead and BytesWritten count bytes actually passed through.
 	BytesRead    int64
 	BytesWritten int64
-	// WritesDropped counts whole Write calls blackholed by a partition
-	// or drop trigger.
+	// WritesDropped counts whole write calls (Write or WriteBuffers)
+	// blackholed by a partition or drop trigger.
 	WritesDropped int64
 	// BytesDropped counts the payload bytes of those writes.
 	BytesDropped int64
-	// WritesCorrupted counts Write calls whose payload had a byte
+	// WritesCorrupted counts write calls whose payload had a byte
 	// flipped by CorruptNext.
 	WritesCorrupted int64
 }
@@ -191,6 +193,63 @@ func (c *Conn) Read(p []byte) (int, error) {
 // may be delayed, silently discarded (reporting success, like a lost
 // packet), or failed.
 func (c *Conn) Write(p []byte) (int, error) {
+	drop, corrupt, err := c.fault(int64(len(p)))
+	if err != nil {
+		return 0, err
+	}
+	if drop {
+		return len(p), nil
+	}
+	if corrupt {
+		p = flipped(p)
+	}
+	n, err := c.inner.Write(p)
+	c.wrote(int64(n))
+	return n, err
+}
+
+// WriteBuffers writes bufs in order as one call, and the faults treat
+// it as one Write of all their bytes: decided once, for the whole call,
+// so a partition or a drop trigger eats every buffer of it and never
+// some, a stall parks all of it, latency is waited once and CorruptNext
+// spends one of its writes on it. The call goes to the wrapped conn's
+// own WriteBuffers when it has one (bufconn), else as a net.Buffers
+// write. bufs is only read: a corrupted call is sent from a flattened
+// copy.
+func (c *Conn) WriteBuffers(bufs net.Buffers) (int64, error) {
+	var total int64
+	for _, b := range bufs {
+		total += int64(len(b))
+	}
+	drop, corrupt, err := c.fault(total)
+	if err != nil {
+		return 0, err
+	}
+	if drop {
+		return total, nil
+	}
+	var n int64
+	if corrupt {
+		var nn int
+		nn, err = c.inner.Write(flipped(bufs...))
+		n = int64(nn)
+	} else if bw, ok := c.inner.(interface {
+		WriteBuffers(net.Buffers) (int64, error)
+	}); ok {
+		n, err = bw.WriteBuffers(bufs)
+	} else {
+		v := append(net.Buffers(nil), bufs...) // WriteTo consumes its receiver
+		n, err = v.WriteTo(c.inner)
+	}
+	c.wrote(n)
+	return n, err
+}
+
+// fault applies the scripted faults to one write call of n bytes, once
+// for the whole call: it parks the caller while stalled, reports a reset
+// or a close, decides whether the call is dropped (counted here) or
+// corrupted, and waits out the latency.
+func (c *Conn) fault(n int64) (drop, corrupt bool, err error) {
 	c.mu.Lock()
 	for c.stalled != nil {
 		ch := c.stalled
@@ -202,39 +261,33 @@ func (c *Conn) Write(p []byte) (int, error) {
 			c.mu.Lock()
 			if !c.reset {
 				c.mu.Unlock()
-				return 0, net.ErrClosed
+				return false, false, net.ErrClosed
 			}
 		}
 	}
 	if c.reset {
 		c.mu.Unlock()
-		return 0, ErrReset
+		return false, false, ErrReset
 	}
-	drop := c.partitioned
+	drop = c.partitioned
 	if !drop && c.dropAfter >= 0 {
 		if c.dropAfter == 0 {
 			drop = true
 		} else {
 			// The crossing write passes whole so frame boundaries hold.
-			c.dropAfter -= int64(len(p))
-			if c.dropAfter < 0 {
-				c.dropAfter = 0
-			}
+			c.dropAfter = max(c.dropAfter-n, 0)
 		}
 	}
 	if drop {
 		c.stats.WritesDropped++
-		c.stats.BytesDropped += int64(len(p))
+		c.stats.BytesDropped += n
 		c.mu.Unlock()
-		return len(p), nil
+		return true, false, nil
 	}
-	if c.corruptNext > 0 && len(p) > 0 {
+	if c.corruptNext > 0 && n > 0 {
 		c.corruptNext--
 		c.stats.WritesCorrupted++
-		// Copy before flipping: the caller's buffer is not ours to damage.
-		q := append([]byte(nil), p...)
-		q[len(q)/2] ^= 0xff
-		p = q
+		corrupt = true
 	}
 	latency := c.latency
 	c.mu.Unlock()
@@ -242,14 +295,25 @@ func (c *Conn) Write(p []byte) (int, error) {
 		select {
 		case <-c.clk.After(latency):
 		case <-c.done:
-			return 0, net.ErrClosed
+			return false, false, net.ErrClosed
 		}
 	}
-	n, err := c.inner.Write(p)
+	return false, corrupt, nil
+}
+
+// wrote counts n bytes passed through to the wrapped conn.
+func (c *Conn) wrote(n int64) {
 	c.mu.Lock()
-	c.stats.BytesWritten += int64(n)
+	c.stats.BytesWritten += n
 	c.mu.Unlock()
-	return n, err
+}
+
+// flipped returns the bytes of bufs in one copy with its middle byte
+// inverted: the caller's buffers are not ours to damage.
+func flipped(bufs ...[]byte) []byte {
+	q := slices.Concat(bufs...)
+	q[len(q)/2] ^= 0xff
+	return q
 }
 
 // Close implements net.Conn. Writers parked in a stall or an injected

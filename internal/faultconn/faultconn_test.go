@@ -288,3 +288,150 @@ func TestCloseReleasesStalledWriters(t *testing.T) {
 		t.Fatal("stalled write not released by Close")
 	}
 }
+
+// threeBufs is a vectored write of 3 + 4 + 5 bytes.
+func threeBufs() net.Buffers {
+	return net.Buffers{[]byte("abc"), []byte("defg"), []byte("hijkl")}
+}
+
+// A partition and a drop trigger each take a vectored write as one
+// call: all of its buffers are lost together, counted as one write.
+func TestWriteBuffersDroppedWhole(t *testing.T) {
+	a, b := Pipe(nil)
+	a.Partition()
+	if n, err := a.WriteBuffers(threeBufs()); err != nil || n != 12 {
+		t.Fatalf("WriteBuffers during partition = %d, %v", n, err)
+	}
+	if st := a.Stats(); st.WritesDropped != 1 || st.BytesDropped != 12 || st.BytesWritten != 0 {
+		t.Fatalf("stats after the partitioned call = %+v", st)
+	}
+	a.Heal()
+	a.DropAfter(2)
+	a.WriteBuffers(threeBufs()) // crosses the threshold: passes whole
+	a.WriteBuffers(threeBufs()) // blackholed, every buffer of it
+	if st := a.Stats(); st.WritesDropped != 2 || st.BytesDropped != 24 || st.BytesWritten != 12 {
+		t.Fatalf("stats after the drop trigger = %+v", st)
+	}
+	a.DropAfter(-1)
+	a.Write([]byte("!"))
+	if got := readN(t, b, 13); string(got) != "abcdefghijkl!" {
+		t.Fatalf("read %q", got)
+	}
+}
+
+// CorruptNext spends one trigger on a vectored write and flips exactly
+// one byte — the middle of the whole call — in a copy, never in the
+// caller's buffers.
+func TestWriteBuffersCorruptsOneByteOfACopy(t *testing.T) {
+	a, b := Pipe(nil)
+	a.CorruptNext(1)
+	bufs := threeBufs()
+	if _, err := a.WriteBuffers(bufs); err != nil {
+		t.Fatal(err)
+	}
+	got := readN(t, b, 12)
+	want := []byte("abcdefghijkl")
+	for i := range want {
+		if (got[i] != want[i]) != (i == len(want)/2) {
+			t.Fatalf("read %q, want %q with only byte %d flipped", got, want, len(want)/2)
+		}
+	}
+	if s := string(bufs[0]) + string(bufs[1]) + string(bufs[2]); s != string(want) {
+		t.Fatalf("caller buffers damaged: %q", s)
+	}
+	if st := a.Stats(); st.WritesCorrupted != 1 || st.BytesWritten != 12 {
+		t.Fatalf("stats = %+v", st)
+	}
+	a.WriteBuffers(bufs) // the trigger is spent
+	if got := readN(t, b, 12); string(got) != string(want) {
+		t.Fatalf("post-trigger call corrupted: %q", got)
+	}
+}
+
+// Stall parks a vectored write whole, Unstall lets it through whole,
+// and Close fails one that is parked.
+func TestWriteBuffersStallAndClose(t *testing.T) {
+	a, b := Pipe(nil)
+	a.Stall()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := a.WriteBuffers(threeBufs())
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		t.Fatalf("WriteBuffers completed during stall (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := b.inner.(interface{ Buffered() int }).Buffered(); n != 0 {
+		t.Fatalf("%d bytes of a stalled call reached the pipe", n)
+	}
+	a.Unstall()
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if got := readN(t, b, 12); string(got) != "abcdefghijkl" {
+		t.Fatalf("read %q after unstall", got)
+	}
+
+	a.Stall()
+	go func() {
+		_, err := a.WriteBuffers(threeBufs())
+		wrote <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	a.Close()
+	select {
+	case err := <-wrote:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("stalled WriteBuffers returned %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled WriteBuffers not released by Close")
+	}
+}
+
+// Latency is waited once per vectored write, not once per buffer.
+func TestWriteBuffersLatencyOncePerCall(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	a, b := Pipe(clk)
+	a.SetLatency(100 * time.Millisecond)
+	wrote := make(chan struct{})
+	go func() {
+		a.WriteBuffers(threeBufs())
+		close(wrote)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for clk.PendingTimers() == 0 {
+		if !time.Now().Before(deadline) {
+			t.Fatal("WriteBuffers never armed its latency timer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	clk.Advance(100 * time.Millisecond)
+	select {
+	case <-wrote:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WriteBuffers waited for more than one latency")
+	}
+	if got := readN(t, b, 12); string(got) != "abcdefghijkl" {
+		t.Fatalf("read %q", got)
+	}
+}
+
+// A wrapped conn without a WriteBuffers of its own gets the call as a
+// net.Buffers write, and the caller's slice is left as it was.
+func TestWriteBuffersOverPlainConn(t *testing.T) {
+	inner, peer := Pipe(nil)
+	c := Wrap(struct{ net.Conn }{inner}, nil)
+	bufs := threeBufs()
+	if n, err := c.WriteBuffers(bufs); err != nil || n != 12 {
+		t.Fatalf("WriteBuffers = %d, %v", n, err)
+	}
+	if got := readN(t, peer, 12); string(got) != "abcdefghijkl" {
+		t.Fatalf("read %q", got)
+	}
+	if len(bufs) != 3 || string(bufs[2]) != "hijkl" {
+		t.Fatalf("caller's buffers consumed: %q", bufs)
+	}
+}

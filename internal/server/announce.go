@@ -10,6 +10,7 @@ package server
 // under one hold of its lock.
 
 import (
+	"net"
 	"net/netip"
 	"slices"
 	"time"
@@ -287,7 +288,7 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, wd, reac
 	// message is allocated, outWd and outReach never leave this stack.
 	b, msgs, err := wire.AppendRun(bufpool.Get(0)[:0], outWd, attrs, outReach, sess.Options())
 	if err == nil {
-		err = sess.SendEncoded(b, msgs)
+		err = sess.SendEncoded(net.Buffers{b}, msgs)
 		bufpool.Put(b)
 	}
 	if err != nil {

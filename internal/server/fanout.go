@@ -5,7 +5,8 @@ package server
 // instead of being sent synchronously on the upstream's reader
 // goroutine. The queue holds one thing — broadcast frames (frame.go),
 // in enqueue order per shard — and a dedicated per-client
-// worker drains it, shipping each frame's encode-once bytes. Upstream
+// worker drains it, shipping a drain's encode-once bytes as one write
+// per session. Upstream
 // readers therefore never block on a slow client; a client that cannot
 // keep up shows as queue depth and backpressure counters, and past
 // Quota.MaxQueueOps live routes as a shed and a replay, never as
@@ -14,10 +15,13 @@ package server
 // final state per prefix (ingest.go).
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 
+	"peering/internal/bgp"
 	"peering/internal/rib"
+	"peering/internal/telemetry"
 	"peering/internal/wire"
 )
 
@@ -412,12 +416,11 @@ func snapshotFrames(t *rib.AdjRIB, skey, upstream uint32, pathID wire.PathID) (f
 }
 
 // runFanout is the per-client worker, the one goroutine that owns the
-// client's outbound side: it drains the queue and writes each frame to
-// the client's session — a stalled client blocks this goroutine, in the
+// client's outbound side: it drains the queue and writes each drain to
+// the client's sessions — a stalled client blocks this goroutine, in the
 // write, and no other — until the transport dies, then reaps the client.
 func (s *Server) runFanout(c *clientConn) {
-	var frames []*broadcastFrame
-	var eors []uint32
+	d := &drain{packed: s.metrics.fanoutPacked.Tally()}
 	for {
 		select {
 		case <-c.out.notify:
@@ -428,9 +431,8 @@ func (s *Server) runFanout(c *clientConn) {
 		}
 		var ctr outCounters
 		var overflow bool
-		frames, eors, ctr, overflow = c.out.take(frames, eors)
-		s.flushFanout(c, frames, eors, ctr)
-		clear(frames) // flushed frames must not stay pinned by the reused array
+		d.frames, d.eors, ctr, overflow = c.out.take(d.frames, d.eors)
+		s.flushFanout(c, d, ctr)
 		if overflow {
 			// Announcements were shed while this client lagged: queue a
 			// replay of the Adj-RIB-Ins behind what is left (quota.go).
@@ -439,25 +441,80 @@ func (s *Server) runFanout(c *clientConn) {
 	}
 }
 
-// flushFanout sends one drain down the client's session(s): the frames
-// in order, then the End-of-RIB markers taken with them.
-func (s *Server) flushFanout(c *clientConn, frames []*broadcastFrame, eors []uint32, ctr outCounters) {
-	var sent, relayed uint64
-	for _, f := range frames {
-		n, r := s.flushFrame(c, f)
-		sent += n
-		relayed += r
-	}
-	for _, skey := range eors {
-		if sess := c.session(skey); sess != nil && sess.Established() {
-			if sess.Send(&wire.Update{}) == nil {
-				sent++
+// drain is a flusher's state, reused from drain to drain: what it took,
+// the write it is building (at most maxBatch frames, which bounds what
+// it, the session and the tunnel keep between writes) and what it
+// counted, which reaches the shared instruments once per drain.
+type drain struct {
+	frames, batch                  []*broadcastFrame
+	eors                           []uint32
+	bufs                           net.Buffers
+	updates                        int
+	packed                         *telemetry.Tally
+	sent, relayed, shared, private uint64
+}
+
+const maxBatch = 256
+
+// flushFanout sends one drain: each session's frames, in drain order,
+// as one write of their encode-once bytes (per maxBatch frames), then
+// the End-of-RIB markers taken with them. A frame a session must pack
+// for itself (options of its own) follows what is pending for it, so no
+// session's order changes. A frame whose session is down is dropped:
+// its Established replay (plus End-of-RIB) rebuilds the client's view,
+// so nothing is lost, only deferred. Sent slots are cleared (no pins).
+func (s *Server) flushFanout(c *clientConn, d *drain, ctr outCounters) {
+	for i, f := range d.frames {
+		if f == nil {
+			continue // sent with an earlier frame's session
+		}
+		skey, sess := f.skey, c.session(f.skey)
+		var opts wire.Options
+		if sess != nil && sess.Established() {
+			opts = sess.Options()
+		} else {
+			sess = nil
+		}
+		for k, g := range d.frames[i:] {
+			if g == nil || g.skey != skey {
+				continue
 			}
+			d.frames[i+k] = nil
+			if sess == nil {
+				continue
+			}
+			if enc, counts, ok := g.encoded(opts); ok {
+				d.batch, d.bufs, d.updates = append(d.batch, g), append(d.bufs, enc), d.updates+len(counts)
+				if len(d.batch) == maxBatch {
+					d.send(sess)
+				}
+			} else if !g.cached { // a cached frame has bytes only, see frame.go
+				d.send(sess)
+				d.private++
+				for _, upd := range wire.PackGrouped(g.wd, g.groups, opts) {
+					if sess.Send(upd) != nil {
+						break // session died mid-flush; Established replay recovers
+					}
+					d.sent++
+					d.relayed += uint64(len(upd.Reach))
+					d.packed.Observe(float64(len(upd.Reach) + len(upd.Withdrawn)))
+				}
+			}
+		}
+		d.send(sess)
+	}
+	for _, skey := range d.eors {
+		if sess := c.session(skey); sess != nil && sess.Send(&wire.Update{}) == nil {
+			d.sent++ // Send refuses a session that is not Established
 		}
 	}
 	m := s.metrics
-	m.fanoutUpdates.Add(sent)
-	m.fanoutRelayed.Add(relayed)
+	m.fanoutUpdates.Add(d.sent)
+	m.fanoutRelayed.Add(d.relayed)
+	m.fanoutFrameShared.Add(d.shared)
+	m.fanoutFramePrivate.Add(d.private)
+	d.packed.Merge()
+	d.sent, d.relayed, d.shared, d.private = 0, 0, 0, 0
 	m.fanoutBackpressure.Add(ctr.backpressure)
 	if ctr.shed > 0 {
 		m.quotaShed.Add(ctr.shed)
@@ -465,46 +522,24 @@ func (s *Server) flushFanout(c *clientConn, frames []*broadcastFrame, eors []uin
 	m.fanoutHighWater.Max(float64(ctr.highWater))
 }
 
-// flushFrame ships one frame down the client's session: the
-// encode-once bytes when this session's options match the shared
-// encoding (the overwhelming case — clients of one mux negotiate the
-// same capabilities), a private pack of the frame's logical content
-// otherwise. A frame whose session is down is dropped: the Established
-// replay of the Adj-RIB-In (plus End-of-RIB) reconstructs the client's
-// view when the session comes back, so nothing is lost — only
-// deferred.
-func (s *Server) flushFrame(c *clientConn, f *broadcastFrame) (sent, relayed uint64) {
-	sess := c.session(f.skey)
-	if sess == nil || !sess.Established() {
-		return 0, 0
-	}
-	m := s.metrics
-	opts := sess.Options()
-	if enc, counts, ok := f.encoded(opts); ok {
-		if sess.SendEncoded(enc, len(counts)) != nil {
-			return 0, 0
+// send writes the pending batch to sess as one SendEncoded and counts
+// it once the transport has it (counts are fixed with bytes, frame.go).
+func (d *drain) send(sess *bgp.Session) {
+	if len(d.batch) > 0 && sess.SendEncoded(d.bufs, d.updates) == nil {
+		for _, f := range d.batch {
+			for _, n := range f.counts {
+				d.packed.Observe(float64(n))
+			}
+			if f.shared {
+				d.shared++
+			} else {
+				d.private++
+			}
+			d.relayed += uint64(f.nlris)
 		}
-		for _, n := range counts {
-			m.fanoutPacked.Observe(float64(n))
-		}
-		if f.shared {
-			m.fanoutFrameShared.Inc()
-		} else {
-			m.fanoutFramePrivate.Inc()
-		}
-		return uint64(len(counts)), uint64(f.nlris)
+		d.sent += uint64(d.updates)
 	}
-	if f.cached {
-		return 0, 0 // wire bytes only, under other options: see frame.go
-	}
-	m.fanoutFramePrivate.Inc()
-	for _, upd := range wire.PackGrouped(f.wd, f.groups, opts) {
-		if sess.Send(upd) != nil {
-			break // session died mid-flush; Established replay recovers
-		}
-		sent++
-		relayed += uint64(len(upd.Reach))
-		m.fanoutPacked.Observe(float64(len(upd.Reach) + len(upd.Withdrawn)))
-	}
-	return sent, relayed
+	clear(d.batch)
+	clear(d.bufs)
+	d.batch, d.bufs, d.updates = d.batch[:0], d.bufs[:0], 0
 }

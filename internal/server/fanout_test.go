@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"peering/internal/client"
 	"peering/internal/clock"
 	"peering/internal/dampen"
+	"peering/internal/faultconn"
 	"peering/internal/muxproto"
 	"peering/internal/router"
 	"peering/internal/wire"
@@ -215,6 +219,99 @@ func TestOutQueueBackpressureCounters(t *testing.T) {
 	}
 	if q.depth() != 0 {
 		t.Fatalf("depth %d after the drain", q.depth())
+	}
+}
+
+// writeCounter is a client's transport that counts the write calls its
+// mux makes, plain and vectored alike (at entry), and the End-of-RIB
+// markers it has finished writing.
+type writeCounter struct {
+	*faultconn.Conn
+	calls, eors atomic.Int32
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.calls.Add(1)
+	n, err := w.Conn.Write(p)
+	// A marker is an UPDATE with nothing in it, alone in a tunnel frame.
+	if eor := []byte{0, 23, byte(wire.MsgUpdate), 0, 0, 0, 0}; err == nil && len(p) == 8+23 && bytes.Equal(p[8+16:], eor) {
+		w.eors.Add(1)
+	}
+	return n, err
+}
+
+func (w *writeCounter) WriteBuffers(bufs net.Buffers) (int64, error) {
+	w.calls.Add(1)
+	return w.Conn.WriteBuffers(bufs)
+}
+
+// TestDrainIsOneWritePerSession: a Quagga-mode client's flusher, parked
+// in a stalled write while frames from two upstreams queue up behind
+// it, sends that backlog as one transport write per session — every
+// frame's bytes in order, an announcement and a later withdrawal of the
+// same prefix included — and the client ends on both tables.
+func TestDrainIsOneWritePerSession(t *testing.T) {
+	const k = 6
+	r := newFrameRig(t, muxproto.ModeQuagga, 4, 2)
+	for u := 1; u <= 2; u++ {
+		upd := announce(medAttrs(uint32(3000+u), 1))
+		for i := 0; i < 50; i++ {
+			upd.Reach = append(upd.Reach, wire.NLRI{Prefix: slotPfx(i)})
+		}
+		r.feed(u, upd)
+	}
+	r.srv.ingest.barrier()
+	fcSrv, fcCli := faultconn.Pipe(nil)
+	wc := &writeCounter{Conn: fcSrv}
+	cl, _ := r.joinOver(t, 1, wc, fcCli)
+	c := clientByID(r.srv, "exp1")
+	holds := func() bool {
+		for u := 1; u <= 2; u++ {
+			if !maps.Equal(tableOf(t, cl.Routes(uint32(u))), adjInOf(t, r.ups[u-1])) {
+				return false
+			}
+		}
+		return true
+	}
+	// Idle: the joiner holds both tables and both replays' markers are
+	// written, so nothing is left for the flusher to write.
+	waitFor(t, "the joiner to hold both tables", func() bool {
+		return holds() && wc.eors.Load() == 2 && c.out.depth() == 0
+	})
+
+	// Park the flusher in a stalled write: an End-of-RIB marker's.
+	fcSrv.Stall()
+	base := wc.calls.Load()
+	c.out.putEoR(1)
+	waitFor(t, "the flusher to park in the marker's write", func() bool { return wc.calls.Load() == base+1 })
+
+	// k frames per upstream queue behind it; the fences keep the ingest
+	// worker from merging them.
+	gone := slotPfx(1000)
+	for i := 0; i < k; i++ {
+		for u := 1; u <= 2; u++ {
+			switch {
+			case u == 1 && i == 1:
+				r.feed(u, announce(medAttrs(3001, 7), gone))
+			case u == 1 && i == 4:
+				r.feed(u, withdraw(gone))
+			default:
+				r.feed(u, announce(medAttrs(uint32(3000+u), uint32(10+i)), slotPfx(100+i)))
+			}
+			r.srv.ingest.barrier()
+		}
+	}
+	if d := c.out.depth(); d != 2*k {
+		t.Fatalf("%d routes queued behind the parked write, want %d frames of one", d, 2*k)
+	}
+
+	fcSrv.Unstall()
+	waitFor(t, "the client to hold both tables", holds)
+	if _, ok := tableOf(t, cl.Routes(1))[gone]; ok {
+		t.Fatalf("%v announced and then withdrawn, still held", gone)
+	}
+	if n := wc.calls.Load() - base; n != 3 {
+		t.Fatalf("%d transport writes from the parked marker on, want 3: the marker, then one per session", n)
 	}
 }
 

@@ -11,10 +11,11 @@ package server
 //
 // A frame is a value: nothing counts who holds it. Its logical content
 // and its encoded bytes are plain GC memory, immutable once published
-// (by putFrame, and for the bytes by f.mu). A flusher reaches the bytes
-// only through the frame it took from its queue and holds that pointer
-// across the synchronous SendEncoded, so no write outlives its bytes;
-// the frame is garbage once no queue, drain or replay slot lists it.
+// (by putFrame, and for the bytes and their counts by f.mu). A flusher
+// reaches the bytes only through the frame it took from its queue and
+// holds that pointer across the synchronous SendEncoded that writes its
+// drain, so no write outlives its bytes; the frame is garbage once no
+// queue, drain or replay slot lists it.
 //
 // A replay slot (replaySlot, fanout.go) keeps the snapshot frames of one
 // (upstream, RIB shard) so later joiners ride the same frames and bytes.

@@ -57,6 +57,52 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
+// Tally is a goroutine-private accumulator for one Histogram. Observe
+// on a Tally touches no shared memory; Merge adds everything observed
+// since the last Merge to the histogram, one atomic add per touched
+// bucket plus the sum and the count. A loop that observes many values
+// per pass (a fan-out flusher's drain) observes into its Tally and
+// merges once per pass, instead of paying three contended atomics per
+// value. What a scrape sees is the same, only later: values are
+// visible from their Merge on, and the merged sum equals the observed
+// one exactly when the values are integers (counts, as on the fan-out
+// path); float sums may differ in rounding with the order of merges.
+// A Tally must not be used from two goroutines at once.
+type Tally struct {
+	h      *Histogram
+	counts []uint64
+	sum    float64
+	n      uint64
+}
+
+// Tally returns an empty tally that merges into h.
+func (h *Histogram) Tally() *Tally {
+	return &Tally{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe records one value in the tally.
+func (t *Tally) Observe(v float64) {
+	t.counts[sort.SearchFloat64s(t.h.bounds, v)]++
+	t.sum += v
+	t.n++
+}
+
+// Merge adds the tally to its histogram and empties it.
+func (t *Tally) Merge() {
+	if t.n == 0 {
+		return
+	}
+	for i, c := range t.counts {
+		if c != 0 {
+			t.h.counts[i].Add(c)
+			t.counts[i] = 0
+		}
+	}
+	t.h.sum.Add(t.sum)
+	t.h.count.Add(t.n)
+	t.sum, t.n = 0, 0
+}
+
 // Count returns how many values have been observed.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -116,6 +117,50 @@ func TestHistogramVecSharedLayout(t *testing.T) {
 		if !strings.Contains(got, line+"\n") {
 			t.Fatalf("output missing %q:\n%s", line, got)
 		}
+	}
+}
+
+// TestHistogramTallyMatchesObserve: values observed into tallies and
+// merged — by several goroutines at once, each merging many times —
+// leave the histogram with the buckets, sum and count that observing
+// them directly gives. The values are integers, as the hot path's are,
+// so the sum does not depend on the order the merges add it in.
+func TestHistogramTallyMatchesObserve(t *testing.T) {
+	bounds := []float64{1, 2, 4, 8, 16, 32}
+	direct, tallied := NewHistogram(bounds), NewHistogram(bounds)
+	const workers, passes, perPass = 4, 200, 7
+	value := func(w, p, k int) float64 { return float64((w*31 + p*7 + k*k) % 50) }
+	for w := 0; w < workers; w++ {
+		for p := 0; p < passes; p++ {
+			for k := 0; k < perPass; k++ {
+				direct.Observe(value(w, p, k))
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl := tallied.Tally()
+			for p := 0; p < passes; p++ {
+				for k := 0; k < perPass; k++ {
+					tl.Observe(value(w, p, k))
+				}
+				tl.Merge()
+				tl.Merge() // an empty merge adds nothing
+			}
+		}()
+	}
+	wg.Wait()
+	_, want := direct.Buckets()
+	_, got := tallied.Buckets()
+	if fmt.Sprint(got) != fmt.Sprint(want) || tallied.Sum() != direct.Sum() || tallied.Count() != direct.Count() {
+		t.Fatalf("tallied: buckets %v sum %v count %d; observed: buckets %v sum %v count %d",
+			got, tallied.Sum(), tallied.Count(), want, direct.Sum(), direct.Count())
+	}
+	if tallied.Count() != workers*passes*perPass {
+		t.Fatalf("count %d, want %d", tallied.Count(), workers*passes*perPass)
 	}
 }
 

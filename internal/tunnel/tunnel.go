@@ -9,6 +9,16 @@
 // channel. Channel 0 is reserved for packets; channels ≥1 are opened by
 // the client, one per upstream peer session.
 //
+// On the wire a stream's bytes travel in frames, [stream ID | length |
+// payload], and every write is one call on the underlying conn, so a
+// transport that loses whole calls never leaves half a frame. A small
+// Write (a packet, a BGP message) is copied in behind its header.
+// WriteBuffers takes many payloads at once — a fan-out flusher's whole
+// drain for one session — packs them into as few frames as maxFrame
+// allows, and hands the conn one vectored write of the headers and the
+// payloads themselves: encode-once bytes are never copied on their way
+// to the transport (DESIGN.md §15).
+//
 // A packet crosses as one frame, [len | header | payload], and is
 // decoded into a Packet and a buffer the tunnel reuses: what a packet
 // handler is given is valid only until it returns (DESIGN.md §16).
@@ -37,8 +47,13 @@ const maxFrame = 1 << 20
 // ID convention (the opener assigns, the acceptor learns via OnStream).
 type Mux struct {
 	conn    net.Conn
+	bw      buffersWriter // conn, when it takes a vectored write whole
 	onNew   func(*Stream)
 	writeMu sync.Mutex
+	// Under writeMu, write's reused frame headers and its vector of
+	// headers and payloads.
+	hdrs []byte
+	vec  net.Buffers
 
 	mu      sync.Mutex
 	streams map[uint32]*Stream
@@ -51,8 +66,10 @@ type Mux struct {
 // frame arrives for a stream this side has not opened; it may be nil to
 // reject unsolicited streams. Run starts automatically.
 func NewMux(conn net.Conn, onNew func(*Stream)) *Mux {
+	bw, _ := conn.(buffersWriter)
 	m := &Mux{
 		conn:    conn,
+		bw:      bw,
 		onNew:   onNew,
 		streams: make(map[uint32]*Stream),
 		done:    make(chan struct{}),
@@ -170,25 +187,105 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// writeFrame sends one frame for stream id.
-func (m *Mux) writeFrame(id uint32, p []byte) error {
-	if len(p) > maxFrame {
-		return fmt.Errorf("tunnel: write of %d bytes exceeds frame limit", len(p))
-	}
-	// Header and payload go out in a single Write so fault-injecting
-	// transports that drop whole calls (faultconn partitions) can never
-	// split a frame and desynchronize the peer's framing. The frame
-	// buffer is pooled; the underlying conn completes the write before
-	// returning, so recycling after Write is safe.
-	buf := bufpool.Get(8 + len(p))
-	binary.BigEndian.PutUint32(buf[0:4], id)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(len(p)))
-	copy(buf[8:], p)
+// frameHeaderLen is a frame's [stream ID | payload length] header.
+const frameHeaderLen = 8
+
+// stageMax is the largest payload Stream.Write copies in behind its
+// header (a packet, a control line, a BGP message): for that little,
+// one small pooled buffer and one plain Write cost less than a
+// vectored write.
+const stageMax = 4096 - frameHeaderLen
+
+// buffersWriter is a transport that takes a vectored write as one call
+// (bufconn, faultconn); any other conn gets net.Buffers.WriteTo, which
+// is writev on a *net.TCPConn.
+type buffersWriter interface {
+	WriteBuffers(net.Buffers) (int64, error)
+}
+
+// writeStaged sends p, at most stageMax bytes, as one frame copied in
+// behind its header, in a single Write.
+func (m *Mux) writeStaged(id uint32, p []byte) error {
+	buf := appendHeader(bufpool.Get(frameHeaderLen + len(p))[:0], id, len(p))
+	buf = append(buf, p...)
 	m.writeMu.Lock()
 	_, err := m.conn.Write(buf)
 	m.writeMu.Unlock()
 	bufpool.Put(buf)
 	return err
+}
+
+// write sends bufs for stream id as consecutive frames of at most
+// maxFrame payload bytes each, cut only between buffers: a buffer is
+// never split, so one over maxFrame is refused and nothing is sent.
+// Everything goes to the transport in one call, so a transport that
+// drops whole calls (a faultconn partition) can never split a frame and
+// desynchronize the peer's framing. The headers sit in one small buffer
+// the mux reuses and the payloads go out as they are, not copied: a fan-out
+// frame's shared bytes reach the transport untouched. Empty buffers
+// carry nothing and are skipped. The conn completes the write before it
+// returns, so the buffers are the caller's again then.
+func (m *Mux) write(id uint32, bufs [][]byte) (int64, error) {
+	var total int64
+	frames, run := 0, 0
+	for _, b := range bufs {
+		if len(b) > maxFrame {
+			return 0, fmt.Errorf("tunnel: write of %d bytes exceeds frame limit", len(b))
+		}
+		if len(b) == 0 {
+			continue
+		}
+		if frames == 0 || run+len(b) > maxFrame {
+			frames, run = frames+1, 0
+		}
+		run += len(b)
+		total += int64(len(b))
+	}
+	if frames == 0 {
+		return 0, nil
+	}
+	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
+	if cap(m.hdrs) < frameHeaderLen*frames {
+		m.hdrs = make([]byte, 0, frameHeaderLen*frames)
+	}
+	hdrs, vec := m.hdrs[:0], m.vec[:0]
+	for i := 0; i < len(bufs); {
+		// One frame: the longest run of buffers from i that fits.
+		j, n := i, 0
+		for ; j < len(bufs) && n+len(bufs[j]) <= maxFrame; j++ {
+			n += len(bufs[j])
+		}
+		if n > 0 {
+			h := len(hdrs)
+			hdrs = appendHeader(hdrs, id, n)
+			vec = append(vec, hdrs[h:])
+			for _, b := range bufs[i:j] {
+				if len(b) > 0 {
+					vec = append(vec, b)
+				}
+			}
+		}
+		i = j
+	}
+	var err error
+	if m.bw != nil {
+		_, err = m.bw.WriteBuffers(vec)
+	} else {
+		v := vec // WriteTo consumes its receiver
+		_, err = v.WriteTo(m.conn)
+	}
+	clear(vec) // the payloads are the caller's: do not pin them
+	m.vec = vec[:0]
+	if err != nil {
+		return 0, err
+	}
+	return total, nil
+}
+
+// appendHeader appends a frame header for n payload bytes on stream id.
+func appendHeader(b []byte, id uint32, n int) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(b, id), uint32(n))
 }
 
 // Stream is one logical channel; it implements net.Conn so BGP sessions
@@ -308,18 +405,39 @@ func (s *Stream) Buffered() int {
 	return s.avail
 }
 
-// Write implements net.Conn.
+// Write implements net.Conn: p goes out as one frame. A payload up to
+// stageMax (a packet, a control line, a BGP message) is copied in
+// behind its header; a larger one is WriteBuffers of one buffer.
 func (s *Stream) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if len(p) > stageMax {
+		n, err := s.WriteBuffers(net.Buffers{p})
+		return int(n), err
+	}
+	if s.isClosed() {
 		return 0, io.ErrClosedPipe
 	}
-	if err := s.mux.writeFrame(s.id, p); err != nil {
+	if err := s.mux.writeStaged(s.id, p); err != nil {
 		return 0, err
 	}
 	return len(p), nil
+}
+
+// WriteBuffers sends bufs, in order, as one write to the transport: the
+// buffers are packed into frames of at most maxFrame bytes, cut only
+// between buffers, with no payload copied (Mux.write). A buffer over
+// maxFrame is refused whole. bufs is only read. It returns the payload
+// bytes sent.
+func (s *Stream) WriteBuffers(bufs net.Buffers) (int64, error) {
+	if s.isClosed() {
+		return 0, io.ErrClosedPipe
+	}
+	return s.mux.write(s.id, bufs)
+}
+
+func (s *Stream) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 // Close implements net.Conn: it detaches this stream from the mux.

@@ -2,9 +2,13 @@ package tunnel
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
+	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -319,5 +323,162 @@ func TestManyStreamsConcurrent(t *testing.T) {
 		if _, err := io.ReadFull(s, b); err != nil || b[0] != byte(id) {
 			t.Fatalf("stream %d: %v %v", id, b, err)
 		}
+	}
+}
+
+// callConn counts the write calls a Mux makes on its transport.
+type callConn struct {
+	*bufconn.Conn
+	writes, vectored atomic.Int32
+}
+
+func (c *callConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *callConn) WriteBuffers(bufs net.Buffers) (int64, error) {
+	c.vectored.Add(1)
+	return c.Conn.WriteBuffers(bufs)
+}
+
+// patterned returns buffers of the given sizes filled with bytes that
+// differ buffer to buffer and position to position.
+func patterned(sizes ...int) net.Buffers {
+	bufs := make(net.Buffers, len(sizes))
+	for i, n := range sizes {
+		bufs[i] = make([]byte, n)
+		for k := range bufs[i] {
+			bufs[i][k] = byte(i*31 + k*7)
+		}
+	}
+	return bufs
+}
+
+// readFrames reads raw frames off conn until they carry want payload
+// bytes, returning each frame's stream ID and payload.
+func readFrames(t *testing.T, conn io.Reader, want int) (ids []uint32, payloads [][]byte) {
+	t.Helper()
+	for got := 0; got < want; {
+		var hdr [frameHeaderLen]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		p := make([]byte, binary.BigEndian.Uint32(hdr[4:]))
+		if _, err := io.ReadFull(conn, p); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, binary.BigEndian.Uint32(hdr[:4]))
+		payloads = append(payloads, p)
+		got += len(p)
+	}
+	return ids, payloads
+}
+
+// TestWriteBuffersFramesAtBufferBoundaries: WriteBuffers packs buffers
+// greedily into frames of at most maxFrame payload bytes, cuts only
+// between buffers (an empty buffer costs nothing), and hands the
+// transport all of it in one vectored call.
+func TestWriteBuffersFramesAtBufferBoundaries(t *testing.T) {
+	ca, cb := bufconn.Pipe()
+	cc := &callConn{Conn: ca}
+	m := NewMux(cc, nil)
+	defer m.Close()
+	defer cb.Close()
+	bufs := patterned(300<<10, 400<<10, 0, 500<<10, 7, maxFrame, 1)
+	want := bytes.Join(bufs, nil)
+	done := make(chan error, 1)
+	go func() {
+		n, err := m.Open(5).WriteBuffers(bufs)
+		if err == nil && n != int64(len(want)) {
+			err = fmt.Errorf("WriteBuffers reported %d bytes, want %d", n, len(want))
+		}
+		done <- err
+	}()
+	ids, payloads := readFrames(t, cb, len(want))
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	var lens []int
+	for i, p := range payloads {
+		if ids[i] != 5 {
+			t.Fatalf("frame %d on stream %d, want 5", i, ids[i])
+		}
+		if len(p) > maxFrame {
+			t.Fatalf("frame %d carries %d bytes, over maxFrame", i, len(p))
+		}
+		lens = append(lens, len(p))
+	}
+	if wantLens := []int{700 << 10, 500<<10 + 7, maxFrame, 1}; fmt.Sprint(lens) != fmt.Sprint(wantLens) {
+		t.Fatalf("frames of %v bytes, want %v (greedy, cut between buffers only)", lens, wantLens)
+	}
+	if !bytes.Equal(bytes.Join(payloads, nil), want) {
+		t.Fatal("the frames' payloads differ from the buffers'")
+	}
+	if w, v := cc.writes.Load(), cc.vectored.Load(); w != 0 || v != 1 {
+		t.Fatalf("%d plain and %d vectored transport writes, want 0 and 1", w, v)
+	}
+}
+
+// TestWriteBuffersRefusesOversizedBuffer: a buffer is never split, so
+// one over maxFrame fails the call and nothing reaches the transport.
+func TestWriteBuffersRefusesOversizedBuffer(t *testing.T) {
+	ca, cb := bufconn.Pipe()
+	cc := &callConn{Conn: ca}
+	m := NewMux(cc, nil)
+	defer m.Close()
+	defer cb.Close()
+	if _, err := m.Open(5).WriteBuffers(patterned(10, maxFrame+1)); err == nil {
+		t.Fatal("a buffer over maxFrame was accepted")
+	}
+	if _, err := m.Open(5).Write(make([]byte, maxFrame+1)); err == nil {
+		t.Fatal("a Write over maxFrame was accepted")
+	}
+	if w, v, n := cc.writes.Load(), cc.vectored.Load(), cb.Buffered(); w+v != 0 || n != 0 {
+		t.Fatalf("refused writes reached the transport: %d calls, %d bytes", w+v, n)
+	}
+}
+
+// TestWriteBuffersPeerReadsIdenticalStream: what a peer's stream reads
+// is the byte stream written, whatever mix of small and vectored
+// writes carried it.
+func TestWriteBuffersPeerReadsIdenticalStream(t *testing.T) {
+	accepted := make(chan *Stream, 1)
+	ma, mb := muxPair(nil, func(s *Stream) { accepted <- s })
+	defer ma.Close()
+	defer mb.Close()
+	sa := ma.Open(9)
+	writes := []net.Buffers{
+		patterned(5), patterned(100, 0, 3), patterned(70<<10, 1, 900<<10), patterned(stageMax + 1),
+	}
+	var want []byte
+	for _, bufs := range writes {
+		want = append(append(want, bytes.Join(bufs, nil)...), '|')
+	}
+	go func() {
+		for _, bufs := range writes {
+			sa.WriteBuffers(bufs)
+			sa.Write([]byte("|"))
+		}
+	}()
+	sb := <-accepted
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(sb, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the peer read a different byte stream")
+	}
+}
+
+// TestWriteBuffersClosedStream: a closed stream refuses the write.
+func TestWriteBuffersClosedStream(t *testing.T) {
+	ma, mb := muxPair(nil, nil)
+	defer ma.Close()
+	defer mb.Close()
+	s := ma.Open(3)
+	s.Close()
+	if _, err := s.WriteBuffers(patterned(10, 20)); err != io.ErrClosedPipe {
+		t.Fatalf("WriteBuffers on a closed stream = %v, want io.ErrClosedPipe", err)
 	}
 }
