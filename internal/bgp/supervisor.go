@@ -328,6 +328,19 @@ func (w supHandler) UpdateReceived(s *Session, u *wire.Update) {
 	w.sv.h.UpdateReceived(s, u)
 }
 
+// UpdateBatchReceived implements BatchHandler, so a supervised session
+// batches whenever its transport can: the batch goes to the user's
+// handler whole if it takes batches, one UPDATE at a time otherwise.
+func (w supHandler) UpdateBatchReceived(s *Session, upds []*wire.Update) {
+	if bh, ok := w.sv.h.(BatchHandler); ok {
+		bh.UpdateBatchReceived(s, upds)
+		return
+	}
+	for _, u := range upds {
+		w.sv.h.UpdateReceived(s, u)
+	}
+}
+
 func (w supHandler) Closed(s *Session, err error) {
 	w.sv.h.Closed(s, err)
 	w.sv.sessionEnded(err)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"peering/internal/bufconn"
 	"peering/internal/clock"
 	"peering/internal/faultconn"
+	"peering/internal/wire"
 )
 
 // waitFor polls cond in real time; virtual-clock tests use it only to
@@ -339,5 +342,98 @@ func TestSupervisorStopBeforeRedial(t *testing.T) {
 	case <-sv.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("supervisor did not finish after Stop")
+	}
+}
+
+// deliveryCounter records what a supervised session hands its handler:
+// the UPDATEs in order and how many calls carried them. Its Established
+// holds the session's reader until gate closes, so a burst the peer
+// sends meanwhile is all buffered when reading starts.
+type deliveryCounter struct {
+	gate chan struct{}
+
+	mu         sync.Mutex
+	deliveries int
+	prefixes   []netip.Prefix
+}
+
+func (h *deliveryCounter) Established(*Session)   { <-h.gate }
+func (h *deliveryCounter) Closed(*Session, error) {}
+
+func (h *deliveryCounter) UpdateReceived(_ *Session, u *wire.Update) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.deliveries++
+	h.prefixes = append(h.prefixes, u.Reach[0].Prefix)
+}
+
+func (h *deliveryCounter) received() (deliveries int, prefixes []netip.Prefix) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.deliveries, slices.Clone(h.prefixes)
+}
+
+// batchCounter is a deliveryCounter that takes batches.
+type batchCounter struct{ deliveryCounter }
+
+func (h *batchCounter) UpdateBatchReceived(_ *Session, upds []*wire.Update) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.deliveries++
+	for _, u := range upds {
+		h.prefixes = append(h.prefixes, u.Reach[0].Prefix)
+	}
+}
+
+// A supervised session batches as a bare one does: a 64-UPDATE burst
+// reaches a batch handler in fewer than 64 calls, and a plain handler
+// still gets every UPDATE, one call each, in order.
+func TestSupervisorDeliversBatches(t *testing.T) {
+	const burst = 64
+	for _, batched := range []bool{true, false} {
+		c := &batchCounter{deliveryCounter{gate: make(chan struct{})}}
+		var h Handler = c
+		if !batched {
+			h = &c.deliveryCounter
+		}
+		clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+		d := &flakyDialer{clk: clk}
+		sv := NewSupervisor(SupervisorConfig{
+			Session: Config{LocalAS: 47065, LocalID: addr("1.1.1.1"), Clock: clk},
+			Dial:    d.dial,
+		}, h)
+		sv.Start()
+		waitFor(t, "the peer's side established", func() bool {
+			p := d.lastPeer()
+			return p != nil && p.State() == StateEstablished
+		})
+		var want []netip.Prefix
+		for i := 0; i < burst; i++ {
+			u := &wire.Update{
+				Attrs: &wire.Attrs{Origin: wire.OriginIGP, NextHop: addr("192.0.2.2"),
+					ASPath: []wire.Segment{{Type: wire.SegSequence, ASNs: []uint32{65001}}}},
+				Reach: []wire.NLRI{{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, 64, byte(i), 0}), 24)}},
+			}
+			if err := d.lastPeer().Send(u); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, u.Reach[0].Prefix)
+		}
+		close(c.gate)
+		waitFor(t, "the burst", func() bool {
+			_, got := c.received()
+			return len(got) == burst
+		})
+		n, got := c.received()
+		if !slices.Equal(got, want) {
+			t.Fatalf("batched %v: handler saw %v, peer sent %v", batched, got, want)
+		}
+		if batched && n >= burst {
+			t.Errorf("batch handler got the %d-UPDATE burst in %d calls, want fewer", burst, n)
+		}
+		if !batched && n != burst {
+			t.Errorf("plain handler got %d calls for %d UPDATEs", n, burst)
+		}
+		sv.Stop()
 	}
 }

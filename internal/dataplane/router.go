@@ -80,20 +80,20 @@ type routerControl struct {
 // pipeline.
 //
 // Forwarding takes no lock while the FIB is quiet: counters are
-// atomics, control state is an immutable snapshot, and IPv4 lookups read
-// a frozen copy of the FIB (trie.Flat) through an atomic pointer.
+// atomics, control state is an immutable snapshot, and lookups read a
+// frozen copy of the FIB (trie.Flat) through an atomic pointer.
 //
 // Routes are installed one at a time and a copy per SetRoute would be
 // O(table), so a write does not rebuild the copy: it edits the trie
 // under fibMu and drops the copy, and lookups read-lock the trie until
 // the copy is worth making again. That is once they number an eighth of
-// the table since the last write — a freeze costs about a tenth of a
-// trie lookup per route, so by then the trie has cost about as much as
-// the rebuild it put off. Whatever the interleaving of writes and
-// lookups, the total stays near twice the best offline choice (DESIGN.md
-// §16b): a bulk load freezes nothing until traffic arrives, a
-// three-route FIB re-freezes on the first lookup after a write. IPv6
-// lookups always use the trie.
+// the table since the last write — a freeze costs a tenth to a quarter
+// of a trie lookup per route, so by then the trie has cost about as much
+// as the rebuild it put off. Whatever the interleaving of writes and
+// lookups, the total stays within about 2.8 times the best offline
+// choice (DESIGN.md §16b): a bulk load freezes nothing until traffic
+// arrives, a three-route FIB re-freezes on the first lookup after a
+// write.
 type Router struct {
 	name string
 
@@ -106,8 +106,7 @@ type Router struct {
 	// is set with fibMu read-locked and cleared with it write-locked, so
 	// a published copy always equals the trie.
 	flat atomic.Pointer[trie.Flat[*FIBEntry]]
-	// stale counts the IPv4 lookups the trie has served since the last
-	// write.
+	// stale counts the lookups the trie has served since the last write.
 	stale    atomic.Int64
 	freezing sync.Mutex // held by the one lookup that rebuilds flat
 
@@ -207,14 +206,13 @@ func (r *Router) fibChanged() {
 // LookupRoute returns the FIB entry that would forward traffic to addr
 // (nil if none).
 func (r *Router) LookupRoute(addr netip.Addr) *FIBEntry {
-	v4 := addr.Is4()
-	if f := r.flat.Load(); f != nil && v4 {
+	if f := r.flat.Load(); f != nil {
 		_, e, _ := f.Lookup(addr)
 		return e
 	}
 	r.fibMu.RLock()
 	_, e, _ := r.fib.Lookup(addr)
-	due := v4 && r.stale.Add(1) > int64(r.fib.Len()/8)
+	due := r.stale.Add(1) > int64(r.fib.Len()/8)
 	r.fibMu.RUnlock()
 	if due && r.freezing.TryLock() {
 		r.fibMu.RLock()

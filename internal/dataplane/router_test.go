@@ -247,6 +247,19 @@ func TestFIBMatchesModel(t *testing.T) {
 	if st := r.Stats(); st.FIBFreezes == 0 {
 		t.Fatal("the frozen FIB never served: the test did not cover it")
 	}
+
+	// IPv6 traffic alone pays for a re-freeze, as IPv4 traffic does: the
+	// frozen copy serves both families.
+	p := netip.MustParsePrefix("2001:db8:ff::/48")
+	r.SetRoute(p, netip.Addr{}, outs[0])
+	model[p] = outs[0]
+	before := r.Stats().FIBFreezes
+	for i := 0; i <= r.FIBLen()/8; i++ {
+		check(i, netip.MustParseAddr("2001:db8:ff::1"))
+	}
+	if st := r.Stats(); st.FIBFreezes != before+1 || r.flat.Load() == nil {
+		t.Fatalf("%d IPv6 lookups after a write froze the FIB %d times, want once", r.FIBLen()/8+1, st.FIBFreezes-before)
+	}
 }
 
 // The frozen FIB is rebuilt only when lookups have paid for it: a bulk

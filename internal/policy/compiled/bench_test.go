@@ -20,10 +20,23 @@ import (
 	"peering/internal/wire"
 )
 
+// benchPrefix is the /24 a.b.c.0 or, for IPv6, the /40 2001:ab:c00::
+// — the same table shape under 2001::/16.
+func benchPrefix(v6 bool, a, b, c byte) netip.Prefix {
+	if v6 {
+		return netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, a, b, c}), 40)
+	}
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{a, b, c, 0}), 24)
+}
+
 // benchFilter compiles a rule set shaped like a production deployment:
 // a prefix-ownership table, an ROA table covering part of the space,
-// and a handful of adjacency rules.
-func benchFilter(nPrefix, nROA int) *Filter {
+// and a handful of adjacency rules, all in one family.
+func benchFilter(nPrefix, nROA int, v6 bool) *Filter {
+	host := 32
+	if v6 {
+		host = 128
+	}
 	rs := &RuleSet{
 		Peerlock: []PeerlockRule{
 			{Protected: 174, Allowed: []uint32{3356, 2914, 1299}},
@@ -33,14 +46,14 @@ func benchFilter(nPrefix, nROA int) *Filter {
 	}
 	for i := 0; i < nPrefix; i++ {
 		rs.Prefixes = append(rs.Prefixes, PrefixRule{
-			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(20 + i%60), byte(i >> 8), byte(i), 0}), 24),
-			Le:     32, Permit: i%16 != 0,
+			Prefix: benchPrefix(v6, byte(20+i%60), byte(i>>8), byte(i)),
+			Le:     host, Permit: i%16 != 0,
 		})
 	}
 	for i := 0; i < nROA; i++ {
 		rs.Origins = append(rs.Origins, OriginRule{
-			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(96 + i%8), byte(i >> 8), byte(i), 0}), 24),
-			MaxLen: 32, Origin: uint32(64500 + i%1000),
+			Prefix: benchPrefix(v6, byte(96+i%8), byte(i>>8), byte(i)),
+			MaxLen: host, Origin: uint32(64500 + i%1000),
 		})
 	}
 	return Compile(rs)
@@ -49,13 +62,13 @@ func benchFilter(nPrefix, nROA int) *Filter {
 // benchRoutes builds interned attribute sets and prefixes that hit
 // every rule family: some covered by ROAs, some by prefix rules, some
 // by neither.
-func benchRoutes(n int) ([]netip.Prefix, []*wire.Attrs) {
+func benchRoutes(n int, v6 bool) ([]netip.Prefix, []*wire.Attrs) {
 	intern := wire.NewInternTable()
 	prefixes := make([]netip.Prefix, n)
 	attrs := make([]*wire.Attrs, n)
 	for i := range prefixes {
 		first := byte(20 + i%90) // spans rule space, ROA space, and uncovered space
-		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{first, byte(i >> 8), byte(i), 0}), 24)
+		prefixes[i] = benchPrefix(v6, first, byte(i>>8), byte(i))
 		attrs[i] = intern.Intern(&wire.Attrs{
 			Origin: wire.OriginIGP,
 			ASPath: []wire.Segment{{Type: wire.SegSequence,
@@ -67,35 +80,41 @@ func benchRoutes(n int) ([]netip.Prefix, []*wire.Attrs) {
 }
 
 func TestVerdictZeroAlloc(t *testing.T) {
-	f := benchFilter(4096, 1024)
-	prefixes, attrs := benchRoutes(512)
-	peer := Peer{AS: 3356, Transit: true}
-	// Warm the path memo: the first verdict per attribute set stores a
-	// facts entry, exactly once per interned pointer per filter.
-	for i := range prefixes {
-		f.Verdict(prefixes[i], attrs[i], peer)
-	}
-	if a := testing.AllocsPerRun(100, func() {
+	for _, v6 := range []bool{false, true} {
+		f := benchFilter(4096, 1024, v6)
+		prefixes, attrs := benchRoutes(512, v6)
+		peer := Peer{AS: 3356, Transit: true}
+		// Warm the path memo: the first verdict per attribute set stores a
+		// facts entry, exactly once per interned pointer per filter.
 		for i := range prefixes {
 			f.Verdict(prefixes[i], attrs[i], peer)
 		}
-	}); a != 0 {
-		t.Fatalf("steady-state verdict path allocates %v per run of %d verdicts, want 0", a, len(prefixes))
+		if a := testing.AllocsPerRun(100, func() {
+			for i := range prefixes {
+				f.Verdict(prefixes[i], attrs[i], peer)
+			}
+		}); a != 0 {
+			t.Fatalf("steady-state verdict path (IPv6 %v) allocates %v per run of %d verdicts, want 0", v6, a, len(prefixes))
+		}
 	}
 }
 
 func BenchmarkVerdict(b *testing.B) {
-	f := benchFilter(4096, 1024)
-	prefixes, attrs := benchRoutes(512)
-	peer := Peer{AS: 3356, Transit: true}
-	for i := range prefixes {
-		f.Verdict(prefixes[i], attrs[i], peer)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(prefixes)
-		f.Verdict(prefixes[j], attrs[j], peer)
+	for _, v6 := range []bool{false, true} {
+		b.Run(map[bool]string{false: "ipv4", true: "ipv6"}[v6], func(b *testing.B) {
+			f := benchFilter(4096, 1024, v6)
+			prefixes, attrs := benchRoutes(512, v6)
+			peer := Peer{AS: 3356, Transit: true}
+			for i := range prefixes {
+				f.Verdict(prefixes[i], attrs[i], peer)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(prefixes)
+				f.Verdict(prefixes[j], attrs[j], peer)
+			}
+		})
 	}
 }
 
@@ -107,9 +126,9 @@ func TestPolicyBenchmark(t *testing.T) {
 		rounds = 5
 	}
 	start := time.Now()
-	f := benchFilter(nPrefix, nROA)
+	f := benchFilter(nPrefix, nROA, false)
 	compile := time.Since(start)
-	prefixes, attrs := benchRoutes(nRoutes)
+	prefixes, attrs := benchRoutes(nRoutes, false)
 	peer := Peer{AS: 3356, Transit: true}
 	accepted := 0
 	for i := range prefixes { // memo warm-up, uncounted

@@ -5,15 +5,16 @@
 //
 // The source form is a RuleSet (authored by hand, parsed from a rule
 // file, or built programmatically). Compile folds it into a Filter:
-// prefix and origin rules become internal/trie longest-match tables
-// walked covering-entry by covering-entry, adjacency rules become flat
-// AS-indexed maps, and the per-path portion of a verdict (origin AS,
-// Peerlock adjacency, protected-AS presence) is memoized per interned
-// *wire.Attrs pointer, which the intern table guarantees is canonical
-// and immutable. A Filter never changes after Compile returns, so
-// Verdict is safe from every ingest shard concurrently with no locks;
-// in steady state (memo warm) it allocates nothing and costs O(path
-// length) on the first sight of an attribute set, O(prefix bits) after.
+// the prefix rules and the origin rules each become one trie.Flat (IPv4
+// and IPv6 alike), walked covering-entry by covering-entry; adjacency
+// rules become flat AS-indexed maps, and the per-path portion of a
+// verdict (origin AS, Peerlock adjacency, protected-AS presence) is
+// memoized per interned *wire.Attrs pointer, which the intern table
+// guarantees is canonical and immutable. A Filter never changes after
+// Compile returns, so Verdict is safe from every ingest shard
+// concurrently with no locks; in steady state (memo warm) it allocates
+// nothing and costs O(path length) on the first sight of an attribute
+// set, a search of each table and its covering entries after.
 //
 // An Engine is an atomic.Pointer around the current Filter: operators
 // reload rules by compiling a new Filter and swapping it in, and every
@@ -23,6 +24,7 @@ package compiled
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -160,14 +162,14 @@ type Peer struct {
 // ---------------------------------------------------------------------
 // Compiled representation
 
-// cpRule is one lowered prefix rule stored at its prefix's trie node.
+// cpRule is one lowered prefix rule, stored under its prefix.
 type cpRule struct {
 	idx    int32 // position in the source list (first match wins)
 	ge, le int16
 	permit bool
 }
 
-// cOrigin is one lowered authorization stored at its prefix's node.
+// cOrigin is one lowered authorization, stored under its prefix.
 type cOrigin struct {
 	origin uint32
 	maxLen int16
@@ -186,20 +188,14 @@ type pathFacts struct {
 type Filter struct {
 	gen           uint64
 	defaultPermit bool
-	prefixes      *trie.Trie[[]cpRule]
+	prefixes      *trie.Flat[[]cpRule] // the rules anchored at each prefix
 	nPrefix       int
-	origins       *trie.Trie[[]cOrigin]
+	origins       *trie.Flat[[]cOrigin] // the authorizations anchored at each prefix
 	nOrigins      int
 	peerlock      map[uint32][]uint32 // protected → allowed adjacency (unsorted, short)
 	noTransit     map[uint32]struct{}
 	metros        map[wire.Community]string // metro-local tag → metro name
 	compileTime   time.Duration
-
-	// prefixes4 and origins4 are the IPv4 halves of the two tables,
-	// frozen once by Compile: a Filter never changes, so they are never
-	// stale. Nil (a table too large to freeze) leaves IPv4 on the tries.
-	prefixes4 *trie.Flat[[]cpRule]
-	origins4  *trie.Flat[[]cOrigin]
 
 	// paths memoizes pathFacts per interned *wire.Attrs, for Verdict
 	// alone. Correct because interned attribute sets are frozen and
@@ -222,44 +218,28 @@ func Compile(rs *RuleSet) *Filter {
 	start := time.Now()
 	f := &Filter{
 		defaultPermit: !rs.DefaultDeny,
-		prefixes:      trie.New[[]cpRule](),
-		origins:       trie.New[[]cOrigin](),
 		peerlock:      make(map[uint32][]uint32, len(rs.Peerlock)),
 		noTransit:     make(map[uint32]struct{}, len(rs.NoTransit)),
 		metros:        make(map[wire.Community]string, len(rs.Metros)),
 	}
+	prefixes := make(map[netip.Prefix][]cpRule, len(rs.Prefixes))
 	for i, r := range rs.Prefixes {
 		if !r.Prefix.IsValid() {
 			continue
 		}
 		p := r.Prefix.Masked()
 		ge, le := clampRange(p, r.Ge, r.Le)
-		c := cpRule{idx: int32(i), ge: ge, le: le, permit: r.Permit}
-		if rules, ok := f.prefixes.Get(p); ok {
-			f.prefixes.Insert(p, append(rules, c))
-		} else {
-			f.prefixes.Insert(p, []cpRule{c})
-		}
+		prefixes[p] = append(prefixes[p], cpRule{idx: int32(i), ge: ge, le: le, permit: r.Permit})
 		f.nPrefix++
 	}
+	origins := make(map[netip.Prefix][]cOrigin, len(rs.Origins))
 	for _, r := range rs.Origins {
 		if !r.Prefix.IsValid() {
 			continue
 		}
 		p := r.Prefix.Masked()
-		maxLen := r.MaxLen
-		if maxLen == 0 || maxLen < p.Bits() {
-			maxLen = p.Bits()
-		}
-		if max := p.Addr().BitLen(); maxLen > max {
-			maxLen = max
-		}
-		c := cOrigin{origin: r.Origin, maxLen: int16(maxLen)}
-		if ents, ok := f.origins.Get(p); ok {
-			f.origins.Insert(p, append(ents, c))
-		} else {
-			f.origins.Insert(p, []cOrigin{c})
-		}
+		maxLen := min(max(r.MaxLen, p.Bits()), p.Addr().BitLen())
+		origins[p] = append(origins[p], cOrigin{origin: r.Origin, maxLen: int16(maxLen)})
 		f.nOrigins++
 	}
 	for _, r := range rs.Peerlock {
@@ -271,7 +251,7 @@ func Compile(rs *RuleSet) *Filter {
 	for _, m := range rs.Metros {
 		f.metros[m.Community] = m.Name
 	}
-	f.prefixes4, f.origins4 = f.prefixes.Freeze(), f.origins.Freeze()
+	f.prefixes, f.origins = trie.NewFlat(maps.All(prefixes)), trie.NewFlat(maps.All(origins))
 	f.compileTime = time.Since(start)
 	return f
 }
@@ -290,7 +270,7 @@ func clampRange(p netip.Prefix, ge, le int) (int16, int16) {
 	if max := p.Addr().BitLen(); le > max {
 		le = max
 	}
-	// A rule can never match a prefix shorter than itself (the trie
+	// A rule can never match a prefix shorter than itself (the covering
 	// walk only visits covering entries), so raise ge to the floor.
 	if ge < p.Bits() {
 		ge = p.Bits()
@@ -306,7 +286,7 @@ func (f *Filter) MatchPrefix(p netip.Prefix) bool {
 	bits := int16(p.Bits())
 	best := int32(-1)
 	permit := f.defaultPermit
-	covering(f.prefixes, f.prefixes4, p, func(_ netip.Prefix, rules []cpRule) bool {
+	f.prefixes.Supernets(p, func(_ netip.Prefix, rules []cpRule) bool {
 		for _, r := range rules {
 			if bits < r.ge || bits > r.le {
 				continue
@@ -320,17 +300,6 @@ func (f *Filter) MatchPrefix(p netip.Prefix) bool {
 	return permit
 }
 
-// covering visits the entries of one rule table that cover p, least
-// specific first: from its frozen half when p is IPv4, from the trie
-// otherwise.
-func covering[V any](t *trie.Trie[V], t4 *trie.Flat[V], p netip.Prefix, visit func(netip.Prefix, V) bool) {
-	if t4 != nil && p.Addr().Is4() {
-		t4.Supernets(p, visit)
-	} else {
-		t.Supernets(p, visit)
-	}
-}
-
 // Origin classifies (p, origin) against the compiled authorizations:
 // Valid if some covering rule authorizes the origin at p's length,
 // Invalid if p is covered but nothing matches, Unknown if no covering
@@ -339,7 +308,7 @@ func covering[V any](t *trie.Trie[V], t4 *trie.Flat[V], p netip.Prefix, visit fu
 func (f *Filter) Origin(p netip.Prefix, origin uint32) OriginState {
 	bits := int16(p.Bits())
 	state := OriginUnknown
-	covering(f.origins, f.origins4, p, func(_ netip.Prefix, ents []cOrigin) bool {
+	f.origins.Supernets(p, func(_ netip.Prefix, ents []cOrigin) bool {
 		state = OriginInvalid
 		for _, e := range ents {
 			if e.origin == origin && bits <= e.maxLen {

@@ -149,9 +149,27 @@ func matchReference(rules []PrefixRule, permitDefault bool, p netip.Prefix) bool
 	return permitDefault
 }
 
+// originReference is a ROA table's linear scan: Valid if some
+// authorization covering p names origin at p's length, Invalid if one
+// covers p but none does, Unknown if none covers p — kept as the
+// semantic oracle for Origin.
+func originReference(rules []OriginRule, p netip.Prefix, origin uint32) OriginState {
+	state := OriginUnknown
+	for _, r := range rules {
+		if !r.Prefix.IsValid() || !r.Prefix.Contains(p.Addr()) || r.Prefix.Bits() > p.Bits() {
+			continue
+		}
+		state = OriginInvalid
+		if r.Origin == origin && p.Bits() <= max(r.MaxLen, r.Prefix.Bits()) {
+			return OriginValid
+		}
+	}
+	return state
+}
+
 // TestMatchPrefixMatchesLinearReference drives MatchPrefix against the
 // linear scan over randomized rule lists and probes, under both
-// defaults.
+// defaults, with IPv4 rules, IPv6 rules and both at once.
 func TestMatchPrefixMatchesLinearReference(t *testing.T) {
 	rnd := func(seed *uint64) uint64 { // xorshift, deterministic
 		*seed ^= *seed << 13
@@ -159,20 +177,32 @@ func TestMatchPrefixMatchesLinearReference(t *testing.T) {
 		*seed ^= *seed << 17
 		return *seed
 	}
+	// prefix lays the same random bits out as an IPv4 prefix or as one
+	// under 2001:db8::/32, bits longer by 32, so both families get rules
+	// that nest and probes that land in them.
+	prefix := func(v uint64, bits int, v6 bool) netip.Prefix {
+		b := [4]byte{byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)}
+		if !v6 {
+			return netip.PrefixFrom(netip.AddrFrom4(b), bits).Masked()
+		}
+		a := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, b[0], b[1], b[2], b[3]})
+		return netip.PrefixFrom(a, 32+bits).Masked()
+	}
 	seed := uint64(20140827)
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 90; trial++ {
+		// trial%3: IPv4 only, IPv6 only, or a family per rule and probe.
+		family := func(v uint64) bool { return trial%3 == 1 || trial%3 == 2 && v>>50&1 == 1 }
 		var rules []PrefixRule
 		n := int(rnd(&seed)%20) + 1
 		for i := 0; i < n; i++ {
 			v := rnd(&seed)
-			bits := int(v % 25) // /0../24 rule prefixes
-			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)}), bits).Masked()
+			p := prefix(v, int(v%25), family(v)) // /0../24 (IPv4), /32../56 (IPv6)
 			r := PrefixRule{Prefix: p, Permit: v&1 == 0}
 			if v&2 != 0 {
-				r.Ge = bits + int(v>>40%8)
+				r.Ge = p.Bits() + int(v>>40%8)
 			}
 			if v&4 != 0 {
-				r.Le = min(32, bits+int(v>>43%12))
+				r.Le = min(p.Addr().BitLen(), p.Bits()+int(v>>43%12))
 			}
 			rules = append(rules, r)
 		}
@@ -180,11 +210,11 @@ func TestMatchPrefixMatchesLinearReference(t *testing.T) {
 		f := Compile(&RuleSet{Prefixes: rules, DefaultDeny: !permitDefault})
 		for probe := 0; probe < 200; probe++ {
 			v := rnd(&seed)
-			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32)}), int(v%33)).Masked()
+			p := prefix(v, int(v%33), family(v))
 			// Half the probes land inside a rule's space so matches are common.
 			if probe%2 == 0 {
 				base := rules[probe%len(rules)].Prefix
-				bits := base.Bits() + int(v%uint64(33-base.Bits()))
+				bits := base.Bits() + int(v%uint64(base.Addr().BitLen()+1-base.Bits()))
 				p = netip.PrefixFrom(base.Addr(), bits).Masked()
 			}
 			want := matchReference(rules, permitDefault, p)

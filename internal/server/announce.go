@@ -182,7 +182,7 @@ func (s *Server) vetPrefixes(c *clientConn, ns []wire.NLRI, foreignOrigin bool) 
 	owned := false
 	for _, n := range ns {
 		if n.Prefix != last {
-			last, owned = n.Prefix, s.allocatedTo(c.account.ID, n.Prefix)
+			last, owned = n.Prefix, s.allocatedTo(c.account, n.Prefix)
 		}
 		switch {
 		case !owned:

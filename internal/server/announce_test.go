@@ -492,3 +492,54 @@ func TestFirstAnnouncementNotDampened(t *testing.T) {
 		})
 	}
 }
+
+// The allocation table answers vetting in both families: a prefix is a
+// client's when the most specific allocated block covering it is that
+// client's, a block already allocated (host bits or not) is refused,
+// and a federated agent is checked by containment alone. The spoof
+// filter's source lookups read the same table.
+func TestAllocationTableOwners(t *testing.T) {
+	srv := newCheckedServer(t, Config{})
+	accts := []ClientAccount{
+		{ID: "wide", Allocation: []netip.Prefix{prefix("184.164.224.0/23"), prefix("2001:db8::/32")}},
+		{ID: "narrow", Allocation: []netip.Prefix{prefix("184.164.225.0/24"), prefix("2001:db8:1::/48")}},
+		{ID: "agent", Federated: true, Allocation: []netip.Prefix{prefix("184.164.0.0/16")}},
+	}
+	for _, a := range accts {
+		if err := srv.RegisterClient(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.RegisterClient(ClientAccount{ID: "late", Allocation: []netip.Prefix{prefix("184.164.225.7/24")}}); err == nil {
+		t.Fatal("a block already allocated was allocated again")
+	}
+	for _, tc := range []struct {
+		acct int
+		p    string
+		want bool
+	}{
+		{0, "184.164.224.0/23", true},
+		{0, "184.164.224.0/24", true},
+		{0, "184.164.225.0/24", false}, // narrow's block is the more specific
+		{1, "184.164.225.128/25", true},
+		{1, "184.164.224.0/23", false},
+		{0, "2001:db8:2::/48", true},
+		{0, "2001:db8:1:5::/64", false},
+		{1, "2001:db8:1:5::/64", true},
+		{1, "2001:db8::/32", false},
+		{0, "10.0.0.0/24", false},
+		{2, "184.164.3.0/24", true},
+		{2, "184.165.0.0/24", false},
+	} {
+		if got := srv.allocatedTo(accts[tc.acct], prefix(tc.p)); got != tc.want {
+			t.Errorf("allocatedTo(%s, %s) = %v, want %v", accts[tc.acct].ID, tc.p, got, tc.want)
+		}
+	}
+	for src, want := range map[string]string{
+		"184.164.224.9": "wide", "184.164.225.9": "narrow", "2001:db8:1::9": "narrow", "2001:db8:2::9": "wide",
+	} {
+		if _, owner, _ := srv.alloc.Load().Lookup(addr(src)); owner != want {
+			t.Errorf("source %s is %q's, want %q's", src, owner, want)
+		}
+	}
+}

@@ -27,6 +27,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
 	"sync"
@@ -378,8 +379,9 @@ func (c *clientConn) drainSupervisors() {
 // clMu, acctMu, timerMu — are leaves: code holding an Upstream.mu or
 // clientConn.mu may take them, never the reverse, and no code path
 // holds two of them at once. The registries are read-mostly: the hot
-// path (relay, vetting, stats) read-locks upMu and acctMu and takes no
-// lock at all for the client list or the archive, so concurrent
+// path (relay, stats) read-locks upMu and takes no lock at all for the
+// client list, the allocations or the archive — vetting reads the
+// allocation table and the connection's own account — so concurrent
 // upstream readers never serialize on client admission and bookkeeping.
 type Server struct {
 	cfg     Config
@@ -412,10 +414,10 @@ type Server struct {
 
 	acctMu   sync.RWMutex
 	accounts map[string]ClientAccount
-	alloc    *trie.Trie[string] // prefix → client ID
-	// allocFlat is alloc as frozen by RegisterClient, its only writer:
-	// the spoof filter reads it without acctMu.
-	allocFlat atomic.Pointer[trie.Flat[string]]
+	owners   map[netip.Prefix]string // allocated prefix (masked) → client ID
+	// alloc is owners as an index, rebuilt by RegisterClient, its only
+	// writer: vetting and the spoof filter read it without acctMu.
+	alloc atomic.Pointer[trie.Flat[string]]
 
 	// timerMu guards restartTimers, which backstop per-client
 	// graceful-restart windows: if the client has not re-announced its
@@ -460,7 +462,7 @@ func New(cfg Config) *Server {
 		shards:        rib.ShardCount(cfg.Shards),
 		upstreams:     make(map[uint32]*Upstream),
 		accounts:      make(map[string]ClientAccount),
-		alloc:         trie.New[string](),
+		owners:        make(map[netip.Prefix]string),
 		restartTimers: make(map[string]clock.Timer),
 	}
 	s.clients.Store(&[]*clientConn{})
@@ -853,33 +855,32 @@ func (s *Server) RegisterClient(acct ClientAccount) error {
 	}
 	if !acct.Federated {
 		for _, p := range acct.Allocation {
-			if owner, ok := s.alloc.Get(p); ok {
+			if owner, ok := s.owners[p.Masked()]; ok {
 				return fmt.Errorf("server: prefix %v already allocated to %q", p, owner)
 			}
 		}
 		for _, p := range acct.Allocation {
-			s.alloc.Insert(p, acct.ID)
+			s.owners[p.Masked()] = acct.ID
 		}
-		s.allocFlat.Store(s.alloc.Freeze())
+		s.alloc.Store(trie.NewFlat(maps.All(s.owners)))
 	}
 	s.accounts[acct.ID] = acct
 	return nil
 }
 
-// allocatedTo reports whether prefix p falls inside client id's
-// allocation (p must be covered by an allocated block owned by id).
-// Federated agents are not in the allocation trie (their blocks overlap
-// this mux's own clients'), so they are checked by containment: the
+// allocatedTo reports whether prefix p falls inside acct's allocation:
+// the most specific allocated block that covers p is acct's. Federated
+// agents are not in the allocation table (their blocks overlap this
+// mux's own clients'), so they are checked by containment: the
 // originating mux already vetted the prefix against the real owner.
-func (s *Server) allocatedTo(id string, p netip.Prefix) bool {
-	s.acctMu.RLock()
-	defer s.acctMu.RUnlock()
-	if _, owner, ok := s.alloc.LookupPrefix(p); ok && owner == id {
-		return true
-	}
-	acct, ok := s.accounts[id]
-	if !ok || !acct.Federated {
-		return false
+func (s *Server) allocatedTo(acct ClientAccount, p netip.Prefix) bool {
+	if !acct.Federated {
+		owned := false
+		s.alloc.Load().Supernets(p, func(_ netip.Prefix, owner string) bool {
+			owned = owner == acct.ID
+			return true
+		})
+		return owned
 	}
 	for _, alloc := range acct.Allocation {
 		if alloc.Contains(p.Addr()) && alloc.Bits() <= p.Bits() {
@@ -904,9 +905,7 @@ func (s *Server) accountOf(id string) (ClientAccount, bool) {
 // down and its announced routes are retained stale so the fresh
 // connection can reclaim them without churning the upstreams.
 func (s *Server) AcceptClient(id string, conn net.Conn) error {
-	s.acctMu.RLock()
-	acct, ok := s.accounts[id]
-	s.acctMu.RUnlock()
+	acct, ok := s.accountOf(id)
 	if !ok {
 		return fmt.Errorf("server: unknown client %q (experiments must be vetted first)", id)
 	}
@@ -1156,12 +1155,11 @@ func (t *tunnelEndpoint) Receive(pkt *dataplane.Packet, _ *dataplane.Iface) {
 	}
 }
 
-// handleClientPacket is the client → Internet direction: spoof-filter,
-// then forward through the server's FIB. The filter reads the frozen
-// allocations, which hold IPv4 only — the one family the tunnel carries.
+// handleClientPacket is the client → Internet direction: spoof-filter
+// against the allocation table, then forward through the server's FIB.
 func (s *Server) handleClientPacket(c *clientConn, pkt *dataplane.Packet) {
 	if !c.account.SpoofAllowed {
-		if _, owner, ok := s.allocFlat.Load().Lookup(pkt.Src); !ok || owner != c.account.ID {
+		if _, owner, ok := s.alloc.Load().Lookup(pkt.Src); !ok || owner != c.account.ID {
 			s.metrics.spoofsBlocked.Inc()
 			return
 		}

@@ -1,24 +1,23 @@
-// Package trie implements a binary radix (Patricia-style) trie keyed by
-// IP prefixes. It is the index structure behind the tables that answer
+// Package trie holds the prefix indexes behind the tables that answer
 // covering queries — the data plane's FIB, the server's allocation
-// table and the compiled prefix filter: it supports exact-match
-// insert/delete, longest-prefix match for forwarding, and the walk up
-// through every covering prefix that filters and origin validation
-// need. The RIBs are exact-match only and use hash tables instead
-// (internal/rib).
+// table and the compiled prefix filter: longest-prefix match for
+// forwarding, and the walk up through every covering prefix that
+// filters and origin validation need. The RIBs are exact-match only and
+// use hash tables instead (internal/rib). IPv4 and IPv6 share every
+// index; which family an address belongs to is decided here and
+// nowhere else.
 //
-// A Trie is not safe for concurrent use; callers guard it
-// with their own locks so that a lookup and the decision that follows it
-// stay atomic. A Flat — the trie's IPv4 prefixes frozen into sorted
-// arrays by Freeze — is: it never changes, so per-packet lookups (the
-// FIB, the spoof filter) read one through an atomic pointer without a
-// lock, and the writer publishes a new one when the table has changed.
+// A Flat is the immutable form: sorted arrays built once from (prefix,
+// value) pairs and safe for concurrent use, so per-packet and
+// per-verdict lookups read one through an atomic pointer or an
+// immutable owner without a lock. A Trie is the mutable form, a binary
+// radix (Patricia-style) trie for the one table that changes route by
+// route, the FIB. It is not safe for concurrent use; its owner guards it
+// with a lock and publishes a Flat of it (Freeze) for readers.
 package trie
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"net/netip"
 )
 
@@ -37,7 +36,6 @@ type Trie[V any] struct {
 	root4 *node[V]
 	root6 *node[V]
 	size  int
-	size4 int // the IPv4 share of size: what Freeze sizes a Flat by
 }
 
 // New returns an empty trie.
@@ -50,15 +48,6 @@ func New[V any]() *Trie[V] {
 
 // Len reports the number of prefixes stored.
 func (t *Trie[V]) Len() int { return t.size }
-
-// resize records that a prefix of p's family was added (+1) or removed
-// (-1).
-func (t *Trie[V]) resize(p netip.Prefix, d int) {
-	t.size += d
-	if p.Addr().Is4() {
-		t.size4 += d
-	}
-}
 
 func (t *Trie[V]) rootFor(p netip.Prefix) *node[V] {
 	if p.Addr().Is4() {
@@ -79,30 +68,14 @@ func bitAt(addr netip.Addr, i int) int {
 	return int(b[i>>3]>>(7-uint(i&7))) & 1
 }
 
-// canon normalizes a prefix to its masked, canonical form. Un-normalized
-// prefixes (host bits set) would otherwise make equal routes look
-// distinct.
-func canon(p netip.Prefix) netip.Prefix { return p.Masked() }
-
 // commonPrefixLen returns the length of the longest common prefix of a
 // and b, capped at max. Word-wide XOR plus a leading-zero count replaces
 // the old byte loop (and its AsSlice allocations) on the insert path.
 func commonPrefixLen(a, b netip.Addr, maxLen int) int {
-	var n int
 	if a.Is4() && b.Is4() {
-		n = bits.LeadingZeros32(key4(a) ^ key4(b))
-	} else {
-		ab, bb := a.As16(), b.As16()
-		if x := binary.BigEndian.Uint64(ab[:8]) ^ binary.BigEndian.Uint64(bb[:8]); x != 0 {
-			n = bits.LeadingZeros64(x)
-		} else {
-			n = 64 + bits.LeadingZeros64(binary.BigEndian.Uint64(ab[8:])^binary.BigEndian.Uint64(bb[8:]))
-		}
+		return min(keyOf4(a).common(keyOf4(b)), maxLen)
 	}
-	if n > maxLen {
-		n = maxLen
-	}
-	return n
+	return min(keyOf6(a).common(keyOf6(b)), maxLen)
 }
 
 // Insert adds or replaces the value for prefix p. It reports whether the
@@ -111,14 +84,14 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 	if !p.IsValid() {
 		panic(fmt.Sprintf("trie: invalid prefix %v", p))
 	}
-	p = canon(p)
+	p = p.Masked()
 	n := t.rootFor(p)
 	for {
 		if n.prefix == p {
 			added := !n.hasValue
 			n.value, n.hasValue = v, true
 			if added {
-				t.resize(p, 1)
+				t.size++
 			}
 			return added
 		}
@@ -128,7 +101,7 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 		if child == nil {
 			nn := &node[V]{prefix: p, value: v, hasValue: true}
 			n.children[bit] = nn
-			t.resize(p, 1)
+			t.size++
 			return true
 		}
 		if child.prefix.Contains(p.Addr()) && child.prefix.Bits() <= p.Bits() {
@@ -137,43 +110,20 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 		}
 		// Split: find the common prefix of child.prefix and p.
 		cl := commonPrefixLen(child.prefix.Addr(), p.Addr(), min(child.prefix.Bits(), p.Bits()))
-		joint := canon(netip.PrefixFrom(p.Addr(), cl))
+		joint := netip.PrefixFrom(p.Addr(), cl).Masked()
 		mid := &node[V]{prefix: joint}
 		n.children[bit] = mid
 		mid.children[bitAt(child.prefix.Addr(), cl)] = child
 		if joint == p {
 			mid.value, mid.hasValue = v, true
-			t.resize(p, 1)
+			t.size++
 			return true
 		}
 		nn := &node[V]{prefix: p, value: v, hasValue: true}
 		mid.children[bitAt(p.Addr(), cl)] = nn
-		t.resize(p, 1)
+		t.size++
 		return true
 	}
-}
-
-// Get returns the value stored at exactly prefix p.
-func (t *Trie[V]) Get(p netip.Prefix) (V, bool) {
-	var zero V
-	if !p.IsValid() {
-		return zero, false
-	}
-	p = canon(p)
-	n := t.rootFor(p)
-	for n != nil {
-		if n.prefix == p {
-			if n.hasValue {
-				return n.value, true
-			}
-			return zero, false
-		}
-		if !n.prefix.Contains(p.Addr()) || n.prefix.Bits() > p.Bits() {
-			return zero, false
-		}
-		n = n.children[bitAt(p.Addr(), n.prefix.Bits())]
-	}
-	return zero, false
 }
 
 // Delete removes prefix p, reporting whether it was present. It leaves
@@ -184,7 +134,7 @@ func (t *Trie[V]) Delete(p netip.Prefix) bool {
 	if !p.IsValid() {
 		return false
 	}
-	p = canon(p)
+	p = p.Masked()
 	n := t.rootFor(p)
 	// slot is the child pointer that holds n, up the node it belongs to
 	// and upSlot the pointer that holds up; nil for a root, which is
@@ -198,7 +148,7 @@ func (t *Trie[V]) Delete(p netip.Prefix) bool {
 			}
 			var zero V
 			n.value, n.hasValue = zero, false
-			t.resize(p, -1)
+			t.size--
 			// A valueless node stays only as a root or as the joint of
 			// two subtrees. Left with one child, that child takes its
 			// place; left with none it goes, and the node above, if it
@@ -227,66 +177,25 @@ func (t *Trie[V]) Delete(p netip.Prefix) bool {
 }
 
 // Lookup performs a longest-prefix match for addr, returning the most
-// specific stored prefix containing it.
-func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
-	var (
-		bestP  netip.Prefix
-		bestV  V
-		found  bool
-		target = netip.PrefixFrom(addr, addr.BitLen())
-	)
-	n := t.rootFor(target)
-	for n != nil {
-		if !n.prefix.Contains(addr) {
-			break
-		}
-		if n.hasValue {
-			bestP, bestV, found = n.prefix, n.value, true
-		}
-		if n.prefix.Bits() == addr.BitLen() {
-			break
-		}
-		n = n.children[bitAt(addr, n.prefix.Bits())]
-	}
-	return bestP, bestV, found
-}
-
-// LookupPrefix returns the most specific stored prefix that covers all
-// of p (i.e. p's longest-prefix match as a whole block).
-func (t *Trie[V]) LookupPrefix(p netip.Prefix) (netip.Prefix, V, bool) {
-	p = canon(p)
-	var (
-		bestP netip.Prefix
-		bestV V
-		found bool
-	)
-	n := t.rootFor(p)
-	for n != nil {
-		if !n.prefix.Contains(p.Addr()) || n.prefix.Bits() > p.Bits() {
-			break
-		}
-		if n.hasValue {
-			bestP, bestV, found = n.prefix, n.value, true
-		}
-		if n.prefix.Bits() == p.Bits() {
-			break
-		}
-		n = n.children[bitAt(p.Addr(), n.prefix.Bits())]
-	}
-	return bestP, bestV, found
+// specific stored prefix containing it: the last of the host route's
+// supernets.
+func (t *Trie[V]) Lookup(addr netip.Addr) (best netip.Prefix, v V, found bool) {
+	t.Supernets(netip.PrefixFrom(addr, addr.BitLen()), func(p netip.Prefix, w V) bool {
+		best, v, found = p, w, true
+		return true
+	})
+	return best, v, found
 }
 
 // Supernets visits every stored prefix that covers all of p — p's
 // exact entry included, if stored — from the least specific (shortest
 // mask) to the most specific. The callback returns false to stop
-// early. This is the primitive behind compiled prefix filters and
-// origin (ROA) validation, where a match may live at any covering
-// aggregate, not just the longest one that LookupPrefix reports.
+// early.
 func (t *Trie[V]) Supernets(p netip.Prefix, fn func(netip.Prefix, V) bool) {
 	if !p.IsValid() {
 		return
 	}
-	p = canon(p)
+	p = p.Masked()
 	n := t.rootFor(p)
 	for n != nil {
 		if !n.prefix.Contains(p.Addr()) || n.prefix.Bits() > p.Bits() {
@@ -305,20 +214,13 @@ func (t *Trie[V]) Supernets(p netip.Prefix, fn func(netip.Prefix, V) bool) {
 // Walk visits every stored prefix in lexicographic (trie) order. The
 // callback returns false to stop early. Walk visits IPv4 before IPv6.
 func (t *Trie[V]) Walk(fn func(netip.Prefix, V) bool) {
-	if !walk(t.root4, fn) {
-		return
-	}
-	walk(t.root6, fn)
+	_ = walk(t.root4, fn) && walk(t.root6, fn)
 }
 
+// Freeze returns t's prefixes as a Flat: a walk, then NewFlat, whose
+// sort finds them already in order.
+func (t *Trie[V]) Freeze() *Flat[V] { return build(t.Walk, t.size) }
+
 func walk[V any](n *node[V], fn func(netip.Prefix, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.hasValue {
-		if !fn(n.prefix, n.value) {
-			return false
-		}
-	}
-	return walk(n.children[0], fn) && walk(n.children[1], fn)
+	return n == nil || (!n.hasValue || fn(n.prefix, n.value)) && walk(n.children[0], fn) && walk(n.children[1], fn)
 }

@@ -10,6 +10,16 @@ import (
 
 func mustPrefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
+// get returns the value stored at exactly p: the last prefix Supernets
+// visits, if that is p itself.
+func get[V any](tr *Trie[V], p netip.Prefix) (v V, ok bool) {
+	tr.Supernets(p, func(q netip.Prefix, w V) bool {
+		v, ok = w, q == p.Masked()
+		return true
+	})
+	return v, ok
+}
+
 func TestInsertGet(t *testing.T) {
 	tr := New[int]()
 	cases := []string{
@@ -25,12 +35,12 @@ func TestInsertGet(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(cases))
 	}
 	for i, s := range cases {
-		v, ok := tr.Get(mustPrefix(s))
+		v, ok := get(tr, mustPrefix(s))
 		if !ok || v != i {
 			t.Fatalf("Get(%s) = %d,%v, want %d,true", s, v, ok, i)
 		}
 	}
-	if _, ok := tr.Get(mustPrefix("10.2.0.0/16")); ok {
+	if _, ok := get(tr, mustPrefix("10.2.0.0/16")); ok {
 		t.Fatal("Get of absent prefix succeeded")
 	}
 }
@@ -44,7 +54,7 @@ func TestInsertReplace(t *testing.T) {
 	if tr.Insert(p, "b") {
 		t.Fatal("second insert should replace")
 	}
-	if v, _ := tr.Get(p); v != "b" {
+	if v, _ := get(tr, p); v != "b" {
 		t.Fatalf("value = %q, want b", v)
 	}
 	if tr.Len() != 1 {
@@ -56,7 +66,7 @@ func TestInsertUnmaskedPrefixCanonicalized(t *testing.T) {
 	tr := New[int]()
 	// 10.0.0.55/24 and 10.0.0.0/24 are the same block.
 	tr.Insert(netip.MustParsePrefix("10.0.0.55/24"), 7)
-	if v, ok := tr.Get(mustPrefix("10.0.0.0/24")); !ok || v != 7 {
+	if v, ok := get(tr, mustPrefix("10.0.0.0/24")); !ok || v != 7 {
 		t.Fatalf("Get canonical = %d,%v want 7,true", v, ok)
 	}
 }
@@ -105,12 +115,12 @@ func TestDelete(t *testing.T) {
 	if tr.Delete(mustPrefix("10.0.0.0/16")) {
 		t.Fatal("Delete of absent prefix succeeded")
 	}
-	if _, ok := tr.Get(mustPrefix("10.0.0.0/16")); ok {
+	if _, ok := get(tr, mustPrefix("10.0.0.0/16")); ok {
 		t.Fatal("deleted prefix still present")
 	}
 	// Neighbors survive.
 	for _, s := range []string{"10.0.0.0/8", "10.0.1.0/24", "10.128.0.0/9"} {
-		if _, ok := tr.Get(mustPrefix(s)); !ok {
+		if _, ok := get(tr, mustPrefix(s)); !ok {
 			t.Fatalf("prefix %s lost after unrelated delete", s)
 		}
 	}
@@ -208,21 +218,6 @@ func TestIPv6Separation(t *testing.T) {
 	}
 }
 
-func TestLookupPrefix(t *testing.T) {
-	tr := New[string]()
-	tr.Insert(mustPrefix("10.0.0.0/8"), "eight")
-	tr.Insert(mustPrefix("10.1.0.0/16"), "sixteen")
-	p, v, ok := tr.LookupPrefix(mustPrefix("10.1.2.0/24"))
-	if !ok || v != "sixteen" || p != mustPrefix("10.1.0.0/16") {
-		t.Fatalf("LookupPrefix = %v,%q,%v", p, v, ok)
-	}
-	// A /12 spanning beyond the /16 matches only the /8.
-	p, v, ok = tr.LookupPrefix(mustPrefix("10.0.0.0/12"))
-	if !ok || v != "eight" {
-		t.Fatalf("LookupPrefix /12 = %v,%q,%v", p, v, ok)
-	}
-}
-
 // randomPrefix builds a valid random IPv4 prefix from quick-check data.
 func randomPrefix(r *rand.Rand) netip.Prefix {
 	var b [4]byte
@@ -249,7 +244,7 @@ func TestQuickInsertLookupAgainstBruteForce(t *testing.T) {
 			return false
 		}
 		for p, v := range set {
-			got, ok := tr.Get(p)
+			got, ok := get(tr, p)
 			if !ok || got != v {
 				return false
 			}
@@ -303,7 +298,7 @@ func TestQuickDeletePreservesOthers(t *testing.T) {
 			}
 		}
 		for p, v := range set {
-			got, ok := tr.Get(p)
+			got, ok := get(tr, p)
 			if deleted[p] {
 				if ok {
 					return false
@@ -398,13 +393,15 @@ func TestLookupAndGetAllocFree(t *testing.T) {
 	tr6.Insert(mustPrefix("2001:db8::/32"), 1)
 	a6 := netip.MustParseAddr("2001:db8::1")
 
-	fl := tr.Freeze()
+	fl, fl6 := tr.Freeze(), tr6.Freeze()
 	if n := testing.AllocsPerRun(200, func() {
 		tr.Lookup(a4)
-		tr.Get(p4)
+		get(tr, p4)
 		tr6.Lookup(a6)
 		fl.Lookup(a4)
 		fl.Supernets(p4, func(netip.Prefix, int) bool { return true })
+		fl6.Lookup(a6)
+		fl6.Supernets(mustPrefix("2001:db8::/48"), func(netip.Prefix, int) bool { return true })
 	}); n != 0 {
 		t.Fatalf("lookup path allocates %v per run, want 0", n)
 	}
@@ -482,7 +479,7 @@ func TestDeleteReclaimsNodes(t *testing.T) {
 		}
 	}
 	for p, v := range set {
-		if got, ok := tr.Get(p); !ok || got != v {
+		if got, ok := get(tr, p); !ok || got != v {
 			t.Fatalf("Get(%v) = %d,%v after churn, want %d", p, got, ok, v)
 		}
 	}
