@@ -154,15 +154,16 @@ docs: vet
 # The ceiling is the measured count: 3543 with frames as plain values,
 # plus the flusher writing a whole drain as one SendEncoded per session
 # (grouping by session, counting once per drain) in the per-frame
-# flushFrame's place.
-SERVER_LINES_MAX = 3580
+# flushFrame's place, less the three registry locks merged into Server.mu.
+SERVER_LINES_MAX = 3576
 # internal/rib has a ceiling too since PR 24, set to that PR's count. It
 # was 788 before: the compact Adj-RIB (DESIGN.md §12 "The table at
 # rest") added the slot codec — key to prefix and back, the learned time
 # as an integer, the per-table peer records, the snapshot's Slot — which
 # the heap Route gave for free, and took out ShardedAdj.Walk and the
-# copy-on-replace contract.
-RIB_LINES_MAX = 880
+# copy-on-replace contract. 880 → 832 when LocRIB became one map under
+# one lock and prefix-hash sharding was left to ShardedAdj alone.
+RIB_LINES_MAX = 832
 # internal/trie: 481 → 508 when Flat became dual-stack (128-bit keys, a
 # build from unsorted pairs) and the one index of every immutable table.
 TRIE_LINES_MAX = 508

@@ -72,7 +72,6 @@ type routerControl struct {
 	local      map[netip.Addr]bool
 	urpf       map[*Iface]bool
 	processors []Processor
-	localSink  func(*Packet, *Iface)
 }
 
 // Router is an IP forwarding node: FIB longest-prefix matching, TTL and
@@ -135,7 +134,6 @@ func (r *Router) updateControl(edit func(*routerControl)) {
 		local:      maps.Clone(old.local),
 		urpf:       maps.Clone(old.urpf),
 		processors: slices.Clone(old.processors),
-		localSink:  old.localSink,
 	}
 	edit(next)
 	r.ctl.Store(next)
@@ -172,12 +170,6 @@ func (r *Router) SetURPF(iface *Iface, on bool) {
 // AddProcessor appends p to the packet pipeline.
 func (r *Router) AddProcessor(p Processor) {
 	r.updateControl(func(c *routerControl) { c.processors = append(c.processors, p) })
-}
-
-// SetLocalSink registers the handler for packets addressed to this
-// router (beyond the automatic ICMP echo handling).
-func (r *Router) SetLocalSink(fn func(*Packet, *Iface)) {
-	r.updateControl(func(c *routerControl) { c.localSink = fn })
 }
 
 // SetRoute installs (or replaces) a FIB entry. A LookupRoute that
@@ -267,7 +259,7 @@ func (r *Router) Receive(pkt *Packet, ingress *Iface) {
 
 	// After the processors: they may have rewritten Dst.
 	if ctl.local[pkt.Dst] {
-		r.deliverLocal(ctl, pkt, ingress)
+		r.deliverLocal(pkt)
 		return
 	}
 
@@ -311,26 +303,23 @@ func (r *Router) Originate(pkt *Packet) {
 	e.Out.Send(pkt)
 }
 
-// deliverLocal handles packets addressed to the router itself.
-func (r *Router) deliverLocal(ctl *routerControl, pkt *Packet, ingress *Iface) {
+// deliverLocal handles packets addressed to the router itself: an ICMP
+// echo request is answered, anything else ends here.
+func (r *Router) deliverLocal(pkt *Packet) {
 	r.stats.deliveredLocal.Add(1)
-	if pkt.Proto == ProtoICMP && pkt.ICMP == ICMPEchoRequest {
-		reply := &Packet{
-			ID:    packetSeq.Add(1),
-			Src:   pkt.Dst,
-			Dst:   pkt.Src,
-			TTL:   DefaultTTL,
-			Proto: ProtoICMP,
-			ICMP:  ICMPEchoReply,
-			Seq:   pkt.Seq,
-			Orig:  pkt.ID,
-		}
-		r.Originate(reply)
+	if pkt.Proto != ProtoICMP || pkt.ICMP != ICMPEchoRequest {
 		return
 	}
-	if ctl.localSink != nil {
-		ctl.localSink(pkt, ingress)
-	}
+	r.Originate(&Packet{
+		ID:    packetSeq.Add(1),
+		Src:   pkt.Dst,
+		Dst:   pkt.Src,
+		TTL:   DefaultTTL,
+		Proto: ProtoICMP,
+		ICMP:  ICMPEchoReply,
+		Seq:   pkt.Seq,
+		Orig:  pkt.ID,
+	})
 }
 
 // sendICMP emits an ICMP error back toward pkt.Src, sourced from the

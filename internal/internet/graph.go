@@ -70,11 +70,6 @@ type AS struct {
 	PeeringPolicy policy.PeeringKind
 }
 
-// Degree returns the total number of neighbors.
-func (a *AS) Degree() int {
-	return len(a.Providers) + len(a.Customers) + len(a.Peers)
-}
-
 // Graph is the synthetic Internet.
 type Graph struct {
 	byASN map[uint32]*AS

@@ -238,11 +238,3 @@ func (f *Fabric) ConnectBilateral(a, b *Member) {
 	a.Router.Attach(pa, ca)
 	b.Router.Attach(pb, cb)
 }
-
-// RegisterPrefix points the switch at member m for prefix p — used for
-// bilateral-only routes the route server never sees.
-func (f *Fabric) RegisterPrefix(p netip.Prefix, m *Member) {
-	if m.SwitchIface != nil {
-		f.Switch.SetRoute(p, m.LANAddr, m.SwitchIface)
-	}
-}

@@ -14,10 +14,10 @@ import (
 
 // TestUncanonicalPrefixIsOneKey is the host-bits regression: a prefix
 // given as 10.1.2.3/16 and its masked form 10.1.0.0/16 are one key in
-// every table, and one shard. Pre-fix the shard hash read the address
-// as given while the table under it keyed the masked prefix, so on an
-// 8-shard Loc-RIB 14 of these 16 routes could not be found again under
-// their canonical prefix.
+// every table, and one ShardedAdj shard. Pre-fix the shard hash read the
+// address as given while the table under it keyed the masked prefix, so
+// on the 8-shard Loc-RIB of the time 14 of these 16 routes could not be
+// found again under their canonical prefix.
 func TestUncanonicalPrefixIsOneKey(t *testing.T) {
 	given, masked := prefix("10.1.2.3/16"), prefix("10.1.0.0/16")
 	a := NewAdjRIB()
@@ -41,34 +41,32 @@ func TestUncanonicalPrefixIsOneKey(t *testing.T) {
 		t.Fatalf("Remove(given) missed; Len = %d", a.Len())
 	}
 
-	for _, shards := range []int{1, 8} {
-		l := NewLocRIBShards(shards)
-		src := PeerKey{Addr: addr("192.0.2.1")}
-		for i := 0; i < 16; i++ {
-			l.Update(mkRoute(fmt.Sprintf("10.%d.2.3/16", i), "192.0.2.1", nil))
+	l := NewLocRIB()
+	src := PeerKey{Addr: addr("192.0.2.1")}
+	for i := 0; i < 16; i++ {
+		l.Update(mkRoute(fmt.Sprintf("10.%d.2.3/16", i), "192.0.2.1", nil))
+	}
+	for i := 0; i < 16; i++ {
+		given, masked := prefix(fmt.Sprintf("10.%d.2.3/16", i)), prefix(fmt.Sprintf("10.%d.0.0/16", i))
+		if PrefixShard(given) != PrefixShard(masked) {
+			t.Fatalf("%v and %v hash to different shards", given, masked)
 		}
-		for i := 0; i < 16; i++ {
-			given, masked := prefix(fmt.Sprintf("10.%d.2.3/16", i)), prefix(fmt.Sprintf("10.%d.0.0/16", i))
-			if PrefixShard(given) != PrefixShard(masked) {
-				t.Fatalf("%v and %v hash to different shards", given, masked)
-			}
-			if l.Best(masked) == nil || l.Best(masked) != l.Best(given) {
-				t.Fatalf("%d shards: Best(%v) = %v, Best(%v) = %v", shards, masked, l.Best(masked), given, l.Best(given))
-			}
-			// The masked form from the same peer replaces, it does not add.
-			l.Update(mkRoute(masked.String(), "192.0.2.1", nil))
+		if l.Best(masked) == nil || l.Best(masked) != l.Best(given) {
+			t.Fatalf("Best(%v) = %v, Best(%v) = %v", masked, l.Best(masked), given, l.Best(given))
 		}
-		if l.Prefixes() != 16 || l.Routes() != 16 {
-			t.Fatalf("%d shards: prefixes=%d routes=%d, want 16/16", shards, l.Prefixes(), l.Routes())
+		// The masked form from the same peer replaces, it does not add.
+		l.Update(mkRoute(masked.String(), "192.0.2.1", nil))
+	}
+	if l.Prefixes() != 16 || l.Routes() != 16 {
+		t.Fatalf("prefixes=%d routes=%d, want 16/16", l.Prefixes(), l.Routes())
+	}
+	for i := 0; i < 16; i++ {
+		if _, changed := l.Withdraw(prefix(fmt.Sprintf("10.%d.9.9/16", i)), src); !changed {
+			t.Fatalf("Withdraw of an un-masked 10.%d/16 missed", i)
 		}
-		for i := 0; i < 16; i++ {
-			if _, changed := l.Withdraw(prefix(fmt.Sprintf("10.%d.9.9/16", i)), src); !changed {
-				t.Fatalf("%d shards: Withdraw of an un-masked 10.%d/16 missed", shards, i)
-			}
-		}
-		if l.Prefixes() != 0 || l.Routes() != 0 {
-			t.Fatalf("%d shards: prefixes=%d routes=%d after withdrawing all", shards, l.Prefixes(), l.Routes())
-		}
+	}
+	if l.Prefixes() != 0 || l.Routes() != 0 {
+		t.Fatalf("prefixes=%d routes=%d after withdrawing all", l.Prefixes(), l.Routes())
 	}
 }
 

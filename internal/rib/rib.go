@@ -450,24 +450,15 @@ type Change struct {
 }
 
 // LocRIB holds all candidate routes and the current best per prefix.
-// It is safe for concurrent use.
-//
-// Internally the table is split into prefix-hash shards, each with its
-// own lock and hash table keyed by masked prefix (see shard.go for the
-// hash and the default shard count): Update/Withdraw/Best run entirely
-// inside one shard, so concurrent mutators on different prefixes do not
-// serialize on a single table lock. The decision process is per prefix,
-// and a prefix lives in exactly one shard, so the shard count never
-// changes which route wins — only which lock guards it.
+// It is safe for concurrent use: one hash table keyed by masked prefix
+// under one lock. Several writers may call in at once — a router's
+// session goroutines each install their own peer's routes — and they
+// take turns.
 type LocRIB struct {
-	shards []locShard
-	mask   uint32
-	routes atomic.Int64
-}
-
-type locShard struct {
 	mu sync.RWMutex
 	m  map[netip.Prefix]*entry
+	// routes counts candidates; polling loops read it without mu.
+	routes atomic.Int64
 }
 
 type entry struct {
@@ -476,41 +467,22 @@ type entry struct {
 	best       *Route
 }
 
-// NewLocRIB returns an empty Loc-RIB with the default shard count.
-func NewLocRIB() *LocRIB { return NewLocRIBShards(0) }
-
-// NewLocRIBShards returns an empty Loc-RIB with n prefix-hash shards
-// (rounded up to a power of two; n <= 0 means DefaultShards).
-func NewLocRIBShards(n int) *LocRIB {
-	n = shardCount(n)
-	l := &LocRIB{shards: make([]locShard, n), mask: uint32(n - 1)}
-	for i := range l.shards {
-		l.shards[i].m = make(map[netip.Prefix]*entry)
-	}
-	return l
-}
-
-// Shards reports the table's shard count.
-func (l *LocRIB) Shards() int { return len(l.shards) }
-
-// shard masks p once and returns the shard it hashes to together with
-// the masked prefix, the key it is stored under there.
-func (l *LocRIB) shard(p netip.Prefix) (*locShard, netip.Prefix) {
-	p = p.Masked()
-	return &l.shards[maskedShard(p)&l.mask], p
+// NewLocRIB returns an empty Loc-RIB.
+func NewLocRIB() *LocRIB {
+	return &LocRIB{m: make(map[netip.Prefix]*entry)}
 }
 
 // Update inserts or replaces the candidate from r.Src for r.Prefix and
 // recomputes the best route. The returned Change has Old == New == best
 // when the best route did not move (callers test Changed).
 func (l *LocRIB) Update(r *Route) (Change, bool) {
-	sh, p := l.shard(r.Prefix)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.m[p]
+	p := r.Prefix.Masked()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e := l.m[p]
 	if e == nil {
 		e = &entry{}
-		sh.m[p] = e
+		l.m[p] = e
 	}
 	replaced := false
 	for i, c := range e.candidates {
@@ -529,10 +501,10 @@ func (l *LocRIB) Update(r *Route) (Change, bool) {
 
 // Withdraw removes the candidate from src for p and recomputes.
 func (l *LocRIB) Withdraw(p netip.Prefix, src PeerKey) (Change, bool) {
-	sh, p := l.shard(p)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.m[p]
+	p = p.Masked()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	e := l.m[p]
 	if e == nil {
 		return Change{Prefix: p}, false
 	}
@@ -556,7 +528,7 @@ func (l *LocRIB) Withdraw(p netip.Prefix, src PeerKey) (Change, bool) {
 	}
 	ch, changed := recompute(p, e)
 	if len(e.candidates) == 0 {
-		delete(sh.m, p)
+		delete(l.m, p)
 	}
 	return ch, changed
 }
@@ -566,44 +538,40 @@ func (l *LocRIB) Withdraw(p netip.Prefix, src PeerKey) (Change, bool) {
 // specified order.
 func (l *LocRIB) WithdrawPeer(addr netip.Addr) []Change {
 	var changes []Change
-	for si := range l.shards {
-		sh := &l.shards[si]
-		sh.mu.Lock()
-		for p, e := range sh.m {
-			old := e.candidates
-			kept := old[:0]
-			for _, c := range old {
-				if c.Src.Addr == addr {
-					l.routes.Add(-1)
-					continue
-				}
-				kept = append(kept, c)
-			}
-			if len(kept) == len(old) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for p, e := range l.m {
+		old := e.candidates
+		kept := old[:0]
+		for _, c := range old {
+			if c.Src.Addr == addr {
+				l.routes.Add(-1)
 				continue
 			}
-			// The compaction wrote the survivors over the front of the
-			// backing array; nil out the tail so the dropped *Routes (at
-			// full-table scale, an entire peer's worth) are collectable
-			// instead of staying pinned behind the shortened slice.
-			for j := len(kept); j < len(old); j++ {
-				old[j] = nil
-			}
-			e.candidates = kept
-			if ch, changed := recompute(p, e); changed {
-				changes = append(changes, ch)
-			}
-			if len(e.candidates) == 0 {
-				delete(sh.m, p)
-			}
+			kept = append(kept, c)
 		}
-		sh.mu.Unlock()
+		if len(kept) == len(old) {
+			continue
+		}
+		// The compaction wrote the survivors over the front of the
+		// backing array; nil out the tail so the dropped *Routes (at
+		// full-table scale, an entire peer's worth) are collectable
+		// instead of staying pinned behind the shortened slice.
+		for j := len(kept); j < len(old); j++ {
+			old[j] = nil
+		}
+		e.candidates = kept
+		if ch, changed := recompute(p, e); changed {
+			changes = append(changes, ch)
+		}
+		if len(e.candidates) == 0 {
+			delete(l.m, p)
+		}
 	}
 	return changes
 }
 
-// recompute re-runs the decision process for p. Caller holds the
-// prefix's shard lock.
+// recompute re-runs the decision process for p. Caller holds l.mu.
 func recompute(p netip.Prefix, e *entry) (Change, bool) {
 	old := e.best
 	var best *Route
@@ -621,10 +589,10 @@ func recompute(p netip.Prefix, e *entry) (Change, bool) {
 
 // Best returns the selected route for exactly prefix p.
 func (l *LocRIB) Best(p netip.Prefix) *Route {
-	sh, p := l.shard(p)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if e := sh.m[p]; e != nil {
+	p = p.Masked()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if e := l.m[p]; e != nil {
 		return e.best
 	}
 	return nil
@@ -632,10 +600,10 @@ func (l *LocRIB) Best(p netip.Prefix) *Route {
 
 // Candidates returns all candidate routes for p (copy).
 func (l *LocRIB) Candidates(p netip.Prefix) []*Route {
-	sh, p := l.shard(p)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.m[p]
+	p = p.Masked()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	e := l.m[p]
 	if e == nil {
 		return nil
 	}
@@ -646,14 +614,9 @@ func (l *LocRIB) Candidates(p netip.Prefix) []*Route {
 
 // Prefixes reports the number of distinct prefixes present.
 func (l *LocRIB) Prefixes() int {
-	n := 0
-	for si := range l.shards {
-		sh := &l.shards[si]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.m)
 }
 
 // Routes reports the total number of candidate routes.
@@ -661,36 +624,28 @@ func (l *LocRIB) Routes() int {
 	return int(l.routes.Load())
 }
 
-// walk runs fn on every entry, one shard at a time under that shard's
-// read lock, until fn returns false.
+// walk runs fn on every entry under the read lock until fn returns
+// false. fn must not call back into l.
 func (l *LocRIB) walk(fn func(*entry) bool) {
-	for si := range l.shards {
-		sh := &l.shards[si]
-		sh.mu.RLock()
-		done := false
-		for _, e := range sh.m {
-			if done = !fn(e); done {
-				break
-			}
-		}
-		sh.mu.RUnlock()
-		if done {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, e := range l.m {
+		if !fn(e) {
 			return
 		}
 	}
 }
 
-// WalkBest visits the best route of every prefix. The walk locks one
-// shard at a time: it is consistent per shard, not a point-in-time
-// snapshot of the whole table, and visits prefixes in no specified
-// order.
+// WalkBest visits the best route of every prefix, in no specified
+// order. Writers wait for the walk to finish, so it sees one state of
+// the table.
 func (l *LocRIB) WalkBest(fn func(*Route) bool) {
 	// Empty entries are pruned on withdraw, so every entry has a best.
 	l.walk(func(e *entry) bool { return fn(e.best) })
 }
 
 // WalkAll visits every candidate route of every prefix, with the same
-// per-shard consistency and ordering caveats as WalkBest.
+// caveats as WalkBest.
 func (l *LocRIB) WalkAll(fn func(*Route) bool) {
 	l.walk(func(e *entry) bool {
 		for _, r := range e.candidates {

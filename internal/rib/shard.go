@@ -1,13 +1,14 @@
 package rib
 
-// Prefix-hash sharding shared by LocRIB and ShardedAdj. A full
-// Internet table (~1M prefixes) under one RWMutex serializes every
-// mutator and makes per-client fan-out gathers linear scans under that
-// same lock; splitting the table by prefix hash gives each shard its
-// own lock and hash table so table operations on different prefixes
-// proceed independently. The shard of a prefix is a pure function of the
-// prefix, so a given (prefix, path) always lands in the same shard and
-// per-prefix orderings are preserved no matter how many shards exist.
+// Prefix-hash sharding for ShardedAdj, the server's per-upstream
+// Adj-RIB-In. A full Internet table (~1M prefixes) under one RWMutex
+// would serialize the server's ingest workers and make each client's
+// replay a scan under that same lock; splitting the table by prefix hash
+// gives each shard its own lock and hash table, so one worker owns each
+// shard and table operations on different shards proceed independently.
+// The shard of a prefix is a pure function of the prefix, so a given
+// (prefix, path) always lands in the same shard and per-prefix orderings
+// are preserved no matter how many shards exist.
 
 import (
 	"net/netip"
@@ -37,7 +38,7 @@ func DefaultShards() int {
 	if n > 64 {
 		n = 64
 	}
-	return shardCount(n)
+	return ShardCount(n)
 }
 
 // ShardCount normalizes a requested shard count: <= 0 means the
@@ -45,9 +46,7 @@ func DefaultShards() int {
 // index is a mask instead of a modulo. Exported so owners of parallel
 // per-shard structures (the server's ingest pool and fan-out queues)
 // resolve the same count the tables do.
-func ShardCount(n int) int { return shardCount(n) }
-
-func shardCount(n int) int {
+func ShardCount(n int) int {
 	if n <= 0 {
 		return DefaultShards()
 	}
@@ -59,17 +58,15 @@ func shardCount(n int) int {
 }
 
 // PrefixShard hashes a prefix to a shard selector; masking with a
-// power-of-two shard count picks the shard. Exported so the server can
-// partition ingest work and queue slots on the same function the
-// tables use, keeping one prefix on one worker end to end. It hashes
+// power-of-two shard count picks the shard. Exported so the server
+// partitions ingest work, Adj-RIB-In shards and queue slots on one
+// function, keeping one prefix on one worker end to end. It hashes
 // the masked form of p, the form the tables key by, so a prefix given
-// with host bits set lands in the shard that holds it.
-func PrefixShard(p netip.Prefix) uint32 { return maskedShard(p.Masked()) }
-
-// maskedShard hashes an already masked prefix to a shard selector
-// (FNV-1a over the 16-byte address plus the prefix length, with the
-// high half folded in so small masks still see the whole hash).
-func maskedShard(p netip.Prefix) uint32 {
+// with host bits set lands in the shard that holds it. The hash is
+// FNV-1a over the 16-byte address plus the prefix length, with the high
+// half folded in so small masks still see the whole hash.
+func PrefixShard(p netip.Prefix) uint32 {
+	p = p.Masked()
 	b := p.Addr().As16()
 	h := uint32(2166136261)
 	for _, c := range b {
@@ -104,7 +101,7 @@ type adjShard struct {
 // NewShardedAdj returns an empty table with n shards (rounded up to a
 // power of two; n <= 0 means DefaultShards).
 func NewShardedAdj(n int) *ShardedAdj {
-	n = shardCount(n)
+	n = ShardCount(n)
 	s := &ShardedAdj{shards: make([]adjShard, n)}
 	for i := range s.shards {
 		s.shards[i].rib = NewAdjRIB()

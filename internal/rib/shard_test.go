@@ -100,10 +100,9 @@ func TestWithdrawReleasesSlot(t *testing.T) {
 // locEntry digs the internal entry for p out of l (test-only).
 func locEntry(t *testing.T, l *LocRIB, p netip.Prefix) *entry {
 	t.Helper()
-	sh, p := l.shard(p)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.m[p]
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	e := l.m[p.Masked()]
 	if e == nil {
 		t.Fatalf("prefix %v not present", p)
 	}
@@ -155,63 +154,13 @@ func TestAdjRIBSetAliasing(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Sharding invariance and concurrency
+// Concurrency
 
-// TestShardingInvariance drives the same announce/withdraw sequence
-// into 1-, 4-, and 16-shard tables and requires identical best routes:
-// the shard count must never change a decision.
-func TestShardingInvariance(t *testing.T) {
-	tables := []*LocRIB{NewLocRIBShards(1), NewLocRIBShards(4), NewLocRIBShards(16)}
-	rng := rand.New(rand.NewSource(7))
-	peers := []string{"192.0.2.1", "192.0.2.2", "192.0.2.3", "192.0.2.4"}
-	prefixes := make([]netip.Prefix, 200)
-	for i := range prefixes {
-		prefixes[i] = prefix(fmt.Sprintf("10.%d.%d.0/24", i/250, i%250))
-	}
-	for step := 0; step < 4000; step++ {
-		pi, peer := rng.Intn(len(prefixes)), peers[rng.Intn(len(peers))]
-		if rng.Intn(3) == 0 {
-			for _, l := range tables {
-				l.Withdraw(prefixes[pi], PeerKey{Addr: addr(peer)})
-			}
-			continue
-		}
-		aslen := 1 + rng.Intn(4)
-		for _, l := range tables {
-			l.Update(mkRoute(prefixes[pi].String(), peer, func(r *Route) {
-				path := make([]uint32, aslen)
-				for j := range path {
-					path[j] = 65000 + uint32(j)
-				}
-				r.Attrs = &wire.Attrs{Origin: wire.OriginIGP, ASPath: []wire.Segment{{Type: wire.SegSequence, ASNs: path}}, NextHop: addr(peer)}
-			}))
-		}
-	}
-	ref := tables[0]
-	for _, l := range tables[1:] {
-		if ref.Prefixes() != l.Prefixes() || ref.Routes() != l.Routes() {
-			t.Fatalf("size mismatch: %d shards has %d/%d, 1 shard has %d/%d",
-				l.Shards(), l.Prefixes(), l.Routes(), ref.Prefixes(), ref.Routes())
-		}
-	}
-	for _, p := range prefixes {
-		want := ref.Best(p)
-		for _, l := range tables[1:] {
-			got := l.Best(p)
-			switch {
-			case (want == nil) != (got == nil):
-				t.Fatalf("%v: best presence differs between 1 and %d shards", p, l.Shards())
-			case want != nil && (want.Src != got.Src || !want.Attrs.Equal(got.Attrs)):
-				t.Fatalf("%v: best differs between 1 and %d shards: %v vs %v", p, l.Shards(), want, got)
-			}
-		}
-	}
-}
-
-// TestLocRIBConcurrentShardOps exercises concurrent shard-local
-// Update/Withdraw/Best/WalkBest under the race detector.
-func TestLocRIBConcurrentShardOps(t *testing.T) {
-	l := NewLocRIBShards(8)
+// TestLocRIBConcurrentOps exercises Update/Withdraw/WithdrawPeer from
+// several writers alongside Best/WalkBest/WalkAll readers under the race
+// detector: a router's session goroutines write the one table at once.
+func TestLocRIBConcurrentOps(t *testing.T) {
+	l := NewLocRIB()
 	const writers, iters = 4, 400
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -222,12 +171,17 @@ func TestLocRIBConcurrentShardOps(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < iters; i++ {
 				p := fmt.Sprintf("10.%d.%d.0/24", w, rng.Intn(64))
-				if rng.Intn(4) == 0 {
+				switch op := rng.Intn(40); {
+				case op == 0:
+					l.WithdrawPeer(addr(peer))
+				case op < 10:
 					l.Withdraw(prefix(p), PeerKey{Addr: addr(peer)})
-				} else {
+				default:
 					l.Update(mkRoute(p, peer, nil))
 				}
 			}
+			// A last announcement, so the table cannot end empty.
+			l.Update(mkRoute(fmt.Sprintf("10.%d.255.0/24", w), peer, nil))
 		}(w)
 	}
 	for r := 0; r < 2; r++ {
@@ -238,13 +192,19 @@ func TestLocRIBConcurrentShardOps(t *testing.T) {
 				l.Best(prefix(fmt.Sprintf("10.%d.%d.0/24", i%writers, i%64)))
 				n := 0
 				l.WalkBest(func(*Route) bool { n++; return n < 50 })
+				l.WalkAll(func(*Route) bool { n++; return true })
 				_ = l.Routes()
 			}
 		}(r)
 	}
 	wg.Wait()
-	if l.Prefixes() == 0 {
-		t.Fatal("table empty after concurrent load")
+	if l.Prefixes() < writers {
+		t.Fatalf("prefixes = %d after concurrent load, want at least %d", l.Prefixes(), writers)
+	}
+	n := 0
+	l.WalkAll(func(*Route) bool { n++; return true })
+	if n != l.Routes() {
+		t.Fatalf("WalkAll visited %d routes, Routes() = %d", n, l.Routes())
 	}
 }
 

@@ -88,8 +88,8 @@ type outQueue struct {
 	hardLimit int
 }
 
+// newOutQueue's shards is the server's resolved count, a power of two.
 func newOutQueue(hardLimit, shards int) *outQueue {
-	shards = rib.ShardCount(shards)
 	q := &outQueue{
 		shards:    make([]outQueueShard, shards),
 		mask:      uint32(shards - 1),

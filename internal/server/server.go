@@ -375,11 +375,11 @@ func (c *clientConn) drainSupervisors() {
 
 // Server is a PEERING server instance.
 //
-// Lock hierarchy (DESIGN.md §12): the four registry locks below — upMu,
-// clMu, acctMu, timerMu — are leaves: code holding an Upstream.mu or
-// clientConn.mu may take them, never the reverse, and no code path
-// holds two of them at once. The registries are read-mostly: the hot
-// path (relay, stats) read-locks upMu and takes no lock at all for the
+// Lock hierarchy (DESIGN.md §12): mu, the one registry lock, is a leaf:
+// it may be taken under an Upstream.mu or clientConn.mu, and code
+// holding it takes no other lock but the clock's — not even mu again.
+// The registries are read-mostly: the hot path (relay, stats)
+// read-locks mu for the upstream map and takes no lock at all for the
 // client list, the allocations or the archive — vetting reads the
 // allocation table and the connection's own account — so concurrent
 // upstream readers never serialize on client admission and bookkeeping.
@@ -402,27 +402,25 @@ type Server struct {
 	// swaps it. Nil current filter = unfiltered.
 	policy compiled.Engine
 
-	upMu      sync.RWMutex
+	// mu guards the registries: the upstream map, swaps of the client
+	// list, the accounts and their allocations, and the restart timers.
+	mu        sync.RWMutex
 	upstreams map[uint32]*Upstream
 
 	// clients is the registry of connected clients, one per account ID:
-	// a copy-on-write slice, swapped under clMu on every membership
-	// change and read lock-free by the ingest workers — once per relayed
-	// update, where a fresh slice would dominate the hot path's allocation.
-	clMu    sync.Mutex
+	// a copy-on-write slice, swapped under mu on every membership change
+	// and read lock-free by the ingest workers — once per relayed update,
+	// where a fresh slice would dominate the hot path's allocation.
 	clients atomic.Pointer[[]*clientConn]
 
-	acctMu   sync.RWMutex
 	accounts map[string]ClientAccount
 	owners   map[netip.Prefix]string // allocated prefix (masked) → client ID
 	// alloc is owners as an index, rebuilt by RegisterClient, its only
-	// writer: vetting and the spoof filter read it without acctMu.
+	// writer: vetting and the spoof filter read it without mu.
 	alloc atomic.Pointer[trie.Flat[string]]
 
-	// timerMu guards restartTimers, which backstop per-client
-	// graceful-restart windows: if the client has not re-announced its
-	// stale routes by then, they flush.
-	timerMu       sync.Mutex
+	// restartTimers backstop per-client graceful-restart windows: if the
+	// client has not re-announced its stale routes by then, they flush.
 	restartTimers map[string]clock.Timer
 
 	// arch is the optional MRT archive and archSnapSeq its snapshot
@@ -515,9 +513,9 @@ func (s *Server) AddUpstream(cfg UpstreamConfig) (*Upstream, error) {
 	if cfg.ID == 0 {
 		return nil, errors.New("server: upstream ID must be ≥1 (0 is reserved)")
 	}
-	s.upMu.Lock()
+	s.mu.Lock()
 	if _, dup := s.upstreams[cfg.ID]; dup {
-		s.upMu.Unlock()
+		s.mu.Unlock()
 		return nil, fmt.Errorf("server: upstream ID %d already registered", cfg.ID)
 	}
 	u := &Upstream{
@@ -529,7 +527,7 @@ func (s *Server) AddUpstream(cfg UpstreamConfig) (*Upstream, error) {
 	}
 	u.adjIn.SetInterner(s.intern)
 	s.upstreams[cfg.ID] = u
-	s.upMu.Unlock()
+	s.mu.Unlock()
 	// A client whose session came up before this upstream existed gets
 	// no further Established replay for it, so replay the (still empty)
 	// table now: the walk opens the client's live-traffic sync gates for
@@ -544,15 +542,15 @@ func (s *Server) AddUpstream(cfg UpstreamConfig) (*Upstream, error) {
 
 // Upstream returns the upstream with the given ID.
 func (s *Server) Upstream(id uint32) *Upstream {
-	s.upMu.RLock()
-	defer s.upMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.upstreams[id]
 }
 
 // Upstreams lists all registered upstream peers.
 func (s *Server) Upstreams() []*Upstream {
-	s.upMu.RLock()
-	defer s.upMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]*Upstream, 0, len(s.upstreams))
 	for _, u := range s.upstreams {
 		out = append(out, u)
@@ -821,8 +819,8 @@ func (s *Server) clientList() []*clientConn { return *s.clients.Load() }
 // entry) and returns the entry it displaced. With only set, nothing
 // changes unless the current entry is exactly that connection.
 func (s *Server) swapClient(id string, c, only *clientConn) (old *clientConn) {
-	s.clMu.Lock()
-	defer s.clMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	cur := s.clientList()
 	next := make([]*clientConn, 0, len(cur)+1)
 	for _, x := range cur {
@@ -848,8 +846,8 @@ func (s *Server) swapClient(id string, c, only *clientConn) (old *clientConn) {
 // RegisterClient records a vetted experiment account. Must precede
 // AcceptClient for that ID.
 func (s *Server) RegisterClient(acct ClientAccount) error {
-	s.acctMu.Lock()
-	defer s.acctMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, dup := s.accounts[acct.ID]; dup {
 		return fmt.Errorf("server: client %q already registered", acct.ID)
 	}
@@ -892,8 +890,8 @@ func (s *Server) allocatedTo(acct ClientAccount, p netip.Prefix) bool {
 
 // accountOf returns the registered account for client id.
 func (s *Server) accountOf(id string) (ClientAccount, bool) {
-	s.acctMu.RLock()
-	defer s.acctMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	acct, ok := s.accounts[id]
 	return acct, ok
 }
@@ -1071,7 +1069,7 @@ func (s *Server) markClientStale(id string, only *Upstream) {
 		return
 	}
 	s.metrics.staleRetained.Add(uint64(n))
-	s.timerMu.Lock()
+	s.mu.Lock()
 	if _, armed := s.restartTimers[id]; !armed && !s.closed.Load() {
 		// Off the callback: the withdrawals are written to upstream
 		// sessions, and a timer callback never writes to a transport.
@@ -1079,7 +1077,7 @@ func (s *Server) markClientStale(id string, only *Upstream) {
 			go s.dropClientAdverts(id, nil, true)
 		})
 	}
-	s.timerMu.Unlock()
+	s.mu.Unlock()
 }
 
 // dropClientAdverts withdraws client id's adverts from upstreams (only,
@@ -1123,12 +1121,12 @@ func (s *Server) dropClientAdverts(id string, only *Upstream, staleOnly bool) {
 		}
 		u.mu.RUnlock()
 	}
-	s.timerMu.Lock()
+	s.mu.Lock()
 	if t := s.restartTimers[id]; t != nil {
 		t.Stop()
 		delete(s.restartTimers, id)
 	}
-	s.timerMu.Unlock()
+	s.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------
@@ -1174,10 +1172,10 @@ func (s *Server) Close() {
 	s.closed.Store(true)
 	clients := s.clientList()
 	ups := s.Upstreams()
-	s.timerMu.Lock()
+	s.mu.Lock()
 	timers := s.restartTimers
 	s.restartTimers = make(map[string]clock.Timer)
-	s.timerMu.Unlock()
+	s.mu.Unlock()
 	for _, t := range timers {
 		t.Stop()
 	}

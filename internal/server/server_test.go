@@ -2,13 +2,18 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"peering/internal/bufconn"
 	"peering/internal/client"
+	"peering/internal/clock"
 	"peering/internal/dataplane"
 	"peering/internal/muxproto"
 	"peering/internal/router"
@@ -531,4 +536,144 @@ func TestModeSessionCountAblation(t *testing.T) {
 	rb := newRig(t, muxproto.ModeBIRD)
 	cb := rb.connectClient(t, "exp1", clientAlloc(), false)
 	waitFor(t, "bird session", func() bool { return cb.SessionCount() == 1 })
+}
+
+// TestRegistryUnderConcurrency drives every writer of Server.mu at once
+// — upstreams added, accounts registered, clients accepted, superseded
+// and detached (arming restart timers), a superseding client's
+// end-of-RIB disarming one — beside pollers reading the registries, then
+// Close. Run under -race; a nested acquisition of the lock would leave
+// the run hanging past its deadline.
+func TestRegistryUnderConcurrency(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	srv := newCheckedServer(t, Config{
+		Site: "registry01", ASN: testbedASN, RouterID: addr("184.164.224.1"),
+		Mode: muxproto.ModeBIRD, Clock: clk, Shards: 2,
+	})
+	upstream := func(id int) UpstreamConfig {
+		return UpstreamConfig{
+			ID: uint32(id), Name: fmt.Sprintf("up%d", id), ASN: uint32(3000 + id),
+			PeerAddr: addr(fmt.Sprintf("80.249.208.%d", 10*id)), LocalAddr: addr("80.249.208.1"),
+		}
+	}
+	// One upstream before anyone connects, so every client's announcement
+	// is booked and its loss arms a restart timer.
+	first, err := srv.AddUpstream(upstream(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// connect accepts client id over a fresh pipe; the client runs on the
+	// system clock.
+	connect := func(id string, tun netip.Addr) (*bufconn.Conn, *client.Client, error) {
+		ca, cb := bufconn.Pipe()
+		if err := srv.AcceptClient(id, ca); err != nil {
+			return nil, nil, err
+		}
+		cl, err := client.Connect(client.Config{Name: id, RouterID: tun}, cb)
+		if err != nil {
+			return nil, nil, err
+		}
+		t.Cleanup(func() { cl.Close() })
+		return ca, cl, cl.WaitEstablished(10 * time.Second)
+	}
+	// join registers client k, announces its /24, waits for the advert to
+	// be booked, then either reconnects (k == 1: the supersede path) or
+	// closes its transport (detachClient).
+	join := func(k int) error {
+		id, tun := fmt.Sprintf("exp%d", k), addr(fmt.Sprintf("10.250.0.%d", k))
+		mine := netip.PrefixFrom(netip.AddrFrom4([4]byte{184, 164, byte(224 + k), 0}), 24)
+		if err := srv.RegisterClient(ClientAccount{ID: id, TunnelAddr: tun, Allocation: []netip.Prefix{mine}}); err != nil {
+			return err
+		}
+		transport, cl, err := connect(id, tun)
+		if err != nil {
+			return err
+		}
+		if err := cl.Announce(mine, client.AnnounceOptions{}); err != nil {
+			return err
+		}
+		for deadline := time.Now().Add(10 * time.Second); !advertisedHas(first, mine, id); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%s: advert never booked", id)
+			}
+		}
+		if k == 1 {
+			_, _, err := connect(id, tun)
+			return err
+		}
+		return transport.Close()
+	}
+
+	// A nested acquisition of the lock hangs the run: end it with every
+	// goroutine's stack instead of waiting out the test binary's timeout
+	// (the test's cleanup would hang in Close too).
+	hang := time.AfterFunc(20*time.Second, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("registry operations still running after 20s:\n%s", buf[:runtime.Stack(buf, true)]))
+	})
+	defer hang.Stop()
+	const clients = 4
+	errs := make(chan error, clients+1)
+	var work sync.WaitGroup
+	work.Add(clients + 1)
+	go func() {
+		defer work.Done()
+		for id := 2; id <= 5; id++ {
+			if _, err := srv.AddUpstream(upstream(id)); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for k := 1; k <= clients; k++ {
+		go func() {
+			defer work.Done()
+			if err := join(k); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var polls sync.WaitGroup
+	polls.Add(1)
+	go func() {
+		defer polls.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+			_ = srv.Upstreams()
+			_ = srv.QueueDepths()
+			_ = srv.Stats()
+		}
+	}()
+	work.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// exp1's second connection is the one client left; exp2..4 wait out
+	// their restart windows, while exp1's end-of-RIB flushed its stale
+	// advert and disarmed its timer.
+	armed := func() []string {
+		srv.mu.RLock()
+		defer srv.mu.RUnlock()
+		return slices.Sorted(maps.Keys(srv.restartTimers))
+	}
+	waitFor(t, "one client left and three restart timers armed", func() bool {
+		return srv.ClientCount() == 1 && slices.Equal(armed(), []string{"exp2", "exp3", "exp4"})
+	})
+	if n := len(srv.Upstreams()); n != 5 {
+		t.Fatalf("%d upstreams registered, want 5", n)
+	}
+	close(stop)
+	polls.Wait()
+	srv.Close()
+	if got := armed(); len(got) != 0 {
+		t.Fatalf("restart timers left after Close: %v", got)
+	}
 }

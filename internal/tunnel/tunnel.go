@@ -90,17 +90,6 @@ func (m *Mux) Open(id uint32) *Stream {
 	return s
 }
 
-// CloseStream removes a stream and signals EOF to its reader.
-func (m *Mux) CloseStream(id uint32) {
-	m.mu.Lock()
-	s := m.streams[id]
-	delete(m.streams, id)
-	m.mu.Unlock()
-	if s != nil {
-		s.shutdown(io.EOF)
-	}
-}
-
 // Close tears down the mux and every stream.
 func (m *Mux) Close() error {
 	m.fail(errors.New("tunnel: mux closed"))

@@ -51,14 +51,6 @@ func CapFourOctet(asn uint32) Capability {
 	return Capability{Code: CapFourOctetAS, Value: v}
 }
 
-// CapMP builds a multiprotocol capability for afi/safi.
-func CapMP(afi uint16, safi uint8) Capability {
-	v := make([]byte, 4)
-	binary.BigEndian.PutUint16(v, afi)
-	v[3] = safi
-	return Capability{Code: CapMultiprotocol, Value: v}
-}
-
 // CapAddPathIPv4 builds the ADD-PATH capability for IPv4/unicast with
 // the given direction.
 func CapAddPathIPv4(dir uint8) Capability {

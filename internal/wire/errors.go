@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Notification error codes (RFC 4271 §4.5).
 const (
@@ -115,17 +112,6 @@ func NotifError(code, sub uint8, data []byte) *Error {
 // withdrawError builds an UPDATE error handled as treat-as-withdraw.
 func withdrawError(sub uint8, data []byte) *Error {
 	return &Error{Code: CodeUpdateMessageError, Subcode: sub, Data: data, Action: ActionTreatAsWithdraw}
-}
-
-// ErrAction classifies err: the RFC 7606 action of the wire.Error in
-// its chain, or session-reset (the conservative default) for any other
-// error.
-func ErrAction(err error) ErrorAction {
-	var we *Error
-	if errors.As(err, &we) {
-		return we.Action
-	}
-	return ActionSessionReset
 }
 
 func (e *Error) Error() string {
