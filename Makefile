@@ -154,8 +154,11 @@ docs: vet
 # The ceiling is the measured count: 3543 with frames as plain values,
 # plus the flusher writing a whole drain as one SendEncoded per session
 # (grouping by session, counting once per drain) in the per-frame
-# flushFrame's place, less the three registry locks merged into Server.mu.
-SERVER_LINES_MAX = 3576
+# flushFrame's place, less the three registry locks merged into Server.mu,
+# plus the announce direction taking a client's read burst (3576 → 3708):
+# the handler's reused burst scratch, one upstream's runs encoded into one
+# write, and which runs stay pending when that write fails.
+SERVER_LINES_MAX = 3708
 # internal/rib has a ceiling too since PR 24, set to that PR's count. It
 # was 788 before: the compact Adj-RIB (DESIGN.md §12 "The table at
 # rest") added the slot codec — key to prefix and back, the learned time

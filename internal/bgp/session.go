@@ -570,7 +570,8 @@ func (s *Session) reader() error {
 	// Batched delivery engages when both ends support it: the handler
 	// accepts slices and the transport can say whether more bytes are
 	// already readable, so collecting never blocks waiting for traffic
-	// that may not come. batch is reused across deliveries.
+	// that may not come. batch is reused across deliveries and cleared
+	// after each, so that an idle session pins nothing it decoded.
 	bh, _ := s.handler.(BatchHandler)
 	bc, _ := s.conn.(interface{ Buffered() int })
 	batching := bh != nil && bc != nil
@@ -583,6 +584,7 @@ func (s *Session) reader() error {
 			// buffered), so the reset is at most a drain-loop late.
 			s.resetHold()
 			bh.UpdateBatchReceived(s, batch)
+			clear(batch)
 			batch = batch[:0]
 		}
 	}

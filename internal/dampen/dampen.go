@@ -3,21 +3,24 @@
 // experiment cannot destabilize routing for the rest of the Internet
 // (§3 "Enforcing safety").
 //
-// Each (prefix, source, peering) key accumulates a penalty on every flap
+// A Damper keeps the records of one peering: RFC 2439 keeps its figure
+// of merit per peering, so one announcement steered to three upstreams
+// is one flap in each of three dampers, not three flaps of one route.
+// Each (prefix, source) key accumulates a penalty on every flap
 // (withdrawal or attribute change). The penalty decays exponentially
 // with a configurable half-life. When it crosses the suppress threshold
 // the route is suppressed — not propagated — until decay brings it back
 // under the reuse threshold.
 //
-// A damper is observable through an optional Metrics instance
-// (Instrument): penalty applications by kind, suppress/reuse threshold
-// crossings, and a scrape-time gauge of tracked records.
+// Dampers are observable through an optional Metrics instance, which
+// any number of them may share (NewMetrics, Instrument): penalty
+// applications by kind, suppress/reuse threshold crossings, and a
+// scrape-time gauge of tracked records.
 package dampen
 
 import (
 	"math"
 	"net/netip"
-	"sync"
 	"time"
 
 	"peering/internal/clock"
@@ -62,15 +65,11 @@ func (c Config) maxPenalty() float64 {
 	return c.ReuseThreshold * math.Exp2(float64(c.MaxSuppress)/float64(c.HalfLife))
 }
 
-// Key identifies a dampened route: the prefix, the announcing source,
-// and the peering the route is announced on. RFC 2439 keeps its figure
-// of merit per peering: one announcement steered to three upstreams is
-// one flap on each of three sessions, not three flaps of one route.
-// Callers with a single peering leave Upstream zero.
+// Key identifies a dampened route within its peering's damper: the
+// prefix and the announcing source.
 type Key struct {
-	Prefix   netip.Prefix
-	Source   netip.Addr
-	Upstream uint32
+	Prefix netip.Prefix
+	Source netip.Addr
 }
 
 // recKey is Key without pointers (a netip.Addr carries one for its
@@ -79,17 +78,15 @@ type Key struct {
 // Zones are dropped: BGP prefixes and tunnel addresses have none.
 type recKey struct {
 	prefix, source [16]byte
-	upstream       uint32
 	bits           int16
 	v4             uint8 // bit 0: Prefix is IPv4; bit 1: Source is IPv4
 }
 
 func (k Key) rec() recKey {
 	r := recKey{
-		prefix:   k.Prefix.Addr().As16(),
-		source:   k.Source.As16(),
-		upstream: k.Upstream,
-		bits:     int16(k.Prefix.Bits()),
+		prefix: k.Prefix.Addr().As16(),
+		source: k.Source.As16(),
+		bits:   int16(k.Prefix.Bits()),
 	}
 	if k.Prefix.Addr().Is4() {
 		r.v4 |= 1
@@ -109,10 +106,12 @@ type state struct {
 	suppressed bool
 }
 
-// minSweepAt is the table size below which recordPenalty never sweeps.
+// minSweepAt is the table size below which RecordAt never sweeps.
 const minSweepAt = 1024
 
-// Damper tracks flap penalties. It is safe for concurrent use.
+// Damper tracks the flap penalties of one peering. It is not safe for
+// concurrent use: its owner serialises every call (the server makes
+// them only under the upstream's lock).
 type Damper struct {
 	cfg        Config
 	maxPenalty float64 // cfg.maxPenalty(), computed once
@@ -120,7 +119,6 @@ type Damper struct {
 	start      time.Time
 	metrics    *Metrics // set by Instrument; nil disables recording
 
-	mu     sync.Mutex
 	states map[recKey]state
 	// sweepAt is the table size at which the next new record sweeps out
 	// the decayed ones first: twice what the previous sweep left, so the
@@ -162,7 +160,7 @@ func (d *Damper) decayTo(s *state, now time.Duration) {
 }
 
 // decayed returns k's record brought forward to now and stored back
-// (so a reuse crossing is counted once). Callers hold d.mu.
+// (so a reuse crossing is counted once).
 func (d *Damper) decayed(k Key) (state, bool) {
 	rk := k.rec()
 	s, ok := d.states[rk]
@@ -173,17 +171,19 @@ func (d *Damper) decayed(k Key) (state, bool) {
 	return s, ok
 }
 
-// recordPenalty applies a flap of weight w to key k and returns whether
-// the route is now suppressed.
-func (d *Damper) recordPenalty(k Key, w float64, withdraw bool) bool {
-	rk := k.rec()
-	now := d.now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// RecordAt applies a flap of k at time t — a withdrawal, or else a
+// (re-)announcement — and returns whether the route is now suppressed.
+// A caller that reads the clock once for many flaps passes that reading.
+func (d *Damper) RecordAt(k Key, t time.Time, withdraw bool) bool {
+	w := d.cfg.FlapPenalty
+	if withdraw {
+		w = d.cfg.WithdrawPenalty
+	}
+	rk, now := k.rec(), t.Sub(d.start)
 	s, ok := d.states[rk]
 	if !ok {
 		if len(d.states) >= d.sweepAt {
-			d.sweepLocked(now)
+			d.sweep(now)
 			d.sweepAt = max(2*len(d.states), minSweepAt)
 		}
 		s.lastUpdate = now
@@ -202,28 +202,24 @@ func (d *Damper) recordPenalty(k Key, w float64, withdraw bool) bool {
 // RecordFlap registers a re-announcement (attribute change) of k,
 // returning true if the route is suppressed.
 func (d *Damper) RecordFlap(k Key) bool {
-	return d.recordPenalty(k, d.cfg.FlapPenalty, false)
+	return d.RecordAt(k, d.clock.Now(), false)
 }
 
 // RecordWithdraw registers a withdrawal of k, returning true if the
 // route is suppressed.
 func (d *Damper) RecordWithdraw(k Key) bool {
-	return d.recordPenalty(k, d.cfg.WithdrawPenalty, true)
+	return d.RecordAt(k, d.clock.Now(), true)
 }
 
 // Suppressed reports whether k is currently suppressed, applying decay
 // first.
 func (d *Damper) Suppressed(k Key) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s, _ := d.decayed(k)
 	return s.suppressed
 }
 
 // Penalty returns the current decayed penalty for k (0 if untracked).
 func (d *Damper) Penalty(k Key) float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s, _ := d.decayed(k)
 	return s.penalty
 }
@@ -231,8 +227,6 @@ func (d *Damper) Penalty(k Key) float64 {
 // ReuseIn estimates how long until k's penalty decays below the reuse
 // threshold (zero if not suppressed).
 func (d *Damper) ReuseIn(k Key) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s, _ := d.decayed(k)
 	if !s.suppressed || s.penalty <= d.cfg.ReuseThreshold {
 		return 0
@@ -242,19 +236,17 @@ func (d *Damper) ReuseIn(k Key) time.Duration {
 }
 
 // Sweep removes fully decayed records, returning how many remain.
-// recordPenalty sweeps by itself whenever the table has doubled since
+// RecordAt sweeps by itself whenever the table has doubled since
 // the last sweep, so a record outlives its route's last flap by at most
 // MaxSuppress + HalfLife·log2(ReuseThreshold) of further traffic (the
 // capped penalty decaying below 1); nobody needs to call this on a
 // timer.
 func (d *Damper) Sweep() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sweepLocked(d.now())
+	d.sweep(d.now())
 	return len(d.states)
 }
 
-func (d *Damper) sweepLocked(now time.Duration) {
+func (d *Damper) sweep(now time.Duration) {
 	for k, s := range d.states {
 		was := s.suppressed
 		d.decayTo(&s, now)
@@ -267,9 +259,5 @@ func (d *Damper) sweepLocked(now time.Duration) {
 	}
 }
 
-// Tracked reports how many (prefix, source, upstream) records exist.
-func (d *Damper) Tracked() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.states)
-}
+// Tracked reports how many (prefix, source) records exist.
+func (d *Damper) Tracked() int { return len(d.states) }

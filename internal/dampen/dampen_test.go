@@ -123,21 +123,39 @@ func TestKeysIndependent(t *testing.T) {
 	k1 := key("100.64.0.0/24", "10.0.0.1")
 	k2 := key("100.64.1.0/24", "10.0.0.1")
 	k3 := key("100.64.0.0/24", "10.0.0.2")
-	// The same route on another peering, and the IPv4-mapped IPv6 twins
-	// of k1's prefix and source, are different keys.
-	k4 := k1
-	k4.Upstream = 2
-	k5 := key("::ffff:100.64.0.0/120", "10.0.0.1")
-	k6 := key("100.64.0.0/24", "::ffff:10.0.0.1")
+	// The IPv4-mapped IPv6 twins of k1's prefix and source are different
+	// keys. (The same route on another peering is another damper.)
+	k4 := key("::ffff:100.64.0.0/120", "10.0.0.1")
+	k5 := key("100.64.0.0/24", "::ffff:10.0.0.1")
 	d.RecordFlap(k1)
 	d.RecordFlap(k1)
 	if !d.Suppressed(k1) {
 		t.Fatal("k1 not suppressed")
 	}
-	for i, k := range []Key{k2, k3, k4, k5, k6} {
+	for i, k := range []Key{k2, k3, k4, k5} {
 		if d.Suppressed(k) || d.Penalty(k) != 0 {
 			t.Fatalf("suppression leaked across keys (k%d)", i+2)
 		}
+	}
+}
+
+// TestRecordAtTakesTheCallersReading: a flap is charged at the reading
+// it is given, not at the damper's clock, and a reading behind the
+// record's last update neither decays it nor turns it back.
+func TestRecordAtTakesTheCallersReading(t *testing.T) {
+	d, v := newTest()
+	k := key("100.64.0.0/24", "10.0.0.1")
+	at := v.Now()
+	v.Advance(15 * time.Minute)
+	// Charged a half-life ago, read now.
+	if d.RecordAt(k, at, false) || math.Abs(d.Penalty(k)-500) > 0.5 {
+		t.Fatalf("penalty %v one half-life after the flap, want ≈500", d.Penalty(k))
+	}
+	if d.RecordAt(k, at, true) || math.Abs(d.Penalty(k)-1500) > 0.5 {
+		t.Fatalf("penalty %v after a withdrawal stamped behind the last update, want ≈1500", d.Penalty(k))
+	}
+	if !d.RecordAt(k, at, false) {
+		t.Fatal("penalty ≈2500 not suppressed")
 	}
 }
 

@@ -2,9 +2,10 @@ package dampen
 
 import "peering/internal/telemetry"
 
-// Metrics is the damper's instrument set. Attach one to a Damper with
-// Instrument; a damper without metrics (the zero state) records
-// nothing and pays only a nil check per event.
+// Metrics is the dampers' instrument set, registered once by NewMetrics
+// and shared by every damper it is attached to with Instrument; a
+// damper without metrics (the zero state) records nothing and pays only
+// a nil check per event.
 type Metrics struct {
 	// Penalties counts penalty applications by kind ("flap" for
 	// re-announcements, "withdraw" for explicit withdrawals).
@@ -16,14 +17,14 @@ type Metrics struct {
 	Reuses       *telemetry.Counter
 
 	// The two children of Penalties, resolved once: every flap counts
-	// one of them while the damper's mutex is held.
+	// one of them.
 	flaps, withdraws *telemetry.Counter
 }
 
-// Instrument registers the dampening metrics on r and attaches them to
-// d, including a scrape-time gauge of tracked (prefix, source) records.
-// Call at most once per damper, before concurrent use begins.
-func (d *Damper) Instrument(r *telemetry.Registry) *Metrics {
+// NewMetrics registers the dampening metrics on r, including a
+// scrape-time gauge that reads tracked: the records held by every damper
+// the metrics are attached to.
+func NewMetrics(r *telemetry.Registry, tracked func() int) *Metrics {
 	m := &Metrics{
 		Penalties: r.CounterVec("peering_dampen_penalties_total",
 			"Flap-dampening penalty applications, by kind.", "kind"),
@@ -35,10 +36,12 @@ func (d *Damper) Instrument(r *telemetry.Registry) *Metrics {
 	m.flaps, m.withdraws = m.Penalties.With("flap"), m.Penalties.With("withdraw")
 	r.GaugeFunc("peering_dampen_tracked_keys",
 		"Dampening records currently tracked (prefix, source, upstream keys); decayed records are swept as the table grows.",
-		func() float64 { return float64(d.Tracked()) })
-	d.metrics = m
+		func() float64 { return float64(tracked()) })
 	return m
 }
+
+// Instrument attaches m to d, before d is first used.
+func (d *Damper) Instrument(m *Metrics) { d.metrics = m }
 
 func (m *Metrics) penalty(withdraw bool) {
 	switch {

@@ -4,15 +4,17 @@ package server
 // ("Enforcing safety"); DESIGN.md §17 has the order of checks and why.
 // One handler serves both mux modes, which differ only in how an NLRI
 // names its upstream (the session it arrived on in Quagga mode, its
-// ADD-PATH path ID in BIRD mode). What depends on the UPDATE's
-// attributes is decided once per UPDATE, what depends on the prefix
-// once per prefix, and an upstream's advert table is read and written
-// under one hold of its lock.
+// ADD-PATH path ID in BIRD mode). It takes what the session reader
+// read in one go: every UPDATE of the burst is vetted alone — what
+// depends on its attributes once per UPDATE, what depends on the prefix
+// once per prefix — and the burst is then relayed once per upstream,
+// under one hold of its lock and in one write.
 
 import (
 	"net"
 	"net/netip"
 	"slices"
+	"sync"
 	"time"
 
 	"peering/internal/bgp"
@@ -30,6 +32,47 @@ type clientSessHandler struct {
 	// upstream is the peer a Quagga-mode session stands for; nil on the
 	// BIRD-mode ADD-PATH session, which covers every upstream.
 	upstream *Upstream
+
+	// mu serialises the bursts that share burst: a supervisor's
+	// successive sessions share their handler, and a dead session's
+	// reader may still be inside it when its successor's starts.
+	mu    sync.Mutex
+	burst clientBurst
+}
+
+// clientBurst is a handler's scratch, reused from burst to burst so that
+// holding one allocates nothing, and cleared after each relay so that it
+// pins nothing a burst decoded.
+type clientBurst struct {
+	vetted []vettedUpdate // what passed vetting, in arrival order
+	ups    []*Upstream    // BIRD mode: every upstream a path ID named
+	// runs and nlris are one upstream's share of vetted at a time: what
+	// each UPDATE withdraws and announces toward it, back to back.
+	runs  []relayRun
+	nlris []wire.NLRI
+	// encoded is the size of the last share's encoding, the buffer the
+	// next one asks the pool for.
+	encoded int
+}
+
+// vettedUpdate is one UPDATE of a burst after vetting.
+type vettedUpdate struct {
+	// upd's Withdrawn and Reach are filtered in place to what passed.
+	upd *wire.Update
+	// attrs is *upd.Attrs after attribute hygiene but NEXT_HOP, set when
+	// upd announces anything.
+	attrs wire.Attrs
+}
+
+// relayRun is what one vetted UPDATE sends one upstream: the
+// withdrawals nlris[start:mid], then the announcements nlris[mid:end],
+// which carry attrs.
+type relayRun struct {
+	attrs           *wire.Attrs
+	start, mid, end int
+	// unsent marks a run that did not go out; its announcements stay
+	// pending for the upstream's Established replay.
+	unsent bool
 }
 
 // upstreamsOr returns only — a Quagga-mode client session's reach — or
@@ -55,8 +98,15 @@ func (h *clientSessHandler) Established(_ *bgp.Session) {
 	}
 }
 
+// UpdateReceived is a burst of one.
 func (h *clientSessHandler) UpdateReceived(_ *bgp.Session, upd *wire.Update) {
-	h.srv.handleClientUpdate(h.c, h.upstream, upd)
+	h.handleClientUpdate([]*wire.Update{upd})
+}
+
+// UpdateBatchReceived implements bgp.BatchHandler: the session reader
+// hands over every UPDATE already in flight as one burst.
+func (h *clientSessHandler) UpdateBatchReceived(_ *bgp.Session, upds []*wire.Update) {
+	h.handleClientUpdate(upds)
 }
 
 // Closed distinguishes a clean goodbye from a transport blip. A Cease
@@ -74,36 +124,51 @@ func (h *clientSessHandler) Closed(_ *bgp.Session, err error) {
 	h.srv.markClientStale(h.c.account.ID, h.upstream)
 }
 
-// handleClientUpdate runs the safety pipeline on one UPDATE from client
-// c and relays what passes. only is the upstream the session stands for
-// (Quagga mode); nil means every NLRI's path ID names its upstream
-// (BIRD mode). upd is consumed: its NLRI slices are filtered in place.
-func (s *Server) handleClientUpdate(c *clientConn, only *Upstream, upd *wire.Update) {
-	// recv stamps the convergence measurement: announce-to-upstream-send
-	// latency starts the moment the client's UPDATE is in hand.
-	recv := s.clk.Now()
-	if upd.Refresh {
-		// No end-of-RIB: a refresh is not a restart, nothing is swept.
-		for _, u := range s.upstreamsOr(only) {
-			s.enqueueReplay(c, u, false)
+// handleClientUpdate runs the safety pipeline on a burst of UPDATEs from
+// the handler's client and relays what passes: to the session's
+// upstream in Quagga mode, to the upstream each NLRI's path ID names in
+// BIRD mode. The UPDATEs are consumed: their NLRI slices are filtered in
+// place.
+func (h *clientSessHandler) handleClientUpdate(upds []*wire.Update) {
+	s, c, only, b := h.srv, h.c, h.upstream, &h.burst
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// One clock reading per burst, which the reader collected without
+	// waiting: it stamps the convergence measurement of every
+	// announcement in it (announce-to-upstream-send latency starts the
+	// moment the client's UPDATE is in hand) and dates every flap.
+	now := s.clk.Now()
+	for _, upd := range upds {
+		switch {
+		case upd.Refresh:
+			// Arrival order: what came before is relayed first.
+			s.relayBurst(c, only, b, now)
+			// No end-of-RIB: a refresh is not a restart, nothing is swept.
+			for _, u := range s.upstreamsOr(only) {
+				s.enqueueReplay(c, u, false)
+			}
+		case upd.IsEndOfRIB():
+			s.relayBurst(c, only, b, now)
+			// The client finished re-announcing after a restart: stale
+			// adverts it did not reclaim are flushed.
+			s.dropClientAdverts(c.account.ID, only, true)
+		default:
+			s.vetUpdate(c, only, b, upd)
 		}
-		return
 	}
-	if upd.IsEndOfRIB() {
-		// The client finished re-announcing after a restart: stale
-		// adverts it did not reclaim are flushed.
-		s.dropClientAdverts(c.account.ID, only, true)
-		return
-	}
+	s.relayBurst(c, only, b, now)
+}
 
+// vetUpdate runs the checks of one client UPDATE and adds what passes,
+// if anything, to the burst.
+func (s *Server) vetUpdate(c *clientConn, only *Upstream, b *clientBurst, upd *wire.Update) {
 	// Demultiplex: a client names a handful of upstreams at most, kept
 	// in a small slice searched linearly. NLRIs whose path ID names no
 	// upstream go before anything is counted against them.
-	var buf [4]*Upstream
-	ups, wd, reach := append(buf[:0], only), upd.Withdrawn, upd.Reach
+	wd, reach := upd.Withdrawn, upd.Reach
 	if only == nil {
-		ups, wd = s.demux(ups[:0], wd)
-		ups, reach = s.demux(ups, reach)
+		b.ups, wd = s.demux(b.ups, wd)
+		b.ups, reach = s.demux(b.ups, reach)
 	}
 	if upd.Attrs == nil {
 		reach = nil
@@ -132,22 +197,19 @@ func (s *Server) handleClientUpdate(c *clientConn, only *Upstream, upd *wire.Upd
 	}
 
 	// Per prefix: ownership. No hijacks, no leaks of non-testbed space.
-	wd = s.vetPrefixes(c, wd, false)
-	reach = s.vetPrefixes(c, reach, foreignOrigin)
-	if len(wd) == 0 && len(reach) == 0 {
+	upd.Withdrawn = s.vetPrefixes(c, wd, false)
+	upd.Reach = s.vetPrefixes(c, reach, foreignOrigin)
+	if len(upd.Withdrawn) == 0 && len(upd.Reach) == 0 {
 		return
 	}
 	// Per UPDATE: attribute hygiene, all of it but NEXT_HOP. What the
 	// path does not touch (communities, unknown attributes) is shared
 	// with the client's decoded set, both immutable from here on.
-	var vetted wire.Attrs
-	if len(reach) > 0 {
-		vetted = *upd.Attrs
-		vetted.ASPath, vetted.HasLocalPref = s.vettedPath(upd.Attrs.ASPath), false
-	}
-	// Per upstream: the advert table, quota, dampening, the send.
-	for _, u := range ups {
-		s.relayToUpstream(c, u, only == nil, wd, reach, &vetted, recv)
+	b.vetted = append(b.vetted, vettedUpdate{upd: upd})
+	if len(upd.Reach) > 0 {
+		v := &b.vetted[len(b.vetted)-1]
+		v.attrs = *upd.Attrs
+		v.attrs.ASPath, v.attrs.HasLocalPref = s.vettedPath(upd.Attrs.ASPath), false
 	}
 }
 
@@ -196,16 +258,31 @@ func (s *Server) vetPrefixes(c *clientConn, ns []wire.NLRI, foreignOrigin bool) 
 	return kept
 }
 
-// relayToUpstream applies one vetted client UPDATE to upstream u: the
-// NLRIs addressed to it (all of them in Quagga mode; in BIRD mode those
-// whose path ID is u's) update u's advert table under one hold of u.mu,
-// and what the world should hear of it is sent as one frame.
-func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, wd, reach []wire.NLRI, vetted *wire.Attrs, recv time.Time) {
+// relayBurst relays the burst's vetted UPDATEs to every upstream they
+// name, one upstream after another, and empties the burst.
+func (s *Server) relayBurst(c *clientConn, only *Upstream, b *clientBurst, now time.Time) {
+	if len(b.vetted) > 0 {
+		ups := b.ups
+		if only != nil {
+			ups = []*Upstream{only}
+		}
+		for _, u := range ups {
+			s.relayToUpstream(c, u, only == nil, b, now)
+		}
+	}
+	clear(b.vetted)
+	clear(b.ups)
+	b.vetted, b.ups = b.vetted[:0], b.ups[:0]
+}
+
+// relayToUpstream applies the burst's vetted UPDATEs to upstream u in
+// arrival order — the NLRIs addressed to it: all of them in Quagga mode,
+// in BIRD mode those whose path ID is u's — under one hold of u.mu, and
+// sends what the world should hear of them as one write.
+func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, b *clientBurst, now time.Time) {
 	id := c.account.ID
-	key := dampen.Key{Source: c.account.TunnelAddr, Upstream: u.cfg.ID}
-	var attrs *wire.Attrs // vetted, completed for u at the first announcement
-	var wdBuf, reachBuf [4]wire.NLRI
-	outWd, outReach := wdBuf[:0], reachBuf[:0]
+	key := dampen.Key{Source: c.account.TunnelAddr}
+	runs, nlris := b.runs[:0], b.nlris[:0]
 	strikes := 0
 
 	u.mu.Lock()
@@ -214,99 +291,138 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, wd, reac
 	// only recorded in u.advertised, which its Established handler
 	// replays, and no penalty accrues for churn the world never sees.
 	est := sess != nil && sess.Established()
-	for _, n := range wd {
-		if bird && uint32(n.ID) != u.cfg.ID {
-			continue
-		}
-		// A spurious withdrawal — nothing of this client's advertised —
-		// must neither reach the upstream nor charge the client.
-		if ad := u.advertised[n.Prefix]; ad == nil || ad.owner != id {
-			continue
-		}
-		u.delAdvertLocked(n.Prefix)
-		if est {
-			key.Prefix = n.Prefix
-			s.damper.RecordWithdraw(key)
-			outWd = append(outWd, wire.NLRI{Prefix: n.Prefix})
-		}
-	}
-	for _, n := range reach {
-		if bird && uint32(n.ID) != u.cfg.ID {
-			continue
-		}
-		if attrs == nil {
-			attrs = s.attrsFor(u, vetted)
-		}
-		// mine: this client already holds the prefix. One held by another
-		// client (a federation agent and a local client share the
-		// supernet) is net-new to this one, like one nobody holds.
-		ad := u.advertised[n.Prefix]
-		mine := ad != nil && ad.owner == id
-		// Graceful re-announcement of a prefix retained stale across the
-		// client's restart, attributes identical (both interned: a
-		// pointer compare). Reclaimed silently — no upstream churn, no
-		// penalty for a flap the world never saw.
-		if mine && ad.stale && ad.attrs == attrs {
-			ad.stale = false
-			continue
-		}
-		// Max-prefix quota: only a net-new prefix consumes headroom; over
-		// the limit the announcement is dropped and counts a strike.
-		if !mine && !s.admitPrefixLocked(c, u) {
-			strikes++
-			continue
-		}
-		// Route-flap dampening, per peering, of every announcement that
-		// would actually reach the upstream.
-		if est {
-			key.Prefix = n.Prefix
-			if s.damper.RecordFlap(key) {
-				s.metrics.flapsSuppressed.Inc()
+	for i := range b.vetted {
+		v := &b.vetted[i]
+		var attrs *wire.Attrs // v.attrs, completed for u at the first announcement
+		r := relayRun{start: len(nlris)}
+		for _, n := range v.upd.Withdrawn {
+			if bird && uint32(n.ID) != u.cfg.ID {
 				continue
 			}
-			outReach = append(outReach, wire.NLRI{Prefix: n.Prefix})
-		}
-		// pending until first sent: below if u is up, else by its replay.
-		// A takeover releases the displaced owner's count with its advert.
-		if !mine {
+			// A spurious withdrawal — nothing of this client's advertised —
+			// must neither reach the upstream nor charge the client.
+			if ad := u.advertised[n.Prefix]; ad == nil || ad.owner != id {
+				continue
+			}
 			u.delAdvertLocked(n.Prefix)
-			u.advCount[id]++
+			if est {
+				key.Prefix = n.Prefix
+				u.damper.RecordAt(key, now, true)
+				nlris = append(nlris, wire.NLRI{Prefix: n.Prefix})
+			}
 		}
-		u.advertised[n.Prefix] = &advert{owner: id, attrs: attrs, announced: recv, pending: !est}
+		r.mid = len(nlris)
+		for _, n := range v.upd.Reach {
+			if bird && uint32(n.ID) != u.cfg.ID {
+				continue
+			}
+			if attrs == nil {
+				attrs = s.attrsFor(u, &v.attrs)
+			}
+			// mine: this client already holds the prefix. One held by another
+			// client (a federation agent and a local client share the
+			// supernet) is net-new to this one, like one nobody holds.
+			ad := u.advertised[n.Prefix]
+			mine := ad != nil && ad.owner == id
+			// Graceful re-announcement of a prefix retained stale across the
+			// client's restart, attributes identical (both interned: a
+			// pointer compare). Reclaimed silently — no upstream churn, no
+			// penalty for a flap the world never saw.
+			if mine && ad.stale && ad.attrs == attrs {
+				ad.stale = false
+				continue
+			}
+			// Max-prefix quota: only a net-new prefix consumes headroom; over
+			// the limit the announcement is dropped and counts a strike.
+			if !mine && !s.admitPrefixLocked(c, u) {
+				strikes++
+				continue
+			}
+			// Route-flap dampening, per peering, of every announcement that
+			// would actually reach the upstream.
+			if est {
+				key.Prefix = n.Prefix
+				if u.damper.RecordAt(key, now, false) {
+					s.metrics.flapsSuppressed.Inc()
+					continue
+				}
+				nlris = append(nlris, wire.NLRI{Prefix: n.Prefix})
+			}
+			// pending until first sent: below if u is up, else by its replay.
+			// A takeover releases the displaced owner's count with its advert.
+			if !mine {
+				u.delAdvertLocked(n.Prefix)
+				u.advCount[id]++
+			}
+			u.advertised[n.Prefix] = &advert{owner: id, attrs: attrs, announced: now, pending: !est}
+		}
+		if r.attrs, r.end = attrs, len(nlris); r.end > r.start {
+			runs = append(runs, r)
+		}
 	}
 	u.mu.Unlock()
+	b.runs, b.nlris = runs, nlris // grown, for the next share
 
 	// Repeated abuse ends the client with Cease/max-prefixes-reached,
 	// off this goroutine: teardown closes the session whose reader we are.
 	if strikes > 0 && s.quotaStrike(c, strikes) {
 		go s.tearDownClient(c, wire.SubMaxPrefixesReached)
 	}
-	if len(outWd) == 0 && len(outReach) == 0 {
+	if len(runs) == 0 {
 		return
 	}
-	// Encoded here into one pooled buffer the session writes as is: no
-	// message is allocated, outWd and outReach never leave this stack.
-	b, msgs, err := wire.AppendRun(bufpool.Get(0)[:0], outWd, attrs, outReach, sess.Options())
-	if err == nil {
-		err = sess.SendEncoded(net.Buffers{b}, msgs)
-		bufpool.Put(b)
+	// Every run is encoded into one pooled buffer the session writes as
+	// is: no message is allocated, and the burst is one write. A run that
+	// does not encode is left out, as it would have been alone.
+	opts := sess.Options()
+	enc, msgs := bufpool.Get(b.encoded)[:0], 0
+	for i := range runs {
+		r := &runs[i]
+		out, n, err := wire.AppendRun(enc, nlris[r.start:r.mid], r.attrs, nlris[r.mid:r.end], opts)
+		if err != nil {
+			r.unsent = true
+			continue
+		}
+		enc, msgs = out, msgs+n
 	}
-	if err != nil {
-		// The session died under us: the adverts stay recorded for its
-		// replay, which also closes their convergence measurement.
+	var err error
+	if msgs > 0 {
+		err = sess.SendEncoded(net.Buffers{enc}, msgs)
+	}
+	b.encoded = len(enc)
+	bufpool.Put(enc)
+
+	// A run that did not go out — the session died under us, or the run
+	// did not encode — leaves its adverts recorded for the replay, which
+	// also closes their convergence measurement.
+	relayed, lost := 0, false
+	for i := range runs {
+		r := &runs[i]
+		if r.unsent = r.unsent || err != nil; r.unsent {
+			lost = true
+		} else {
+			relayed += r.end - r.mid
+		}
+	}
+	if lost {
 		u.mu.Lock()
-		for _, n := range outReach {
-			if ad := u.advertised[n.Prefix]; ad != nil && ad.owner == id && ad.announced.Equal(recv) {
-				ad.pending = true
+		for _, r := range runs {
+			if !r.unsent {
+				continue
+			}
+			for _, n := range nlris[r.mid:r.end] {
+				// Not an advert a later run of the burst replaced.
+				if ad := u.advertised[n.Prefix]; ad != nil && ad.owner == id && ad.attrs == r.attrs && ad.announced.Equal(now) {
+					ad.pending = true
+				}
 			}
 		}
 		u.mu.Unlock()
-		return
 	}
-	if n := len(outReach); n > 0 {
-		s.metrics.announcementsRelayed.Add(uint64(n))
-		took := s.clk.Now().Sub(recv).Seconds()
-		for ; n > 0; n-- {
+	if relayed > 0 {
+		s.metrics.announcementsRelayed.Add(uint64(relayed))
+		took := s.clk.Now().Sub(now).Seconds()
+		for ; relayed > 0; relayed-- {
 			s.metrics.convergence.Observe(took)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"net/netip"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,16 +22,18 @@ import (
 	"peering/internal/client"
 	"peering/internal/clock"
 	"peering/internal/dampen"
+	"peering/internal/faultconn"
 	"peering/internal/muxproto"
 	"peering/internal/router"
 	"peering/internal/wire"
 )
 
 // quietPeer completes the OPEN exchange on conn by hand (hold time 0, so
-// neither side owes keepalives) and then discards whatever the mux
-// sends: a measurement of the announce path then counts the mux's own
-// work and not a peer's decoder.
-func quietPeer(tb testing.TB, conn net.Conn, as uint16, id netip.Addr) {
+// neither side owes keepalives) and then takes in whatever the mux
+// sends without answering: into heard when it is set, else nowhere, so
+// that a measurement of the announce path counts the mux's own work and
+// not a peer's decoder.
+func quietPeer(tb testing.TB, conn net.Conn, as uint16, id netip.Addr, heard *heardLog) {
 	go func() {
 		if _, err := wire.ReadMessage(conn, wire.DefaultOptions); err != nil {
 			tb.Errorf("quiet peer: read OPEN: %v", err)
@@ -46,26 +49,78 @@ func quietPeer(tb testing.TB, conn net.Conn, as uint16, id netip.Addr) {
 				return
 			}
 		}
-		io.Copy(io.Discard, conn)
+		if heard == nil {
+			io.Copy(io.Discard, conn)
+			return
+		}
+		for {
+			m, err := wire.ReadMessage(conn, wire.DefaultOptions)
+			if err != nil {
+				return
+			}
+			if upd, ok := m.(*wire.Update); ok {
+				heard.apply(upd)
+			}
+		}
 	}()
+}
+
+// heardLog is what an upstream peer heard, in order: one line per NLRI,
+// "-prefix" or "+prefix path next-hop".
+type heardLog struct {
+	mu      sync.Mutex
+	updates int
+	lines   []string
+}
+
+func (h *heardLog) apply(upd *wire.Update) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.updates++
+	for _, n := range upd.Withdrawn {
+		h.lines = append(h.lines, fmt.Sprintf("-%v", n.Prefix))
+	}
+	for _, n := range upd.Reach {
+		h.lines = append(h.lines, fmt.Sprintf("+%v [%s] %v", n.Prefix, upd.Attrs.PathString(), upd.Attrs.NextHop))
+	}
+}
+
+// snapshot reports how many UPDATEs the peer heard and what they said.
+func (h *heardLog) snapshot() (int, string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.updates, strings.Join(h.lines, ", ")
 }
 
 // announceRig is a mux with n upstreams behind quiet peers, the policy
 // of the relay benchmarks loaded, and one connected client that owns
-// 10.0.0.0/8 (benchPrefix's world). Tests drive its handler directly,
-// with UPDATEs shaped as the session decoder would hand them over.
+// 10.0.0.0/8 (benchPrefix's world). Tests drive its sessions' handlers
+// directly, with bursts shaped as the session readers would hand them
+// over.
 type announceRig struct {
 	srv *Server
 	c   *clientConn
 	ups []*Upstream
+	// wcs counts each upstream session's transport writes; heard is what
+	// each upstream peer heard (nil unless asked for).
+	wcs   []*writeCounter
+	heard []*heardLog
+	// handlers are c's session handlers, by the upstream each session
+	// stands for (nil: the BIRD-mode session).
+	handlers map[*Upstream]*clientSessHandler
 }
 
 func newAnnounceRig(tb testing.TB, mode muxproto.Mode, n int, quota QuotaConfig) *announceRig {
+	return newAnnounceRigWith(tb, Config{Mode: mode, Quota: quota}, n, false)
+}
+
+// newAnnounceRigWith is newAnnounceRig on cfg's mode, quota and clock.
+// With hear set each upstream peer keeps a log of what it heard.
+func newAnnounceRigWith(tb testing.TB, cfg Config, n int, hear bool) *announceRig {
 	tb.Helper()
-	r := &announceRig{srv: newCheckedServer(tb, Config{
-		Site: "announce01", ASN: testbedASN, RouterID: addr("184.164.224.1"),
-		Mode: mode, Policy: testPolicy(), Quota: quota, Dampening: relaxedDampening(),
-	})}
+	cfg.Site, cfg.ASN, cfg.RouterID = "announce01", testbedASN, addr("184.164.224.1")
+	cfg.Policy, cfg.Dampening = testPolicy(), relaxedDampening()
+	r := &announceRig{srv: newCheckedServer(tb, cfg), handlers: make(map[*Upstream]*clientSessHandler)}
 	for i := 1; i <= n; i++ {
 		u, err := r.srv.AddUpstream(UpstreamConfig{
 			ID: uint32(i), Name: fmt.Sprintf("up%d", i), ASN: 3356,
@@ -74,11 +129,16 @@ func newAnnounceRig(tb testing.TB, mode muxproto.Mode, n int, quota QuotaConfig)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		var heard *heardLog
+		if hear {
+			heard = new(heardLog)
+		}
 		ca, cb := bufconn.Pipe()
-		quietPeer(tb, cb, 3356, addr(fmt.Sprintf("4.69.0.%d", i)))
-		r.srv.AttachUpstream(u, ca)
+		wc := &writeCounter{Conn: faultconn.Wrap(ca, nil)}
+		quietPeer(tb, cb, 3356, addr(fmt.Sprintf("4.69.0.%d", i)), heard)
+		r.srv.AttachUpstream(u, wc)
 		waitFor(tb, "upstream session", u.Established)
-		r.ups = append(r.ups, u)
+		r.ups, r.wcs, r.heard = append(r.ups, u), append(r.wcs, wc), append(r.heard, heard)
 	}
 	var cl *client.Client
 	r.c, cl = r.connect(tb, ClientAccount{
@@ -95,7 +155,7 @@ func newAnnounceRig(tb testing.TB, mode muxproto.Mode, n int, quota QuotaConfig)
 		tb.Fatal(err)
 	}
 	sessions := uint64(n)
-	if mode == muxproto.ModeBIRD {
+	if cfg.Mode == muxproto.ModeBIRD {
 		sessions = 1
 	}
 	waitFor(tb, "the client's end-of-RIB markers handled", func() bool {
@@ -126,28 +186,51 @@ func (r *announceRig) connect(tb testing.TB, acct ClientAccount) (*clientConn, *
 	return clientByID(r.srv, acct.ID), cl
 }
 
-// feed hands the mux one client UPDATE: whole in BIRD mode, where path
-// IDs name the upstreams; in Quagga mode split into one UPDATE per
-// upstream with the IDs gone, as that upstream's session would carry it.
-func (r *announceRig) feed(upd *wire.Update) {
+// handler returns the handler of the client's session that stands for
+// u (nil: the BIRD-mode session).
+func (r *announceRig) handler(u *Upstream) *clientSessHandler {
+	h := r.handlers[u]
+	if h == nil {
+		h = &clientSessHandler{srv: r.srv, c: r.c, upstream: u}
+		r.handlers[u] = h
+	}
+	return h
+}
+
+// deliver hands the mux client UPDATEs as one read burst: whole in BIRD
+// mode, where path IDs name the upstreams; in Quagga mode each UPDATE is
+// split into one per upstream with the IDs gone, as that upstream's
+// session would carry it, and each session's share is its burst.
+// Refresh and End-of-RIB markers reach every session.
+func (r *announceRig) deliver(upds ...*wire.Update) {
 	if r.srv.cfg.Mode == muxproto.ModeBIRD {
-		r.srv.handleClientUpdate(r.c, nil, upd)
+		r.handler(nil).UpdateBatchReceived(nil, upds)
 		return
 	}
 	for _, u := range r.ups {
-		part := &wire.Update{Attrs: upd.Attrs}
-		for _, n := range upd.Withdrawn {
-			if uint32(n.ID) == u.cfg.ID {
-				part.Withdrawn = append(part.Withdrawn, wire.NLRI{Prefix: n.Prefix})
+		var share []*wire.Update
+		for _, upd := range upds {
+			if upd.Refresh || upd.IsEndOfRIB() {
+				share = append(share, &wire.Update{Refresh: upd.Refresh})
+				continue
+			}
+			part := &wire.Update{Attrs: upd.Attrs}
+			for _, n := range upd.Withdrawn {
+				if uint32(n.ID) == u.cfg.ID {
+					part.Withdrawn = append(part.Withdrawn, wire.NLRI{Prefix: n.Prefix})
+				}
+			}
+			for _, n := range upd.Reach {
+				if uint32(n.ID) == u.cfg.ID {
+					part.Reach = append(part.Reach, wire.NLRI{Prefix: n.Prefix})
+				}
+			}
+			if len(part.Withdrawn)+len(part.Reach) > 0 {
+				share = append(share, part)
 			}
 		}
-		for _, n := range upd.Reach {
-			if uint32(n.ID) == u.cfg.ID {
-				part.Reach = append(part.Reach, wire.NLRI{Prefix: n.Prefix})
-			}
-		}
-		if len(part.Withdrawn)+len(part.Reach) > 0 {
-			r.srv.handleClientUpdate(r.c, u, part)
+		if len(share) > 0 {
+			r.handler(u).UpdateBatchReceived(nil, share)
 		}
 	}
 }
@@ -170,66 +253,90 @@ func to(p netip.Prefix, ids ...uint32) []wire.NLRI {
 	return out
 }
 
-// announceCycle is the measured operation of the allocation budget and
-// of BenchmarkAnnounceVetting: one BIRD-mode announcement of a fresh
-// prefix to two upstreams, then its withdrawal. ann and wd are reused
-// across calls — the handler retains nothing of an UPDATE it was given —
-// so what is counted is the mux's work alone.
-func (r *announceRig) announceCycle(ann, wd *wire.Update, i int) {
-	p := benchPrefix(i & 0xffffff)
-	for k := range ann.Reach {
-		ann.Reach[k].Prefix, wd.Withdrawn[k].Prefix = p, p
-	}
-	r.srv.handleClientUpdate(r.c, nil, ann)
-	r.srv.handleClientUpdate(r.c, nil, wd)
+// announceCycles is the measured operation of the allocation budget and
+// of BenchmarkAnnounceVetting: BIRD-mode announcements of fresh prefixes
+// to two upstreams, delivered as one burst, then their withdrawals as
+// another — one cycle per prefix. The UPDATEs are reused from run to run
+// — the handler retains nothing of an UPDATE it was given — so what is
+// counted is the mux's work alone.
+type announceCycles struct {
+	h       *clientSessHandler
+	ann, wd []*wire.Update
 }
 
-func cycleUpdates() (ann, wd *wire.Update) {
-	return &wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(netip.Prefix{}, 1, 2)},
-		&wire.Update{Withdrawn: to(netip.Prefix{}, 1, 2)}
+// cycles makes the bursts of n cycles each.
+func (r *announceRig) cycles(n int) *announceCycles {
+	c := &announceCycles{h: r.handler(nil)}
+	for range n {
+		c.ann = append(c.ann, &wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(netip.Prefix{}, 1, 2)})
+		c.wd = append(c.wd, &wire.Update{Withdrawn: to(netip.Prefix{}, 1, 2)})
+	}
+	return c
+}
+
+// run makes the cycles of the prefixes from the i-th on.
+func (c *announceCycles) run(i int) {
+	for k := range c.ann {
+		p := benchPrefix((i + k) & 0xffffff)
+		for j := range c.ann[k].Reach {
+			c.ann[k].Reach[j].Prefix, c.wd[k].Withdrawn[j].Prefix = p, p
+		}
+	}
+	c.h.UpdateBatchReceived(nil, c.ann)
+	c.h.UpdateBatchReceived(nil, c.wd)
 }
 
 // TestAnnounceHotPathAllocs is the announce direction's allocation
 // budget: announcing one prefix to two upstreams and withdrawing it
-// again may allocate the two adverts, the vetted AS path, one pooled
-// frame per message sent, and the amortised growth of the advert and
-// dampening tables — 8 per cycle as measured, against 55 at the parent
-// commit. Skipped under -race, whose instrumentation allocates on its
-// own.
+// again may allocate the two adverts, the vetted AS path, and the
+// amortised growth of the advert and dampening tables — 8 per cycle as
+// measured on bursts of one, against 55 before the per-UPDATE path was
+// reworked. A read burst of 64 UPDATEs is held to the same budget per
+// cycle: its scratch is reused, and its encoding is one pooled buffer.
+// Skipped under -race, whose instrumentation allocates on its own.
 func TestAnnounceHotPathAllocs(t *testing.T) {
-	r := newAnnounceRig(t, muxproto.ModeBIRD, 2, QuotaConfig{})
-	ann, wd := cycleUpdates()
-	i := 0
-	for ; i < 4096; i++ { // warm the tables, the intern table and the buffer pool
-		r.announceCycle(ann, wd, i)
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		r.announceCycle(ann, wd, i)
-		i++
-	})
-	t.Logf("announce + withdraw to 2 upstreams: %.0f allocs", allocs)
-	st := r.srv.Stats()
-	if want := uint64(2 * i); st.AnnouncementsRelayed != want || st.FlapsSuppressed != 0 || st.PolicyAccepted != want {
-		t.Fatalf("relayed %d, suppressed %d, verdicts %d; want %d, 0, %d", st.AnnouncementsRelayed, st.FlapsSuppressed, st.PolicyAccepted, want, want)
-	}
-	const budget = 12
-	if !raceEnabled && allocs > budget {
-		t.Errorf("announce path allocates %.0f times per cycle, budget %d", allocs, budget)
+	for _, burst := range []int{1, 64} {
+		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) {
+			r := newAnnounceRig(t, muxproto.ModeBIRD, 2, QuotaConfig{})
+			c := r.cycles(burst)
+			i := 0
+			for ; i < 4096; i += burst { // warm the tables, the intern table and the buffer pool
+				c.run(i)
+			}
+			allocs := testing.AllocsPerRun(max(2000/burst, 50), func() {
+				c.run(i)
+				i += burst
+			}) / float64(burst)
+			t.Logf("announce + withdraw to 2 upstreams, bursts of %d: %.1f allocs per cycle", burst, allocs)
+			st := r.srv.Stats()
+			if want := uint64(2 * i); st.AnnouncementsRelayed != want || st.FlapsSuppressed != 0 || st.PolicyAccepted != want {
+				t.Fatalf("relayed %d, suppressed %d, verdicts %d; want %d, 0, %d", st.AnnouncementsRelayed, st.FlapsSuppressed, st.PolicyAccepted, want, want)
+			}
+			const budget = 12
+			if !raceEnabled && allocs > budget {
+				t.Errorf("announce path allocates %.1f times per cycle, budget %d", allocs, budget)
+			}
+		})
 	}
 }
 
 // BenchmarkAnnounceVetting reports ns/op, B/op and allocs/op for one
 // announce + withdraw cycle of a fresh prefix toward two upstreams in
-// BIRD mode: demux, VerdictPath, allocation and origin checks, quota,
-// dampening, attribute hygiene, the advert table, encode and send.
+// BIRD mode — demux, VerdictPath, allocation and origin checks, quota,
+// dampening, attribute hygiene, the advert table, encode and send — on
+// bursts of one UPDATE and on read bursts of 64.
 func BenchmarkAnnounceVetting(b *testing.B) {
-	r := newAnnounceRig(b, muxproto.ModeBIRD, 2, QuotaConfig{})
-	ann, wd := cycleUpdates()
-	r.announceCycle(ann, wd, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		r.announceCycle(ann, wd, i)
+	for _, burst := range []int{1, 64} {
+		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
+			r := newAnnounceRig(b, muxproto.ModeBIRD, 2, QuotaConfig{})
+			c := r.cycles(burst)
+			c.run(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := burst; i < b.N+burst; i += burst {
+				c.run(i)
+			}
+		})
 	}
 }
 
@@ -237,33 +344,42 @@ func BenchmarkAnnounceVetting(b *testing.B) {
 // withdrawn again, nothing in the mux may still reference the attribute
 // set the client's UPDATE was decoded into — not the policy filter's
 // path memo (which pinned every one of them until the next reload at
-// the parent commit), not the intern table, not the dampener.
+// the parent commit), not the intern table, not the dampener, and not
+// the burst scratch a session's handler reuses: the announcements go in
+// one burst and the withdrawals in one UPDATE, whose burst of one leaves
+// the rest of the scratch as the announcements left it.
 func TestAnnouncementRetainsNothing(t *testing.T) {
 	for _, mode := range []muxproto.Mode{muxproto.ModeQuagga, muxproto.ModeBIRD} {
 		t.Run(string(mode), func(t *testing.T) {
 			r := newAnnounceRig(t, mode, 2, QuotaConfig{})
 			const n = 64
 			var collected atomic.Int32
+			var anns []*wire.Update
+			wd := &wire.Update{}
 			for i := 0; i < n; i++ {
 				attrs := clientAttrs(testbedASN, 64512+uint32(i%4))
 				attrs.Communities = []wire.Community{wire.MakeCommunity(47065, uint16(i%8))}
 				runtime.SetFinalizer(attrs, func(*wire.Attrs) { collected.Add(1) })
-				r.feed(&wire.Update{Attrs: attrs, Reach: to(benchPrefix(i), 1, 2)})
-				r.feed(&wire.Update{Withdrawn: to(benchPrefix(i), 1, 2)})
+				anns = append(anns, &wire.Update{Attrs: attrs, Reach: to(benchPrefix(i), 1, 2)})
+				wd.Withdrawn = append(wd.Withdrawn, to(benchPrefix(i), 1, 2)...)
 			}
+			r.deliver(anns...)
+			r.deliver(wd)
 			if st := r.srv.Stats(); st.AnnouncementsRelayed != 2*n {
 				t.Fatalf("relayed %d announcements, want %d", st.AnnouncementsRelayed, 2*n)
 			}
+			anns = nil
 			waitFor(t, "every decoded attribute set to be collected", func() bool {
 				runtime.GC()
 				return collected.Load() == n
 			})
+			runtime.KeepAlive(r.handlers) // as their sessions keep them
 		})
 	}
 }
 
 // upstreamAdverts flattens what the mux advertises to u on clients'
-// behalf into prefix → "owner path next-hop [stale]".
+// behalf into prefix → "owner path next-hop [stale] [pending]".
 func upstreamAdverts(u *Upstream) map[netip.Prefix]string {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -273,9 +389,19 @@ func upstreamAdverts(u *Upstream) map[netip.Prefix]string {
 		if ad.stale {
 			s += " stale"
 		}
+		if ad.pending {
+			s += " pending"
+		}
 		out[p] = s
 	}
 	return out
+}
+
+// penaltyOf reads a route's dampening penalty in upstream u's table.
+func penaltyOf(u *Upstream, k dampen.Key) float64 {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.damper.Penalty(k)
 }
 
 // TestMixedUpdateCounters feeds the announce path UPDATEs that mix
@@ -366,13 +492,7 @@ func TestMixedUpdateCounters(t *testing.T) {
 				}
 				upd := *step.upd // the handler consumes its UPDATE; the table serves both modes
 				upd.Withdrawn, upd.Reach = append([]wire.NLRI(nil), upd.Withdrawn...), append([]wire.NLRI(nil), upd.Reach...)
-				if upd.IsEndOfRIB() && mode == muxproto.ModeQuagga {
-					for _, u := range r.ups { // one marker per session
-						r.srv.handleClientUpdate(r.c, u, &wire.Update{})
-					}
-				} else {
-					r.feed(&upd)
-				}
+				r.deliver(&upd)
 				st := r.srv.Stats()
 				got := counters{st.AnnouncementsRelayed, st.HijacksBlocked, st.OriginBlocked, st.PolicyAccepted, st.PolicyRejected,
 					st.QuotaRejected, st.QuotaWarnings, st.FlapsSuppressed, st.StaleRoutesFlushed}
@@ -403,8 +523,11 @@ func TestAdvertTakeoverKeepsQuotaCounts(t *testing.T) {
 	agent, _ := r.connect(t, ClientAccount{
 		ID: "agent", Federated: true, Allocation: []netip.Prefix{prefix("10.0.0.0/8")}, TunnelAddr: addr("10.250.0.9"),
 	})
+	handler := map[*clientConn]*clientSessHandler{
+		r.c: r.handler(u), agent: {srv: r.srv, c: agent, upstream: u},
+	}
 	announce := func(c *clientConn, i int) {
-		r.srv.handleClientUpdate(c, u, &wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(benchPrefix(i), 0)})
+		handler[c].UpdateReceived(nil, &wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(benchPrefix(i), 0)})
 	}
 	counts := func() string {
 		u.mu.Lock()
@@ -419,7 +542,7 @@ func TestAdvertTakeoverKeepsQuotaCounts(t *testing.T) {
 	if got := upstreamAdverts(u)[benchPrefix(0)]; !strings.HasPrefix(got, "agent ") {
 		t.Fatalf("the advert is %q, want it owned by the agent", got)
 	}
-	r.srv.handleClientUpdate(agent, u, &wire.Update{Withdrawn: to(benchPrefix(0), 0)})
+	handler[agent].UpdateReceived(nil, &wire.Update{Withdrawn: to(benchPrefix(0), 0)})
 	if got, want := counts(), "0 map[]"; got != want {
 		t.Fatalf("after the withdrawal: advertised, advCount = %s, want %s", got, want)
 	}
@@ -484,10 +607,171 @@ func TestFirstAnnouncementNotDampened(t *testing.T) {
 			}
 			for i, up := range ups {
 				waitFor(t, fmt.Sprintf("the route at upstream %d", i+1), func() bool { return up.LocRIB().Best(p) != nil })
-				key := dampen.Key{Prefix: p, Source: addr("10.250.0.1"), Upstream: uint32(i + 1)}
-				if pen := srv.damper.Penalty(key); pen != 1000 {
+				key := dampen.Key{Prefix: p, Source: addr("10.250.0.1")}
+				if pen := penaltyOf(srv.Upstream(uint32(i+1)), key); pen != 1000 {
 					t.Errorf("upstream %d: penalty %v after one announcement, want 1000", i+1, pen)
 				}
+			}
+		})
+	}
+}
+
+// TestDampeningRecordsPerPeering: one client's prefix announced on two
+// upstreams keeps a record in each upstream's table, and a flap on one
+// peering charges that record alone.
+func TestDampeningRecordsPerPeering(t *testing.T) {
+	r := newAnnounceRigWith(t, Config{Mode: muxproto.ModeBIRD, Clock: clock.NewVirtual(time.Unix(1_700_000_000, 0))}, 2, false)
+	p := prefix("10.0.1.0/24")
+	r.deliver(&wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(p, 1, 2)})
+	r.deliver(&wire.Update{Withdrawn: to(p, 1)})
+	r.deliver(&wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(p, 1)})
+	key := dampen.Key{Prefix: p, Source: addr("10.250.0.1")}
+	for i, want := range []float64{3000, 1000} {
+		u := r.ups[i]
+		if pen := penaltyOf(u, key); pen != want {
+			t.Errorf("upstream %d: penalty %v, want %v", i+1, pen, want)
+		}
+		u.mu.Lock()
+		n := u.damper.Tracked()
+		u.mu.Unlock()
+		if n != 1 {
+			t.Errorf("upstream %d tracks %d records, want 1", i+1, n)
+		}
+	}
+	if got := scrape(t, r.srv); !strings.Contains(got, "peering_dampen_tracked_keys 2") {
+		t.Errorf("the gauge is not the sum over upstreams:\n%s", got)
+	}
+}
+
+// TestHandlerBurstsFromTwoReaders: a supervisor's successive sessions
+// share one handler, and a dead session's reader may still be inside it
+// when the next one's starts, so two bursts can arrive at once. Each
+// must run whole on the handler's scratch (under -race, a race here is
+// a failure).
+func TestHandlerBurstsFromTwoReaders(t *testing.T) {
+	r := newAnnounceRig(t, muxproto.ModeBIRD, 2, QuotaConfig{})
+	h := r.handler(nil)
+	const n = 64
+	var wg sync.WaitGroup
+	for reader := 0; reader < 2; reader++ {
+		var burst []*wire.Update
+		for i := reader * n; i < (reader+1)*n; i++ {
+			burst = append(burst, &wire.Update{Attrs: clientAttrs(testbedASN), Reach: to(benchPrefix(i), 1, 2)})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.UpdateBatchReceived(nil, burst)
+		}()
+	}
+	wg.Wait()
+	for i, u := range r.ups {
+		if got := len(upstreamAdverts(u)); got != 2*n {
+			t.Errorf("upstream %d advertises %d prefixes, want %d", i+1, got, 2*n)
+		}
+	}
+	if st := r.srv.Stats(); st.AnnouncementsRelayed != 4*n {
+		t.Errorf("relayed %d announcements, want %d", st.AnnouncementsRelayed, 4*n)
+	}
+}
+
+// TestBurstMatchesOneAtATime: a read burst that holds every fate an
+// UPDATE can meet — an announcement withdrawn and announced again, a
+// spurious withdrawal, a hijack, a leak, a foreign origin, a stale
+// route reclaimed, and a Refresh and an End-of-RIB in the middle —
+// leaves the mux and its upstreams exactly as the same UPDATEs delivered
+// one at a time do: the same advert tables, counters and dampening
+// penalties, and each upstream peer hears the same routes in the same
+// order. The
+// burst goes out as one write per upstream per segment (the runs the
+// two markers cut it into) plus the End-of-RIB's flush, where one at a
+// time writes once per UPDATE.
+func TestBurstMatchesOneAtATime(t *testing.T) {
+	a, b, c, d, f := prefix("10.0.1.0/24"), prefix("10.0.2.0/24"), prefix("10.0.3.0/24"), prefix("10.0.4.0/24"), prefix("10.0.6.0/24")
+	kept, flushed, hijack := prefix("10.0.9.0/24"), prefix("10.0.10.0/24"), prefix("8.8.8.0/24")
+	good := func() *wire.Attrs { return clientAttrs(testbedASN, 64512) }
+	burst := func() []*wire.Update {
+		return []*wire.Update{
+			{Attrs: good(), Reach: to(a, 1, 2)},
+			{Withdrawn: to(a, 1, 2)},
+			// A spurious withdrawal, then a hijack beside a good prefix.
+			{Withdrawn: to(b, 1, 2)},
+			{Attrs: good(), Reach: append(to(hijack, 1, 2), to(c, 1, 2)...)},
+			{Refresh: true},
+			{Attrs: good(), Reach: to(a, 1, 2)},
+			// A leak, a foreign origin, and the stale route reclaimed.
+			{Attrs: clientAttrs(testbedASN, 174, 64999), Reach: to(d, 1, 2)},
+			{Attrs: clientAttrs(testbedASN, 3333), Reach: to(d, 1, 2)},
+			{Attrs: good(), Reach: to(kept, 1, 2)},
+			// End-of-RIB: the stale route not reclaimed goes.
+			{},
+			{Attrs: good(), Reach: to(f, 1, 2)},
+			{Withdrawn: to(c, 2)},
+		}
+	}
+	for _, mode := range []muxproto.Mode{muxproto.ModeQuagga, muxproto.ModeBIRD} {
+		t.Run(string(mode), func(t *testing.T) {
+			var rigs [2]*announceRig // one at a time, then the burst
+			var writes [2][2]int32
+			for k := range rigs {
+				r := newAnnounceRigWith(t, Config{Mode: mode, Clock: clock.NewVirtual(time.Unix(1_700_000_000, 0))}, 2, true)
+				r.deliver(&wire.Update{Attrs: good(), Reach: append(to(kept, 1, 2), to(flushed, 1, 2)...)})
+				r.srv.markClientStale("exp1", nil)
+				for i, wc := range r.wcs {
+					writes[k][i] = -wc.calls.Load()
+				}
+				if k == 0 {
+					for _, upd := range burst() {
+						r.deliver(upd)
+					}
+				} else {
+					r.deliver(burst()...)
+				}
+				for i, wc := range r.wcs {
+					writes[k][i] += wc.calls.Load()
+					waitFor(t, "the upstream peer to hear every UPDATE", func() bool {
+						n, _ := r.heard[i].snapshot()
+						return uint64(n) == upstreamSess(r.srv, uint32(i+1)).SentUpdates()
+					})
+				}
+				rigs[k] = r
+			}
+			one, all := rigs[0], rigs[1]
+			if writes != [2][2]int32{{6, 7}, {4, 4}} {
+				t.Errorf("transport writes per upstream: one at a time %v, burst %v; want [6 7] and [4 4]", writes[0], writes[1])
+			}
+			for i := range one.ups {
+				if got, want := upstreamAdverts(all.ups[i]), upstreamAdverts(one.ups[i]); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("upstream %d advertises\n burst %v\n  one at a time %v", i+1, got, want)
+				}
+				gotN, got := all.heard[i].snapshot()
+				wantN, want := one.heard[i].snapshot()
+				if gotN != wantN || got != want {
+					t.Errorf("upstream peer %d heard\n burst %d UPDATEs, %s\n  one at a time %d UPDATEs, %s", i+1, gotN, got, wantN, want)
+				}
+				for _, p := range []netip.Prefix{a, b, c, d, f, kept, flushed, hijack} {
+					key := dampen.Key{Prefix: p, Source: addr("10.250.0.1")}
+					if got, want := penaltyOf(all.ups[i], key), penaltyOf(one.ups[i], key); got != want {
+						t.Errorf("upstream %d, %v: burst charged %v, one at a time %v", i+1, p, got, want)
+					}
+				}
+			}
+			if pen := penaltyOf(all.ups[0], dampen.Key{Prefix: a, Source: addr("10.250.0.1")}); pen != 3000 {
+				t.Errorf("announce, withdraw, announce charged %v, want 3000", pen)
+			}
+			// The Refresh's replay reaches the client's queue, whose flusher
+			// counts what it wrote on its own time; how deep the queue got
+			// depends on when the flusher ran.
+			stats := func(r *announceRig) Stats {
+				st := r.srv.Stats()
+				st.FanoutQueueHighWater = 0
+				return st
+			}
+			for i := 0; i < 500 && stats(one) != stats(all); i++ {
+				time.Sleep(2 * time.Millisecond)
+			}
+			if got, want := stats(all), stats(one); got != want {
+				t.Errorf("Stats():\n burst %+v\n  one at a time %+v", got, want)
 			}
 		})
 	}

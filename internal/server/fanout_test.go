@@ -319,7 +319,8 @@ func TestDrainIsOneWritePerSession(t *testing.T) {
 // supervised-transport rig shared by the announcement-loss regression
 // tests. Dampening is the strict default: the bugs under test charged
 // penalties the world should never have seen, and the default
-// thresholds are exactly what made them bite.
+// thresholds are exactly what made them bite. The mux's end of each
+// upstream transport it dials counts its writes and takes faults.
 type soloSupervisedRig struct {
 	clk *clock.Virtual
 	srv *Server
@@ -329,7 +330,7 @@ type soloSupervisedRig struct {
 	cl  *client.Client
 
 	mu        sync.Mutex
-	serverEnd net.Conn
+	serverEnd *writeCounter
 }
 
 func (r *soloSupervisedRig) killTransport() {
@@ -366,11 +367,12 @@ func newSoloSupervisedRig(t *testing.T) *soloSupervisedRig {
 	})
 	dial := func() (net.Conn, error) {
 		ca, cb := bufconn.Pipe()
+		wc := &writeCounter{Conn: faultconn.Wrap(ca, r.clk)}
 		r.mu.Lock()
-		r.serverEnd = ca
+		r.serverEnd = wc
 		r.mu.Unlock()
 		r.up.Attach(p, cb)
-		return ca, nil
+		return wc, nil
 	}
 	r.sup = r.srv.AttachUpstreamSupervised(u, dial)
 	waitFor(t, "upstream session", func() bool { return u.Established() })
@@ -416,7 +418,7 @@ func TestAnnounceWhileUpstreamDownDeferredNotPenalized(t *testing.T) {
 	r := newSoloSupervisedRig(t)
 	clientPfx := prefix("184.164.224.0/24")
 	marker := prefix("184.164.224.0/25")
-	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1"), Upstream: 1}
+	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1")}
 
 	r.killTransport()
 	waitFor(t, "upstream death noticed", func() bool {
@@ -438,7 +440,7 @@ func TestAnnounceWhileUpstreamDownDeferredNotPenalized(t *testing.T) {
 		return advertisedHas(r.u, clientPfx, "exp1") && advertisedHas(r.u, marker, "exp1")
 	})
 
-	if pen := r.srv.damper.Penalty(key); pen != 0 {
+	if pen := penaltyOf(r.srv.Upstream(1), key); pen != 0 {
 		t.Fatalf("announcing while the upstream is down charged penalty %v", pen)
 	}
 	st := r.srv.Stats()
@@ -457,12 +459,96 @@ func TestAnnounceWhileUpstreamDownDeferredNotPenalized(t *testing.T) {
 			r.up.LocRIB().Best(clientPfx) != nil &&
 			r.up.LocRIB().Best(marker) != nil
 	})
-	if pen := r.srv.damper.Penalty(key); pen != 0 {
+	if pen := penaltyOf(r.srv.Upstream(1), key); pen != 0 {
 		t.Fatalf("replay on recovery charged penalty %v", pen)
 	}
 	if st := r.srv.Stats(); st.FlapsSuppressed != 0 {
 		t.Fatalf("FlapsSuppressed = %d after recovery", st.FlapsSuppressed)
 	}
+}
+
+// TestAnnounceBurstSendFailureStaysPending: a read burst whose one
+// write to the upstream fails leaves every announcement in it recorded
+// pending, charged to the damper as the per-UPDATE path charges a
+// relayed announcement — once, with no penalty for the failure — and
+// each converges exactly once, on the upstream's Established replay.
+func TestAnnounceBurstSendFailureStaysPending(t *testing.T) {
+	r := newSoloSupervisedRig(t)
+	const n = 8
+	var burst []*wire.Update
+	var pfxs []netip.Prefix
+	for i := 0; i < n; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{184, 164, 224, byte(32 * i)}), 27)
+		pfxs = append(pfxs, p)
+		burst = append(burst, &wire.Update{Attrs: clientAttrs(testbedASN), Reach: []wire.NLRI{{Prefix: p}}})
+	}
+	h := &clientSessHandler{srv: r.srv, c: clientByID(r.srv, "exp1"), upstream: r.u}
+	baseCount, _ := r.srv.ConvergenceSamples()
+
+	// Park the burst's write, then fail it.
+	r.mu.Lock()
+	wc := r.serverEnd
+	r.mu.Unlock()
+	wc.Stall()
+	base := wc.calls.Load()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.UpdateBatchReceived(nil, burst)
+	}()
+	waitFor(t, "the burst's write to park", func() bool { return wc.calls.Load() == base+1 })
+	wc.Reset()
+	<-done
+	if got := wc.calls.Load() - base; got != 1 {
+		t.Fatalf("the burst took %d writes, want 1", got)
+	}
+
+	// The replay charges nothing: all that is left is the one
+	// announcement's 1000, decayed by the redial's second.
+	penalties := func(when string, least float64) {
+		t.Helper()
+		for _, p := range pfxs {
+			if pen := penaltyOf(r.u, dampen.Key{Prefix: p, Source: addr("10.250.0.1")}); pen > 1000 || pen < least {
+				t.Fatalf("%s: %v charged %v, want the 1000 of one announcement", when, p, pen)
+			}
+		}
+	}
+	for _, p := range pfxs {
+		if got := upstreamAdverts(r.u)[p]; got != "exp1 [47065] 80.249.208.1 pending" {
+			t.Fatalf("after the failed write %v is %q, want it recorded pending", p, got)
+		}
+	}
+	penalties("after the failed write", 1000)
+	if st := r.srv.Stats(); st.AnnouncementsRelayed != 0 || st.FlapsSuppressed != 0 {
+		t.Fatalf("after the failed write: relayed %d, suppressed %d; want 0, 0", st.AnnouncementsRelayed, st.FlapsSuppressed)
+	}
+	if count, _ := r.srv.ConvergenceSamples(); count != baseCount {
+		t.Fatalf("%d announcements observed converged before any reached the wire", count-baseCount)
+	}
+
+	waitFor(t, "upstream death noticed", func() bool { return r.sup.Stats().ConsecutiveFailures == 1 })
+	r.clk.Advance(1100 * time.Millisecond)
+	waitFor(t, "the burst at the upstream", func() bool {
+		for _, p := range pfxs {
+			if r.up.LocRIB().Best(p) == nil {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(t, "the replay's observations", func() bool {
+		count, _ := r.srv.ConvergenceSamples()
+		return count >= baseCount+n
+	})
+	if count, _ := r.srv.ConvergenceSamples(); count != baseCount+n {
+		t.Fatalf("%d convergence observations for %d announcements", count-baseCount, n)
+	}
+	for _, p := range pfxs {
+		if got := upstreamAdverts(r.u)[p]; got != "exp1 [47065] 80.249.208.1" {
+			t.Fatalf("after the replay %v is %q, want it sent", p, got)
+		}
+	}
+	penalties("after the replay", 999)
 }
 
 // upstreamSess reads the server-side session toward an upstream.
@@ -484,7 +570,7 @@ func TestSpuriousWithdrawNotRelayedOrPenalized(t *testing.T) {
 	cl := r.connectClient(t, "exp1", clientAlloc(), false)
 	clientPfx := prefix("184.164.224.0/24")
 	marker := prefix("184.164.224.0/25")
-	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1"), Upstream: 1}
+	key := dampen.Key{Prefix: clientPfx, Source: addr("10.250.0.1")}
 
 	sess := upstreamSess(r.srv, 1)
 	base := sess.SentUpdates()
@@ -509,7 +595,7 @@ func TestSpuriousWithdrawNotRelayedOrPenalized(t *testing.T) {
 	if got := sess.SentUpdates(); got != base+1 {
 		t.Fatalf("upstream saw %d UPDATEs, want 1 (the marker): spurious withdrawals were relayed", got-base)
 	}
-	if pen := r.srv.damper.Penalty(key); pen != 0 {
+	if pen := penaltyOf(r.srv.Upstream(1), key); pen != 0 {
 		t.Fatalf("spurious withdrawals charged penalty %v", pen)
 	}
 

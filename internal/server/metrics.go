@@ -13,6 +13,7 @@ package server
 
 import (
 	"peering/internal/bgp"
+	"peering/internal/dampen"
 	"peering/internal/policy/compiled"
 	"peering/internal/telemetry"
 )
@@ -97,6 +98,9 @@ type serverMetrics struct {
 
 	// convergence measures client-announce → upstream-send latency.
 	convergence *telemetry.Histogram
+
+	// dampen is shared by every upstream's damper.
+	dampen *dampen.Metrics
 }
 
 // newServerMetrics registers the server's metric families on r. The
@@ -183,6 +187,16 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 	for c := compiled.Class(0); c < compiled.NumClasses; c++ {
 		m.policyRejected[c] = m.policyVerdicts.With(c.String(), "reject")
 	}
+	// One record table per peering; the gauge reads their sum.
+	m.dampen = dampen.NewMetrics(r, func() int {
+		n := 0
+		for _, u := range s.Upstreams() {
+			u.mu.RLock()
+			n += u.damper.Tracked()
+			u.mu.RUnlock()
+		}
+		return n
+	})
 
 	r.GaugeFunc("peering_policy_generation",
 		"Load sequence number of the active compiled rule set (0 = unfiltered).",

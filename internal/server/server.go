@@ -243,6 +243,9 @@ type Upstream struct {
 	// quotaWarned marks clients currently above the warn line, so the
 	// warning tier fires once per excursion.
 	quotaWarned map[string]bool
+	// damper holds the dampening records of client announcements on this
+	// peering (RFC 2439 keeps its figure of merit per peering).
+	damper *dampen.Damper
 	// staleTimer backstops the graceful-restart window for adjIn.
 	staleTimer clock.Timer
 }
@@ -385,7 +388,6 @@ func (c *clientConn) drainSupervisors() {
 // upstream readers never serialize on client admission and bookkeeping.
 type Server struct {
 	cfg     Config
-	damper  *dampen.Damper
 	clk     clock.Clock
 	dp      *dataplane.Router
 	metrics *serverMetrics
@@ -453,7 +455,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:           cfg,
-		damper:        dampen.New(cfg.Dampening, cfg.Clock),
 		clk:           cfg.Clock,
 		dp:            dataplane.NewRouter(cfg.Site),
 		intern:        wire.NewInternTable(),
@@ -466,7 +467,6 @@ func New(cfg Config) *Server {
 	s.clients.Store(&[]*clientConn{})
 	s.ingest = newIngestPool(s, s.shards)
 	s.metrics = newServerMetrics(reg, s)
-	s.damper.Instrument(reg)
 	if cfg.Policy != nil {
 		s.LoadPolicy(cfg.Policy)
 	}
@@ -524,7 +524,9 @@ func (s *Server) AddUpstream(cfg UpstreamConfig) (*Upstream, error) {
 		advertised:  make(map[netip.Prefix]*advert),
 		advCount:    make(map[string]int),
 		quotaWarned: make(map[string]bool),
+		damper:      dampen.New(s.cfg.Dampening, s.clk),
 	}
+	u.damper.Instrument(s.metrics.dampen)
 	u.adjIn.SetInterner(s.intern)
 	s.upstreams[cfg.ID] = u
 	s.mu.Unlock()
