@@ -157,8 +157,10 @@ docs: vet
 # flushFrame's place, less the three registry locks merged into Server.mu,
 # plus the announce direction taking a client's read burst (3576 → 3708):
 # the handler's reused burst scratch, one upstream's runs encoded into one
-# write, and which runs stay pending when that write fails.
-SERVER_LINES_MAX = 3708
+# write, and which runs stay pending when that write fails. 3708 → 3655
+# when the mux got one client codec: the flusher's private re-pack, the
+# slot's options and the private replay build went.
+SERVER_LINES_MAX = 3655
 # internal/rib has a ceiling too since PR 24, set to that PR's count. It
 # was 788 before: the compact Adj-RIB (DESIGN.md §12 "The table at
 # rest") added the slot codec — key to prefix and back, the learned time

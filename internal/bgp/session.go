@@ -455,14 +455,20 @@ func (s *Session) errDown() error {
 
 // Send writes an UPDATE to the transport, blocking while the transport
 // does; u is the caller's again when it returns. It returns an error if
-// the session is not Established or the write fails.
+// the session is not Established, u does not encode under the
+// negotiated options, or the write fails. Only a failed write ends the
+// session: an UPDATE that does not encode is refused before any of it
+// reaches the transport, and the session stays up.
 func (s *Session) Send(u *wire.Update) error {
 	opts, ok := s.established()
 	if !ok {
 		return s.errDown()
 	}
-	s.sent.Inc()
-	return s.wrote(s.writeMsg(u, opts))
+	err := s.writeMsg(u, opts)
+	if _, refused := err.(encodeError); !refused {
+		s.sent.Inc()
+	}
+	return s.wrote(err)
 }
 
 // SendEncoded writes pre-encoded UPDATE messages — a fan-out flusher's
@@ -519,11 +525,14 @@ type buffersWriter interface {
 // is closing the session, for a reason of its own.
 var errClosing = errors.New("bgp: session closing")
 
+// encodeError is a message that did not encode: nothing was written.
+type encodeError struct{ error }
+
 // wrote passes a sender's write error through. A failed write ends the
 // session, but never on the sender's goroutine: senders hold locks that
 // Closed handlers take.
 func (s *Session) wrote(err error) error {
-	if err != nil && err != errClosing {
+	if _, refused := err.(encodeError); err != nil && err != errClosing && !refused {
 		go s.shutdown(fmt.Errorf("bgp: write: %w", err))
 	}
 	return err
@@ -556,7 +565,7 @@ func (s *Session) writeLocked(m wire.Message, opts wire.Options) error {
 	b, err := wire.AppendMessage(buf[:0], m, opts)
 	if err != nil {
 		bufpool.Put(buf)
-		return err
+		return encodeError{err}
 	}
 	_, last := m.(*wire.Notification)
 	if err = s.put(b, last); err == nil {

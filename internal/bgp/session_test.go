@@ -181,6 +181,46 @@ func TestUpdateExchange(t *testing.T) {
 	}
 }
 
+// TestUnencodableUpdateRefused: Send refuses an UPDATE that does not
+// fit a message, nothing of it reaches the peer, and the session stays
+// up for the next one.
+func TestUnencodableUpdateRefused(t *testing.T) {
+	ca, cb := baseConfigs()
+	sa, sb, ha, hb := pair(t, ca, cb)
+	waitEstablished(t, ha, hb)
+	big := sampleUpdate()
+	for i := range 1100 { // 4 400 bytes of communities
+		big.Attrs.Communities = append(big.Attrs.Communities, wire.Community(i))
+	}
+	if err := sa.Send(big); err == nil {
+		t.Fatal("Send took an UPDATE larger than a message")
+	}
+	if err := sa.Send(sampleUpdate()); err != nil {
+		t.Fatalf("Send after a refused UPDATE: %v", err)
+	}
+	select {
+	case u := <-hb.updCh:
+		if len(u.Attrs.Communities) != 0 {
+			t.Fatal("the refused UPDATE reached the peer")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the UPDATE after the refused one was not delivered")
+	}
+	// Anything written before that UPDATE, a NOTIFICATION included, was
+	// read before it.
+	select {
+	case <-hb.closeCh:
+		t.Fatalf("the peer's session ended: %v", hb.err)
+	default:
+	}
+	if !sa.Established() || !sb.Established() {
+		t.Fatalf("states = %v / %v after a refused UPDATE", sa.State(), sb.State())
+	}
+	if n := sa.SentUpdates(); n != 1 {
+		t.Fatalf("SentUpdates = %d, want 1: a refused UPDATE is not sent", n)
+	}
+}
+
 func TestUpdateWithAddPathIDs(t *testing.T) {
 	ca, cb := baseConfigs()
 	ca.AddPath, cb.AddPath = true, true

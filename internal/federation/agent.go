@@ -165,7 +165,10 @@ func (ag *agent) exportEstablished(peer *member, uid uint32, sess *bgp.Session) 
 	}
 	for _, upd := range wire.PackUpdates(nil, outs, sess.Options()) {
 		if sess.Send(upd) != nil {
-			return // session died mid-replay; the next establish retries
+			if !sess.Established() {
+				return // session died mid-replay; the next establish retries
+			}
+			continue // refused: it does not encode
 		}
 		met.exported.With(mem.name, peer.name).Add(uint64(len(upd.Reach)))
 	}

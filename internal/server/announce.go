@@ -84,7 +84,15 @@ func (s *Server) upstreamsOr(only *Upstream) []*Upstream {
 	return s.Upstreams()
 }
 
-func (h *clientSessHandler) Established(_ *bgp.Session) {
+func (h *clientSessHandler) Established(sess *bgp.Session) {
+	// A session that did not negotiate the mux's one client codec (a
+	// BIRD-mode client without ADD-PATH could tell no upstream's path
+	// from another's) is refused before anything is queued for it. The
+	// clean close ends its supervisor: nothing redials.
+	if sess.Options() != h.srv.clientOpts {
+		sess.CloseCease(wire.SubConnectionRejected)
+		return
+	}
 	// Replay the upstream table(s), then an end-of-RIB marker so that a
 	// reconnecting client can flush stale entries from its per-peer
 	// views. The replay goes through the client's fan-out queue, where

@@ -270,11 +270,10 @@ func (s *Server) broadcast(si int, clients []*clientConn, f *broadcastFrame) {
 const snapFrameNLRIs = 6000
 
 // replaySlot keeps the last replay snapshot of one (upstream, RIB
-// shard): the frames enqueueReplay built from the shard at gen, for a
-// session with opts. While the shard stays unwritten every replay for
-// the same options queues these frames again — one walk, one grouping
-// and one encode per table version, not per joiner. frame.go has the
-// rules for a cached frame.
+// shard): the frames enqueueReplay built from the shard at gen. While
+// the shard stays unwritten every replay queues these frames again — one
+// walk, one grouping and one encode per table version, not per joiner.
+// frame.go has the rules for a snapshot frame.
 //
 // mu orders joiners, who hold only the shard's read lock, against each
 // other, and it is held across a build, so joiners arriving together
@@ -285,7 +284,6 @@ type replaySlot struct {
 	mu     sync.Mutex
 	valid  bool
 	gen    uint64
-	opts   wire.Options
 	frames []*broadcastFrame
 }
 
@@ -334,44 +332,25 @@ func (s *Server) replaySnapshotBytes() (n int) {
 // A shard is streamed as snapshot frames — attr-grouped chunks of at
 // most snapFrameNLRIs routes — so a full-table join costs O(frames),
 // not O(routes), in queue traffic. They are the shard's slot's frames
-// when the slot was built from this version of the shard for the
-// options c's session negotiated, and a cold slot is filled on the way.
-// A client with other options than a warm slot's, or no established
-// session to read them from, gets private frames and leaves the slot
-// alone.
+// when the slot was built from this version of the shard, and a cold
+// slot is filled on the way: every client session speaks the mux's one
+// codec, so every replay, a joiner's whose session is not yet
+// Established included, shares them.
 func (s *Server) enqueueReplay(c *clientConn, u *Upstream, eor bool) {
 	skey, pathID := s.sessionKey(u)
-	var opts wire.Options
-	sess := c.session(skey)
-	share := sess != nil && sess.Established()
-	if share {
-		opts = sess.Options()
-	}
 	for i := 0; i < u.adjIn.Shards(); i++ {
 		u.adjIn.ReadShard(i, func(gen uint64, t *rib.AdjRIB) {
 			c.out.beginSync(i, u.cfg.ID)
-			build := func() []*broadcastFrame {
+			sl := &u.replay[i]
+			sl.mu.Lock()
+			if sl.valid && sl.gen == gen {
+				s.metrics.replayHits.Inc()
+			} else {
 				s.metrics.replayBuilds.Inc()
-				return snapshotFrames(t, skey, u.cfg.ID, pathID)
+				sl.valid, sl.gen, sl.frames = true, gen, snapshotFrames(t, skey, u.cfg.ID, pathID)
 			}
-			var frames []*broadcastFrame
-			mine := false
-			if sl := &u.replay[i]; share {
-				sl.mu.Lock()
-				if !sl.valid || sl.gen != gen {
-					sl.valid, sl.gen, sl.opts, sl.frames = true, gen, opts, build()
-					for _, f := range sl.frames {
-						f.cached, f.shared, f.encOpts = true, true, opts
-					}
-				} else if sl.opts == opts {
-					s.metrics.replayHits.Inc()
-				}
-				frames, mine = sl.frames, sl.opts == opts
-				sl.mu.Unlock()
-			}
-			if !mine {
-				frames = build()
-			}
+			frames := sl.frames
+			sl.mu.Unlock()
 			for _, f := range frames {
 				c.out.putFrame(i, f)
 			}
@@ -458,23 +437,16 @@ const maxBatch = 256
 
 // flushFanout sends one drain: each session's frames, in drain order,
 // as one write of their encode-once bytes (per maxBatch frames), then
-// the End-of-RIB markers taken with them. A frame a session must pack
-// for itself (options of its own) follows what is pending for it, so no
-// session's order changes. A frame whose session is down is dropped:
-// its Established replay (plus End-of-RIB) rebuilds the client's view,
-// so nothing is lost, only deferred. Sent slots are cleared (no pins).
+// the End-of-RIB markers taken with them. A frame whose session is down
+// is dropped: its Established replay (plus End-of-RIB) rebuilds the
+// client's view, so nothing is lost, only deferred. Sent slots are
+// cleared (no pins).
 func (s *Server) flushFanout(c *clientConn, d *drain, ctr outCounters) {
 	for i, f := range d.frames {
 		if f == nil {
 			continue // sent with an earlier frame's session
 		}
 		skey, sess := f.skey, c.session(f.skey)
-		var opts wire.Options
-		if sess != nil && sess.Established() {
-			opts = sess.Options()
-		} else {
-			sess = nil
-		}
 		for k, g := range d.frames[i:] {
 			if g == nil || g.skey != skey {
 				continue
@@ -483,21 +455,10 @@ func (s *Server) flushFanout(c *clientConn, d *drain, ctr outCounters) {
 			if sess == nil {
 				continue
 			}
-			if enc, counts, ok := g.encoded(opts); ok {
+			if enc, counts := g.encoded(s.clientOpts); len(counts) > 0 {
 				d.batch, d.bufs, d.updates = append(d.batch, g), append(d.bufs, enc), d.updates+len(counts)
 				if len(d.batch) == maxBatch {
 					d.send(sess)
-				}
-			} else if !g.cached { // a cached frame has bytes only, see frame.go
-				d.send(sess)
-				d.private++
-				for _, upd := range wire.PackGrouped(g.wd, g.groups, opts) {
-					if sess.Send(upd) != nil {
-						break // session died mid-flush; Established replay recovers
-					}
-					d.sent++
-					d.relayed += uint64(len(upd.Reach))
-					d.packed.Observe(float64(len(upd.Reach) + len(upd.Withdrawn)))
 				}
 			}
 		}
@@ -527,15 +488,17 @@ func (s *Server) flushFanout(c *clientConn, d *drain, ctr outCounters) {
 func (d *drain) send(sess *bgp.Session) {
 	if len(d.batch) > 0 && sess.SendEncoded(d.bufs, d.updates) == nil {
 		for _, f := range d.batch {
+			sent := 0
 			for _, n := range f.counts {
 				d.packed.Observe(float64(n))
+				sent += n
 			}
 			if f.shared {
 				d.shared++
 			} else {
 				d.private++
 			}
-			d.relayed += uint64(f.nlris)
+			d.relayed += uint64(sent - len(f.wd)) // the announcements that encoded
 		}
 		d.sent += uint64(d.updates)
 	}

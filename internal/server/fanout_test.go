@@ -233,8 +233,9 @@ type writeCounter struct {
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.calls.Add(1)
 	n, err := w.Conn.Write(p)
-	// A marker is an UPDATE with nothing in it, alone in a tunnel frame.
-	if eor := []byte{0, 23, byte(wire.MsgUpdate), 0, 0, 0, 0}; err == nil && len(p) == 8+23 && bytes.Equal(p[8+16:], eor) {
+	// A marker is an UPDATE with nothing in it, alone in a tunnel frame
+	// or, on an upstream's transport, alone in a write.
+	if eor := []byte{0, 23, byte(wire.MsgUpdate), 0, 0, 0, 0}; err == nil && (len(p) == 23 || len(p) == 8+23) && bytes.HasSuffix(p, eor) {
 		w.eors.Add(1)
 	}
 	return n, err
@@ -464,6 +465,65 @@ func TestAnnounceWhileUpstreamDownDeferredNotPenalized(t *testing.T) {
 	}
 	if st := r.srv.Stats(); st.FlapsSuppressed != 0 {
 		t.Fatalf("FlapsSuppressed = %d after recovery", st.FlapsSuppressed)
+	}
+}
+
+// TestUnencodableAdvertDoesNotFlapUpstream: a client announcement whose
+// vetted attributes stop fitting a message (the testbed ASN prepended
+// pushes them over) never reaches the upstream and stays pending. After
+// a transport reset the upstream's Established replay refuses it and
+// goes on, so the peering recovers once and stays up, with the client's
+// other prefix and End-of-RIB delivered.
+func TestUnencodableAdvertDoesNotFlapUpstream(t *testing.T) {
+	r := newSoloSupervisedRig(t)
+	good, bad := prefix("184.164.224.0/27"), prefix("184.164.224.32/27")
+	if err := r.cl.Announce(good, client.AnnounceOptions{Upstreams: []uint32{1}}); err != nil {
+		t.Fatal(err)
+	}
+	// What the client sends, and what vetting makes of it toward the
+	// upstream: the same attributes behind one more AS.
+	sent := &wire.Attrs{Origin: wire.OriginIGP, NextHop: addr("10.250.0.1"),
+		ASPath: []wire.Segment{{Type: wire.SegSequence, ASNs: []uint32{174, testbedASN}}}}
+	vetted := &wire.Attrs{Origin: wire.OriginIGP, NextHop: addr("80.249.208.1"),
+		ASPath: []wire.Segment{{Type: wire.SegSequence, ASNs: []uint32{testbedASN, 174, testbedASN}}}}
+	for i := 0; ; i++ {
+		if _, err := wire.AppendMessage(nil, announce(vetted, bad), wire.DefaultOptions); err != nil {
+			break
+		}
+		sent.AddCommunity(wire.MakeCommunity(65000, uint16(i)))
+		vetted.AddCommunity(wire.MakeCommunity(65000, uint16(i)))
+	}
+	if _, err := wire.AppendMessage(nil, announce(sent, bad), wire.DefaultOptions); err != nil {
+		t.Fatalf("the client's announcement does not fit either: %v", err)
+	}
+	if err := r.cl.Relay(1, announce(sent, bad)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both prefixes booked, the good one at the upstream", func() bool {
+		return advertisedHas(r.u, bad, "exp1") && r.up.LocRIB().Best(good) != nil
+	})
+	if r.up.LocRIB().Best(bad) != nil {
+		t.Fatal("the upstream holds the prefix that does not encode")
+	}
+
+	r.mu.Lock()
+	r.serverEnd.Reset()
+	r.mu.Unlock()
+	waitFor(t, "the reset noticed", func() bool { return r.sup.Stats().ConsecutiveFailures == 1 })
+	for i := 0; i < 5; i++ {
+		// Each step outlasts the 1 s backoff that follows a fresh failure,
+		// and a replay that reset the session again has done so by the next.
+		r.clk.Advance(1100 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond)
+	}
+	r.mu.Lock()
+	end := r.serverEnd
+	r.mu.Unlock()
+	waitFor(t, "the peering back with the good prefix and End-of-RIB", func() bool {
+		return r.u.Established() && r.up.LocRIB().Best(good) != nil && end.eors.Load() == 1
+	})
+	if st := r.sup.Stats(); st.Recoveries != 1 || st.ConsecutiveFailures != 0 {
+		t.Fatalf("%d recoveries, %d consecutive failures after one reset; want 1, 0", st.Recoveries, st.ConsecutiveFailures)
 	}
 }
 

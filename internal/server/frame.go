@@ -5,9 +5,11 @@ package server
 // sweep, packed as logical withdrawals plus attr-grouped announcements,
 // referenced by every in-sync client's queue and encoded into wire
 // bytes exactly once, lazily, by the first client worker that flushes
-// it. Clients whose sessions negotiated different codec options than
-// the shared encoding fall back to a private pack of the same logical
-// content.
+// it. A mux has one client codec (Server.clientOpts, fixed by its mode;
+// a session that negotiates any other is refused as it comes up), so a
+// frame has exactly one encoding and no flusher packs one of its own.
+// An UPDATE of the frame that does not encode is left out, and the
+// rest of the frame goes.
 //
 // A frame is a value: nothing counts who holds it. Its logical content
 // and its encoded bytes are plain GC memory, immutable once published
@@ -18,14 +20,10 @@ package server
 // queue, drain or replay slot lists it.
 //
 // A replay slot (replaySlot, fanout.go) keeps the snapshot frames of one
-// (upstream, RIB shard) so later joiners ride the same frames and bytes.
-// Such a frame is cached: encoded under its slot's options and no
-// others, and once encoded it drops its logical groups, so at rest a
-// slot holds wire bytes only. A flusher whose session has other options
-// has nothing to pack from and skips it; enqueueReplay never hands a
-// slot's frames to such a client, so this is only a session replaced
-// between the enqueue and the flush, whose Established replay delivers
-// the table anyway.
+// (upstream, RIB shard) so later joiners ride the same frames and bytes;
+// every snapshot frame is a slot's. Once encoded, a snapshot frame drops
+// its logical groups and its spare capacity, so at rest a slot holds
+// wire bytes only.
 //
 // Lock order: under a RIB shard lock, a slot mutex or a queue-shard
 // mutex, never both; f.mu alone.
@@ -38,8 +36,9 @@ import (
 // batchEntry is one prefix's final state within an ingest batch: nil
 // attrs means withdrawn. Batches fold to final state before building a
 // frame, so a frame never carries both an announcement and a
-// withdrawal for the same prefix (PackGrouped emits withdrawals first,
-// which would otherwise reorder announce-then-withdraw sequences).
+// withdrawal for the same prefix (a frame encodes its withdrawals
+// first, which would otherwise reorder announce-then-withdraw
+// sequences).
 type batchEntry struct {
 	nlri  wire.NLRI
 	attrs *wire.Attrs
@@ -58,22 +57,17 @@ type broadcastFrame struct {
 	group1 [1]wire.AttrGroup // backs groups for the common one-group frame
 
 	// shared records that the frame was built for two or more queues or
-	// for a replay slot; a frame made for one queue (a private snapshot,
-	// a shed remainder, a lone client) is counted private when flushed.
+	// for a replay slot; a frame made for one queue (a shed remainder, a
+	// lone client) is counted private when flushed.
 	shared bool
-	// snapshot marks a replay's chunk of the table: bounded by the table,
-	// not by the client's slowness, and the recovery from a shed (which
-	// shedding it would undo) — the queue cap neither counts nor sheds it.
+	// snapshot marks a replay's chunk of the table, a replay slot's frame:
+	// bounded by the table, not by the client's slowness, and the recovery
+	// from a shed (which shedding it would undo) — the queue cap neither
+	// counts nor sheds it.
 	snapshot bool
-	// cached marks a slot-held frame (see the header), with encOpts its
-	// slot's options; both set before the frame is published.
-	cached bool
 
-	// Lazy shared encoding, built under mu by the first flusher and
-	// keyed to the wire.Options it encoded under; enc stays nil when the
-	// frame failed to encode.
+	// The encoding, built under mu by the first flusher.
 	mu      sync.Mutex
-	encOpts wire.Options
 	enc     []byte
 	counts  []int // NLRIs (reach+withdrawn) per encoded UPDATE
 	encDone bool
@@ -119,7 +113,7 @@ func newBroadcastFrame(skey, upstream uint32, pathID wire.PathID, entries []batc
 // chunk gathered under a RIB shard's read lock) in a frame. The group
 // NLRI slices are retained and must be owned by the frame from here on.
 func newSnapshotFrame(skey, upstream uint32, groups []wire.AttrGroup) *broadcastFrame {
-	f := &broadcastFrame{skey: skey, upstream: upstream, groups: groups, snapshot: true}
+	f := &broadcastFrame{skey: skey, upstream: upstream, groups: groups, shared: true, snapshot: true}
 	for _, g := range groups {
 		f.nlris += len(g.NLRIs)
 	}
@@ -138,30 +132,16 @@ func (f *broadcastFrame) wireLen() int {
 	return len(f.enc)
 }
 
-// encoded returns the shared encoding for opts, building it on first
-// call; the caller must not modify the bytes. ok is false when the
-// frame was already encoded under different options (or failed to
-// encode): the caller packs privately from the logical content instead
-// — unless the frame is slot-held, which has none to pack from and is
-// never encoded under options other than its slot's.
-func (f *broadcastFrame) encoded(opts wire.Options) (enc []byte, counts []int, ok bool) {
+// encoded returns the frame's encoding under the mux's client codec
+// opts, building it on first call; the caller must not modify the bytes.
+func (f *broadcastFrame) encoded(opts wire.Options) (enc []byte, counts []int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.cached && opts != f.encOpts {
-		return nil, nil, false
-	}
 	if !f.encDone {
 		f.encDone = true
-		f.encOpts = opts
 		f.encode(opts)
-		if f.cached {
-			f.groups = nil
-		}
 	}
-	if f.enc == nil || f.encOpts != opts {
-		return nil, nil, false
-	}
-	return f.enc, f.counts, true
+	return f.enc, f.counts
 }
 
 // attrsLenGuess is what encode reserves for one UPDATE's path
@@ -169,30 +149,19 @@ func (f *broadcastFrame) encoded(opts wire.Options) (enc []byte, counts []int, o
 // community or two.
 const attrsLenGuess = 64
 
-// encode packs the logical content and appends every resulting UPDATE
-// into one buffer. Called with mu held, once.
+// encode appends every UPDATE of the logical content into one buffer,
+// leaving out one that does not encode. Called with mu held, once.
 func (f *broadcastFrame) encode(opts wire.Options) {
-	upds := wire.PackGrouped(f.wd, f.groups, opts)
-	if len(upds) == 0 {
-		return
-	}
 	// Size estimate: 9 bytes bound an IPv4 NLRI with its path ID, and
-	// every UPDATE pays a header, two length fields and one attribute
-	// block. A miss just grows the buffer (never truncates).
-	est := f.logicalOps()*9 + len(upds)*(wire.HeaderLen+4+attrsLenGuess)
-	b := make([]byte, 0, est)
-	counts := make([]int, 0, len(upds))
-	for _, upd := range upds {
-		var err error
-		if b, err = wire.AppendMessage(b, upd, opts); err != nil {
-			return
-		}
-		counts = append(counts, len(upd.Reach)+len(upd.Withdrawn))
-	}
-	if f.cached && cap(b) > len(b) {
+	// every UPDATE — one per group and one of withdrawals, short of
+	// splits — pays a header, two length fields and one attribute block.
+	// A miss just grows the buffer (never truncates).
+	est := f.logicalOps()*9 + (len(f.groups)+1)*(wire.HeaderLen+4+attrsLenGuess)
+	b, counts := wire.AppendGroups(make([]byte, 0, est), f.wd, f.groups, opts, nil)
+	if f.snapshot {
 		// A slot keeps these bytes for as long as the shard is unwritten:
-		// hold the bytes sent and no spare room.
-		b = append(make([]byte, 0, len(b)), b...)
+		// hold the bytes sent, no spare room and no logical content.
+		b, f.groups = append(make([]byte, 0, len(b)), b...), nil
 	}
 	f.enc, f.counts = b, counts
 }

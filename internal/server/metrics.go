@@ -67,8 +67,7 @@ type serverMetrics struct {
 	// ingestBatchSize records folded entries per ingest op (a lone
 	// UPDATE observes 1); the frame counters split flushes between
 	// bytes encoded once for several queues and bytes one client alone
-	// paid for (a frame built for one queue, or a re-pack under
-	// diverging codec options).
+	// paid for (a frame built for one queue).
 	ingestBatchSize    *telemetry.Histogram
 	fanoutFrameShared  *telemetry.Counter
 	fanoutFramePrivate *telemetry.Counter
@@ -151,10 +150,10 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 		fanoutFrameShared: r.Counter("peering_fanout_frames_shared_total",
 			"Frame flushes served from bytes encoded once for two or more client queues, or for a replay slot."),
 		fanoutFramePrivate: r.Counter("peering_fanout_frames_private_total",
-			"Frame flushes whose encoding served this client alone: a frame built for one queue (a private snapshot, a shed remainder, a lone client) or a re-pack under diverged codec options."),
+			"Frame flushes whose encoding served this client alone: a frame built for one queue (a shed remainder, a lone client)."),
 
 		replayBuilds: r.Counter("peering_replay_snapshot_builds_total",
-			"Shard replays walked, grouped and encoded from the table: the shard was written since its last replay, or the joiner's codec options differ from the cached snapshot's."),
+			"Shard replays walked, grouped and encoded from the table: the shard was written since its last replay."),
 		replayHits: r.Counter("peering_replay_snapshot_hits_total",
 			"Shard replays served from the cached snapshot of an unwritten shard (near 0 on a busy mux: writes release the snapshots)."),
 

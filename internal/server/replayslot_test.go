@@ -6,10 +6,12 @@ package server
 // Close fails the test that left it.
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -175,36 +177,17 @@ func TestReplaySlotRebuiltAfterWrite(t *testing.T) {
 }
 
 // plainClient is a client that offers no ADD-PATH: on a BIRD-mode mux
-// its session negotiates other codec options than everyone else's.
+// its session negotiates other codec options than the mux's.
 type plainClient struct {
-	mu    sync.Mutex
-	table map[netip.Prefix]string
+	mu       sync.Mutex
+	sessions []*bgp.Session // one per BGP stream the server opened
+	updates  int
 }
 
-func (pc *plainClient) onUpdate(t *testing.T) func(*bgp.Session, *wire.Update) {
-	return func(_ *bgp.Session, upd *wire.Update) {
-		pc.mu.Lock()
-		defer pc.mu.Unlock()
-		for _, n := range upd.Withdrawn {
-			delete(pc.table, n.Prefix)
-		}
-		if len(upd.Reach) == 0 {
-			return
-		}
-		b, err := wire.MarshalAttrs(upd.Attrs, wire.DefaultOptions)
-		if err != nil {
-			t.Errorf("marshal attrs: %v", err)
-		}
-		for _, n := range upd.Reach {
-			pc.table[n.Prefix] = string(b)
-		}
-	}
-}
-
-func (pc *plainClient) snapshot() map[netip.Prefix]string {
+func (pc *plainClient) state() (sessions []*bgp.Session, updates int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return maps.Clone(pc.table)
+	return slices.Clone(pc.sessions), pc.updates
 }
 
 func (r *frameRig) joinPlain(t *testing.T, k int) *plainClient {
@@ -214,7 +197,12 @@ func (r *frameRig) joinPlain(t *testing.T, k int) *plainClient {
 	if err := r.srv.AcceptClient(id, ca); err != nil {
 		t.Fatal(err)
 	}
-	pc := &plainClient{table: make(map[netip.Prefix]string)}
+	pc := &plainClient{}
+	onUpdate := func(*bgp.Session, *wire.Update) {
+		pc.mu.Lock()
+		pc.updates++
+		pc.mu.Unlock()
+	}
 	mux := tunnel.NewMux(cb, func(st *tunnel.Stream) {
 		switch {
 		case st.ID() == muxproto.StreamControl:
@@ -224,36 +212,136 @@ func (r *frameRig) joinPlain(t *testing.T, k int) *plainClient {
 				}
 			}()
 		case st.ID() >= muxproto.StreamBGPBase:
-			go bgp.New(st, bgp.Config{LocalAS: testbedASN, LocalID: tun}, bgp.HandlerFuncs{OnUpdate: pc.onUpdate(t)}).Run()
+			sess := bgp.New(st, bgp.Config{LocalAS: testbedASN, LocalID: tun}, bgp.HandlerFuncs{OnUpdate: onUpdate})
+			pc.mu.Lock()
+			pc.sessions = append(pc.sessions, sess)
+			pc.mu.Unlock()
+			go sess.Run()
 		}
 	})
 	t.Cleanup(func() { mux.Close() })
 	return pc
 }
 
-// TestReplaySlotOtherOptions: a joiner whose session negotiated other
-// options than a warm slot's gets the table from private frames, and
-// the slot is still there for the next joiner it fits.
-func TestReplaySlotOtherOptions(t *testing.T) {
-	const n, shards = 1000, 4
-	r := newFrameRig(t, muxproto.ModeBIRD, shards, 1)
-	r.load(0, n)
-	cl, _ := r.join(t, 1)
-	r.holds(t, "ADD-PATH joiner", cl)
-
-	base := r.srv.Stats()
-	private := r.srv.metrics.fanoutFramePrivate.Value()
-	pc := r.joinPlain(t, 2)
-	want := r.model(t)
-	waitFor(t, "the joiner without ADD-PATH to hold the table", func() bool { return maps.Equal(pc.snapshot(), want) })
-	r.wantSlotDelta(t, base, shards, 0)
-	if r.srv.metrics.fanoutFramePrivate.Value() == private {
-		t.Fatal("the joiner without ADD-PATH was served no private frame")
+// TestClientCodecRefused: a mux has one client codec, and every
+// internal/client joiner negotiates exactly it in either mode. A
+// BIRD-mode client that offers no ADD-PATH is refused with
+// Cease/Connection Rejected as its session comes up: it is sent no
+// UPDATE, nothing redials it, and ADD-PATH joiners before and after it
+// share the replay slots as if it had never come.
+func TestClientCodecRefused(t *testing.T) {
+	for _, mode := range []muxproto.Mode{muxproto.ModeQuagga, muxproto.ModeBIRD} {
+		r := newFrameRig(t, mode, 1, 2)
+		r.join(t, 1)
+		want := wire.Options{AS4: true, AddPath: mode == muxproto.ModeBIRD}
+		c := clientByID(r.srv, "exp1")
+		keys := []uint32{1, 2}
+		if mode == muxproto.ModeBIRD {
+			keys = []uint32{0}
+		}
+		for _, key := range keys {
+			if got := c.session(key).Options(); got != want || got != r.srv.clientOpts {
+				t.Fatalf("%s mode, session %d: negotiated %+v, mux codec %+v, want %+v", mode, key, got, r.srv.clientOpts, want)
+			}
+		}
 	}
 
+	const n, shards, ups = 1000, 4, 2
+	r := newFrameRig(t, muxproto.ModeBIRD, shards, ups)
+	r.load(0, n)
+	base := r.srv.Stats()
+	cl, _ := r.join(t, 1)
+	r.holds(t, "ADD-PATH joiner", cl)
+	r.wantSlotDelta(t, base, ups*shards, 0)
+
+	pc := r.joinPlain(t, 2)
+	waitFor(t, "the plain client's session to end", func() bool {
+		sessions, _ := pc.state()
+		return len(sessions) == 1 && sessions[0].State() == bgp.StateClosed
+	})
+	c := clientByID(r.srv, "exp2")
+	c.mu.Lock()
+	sup := c.sups[0]
+	c.mu.Unlock()
+	<-sup.Done()
+
 	cl, _ = r.join(t, 3)
-	r.holds(t, "second ADD-PATH joiner", cl)
-	r.wantSlotDelta(t, base, shards, shards)
+	r.holds(t, "ADD-PATH joiner after the refusal", cl)
+	r.wantSlotDelta(t, base, ups*shards, ups*shards)
+	time.Sleep(20 * time.Millisecond) // a redial or a stray UPDATE would trail
+	sessions, updates := pc.state()
+	var pce *bgp.PeerClosedError
+	if err := sessions[0].Err(); !errors.As(err, &pce) || pce.Notif.Code != wire.CodeCease || pce.Notif.Subcode != wire.SubConnectionRejected {
+		t.Fatalf("the plain client's session ended with %v, want Cease/Connection Rejected", err)
+	}
+	if len(sessions) != 1 || updates != 0 || sup.Stats().Attempts != 0 {
+		t.Fatalf("the plain client got %d sessions and %d UPDATEs, its supervisor %d redials; want 1, 0, 0",
+			len(sessions), updates, sup.Stats().Attempts)
+	}
+}
+
+// tightAttrs returns attributes that fit an UPDATE beside p as an
+// upstream sends it, without a path ID, and do not beside p with the
+// ADD-PATH ID a BIRD-mode mux stamps on it.
+func tightAttrs(t testing.TB, p netip.Prefix) *wire.Attrs {
+	t.Helper()
+	a := medAttrs(3001, 999)
+	upd := &wire.Update{Attrs: a, Reach: []wire.NLRI{{Prefix: p, ID: 1}}}
+	for i := 0; ; i++ {
+		if _, err := wire.AppendMessage(nil, upd, wire.Options{AS4: true, AddPath: true}); err != nil {
+			if _, err := wire.AppendMessage(nil, upd, wire.DefaultOptions); err != nil {
+				t.Fatalf("attributes that just overflow %v with a path ID overflow it without one too: %v", p, err)
+			}
+			return a
+		}
+		a.AddCommunity(wire.MakeCommunity(65000, uint16(i)))
+	}
+}
+
+// TestFrameLeavesOutWhatDoesNotEncode: on a BIRD-mode mux, one route
+// whose attributes fit a message from its upstream but not beside the
+// path ID the mux stamps on it is left out of its frame, and the other
+// hundred routes of its shard go — from the replay slot to a joiner,
+// and live, in one dispatch, to a client whose session stays up.
+func TestFrameLeavesOutWhatDoesNotEncode(t *testing.T) {
+	// holdsOthers waits until cl holds r's table but for bad.
+	holdsOthers := func(t *testing.T, r *frameRig, who string, cl *client.Client, bad netip.Prefix) {
+		t.Helper()
+		r.srv.ingest.barrier()
+		want := r.model(t)
+		delete(want, bad)
+		if len(want) != 100 {
+			t.Fatalf("the table holds %d other routes, want 100", len(want))
+		}
+		waitFor(t, who+" to hold every other route", func() bool { return maps.Equal(tableOf(t, cl.Routes(1)), want) })
+	}
+	for _, shards := range []int{1, 4} {
+		ps := sameShard(t, shards, slotPfx(0), 0, 2000, 101)
+		bad := ps[0]
+		mix := []*wire.Update{announce(tightAttrs(t, bad), bad), announce(medAttrs(3001, 1), ps[1:]...)}
+		t.Run(fmt.Sprintf("replay/shards=%d", shards), func(t *testing.T) {
+			r := newFrameRig(t, muxproto.ModeBIRD, shards, 1)
+			r.feed(1, mix...)
+			r.srv.ingest.barrier()
+			cl, _ := r.join(t, 1)
+			holdsOthers(t, r, "the joiner", cl, bad)
+		})
+		t.Run(fmt.Sprintf("live/shards=%d", shards), func(t *testing.T) {
+			r := newFrameRig(t, muxproto.ModeBIRD, shards, 1)
+			cl, _ := r.join(t, 1)
+			sess := clientByID(r.srv, "exp1").session(0)
+			r.feed(1, mix...)
+			holdsOthers(t, r, "the established client", cl, bad)
+			time.Sleep(20 * time.Millisecond) // a reset would trail
+			if now := clientByID(r.srv, "exp1").session(0); now != sess || !sess.Established() || clientSupFailures(r.srv, "exp1", 0) != 0 {
+				t.Fatalf("the client's session was replaced (%v) or went down (%v, %d failures)",
+					now != sess, sess.State(), clientSupFailures(r.srv, "exp1", 0))
+			}
+			if st := r.srv.Stats(); st.ReconnectAttempts != 0 {
+				t.Fatalf("%d reconnect attempts", st.ReconnectAttempts)
+			}
+		})
+	}
 }
 
 // TestReplaySlotReleasedByWrite: the first write to a shard after a

@@ -394,6 +394,10 @@ type Server struct {
 	// intern canonicalizes every attribute set the server stores or
 	// relays, so N clients × M routes share O(distinct attr sets) memory.
 	intern *wire.InternTable
+	// clientOpts is the one codec of every client session: 4-octet ASNs,
+	// and ADD-PATH exactly in BIRD mode. A session that negotiates other
+	// options is refused (clientSessHandler.Established).
+	clientOpts wire.Options
 	// shards is the resolved Config.Shards; ingest is the per-shard
 	// worker pool that owns all Adj-RIB-In mutation (see ingest.go).
 	shards int
@@ -457,6 +461,7 @@ func New(cfg Config) *Server {
 		cfg:           cfg,
 		clk:           cfg.Clock,
 		dp:            dataplane.NewRouter(cfg.Site),
+		clientOpts:    wire.Options{AS4: true, AddPath: cfg.Mode == muxproto.ModeBIRD},
 		intern:        wire.NewInternTable(),
 		shards:        rib.ShardCount(cfg.Shards),
 		upstreams:     make(map[uint32]*Upstream),
@@ -627,7 +632,10 @@ func (h *upstreamHandler) Established(sess *bgp.Session) {
 	u.mu.Unlock()
 	for _, upd := range wire.PackUpdates(nil, outs, sess.Options()) {
 		if sess.Send(upd) != nil {
-			return // session died mid-replay; the next Established retries
+			if !sess.Established() {
+				return // session died mid-replay; the next Established retries
+			}
+			continue // refused: it does not encode, and stays pending
 		}
 		// Announcements accepted while the peering was down (still pending
 		// their first send) converge here.

@@ -63,8 +63,9 @@ func nlriFit(ns []NLRI, budget int, opt Options) int {
 // by canonical hash + Equal, so packing density never depends on
 // whether the caller interns. Each distinct attribute set is marshaled
 // once — into a pooled scratch buffer — to learn its per-message cost;
-// attrs that fail to encode are kept unmerged so the failure surfaces
-// per-route at Send time instead of poisoning a mergeable group.
+// attrs that fail to encode are kept unmerged, so only the UPDATEs that
+// carry them fail to encode (Send refuses each, and the session stays
+// up) instead of poisoning a mergeable group.
 func PackGrouped(withdrawn []NLRI, groups []AttrGroup, opt Options) []*Update {
 	var out []*Update
 	for len(withdrawn) > 0 {
@@ -184,6 +185,44 @@ func AppendRun(b []byte, withdrawn []NLRI, attrs *Attrs, reach []NLRI, opt Optio
 		reach = reach[n:]
 	}
 	return b, msgs, nil
+}
+
+// AppendGroups encodes withdrawals and pre-grouped announcements as the
+// UPDATE messages PackGrouped would pack them into, appended to b, and
+// appends each message's NLRI count to counts. It does not merge: give
+// it one group per attribute set (interned sets are). A message that
+// does not encode — its attributes do not fit beside an NLRI — is left
+// out and the rest are kept. Like AppendRun, it builds no *Update that
+// outlives the call, and allocates nothing while b and counts have room.
+func AppendGroups(b []byte, withdrawn []NLRI, groups []AttrGroup, opt Options, counts []int) ([]byte, []int) {
+	put := func(u *Update) {
+		if out, err := appendUpdate(b, u, opt); err == nil {
+			b, counts = out, append(counts, len(u.Withdrawn)+len(u.Reach))
+		}
+	}
+	for len(withdrawn) > 0 {
+		n := nlriFit(withdrawn, maxBodyBudget, opt)
+		put(&Update{Withdrawn: withdrawn[:n]})
+		withdrawn = withdrawn[n:]
+	}
+	for _, g := range groups {
+		if g.Attrs == nil {
+			continue // announcements require attributes; nothing to relay
+		}
+		budget := maxBodyBudget
+		if len(g.NLRIs) > 1 { // a lone NLRI rides in one message anyway
+			if m, err := g.Attrs.appendMarshal(b, opt); err == nil {
+				budget -= len(m) - len(b) // measured in b's spare room
+				b = m[:len(b)]
+			}
+		}
+		for reach := g.NLRIs; len(reach) > 0; {
+			n := nlriFit(reach, budget, opt)
+			put(&Update{Attrs: g.Attrs, Reach: reach[:n]})
+			reach = reach[n:]
+		}
+	}
+	return b, counts
 }
 
 // PackUpdates packs withdrawals and announcements into as few UPDATE

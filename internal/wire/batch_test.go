@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -195,5 +196,58 @@ func TestAppendRunMatchesPackGrouped(t *testing.T) {
 	attrs, buf := batchAttrs(100), make([]byte, 0, 256)
 	if allocs := testing.AllocsPerRun(100, func() { AppendRun(buf, wd, attrs, reach, Options{AS4: true}) }); allocs != 0 {
 		t.Fatalf("AppendRun allocates %.0f times for one withdrawal and one announcement", allocs)
+	}
+}
+
+// TestAppendGroupsMatchesPackGrouped: given one group per attribute set,
+// AppendGroups writes exactly the bytes of the PackGrouped messages that
+// encode and counts their NLRIs. A set that fits beside a /24 without a
+// path ID but not with one leaves out its messages under ADD-PATH alone,
+// and the withdrawals and the other groups around it, a one-NLRI group
+// among them, still go.
+func TestAppendGroupsMatchesPackGrouped(t *testing.T) {
+	tight := batchAttrs(300)
+	for b, _ := MarshalAttrs(tight, DefaultOptions); len(b) <= maxBodyBudget-8; b, _ = MarshalAttrs(tight, DefaultOptions) {
+		tight.Communities = append(tight.Communities, MakeCommunity(47065, uint16(len(tight.Communities))))
+	}
+	lone := []NLRI{{Prefix: batchPrefix(t, "10.200.0.0/16"), ID: 7}}
+	groups := []AttrGroup{{Attrs: batchAttrs(100)}, {Attrs: tight}, {Attrs: batchAttrs(200)}, {Attrs: batchAttrs(400), NLRIs: lone}}
+	var wd []NLRI
+	for i := 0; i < 2000; i++ {
+		n := NLRI{Prefix: batchPrefix(t, fmt.Sprintf("10.%d.%d.0/24", i/256, i%256)), ID: 7}
+		wd = append(wd, n)
+		if g := &groups[i%3]; g.Attrs != tight || i%30 == 1 {
+			g.NLRIs = append(g.NLRIs, n)
+		}
+	}
+	for _, opt := range []Options{{AS4: true}, {AS4: true, AddPath: true}} {
+		got, counts := AppendGroups([]byte("prefix"), wd, groups, opt, nil)
+		want, wantCounts, left := []byte("prefix"), []int(nil), 0
+		for _, u := range PackGrouped(wd, groups, opt) {
+			out, err := AppendMessage(want, u, opt)
+			if err != nil {
+				if !opt.AddPath || u.Attrs != tight {
+					t.Fatalf("%+v: %v", opt, err)
+				}
+				left += len(u.Reach)
+				continue
+			}
+			want, wantCounts = out, append(wantCounts, len(u.Withdrawn)+len(u.Reach))
+		}
+		if !bytes.Equal(got, want) || !slices.Equal(counts, wantCounts) {
+			t.Fatalf("%+v: AppendGroups wrote %d messages (%d bytes), PackGrouped %d (%d bytes)",
+				opt, len(counts), len(got), len(wantCounts), len(want))
+		}
+		wantLeft := 0
+		if opt.AddPath {
+			wantLeft = len(groups[1].NLRIs)
+		}
+		if left != wantLeft {
+			t.Fatalf("%+v: %d announcements left out, want %d", opt, left, wantLeft)
+		}
+	}
+	buf, counts := make([]byte, 0, 1<<20), make([]int, 0, 4096)
+	if allocs := testing.AllocsPerRun(10, func() { AppendGroups(buf, wd, groups, DefaultOptions, counts) }); allocs != 0 {
+		t.Fatalf("AppendGroups allocates %.0f times into buffers with room", allocs)
 	}
 }
