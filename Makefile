@@ -159,8 +159,10 @@ docs: vet
 # the handler's reused burst scratch, one upstream's runs encoded into one
 # write, and which runs stay pending when that write fails. 3708 → 3655
 # when the mux got one client codec: the flusher's private re-pack, the
-# slot's options and the private replay build went.
-SERVER_LINES_MAX = 3655
+# slot's options and the private replay build went. 3655 → 3652 when the
+# upstream session reader began handing back interned sets, so the
+# per-UPDATE intern, the Adj-RIB-In's interner and replay's default went.
+SERVER_LINES_MAX = 3652
 # internal/rib has a ceiling too since PR 24, set to that PR's count. It
 # was 788 before: the compact Adj-RIB (DESIGN.md §12 "The table at
 # rest") added the slot codec — key to prefix and back, the learned time

@@ -32,6 +32,11 @@ type Metrics struct {
 	// "session_reset"). Counted at ingress on every session — client
 	// and upstream alike — so the server inherits coverage for free.
 	Errors *telemetry.CounterVec
+	// AttrDecodes counts inbound attribute blocks on sessions that
+	// decode through a cache (Config.Intern), by result: "cached" (the
+	// block was seen recently and not parsed) or "parsed". The first
+	// over the sum is the cache's hit rate on a real feed.
+	AttrDecodes *telemetry.CounterVec
 
 	// in / out are the MsgsIn / MsgsOut children by wire.MsgType,
 	// resolved once here so counting a message is one atomic add
@@ -39,6 +44,8 @@ type Metrics struct {
 	// type outside the table (never sent by a conforming peer) takes
 	// the vec path under "unknown".
 	in, out [wire.MsgRouteRefresh + 1]*telemetry.Counter
+	// decodes are the AttrDecodes children by wire.AttrSource.
+	decodes [wire.AttrsParsed + 1]*telemetry.Counter
 }
 
 // NewMetrics registers the session layer's metrics on r.
@@ -58,7 +65,11 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 			"Sessions re-established after at least one failure."),
 		Errors: r.CounterVec("peering_errors_total",
 			"RFC 7606 UPDATE error-handling actions taken, by action.", "action"),
+		AttrDecodes: r.CounterVec("peering_attr_decode_total",
+			"Inbound attribute blocks on caching sessions, by result (cached or parsed).", "result"),
 	}
+	m.decodes[wire.AttrsCached] = m.AttrDecodes.With("cached")
+	m.decodes[wire.AttrsParsed] = m.AttrDecodes.With("parsed")
 	for t := wire.MsgOpen; t <= wire.MsgRouteRefresh; t++ {
 		m.in[t] = m.MsgsIn.With(msgTypeLabel(t))
 		m.out[t] = m.MsgsOut.With(msgTypeLabel(t))
@@ -115,6 +126,14 @@ func (m *Metrics) sessionClosed(last State) {
 	}
 	m.Sessions.With(stateLabel(last)).Dec()
 	m.SessionsClosed.Inc()
+}
+
+// attrDecode counts where one UPDATE's attribute block came from;
+// wire.AttrsNone (no block, or no cache) counts nothing.
+func (m *Metrics) attrDecode(src wire.AttrSource) {
+	if m != nil && m.decodes[src] != nil {
+		m.decodes[src].Inc()
+	}
 }
 
 // errorAction counts one RFC 7606 containment action.

@@ -118,6 +118,12 @@ type Config struct {
 	// transitions for this session (shared across all sessions built
 	// with the same instance; see NewMetrics).
 	Metrics *Metrics
+	// Intern, when non-nil, makes the reader decode each distinct
+	// attribute block once per session (wire.AttrCache) and deliver
+	// every Update.Attrs as the canonical pointer in this table, shared
+	// and frozen. Nil decodes every UPDATE afresh into attributes the
+	// handler owns.
+	Intern *wire.InternTable
 }
 
 // Handler receives session events. Calls are serialized per session.
@@ -187,6 +193,7 @@ type Session struct {
 	bw      buffersWriter // conn, when it takes a vectored write whole
 	handler Handler
 	clk     clock.Clock
+	attrs   *wire.AttrCache // the reader's; nil without Config.Intern
 
 	mu        sync.Mutex
 	state     State
@@ -228,7 +235,7 @@ func New(conn net.Conn, cfg Config, h Handler) *Session {
 	}
 	cfg.Metrics.sessionState(-1, StateOpenSent)
 	bw, _ := conn.(buffersWriter)
-	return &Session{
+	s := &Session{
 		cfg:     cfg,
 		conn:    conn,
 		bw:      bw,
@@ -237,6 +244,10 @@ func New(conn net.Conn, cfg Config, h Handler) *Session {
 		state:   StateOpenSent,
 		done:    make(chan struct{}),
 	}
+	if cfg.Intern != nil {
+		s.attrs = wire.NewAttrCache(cfg.Intern)
+	}
+	return s
 }
 
 // State returns the current FSM state.
@@ -603,7 +614,7 @@ func (s *Session) reader() error {
 			flush()
 			return nil
 		}
-		msg, err := wire.ReadMessage(s.conn, opts)
+		msg, src, err := s.attrs.ReadMessage(s.conn, opts)
 		if err != nil {
 			flush()
 			if s.State() == StateClosed {
@@ -622,6 +633,7 @@ func (s *Session) reader() error {
 		s.cfg.Metrics.msgIn(msg)
 		switch m := msg.(type) {
 		case *wire.Update:
+			s.cfg.Metrics.attrDecode(src)
 			if m.Malformed != nil {
 				s.cfg.Metrics.errorAction("treat_as_withdraw")
 			}

@@ -1,13 +1,17 @@
 package bgp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"peering/internal/bufconn"
+	"peering/internal/telemetry"
 	"peering/internal/wire"
 )
 
@@ -361,5 +365,89 @@ func TestManyConcurrentSessions(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("concurrent sessions deadlocked")
+	}
+}
+
+// rawUpdate frames an UPDATE with no withdrawn routes, the attribute
+// block attrs as given, and NLRI ps (no ADD-PATH).
+func rawUpdate(attrs []byte, ps ...netip.Prefix) []byte {
+	body := binary.BigEndian.AppendUint16([]byte{0, 0}, uint16(len(attrs)))
+	body = append(body, attrs...)
+	for _, p := range ps {
+		a := p.Addr().As4()
+		body = append(append(body, byte(p.Bits())), a[:(p.Bits()+7)/8]...)
+	}
+	msg := bytes.Repeat([]byte{0xff}, wire.MarkerLen)
+	msg = binary.BigEndian.AppendUint16(msg, uint16(wire.HeaderLen+len(body)))
+	return append(append(msg, byte(wire.MsgUpdate)), body...)
+}
+
+// A session with Config.Intern decodes a repeated attribute block once:
+// both UPDATEs carrying it get the table's canonical pointer, a
+// treat-as-withdraw block withdraws the same way on its hit, and the
+// RFC 7606 counters count UPDATEs, not parses.
+func TestReaderDecodesRepeatedBlockOnce(t *testing.T) {
+	met := NewMetrics(telemetry.NewRegistry())
+	tab := wire.NewInternTable()
+	connA, connB := bufconn.Pipe()
+	ha := newCollector()
+	sa := New(connA, Config{LocalAS: 1, LocalID: addr("1.1.1.1"), Describe: "A", Metrics: met, Intern: tab}, ha)
+	go sa.Run()
+	t.Cleanup(func() { sa.Close() })
+	rawPeer(t, connB, 90)
+	waitEstablished(t, ha)
+
+	path := []byte{0x40, 1, 1, 0, 0x40, 2, 6, 2, 1, 0, 0, 0xfd, 0xe9, 0x40, 3, 4, 192, 0, 2, 1}
+	good := append(slices.Clone(path), 0xc0, 7, 3, 1, 2, 3) // AGGREGATOR of 3 bytes: discarded
+	bad := slices.Clone(path)
+	bad[3] = 9 // ORIGIN 9: treat-as-withdraw
+	ps := []netip.Prefix{prefix("100.64.0.0/24"), prefix("100.64.1.0/24"), prefix("100.64.2.0/24"), prefix("100.64.3.0/24")}
+	msgs := [][]byte{rawUpdate(good, ps[0]), rawUpdate(good, ps[1]), rawUpdate(bad, ps[2]), rawUpdate(bad, ps[3])}
+	for _, m := range msgs {
+		connB.Write(m)
+	}
+	var got []*wire.Update
+	for range msgs {
+		select {
+		case u := <-ha.updCh:
+			got = append(got, u)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d UPDATEs delivered", len(got), len(msgs))
+		}
+	}
+
+	fresh, err := wire.Decode(msgs[0], wire.Options{AS4: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := tab.Lookup(fresh.(*wire.Update).Attrs)
+	for i, u := range got[:2] {
+		if canon == nil || u.Attrs != canon {
+			t.Fatalf("UPDATE %d: attrs %p, want the table's canonical %p", i, u.Attrs, canon)
+		}
+		if !slices.Equal(u.Discarded, []uint8{7}) || len(u.Reach) != 1 || u.Reach[0].Prefix != ps[i] {
+			t.Fatalf("UPDATE %d: discarded %v, reach %v", i, u.Discarded, u.Reach)
+		}
+	}
+	for i, u := range got[2:] {
+		if u.Malformed == nil || u.Attrs != nil || len(u.Reach) != 0 ||
+			len(u.Withdrawn) != 1 || u.Withdrawn[0].Prefix != ps[2+i] {
+			t.Fatalf("UPDATE %d: malformed %v, attrs %v, reach %v, withdrawn %v, want %v withdrawn",
+				2+i, u.Malformed, u.Attrs, u.Reach, u.Withdrawn, ps[2+i])
+		}
+	}
+	for _, c := range []struct {
+		vec   *telemetry.CounterVec
+		label string
+		want  uint64
+	}{
+		{met.Errors, "attribute_discard", 2},
+		{met.Errors, "treat_as_withdraw", 2},
+		{met.AttrDecodes, "parsed", 2},
+		{met.AttrDecodes, "cached", 2},
+	} {
+		if got := c.vec.With(c.label).Value(); got != c.want {
+			t.Errorf("%s: %d, want %d", c.label, got, c.want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package federation
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -281,6 +282,57 @@ func TestFederationEquivalence(t *testing.T) {
 	diffTables(t, "local peer", clientTable(t, cl, 1), clientTable(t, ctlCl, 1))
 	diffTables(t, "phoenix peer over backhaul", clientTable(t, cl, phxID), clientTable(t, ctlCl, 2))
 	diffTables(t, "seattle peer over backhaul", clientTable(t, cl, seaID), clientTable(t, ctlCl, 3))
+}
+
+// TestImportLeavesSharedSetUntouched: a mirror's session reader hands
+// the import hook interned sets, shared by every route and frame that
+// carries them, so stripping a foreign metro tag must not write through
+// to the shared set. The hook swaps in a stripped clone, the original
+// keeps its tag, and the mux stores and relays the stripped set.
+func TestImportLeavesSharedSetUntouched(t *testing.T) {
+	ams := newTestServer(t, "amsterdam01", 0, nil)
+	phx := newTestServer(t, "phoenix01", 1, nil)
+	n := announceFrom(attachPeer(t, phx, spec(1, 1239, 1), nil), 1)
+	mesh := newTestMesh(t, nil, nil,
+		Member{Server: ams, RouterID: addr("184.164.224.1"), Site: physicalSite("amsterdam01")},
+		Member{Server: phx, RouterID: addr("184.164.224.2"), Site: physicalSite("phoenix01")},
+	)
+	cl := connectTestClient(t, ams, nil, "alice", addr("10.250.0.1"), prefix("184.164.224.0/24"))
+	phxID := fedIDBase(1) + 1
+	waitFor(t, "amsterdam hears phoenix's peer", func() bool { return cl.RouteCount(phxID) == n })
+	amsTag, _ := mesh.MetroCommunity("amsterdam01")
+	phxTag, _ := mesh.MetroCommunity("phoenix01")
+	for _, r := range cl.Routes(phxID) {
+		if r.Attrs.HasCommunity(phxTag) {
+			t.Fatalf("%v reached the client with phoenix's metro tag", r.Prefix)
+		}
+	}
+
+	fu := mesh.memberByName("amsterdam01").feds[0]
+	tab := wire.NewInternTable()
+	set := func(cs ...wire.Community) *wire.Attrs {
+		slices.Sort(cs)
+		return tab.Intern(&wire.Attrs{
+			ASPath:      []wire.Segment{{Type: wire.SegSequence, ASNs: []uint32{1239}}},
+			NextHop:     addr("80.249.201.10"),
+			Communities: cs,
+		})
+	}
+	shared := set(amsTag, phxTag, 0x2FB90001)
+	upd := &wire.Update{Attrs: shared, Reach: []wire.NLRI{{Prefix: prefix("97.0.0.0/24")}}}
+	fu.importUpdate(upd)
+	if !shared.HasCommunity(phxTag) || len(shared.Communities) != 3 || tab.Lookup(shared.Clone()) != shared {
+		t.Fatalf("the shared set was written through: %v", shared.Communities)
+	}
+	if upd.Attrs == shared || upd.Attrs.HasCommunity(phxTag) || !upd.Attrs.HasCommunity(amsTag) {
+		t.Fatalf("imported set %v: want a clone without phoenix's tag, with amsterdam's", upd.Attrs.Communities)
+	}
+	// Nothing to strip, nothing cloned.
+	own := set(amsTag, 0x2FB90001)
+	upd = &wire.Update{Attrs: own, Reach: upd.Reach}
+	if fu.importUpdate(upd); upd.Attrs != own {
+		t.Fatal("a set with no foreign tag was cloned")
+	}
 }
 
 // TestFederationMetroSuppression pins the metro-locality rule: two

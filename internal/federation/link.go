@@ -269,12 +269,13 @@ func (fu *fedUpstream) attach() {
 }
 
 // importUpdate is the mirror's server-side import hook, run on every
-// UPDATE before archiving, interning, or dispatch. It strips OTHER
-// metros' tags — restoring the attrs Y's clients see, which is what
-// makes cross-mux tables attribute-for-attribute identical — while
-// leaving this member's OWN tag in place for the compiled metro rule
-// to reject as a loop. End-of-RIB closes the convergence measurement
-// opened at dial time.
+// UPDATE before archiving or dispatch. It strips OTHER metros' tags —
+// restoring the attrs Y's clients see, which is what makes cross-mux
+// tables attribute-for-attribute identical — while leaving this
+// member's OWN tag in place for the compiled metro rule to reject as a
+// loop. The set arrives interned and shared, so a strip works on a
+// clone, made only when a foreign tag is present. End-of-RIB closes the
+// convergence measurement opened at dial time.
 func (fu *fedUpstream) importUpdate(upd *wire.Update) {
 	m := fu.at.mesh
 	if upd.IsEndOfRIB() {
@@ -284,14 +285,19 @@ func (fu *fedUpstream) importUpdate(upd *wire.Update) {
 		}
 		return
 	}
-	if upd.Attrs == nil {
+	in := upd.Attrs
+	if in == nil {
 		return
 	}
 	own := fu.at.tag
 	for tag := range m.tagMetro {
-		if tag != own {
-			upd.Attrs.RemoveCommunity(tag)
+		if tag == own || !upd.Attrs.HasCommunity(tag) {
+			continue
 		}
+		if upd.Attrs == in {
+			upd.Attrs = in.Clone()
+		}
+		upd.Attrs.RemoveCommunity(tag)
 	}
 	if len(upd.Reach) > 0 {
 		m.metrics.imported.With(fu.at.name, fu.via.name).Add(uint64(len(upd.Reach)))

@@ -20,11 +20,6 @@ import (
 func (s *Server) ReplayUpstream(u *Upstream, r *mrt.Reader, cfg mrt.ReplayConfig) (mrt.ReplayStats, *bgp.Session, error) {
 	serverEnd, replayEnd := bufconn.Pipe()
 	s.AttachUpstream(u, serverEnd)
-	if cfg.Intern == nil {
-		// Replayed updates land in the server's tables; canonicalize them
-		// in the server's own intern table before they cross the session.
-		cfg.Intern = s.intern
-	}
 	return mrt.ReplaySession(replayEnd, r, mrt.SessionReplayConfig{
 		PeerAS:  s.cfg.ASN,
 		Metrics: s.metrics.bgp,

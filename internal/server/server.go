@@ -192,9 +192,10 @@ type UpstreamConfig struct {
 	// testbed's own (see upstreamSessionConfig).
 	FedVia string
 	// Import, when set, is called on every non-refresh UPDATE from this
-	// upstream before it is archived, interned, or dispatched — the
-	// federation layer's chance to strip backhaul-only communities and
-	// count import metrics. The update may be mutated in place.
+	// upstream before it is archived or dispatched — the federation
+	// layer's chance to strip backhaul-only communities and count import
+	// metrics. upd.Attrs arrives interned, so it is frozen: to change the
+	// set, replace upd.Attrs with a changed clone, which is then interned.
 	Import func(*wire.Update)
 }
 
@@ -532,7 +533,6 @@ func (s *Server) AddUpstream(cfg UpstreamConfig) (*Upstream, error) {
 		damper:      dampen.New(s.cfg.Dampening, s.clk),
 	}
 	u.damper.Instrument(s.metrics.dampen)
-	u.adjIn.SetInterner(s.intern)
 	s.upstreams[cfg.ID] = u
 	s.mu.Unlock()
 	// A client whose session came up before this upstream existed gets
@@ -581,6 +581,7 @@ func (s *Server) upstreamSessionConfig(u *Upstream) bgp.Config {
 		PeerAS:   peerAS,
 		Clock:    s.clk,
 		Metrics:  s.metrics.bgp,
+		Intern:   s.intern,
 		Describe: fmt.Sprintf("%s-up-%s", s.cfg.Site, u.cfg.Name),
 	}
 }
@@ -672,7 +673,7 @@ func (h *upstreamHandler) Closed(_ *bgp.Session, err error) {
 // handleUpstreamUpdates relays a peer's routes to every client. The
 // server deliberately does NOT run best-path selection: each client
 // sees each peer's routes verbatim (§3). Per-message bookkeeping
-// (import hook, archive, interning, metrics) runs per UPDATE; the runs
+// (import hook, archive, metrics) runs per UPDATE; the runs
 // between End-of-RIB markers then enter the shard workers together —
 // they book-keep the Adj-RIB-In (so late-joining clients get a full
 // replay) and fan out through the per-client queues, so the reader
@@ -687,9 +688,14 @@ func (s *Server) handleUpstreamUpdates(u *Upstream, sess *bgp.Session, upds []*w
 		// The federation import hook runs before anything else sees the
 		// update (archive included, so warm restarts rebuild the same
 		// post-import table): it strips backhaul-only communities and
-		// counts cross-mux import metrics.
+		// counts cross-mux import metrics. The session reader delivered
+		// canonical attrs; only a set the hook replaced needs interning.
 		if u.cfg.Import != nil {
+			in := upd.Attrs
 			u.cfg.Import(upd)
+			if upd.Attrs != in {
+				upd.Attrs = s.intern.Intern(upd.Attrs)
+			}
 		}
 		// Archive before interpreting: End-of-RIB markers belong in the
 		// trace too (warm restart replays them as harmless no-ops).
@@ -705,10 +711,6 @@ func (s *Server) handleUpstreamUpdates(u *Upstream, sess *bgp.Session, upds []*w
 			s.flushUpstreamStale(u)
 			continue
 		}
-		// Canonicalize the attribute set once: a stable table
-		// re-announced by a churny peer resolves to the pointer already
-		// shared by the RIB and every frame, so nothing below clones.
-		upd.Attrs = s.intern.Intern(upd.Attrs)
 		if upd.Attrs != nil && len(upd.Reach) > 0 {
 			s.metrics.routesFromUpstreams.Add(uint64(len(upd.Reach)))
 		}

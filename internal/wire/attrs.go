@@ -490,7 +490,7 @@ func parseASPath(v []byte, four bool) ([]Segment, error) {
 // type codes returned in discarded.
 func parseAttrs(b []byte, opt Options) (a *Attrs, discarded []uint8, err error) {
 	a = &Attrs{}
-	seen := map[uint8]bool{}
+	var seen [4]uint64 // one bit per attribute type code
 	var as4Path []Segment
 	var as4Agg *Aggregator
 	for len(b) > 0 {
@@ -514,10 +514,10 @@ func parseAttrs(b []byte, opt Options) (a *Attrs, discarded []uint8, err error) 
 		}
 		v := b[hlen : hlen+vlen]
 		b = b[hlen+vlen:]
-		if seen[code] {
+		if seen[code>>6]&(1<<(code&63)) != 0 {
 			return nil, nil, withdrawError(SubMalformedAttributeList, []byte{code})
 		}
-		seen[code] = true
+		seen[code>>6] |= 1 << (code & 63)
 		switch code {
 		case attrOrigin:
 			if vlen != 1 {

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/maphash"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -56,6 +59,7 @@ func FuzzParseMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, opt := range []Options{{}, {AS4: true, AddPath: true}} {
 			m, err := Decode(data, opt)
+			checkCachedDecode(t, data, opt, m, err)
 			if err != nil {
 				// RFC 7606 classification must be total: an error that
 				// escapes Decode is by definition a session reset —
@@ -102,4 +106,63 @@ func FuzzParseMessage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkCachedDecode is FuzzParseMessage's cache oracle: data decoded
+// through one AttrCache twice (a miss, then a hit), and once more after
+// a colliding block has evicted its slot, must give what a fresh decode
+// gave (fresh, freshErr) every time — same Update, Malformed and
+// Discarded, or the same session-reset error.
+func checkCachedDecode(t *testing.T, data []byte, opt Options, fresh Message, freshErr error) {
+	t.Helper()
+	c := NewAttrCache(NewInternTable())
+	decode := func(when string, want AttrSource) {
+		t.Helper()
+		m, src, err := c.ReadMessage(bytes.NewReader(data), opt)
+		if !reflect.DeepEqual(err, freshErr) {
+			t.Fatalf("%s: cached decode error %v, fresh %v (opts %+v)\n in %x", when, err, freshErr, opt, data)
+		}
+		if !reflect.DeepEqual(m, fresh) {
+			t.Fatalf("%s: cached decode differs (opts %+v):\n cached %#v\n fresh  %#v\n in %x", when, opt, m, fresh, data)
+		}
+		if src != want {
+			t.Fatalf("%s: attributes from %v, want %v (opts %+v)\n in %x", when, src, want, opt, data)
+		}
+	}
+	slot := func() int {
+		for i := range c.slots {
+			if len(c.slots[i].block) > 0 {
+				return i
+			}
+		}
+		return -1
+	}
+	m, src, err := c.ReadMessage(bytes.NewReader(data), opt)
+	if !reflect.DeepEqual(m, fresh) || !reflect.DeepEqual(err, freshErr) {
+		t.Fatalf("first decode differs (opts %+v):\n cached %#v, %v\n fresh  %#v, %v\n in %x", opt, m, err, fresh, freshErr, data)
+	}
+	i := slot()
+	if i < 0 {
+		// No block reached the cache: none in the message, or a
+		// session reset before or inside it, which is never cached.
+		decode("uncached decode", AttrsNone)
+		return
+	}
+	if src != AttrsParsed {
+		t.Fatalf("first decode: attributes from %v, want parsed\n in %x", src, data)
+	}
+	decode("second decode", AttrsCached)
+	// Evict: a valid block (ORIGIN, MED n) that maps to the same slot.
+	mask := uint64(len(c.slots) - 1)
+	for n := uint32(0); ; n++ {
+		other := binary.BigEndian.AppendUint32([]byte{flagTransitive, attrOrigin, 1, 0, flagOptional, attrMED, 4}, n)
+		if maphash.Bytes(c.seed, other)&mask != uint64(i) || bytes.Equal(other, c.slots[i].block) {
+			continue
+		}
+		if _, _, _, err := c.decode(other, opt); err != nil {
+			t.Fatalf("evicting block %x does not decode: %v", other, err)
+		}
+		break
+	}
+	decode("decode after eviction", AttrsParsed)
 }

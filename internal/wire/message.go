@@ -140,6 +140,12 @@ func closeMessage(b []byte, start int, typ MsgType) ([]byte, error) {
 // data, and error paths are rare enough that leaking them to the GC is
 // the right trade.
 func ReadMessage(r io.Reader, opt Options) (Message, error) {
+	return readMessage(r, opt, nil)
+}
+
+// readMessage is ReadMessage decoding attribute blocks through c (nil:
+// parse every block).
+func readMessage(r io.Reader, opt Options, c *AttrCache) (Message, error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -159,7 +165,7 @@ func ReadMessage(r io.Reader, opt Options) (Message, error) {
 		bufpool.Put(body)
 		return nil, err
 	}
-	m, err := decodeBody(typ, body, opt)
+	m, err := decodeBody(typ, body, opt, c)
 	if err != nil {
 		return nil, err
 	}
@@ -172,12 +178,12 @@ func Decode(b []byte, opt Options) (Message, error) {
 	return ReadMessage(bytes.NewReader(b), opt)
 }
 
-func decodeBody(typ MsgType, body []byte, opt Options) (Message, error) {
+func decodeBody(typ MsgType, body []byte, opt Options, c *AttrCache) (Message, error) {
 	switch typ {
 	case MsgOpen:
 		return decodeOpen(body)
 	case MsgUpdate:
-		return decodeUpdate(body, opt)
+		return decodeUpdate(body, opt, c)
 	case MsgNotification:
 		return decodeNotification(body)
 	case MsgKeepalive:
@@ -474,7 +480,9 @@ func (m *Update) marshalBody(b []byte, opt Options) ([]byte, error) {
 	return appendNLRIs(b, m.Reach, opt.AddPath)
 }
 
-func decodeUpdate(body []byte, opt Options) (*Update, error) {
+// decodeUpdate decodes an UPDATE body, its attribute block through c
+// (nil: parsed afresh).
+func decodeUpdate(body []byte, opt Options, c *AttrCache) (*Update, error) {
 	if len(body) < 4 {
 		return nil, NotifError(CodeUpdateMessageError, SubMalformedAttributeList, nil)
 	}
@@ -493,20 +501,14 @@ func decodeUpdate(body []byte, opt Options) (*Update, error) {
 	if len(rest) < 2+attrLen {
 		return nil, NotifError(CodeUpdateMessageError, SubMalformedAttributeList, nil)
 	}
+	// A treat-as-withdraw attrErr (RFC 7606): the session survives, the
+	// routes do not. The NLRI field is still parsed below — NLRI damage
+	// stays fatal (§5.3) — and its prefixes join the withdrawn set.
 	var attrErr *Error
 	if attrLen > 0 {
-		var perr error
-		m.Attrs, m.Discarded, perr = parseAttrs(rest[2:2+attrLen], opt)
-		if perr != nil {
-			var we *Error
-			if !errors.As(perr, &we) || we.Action != ActionTreatAsWithdraw {
-				return nil, perr
-			}
-			// RFC 7606 treat-as-withdraw: the session survives, the
-			// routes do not. The NLRI field is still parsed below —
-			// NLRI damage stays fatal (§5.3) — and its prefixes join
-			// the withdrawn set.
-			attrErr, m.Attrs, m.Discarded = we, nil, nil
+		m.Attrs, m.Discarded, attrErr, err = c.decode(rest[2:2+attrLen], opt)
+		if err != nil {
+			return nil, err
 		}
 	}
 	m.Reach, err = parseNLRIs(rest[2+attrLen:], opt.AddPath)

@@ -459,14 +459,15 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 
 // Property: the decoder never panics on random garbage bodies.
 func TestQuickDecoderNoPanic(t *testing.T) {
+	c := NewAttrCache(NewInternTable())
 	f := func(body []byte, typ uint8) bool {
 		defer func() {
 			if recover() != nil {
 				t.Errorf("decoder panicked on type %d body %x", typ%6, body)
 			}
 		}()
-		_, _ = decodeBody(MsgType(typ%6), body, DefaultOptions)
-		_, _ = decodeBody(MsgType(typ%6), body, Options{AddPath: true, AS4: true})
+		_, _ = decodeBody(MsgType(typ%6), body, DefaultOptions, nil)
+		_, _ = decodeBody(MsgType(typ%6), body, Options{AddPath: true, AS4: true}, c)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
