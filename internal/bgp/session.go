@@ -11,10 +11,11 @@
 // upstream and peer ASes").
 //
 // A session's one goroutine, Run's, reads. Nothing queues on the write
-// side: whoever has a message — Send, SendEncoded, the keepalive tick,
-// a NOTIFICATION on the way out — writes it to the transport, whole,
-// under one write mutex, so Send blocks while the transport does and
-// what was handed to it is the caller's again when it returns.
+// side: whoever has a message — Send, SendEncoded, SendRuns, the
+// keepalive tick, a NOTIFICATION on the way out — writes it to the
+// transport, whole, under one write mutex, so Send blocks while the
+// transport does and what was handed to it is the caller's again when
+// it returns.
 //
 // Sessions and supervisors are instrumented through a shared, optional
 // Metrics instance (Config.Metrics): message counts by type, a live
@@ -29,6 +30,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"peering/internal/bufpool"
@@ -135,8 +137,8 @@ type Handler interface {
 	// UpdateReceived fires for each inbound UPDATE.
 	UpdateReceived(*Session, *wire.Update)
 	// Closed fires exactly once when the session ends; err is nil on
-	// clean shutdown. It never runs on a goroutine that is inside Send
-	// or SendEncoded, so it may take locks that senders hold.
+	// clean shutdown. It never runs on a goroutine that is inside Send,
+	// SendEncoded or SendRuns, so it may take locks that senders hold.
 	Closed(*Session, error)
 }
 
@@ -210,6 +212,9 @@ type Session struct {
 	// measure of how many messages actually hit the wire. A standalone
 	// telemetry counter: lock-free, readable without s.mu.
 	sent telemetry.Counter
+	// runHint is the size of SendRuns' last write, the buffer the next
+	// one asks the pool for.
+	runHint atomic.Int64
 
 	// wmu makes each write to conn whole messages: a leaf lock, held
 	// only across the conn's write. notified, under it, is set by a
@@ -505,6 +510,46 @@ func (s *Session) SendEncoded(bufs net.Buffers, updates int) error {
 		s.cfg.Metrics.msgOutUpdates(updates)
 	}
 	return s.wrote(err)
+}
+
+// SendRuns is the one way out toward a peer for runs of routes: each
+// run is withdrawals plus announcements that share one attribute set,
+// a wire.Update's fields. The runs are encoded by wire.AppendRun under
+// the negotiated options, back to back into one pooled buffer that is
+// written on SendEncoded's terms, and cut into a new write between runs
+// once it reaches bufpool's largest class (64 KiB). sent, reused,
+// comes back with one entry per run: whether it went out. A run that
+// does not encode is left out alone and the rest go. A failed write
+// takes its runs and every later one with it, and its error is
+// returned. The last write's size sizes the next call's buffer: every
+// sender of a session shares the hint.
+func (s *Session) SendRuns(runs []wire.Update, sent []bool) ([]bool, error) {
+	sent = append(sent[:0], make([]bool, len(runs))...)
+	opts, ok := s.established()
+	if !ok {
+		return sent, s.errDown()
+	}
+	buf, from, msgs := bufpool.Get(int(s.runHint.Load()))[:0], 0, 0
+	var err error
+	for i := range runs {
+		r := &runs[i]
+		if out, n, e := wire.AppendRun(buf, r.Withdrawn, r.Attrs, r.Reach, opts); e == nil {
+			buf, msgs, sent[i] = out, msgs+n, true
+		}
+		if len(buf) < 64<<10 && i < len(runs)-1 {
+			continue
+		}
+		s.runHint.Store(int64(len(buf)))
+		if msgs > 0 {
+			if err = s.SendEncoded(net.Buffers{buf}, msgs); err != nil {
+				clear(sent[from:])
+				break
+			}
+		}
+		buf, from, msgs = buf[:0], i+1, 0
+	}
+	bufpool.Put(buf)
+	return sent, err
 }
 
 // putBuffers is put for SendEncoded's vector, which it copies into the

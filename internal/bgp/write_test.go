@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,5 +248,75 @@ func TestFailedSendDoesNotRunClosedOnSender(t *testing.T) {
 	waitClosed(t, ha.collector, "failed write did not end the session")
 	if err := sa.Err(); err == nil {
 		t.Fatal("session ended by a failed write carries no error")
+	}
+}
+
+// cutConn counts its write calls and fails every one from the
+// failFrom-th on (0: none fails).
+type cutConn struct {
+	net.Conn
+	failFrom int32
+	writes   atomic.Int32
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if n := c.writes.Add(1); c.failFrom > 0 && n >= c.failFrom {
+		return 0, errors.New("write: injected failure")
+	}
+	return c.Conn.Write(p)
+}
+
+// SendRuns packs runs into shared writes, cut between runs once a write
+// reaches 64 KiB, and reports which runs went out: not a run that does
+// not encode, which is left out alone, and not the runs of a write that
+// failed or of any after it.
+func TestSendRunsCutsWritesAndReportsRuns(t *testing.T) {
+	fat := sampleUpdate().Attrs
+	for i := 0; i < 1100; i++ {
+		fat.AddCommunity(wire.MakeCommunity(47065, uint16(i)))
+	}
+	runs := make([]wire.Update, 40)
+	for i := range runs {
+		attrs := sampleUpdate().Attrs
+		attrs.HasMED, attrs.MED = true, uint32(i)
+		if i == 5 {
+			attrs = fat
+		}
+		runs[i].Attrs = attrs
+		for j := 0; j < 500; j++ {
+			runs[i].Reach = append(runs[i].Reach, wire.NLRI{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{100, byte(i), byte(j >> 8), byte(j)}), 32)})
+		}
+	}
+	// cut is the first run of the second write.
+	cut, size := 0, 0
+	for i := range runs {
+		if b, _, err := wire.AppendRun(nil, nil, runs[i].Attrs, runs[i].Reach, wire.DefaultOptions); err == nil {
+			size += len(b)
+		}
+		if cut = i + 1; size >= 64<<10 {
+			break
+		}
+	}
+	if cut >= len(runs) {
+		t.Fatalf("the runs encode to %d bytes, all in one write", size)
+	}
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	for _, failFrom := range []int32{0, 4} { // the handshake writes twice, then the runs
+		connA, connB := bufconn.Pipe()
+		cc := &cutConn{Conn: connA, failFrom: failFrom}
+		sa, _ := rawSession(t, cc, connB, clk, 90*time.Second)
+		go io.Copy(io.Discard, connB)
+		sent, err := sa.SendRuns(runs, nil)
+		if writes := cc.writes.Load() - 2; writes != 2 {
+			t.Fatalf("failFrom %d: the runs took %d writes, want 2", failFrom, writes)
+		}
+		if (err != nil) != (failFrom > 0) {
+			t.Fatalf("failFrom %d: SendRuns returned %v", failFrom, err)
+		}
+		for i, ok := range sent {
+			if want := i != 5 && (failFrom == 0 || i < cut); ok != want {
+				t.Fatalf("failFrom %d: run %d of %d (second write from %d) sent %v, want %v", failFrom, i, len(runs), cut, ok, want)
+			}
+		}
 	}
 }

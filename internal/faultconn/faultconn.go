@@ -26,6 +26,8 @@ type Stats struct {
 	// BytesRead and BytesWritten count bytes actually passed through.
 	BytesRead    int64
 	BytesWritten int64
+	// Writes counts write calls (Write or WriteBuffers) passed through.
+	Writes int64
 	// WritesDropped counts whole write calls (Write or WriteBuffers)
 	// blackholed by a partition or drop trigger.
 	WritesDropped int64
@@ -301,9 +303,11 @@ func (c *Conn) fault(n int64) (drop, corrupt bool, err error) {
 	return false, corrupt, nil
 }
 
-// wrote counts n bytes passed through to the wrapped conn.
+// wrote counts one write call of n bytes passed through to the wrapped
+// conn.
 func (c *Conn) wrote(n int64) {
 	c.mu.Lock()
+	c.stats.Writes++
 	c.stats.BytesWritten += n
 	c.mu.Unlock()
 }

@@ -48,7 +48,7 @@ func TestPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	readN(t, a, 2)
-	if st := a.Stats(); st.BytesWritten != 5 || st.BytesRead != 2 || st.WritesDropped != 0 {
+	if st := a.Stats(); st.BytesWritten != 5 || st.Writes != 1 || st.BytesRead != 2 || st.WritesDropped != 0 {
 		t.Fatalf("a stats = %+v", st)
 	}
 	if st := b.Stats(); st.BytesWritten != 2 || st.BytesRead != 5 {
@@ -64,7 +64,7 @@ func TestPartitionDropsWholeWritesAndHeals(t *testing.T) {
 	if n, err := a.Write([]byte("lost")); err != nil || n != 4 {
 		t.Fatalf("write during partition = %d, %v", n, err)
 	}
-	if st := a.Stats(); st.WritesDropped != 1 || st.BytesDropped != 4 || st.BytesWritten != 0 {
+	if st := a.Stats(); st.WritesDropped != 1 || st.BytesDropped != 4 || st.BytesWritten != 0 || st.Writes != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	a.Heal()
@@ -309,7 +309,7 @@ func TestWriteBuffersDroppedWhole(t *testing.T) {
 	a.DropAfter(2)
 	a.WriteBuffers(threeBufs()) // crosses the threshold: passes whole
 	a.WriteBuffers(threeBufs()) // blackholed, every buffer of it
-	if st := a.Stats(); st.WritesDropped != 2 || st.BytesDropped != 24 || st.BytesWritten != 12 {
+	if st := a.Stats(); st.WritesDropped != 2 || st.BytesDropped != 24 || st.BytesWritten != 12 || st.Writes != 1 {
 		t.Fatalf("stats after the drop trigger = %+v", st)
 	}
 	a.DropAfter(-1)

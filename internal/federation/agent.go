@@ -113,13 +113,12 @@ func (ag *agent) onRoute(uid uint32, upd *wire.Update) {
 			}
 			continue
 		}
-		out := &wire.Update{Withdrawn: upd.Withdrawn}
+		run := wire.Update{Withdrawn: upd.Withdrawn}
 		if upd.Attrs != nil && len(upd.Reach) > 0 {
-			out.Attrs = ag.taggedLocked(upd.Attrs)
-			out.Reach = upd.Reach
+			run.Attrs, run.Reach = ag.taggedLocked(upd.Attrs), upd.Reach
 		}
-		if sess.Send(out) == nil && len(out.Reach) > 0 {
-			met.exported.With(mem.name, peer.name).Add(uint64(len(out.Reach)))
+		if sent, _ := sess.SendRuns([]wire.Update{run}, nil); sent[0] && len(run.Reach) > 0 {
+			met.exported.With(mem.name, peer.name).Add(uint64(len(run.Reach)))
 		}
 	}
 }
@@ -145,32 +144,32 @@ func (ag *agent) taggedLocked(a *wire.Attrs) *wire.Attrs {
 func (ag *agent) exportEstablished(peer *member, uid uint32, sess *bgp.Session) {
 	mem := ag.m
 	met := mem.mesh.metrics
-	sameMetro := peer.cfg.Metro == mem.cfg.Metro
 	ag.mu.Lock()
 	defer ag.mu.Unlock()
 	ag.exports[exportKey{peer.idx, uid}] = sess
-	if sameMetro {
+	var runs []wire.Update // one per tagged attribute set, none within the metro
+	if peer.cfg.Metro == mem.cfg.Metro {
 		if n := ag.cl.RouteCount(uid); n > 0 {
 			met.suppressed.With(mem.name, peer.name).Add(uint64(n))
 		}
-		sess.Send(&wire.Update{})
-		return
-	}
-	var outs []wire.AttrRoute
-	for _, r := range ag.cl.Routes(uid) {
-		outs = append(outs, wire.AttrRoute{
-			NLRI:  wire.NLRI{Prefix: r.Prefix},
-			Attrs: ag.taggedLocked(r.Attrs),
-		})
-	}
-	for _, upd := range wire.PackUpdates(nil, outs, sess.Options()) {
-		if sess.Send(upd) != nil {
-			if !sess.Established() {
-				return // session died mid-replay; the next establish retries
+	} else {
+		idx := make(map[*wire.Attrs]int)
+		for _, r := range ag.cl.Routes(uid) {
+			a := ag.taggedLocked(r.Attrs)
+			if _, ok := idx[a]; !ok {
+				idx[a], runs = len(runs), append(runs, wire.Update{Attrs: a})
 			}
-			continue // refused: it does not encode
+			runs[idx[a]].Reach = append(runs[idx[a]].Reach, wire.NLRI{Prefix: r.Prefix})
 		}
-		met.exported.With(mem.name, peer.name).Add(uint64(len(upd.Reach)))
+	}
+	sent, err := sess.SendRuns(runs, nil)
+	for i, r := range runs {
+		if sent[i] {
+			met.exported.With(mem.name, peer.name).Add(uint64(len(r.Reach)))
+		}
+	}
+	if err != nil {
+		return // session died mid-replay; the next establish retries
 	}
 	sess.Send(&wire.Update{})
 }

@@ -98,15 +98,18 @@ func TestFederationBenchmark(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 
-	// Backhaul cost: total bytes on every link over the number of
-	// route deliveries that crossed a backhaul hop (each site's table
-	// is mirrored at both other members).
-	var backhaulBytes int64
-	for _, l := range mesh.Status().Links {
-		backhaulBytes += l.BytesFromA + l.BytesFromB
+	// Backhaul cost: total bytes and write calls on every link over the
+	// number of route deliveries that crossed a backhaul hop (each
+	// site's table is mirrored at both other members).
+	var backhaulBytes, backhaulWrites int64
+	for _, l := range mesh.links {
+		a, b := l.ca.Stats(), l.cb.Stats()
+		backhaulBytes += a.BytesWritten + b.BytesWritten
+		backhaulWrites += a.Writes + b.Writes
 	}
 	crossings := 4 * nRoutes
 	bytesPerRoute := float64(backhaulBytes) / float64(crossings)
+	writesPerRoute := float64(backhaulWrites) / float64(crossings)
 
 	// End-of-RIB closes the convergence measurement and trails the last
 	// route by a frame, so give each mirror's sample a moment to land.
@@ -121,7 +124,8 @@ func TestFederationBenchmark(t *testing.T) {
 
 	t.Logf("3 muxes, %d clients at amsterdam, %d routes/site: fleet converged in %v (%.0f routes/s to clients)",
 		nClients, nRoutes, elapsed.Round(time.Millisecond), routesPerSec)
-	t.Logf("backhaul: %d bytes for %d route crossings (%.1f B/route); convergence %v", backhaulBytes, crossings, bytesPerRoute, conv)
+	t.Logf("backhaul: %d bytes and %d writes for %d route crossings (%.1f B/route, %.3f writes/route); convergence %v",
+		backhaulBytes, backhaulWrites, crossings, bytesPerRoute, writesPerRoute, conv)
 
 	if out != "" {
 		b, err := json.MarshalIndent(map[string]any{
@@ -133,6 +137,8 @@ func TestFederationBenchmark(t *testing.T) {
 			"cross_mux_convergence_avg": conv,
 			"backhaul_bytes_total":      backhaulBytes,
 			"backhaul_bytes_per_route":  bytesPerRoute,
+			"backhaul_writes_total":     backhaulWrites,
+			"backhaul_writes_per_route": writesPerRoute,
 			"backhaul_route_crossings":  crossings,
 			"env":                       benchenv.Capture(testStart),
 		}, "", "  ")

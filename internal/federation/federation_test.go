@@ -501,3 +501,56 @@ func TestFederationStatus(t *testing.T) {
 		return s.Links[0].BytesFromA > 0 && s.Links[0].BytesFromB > 0
 	})
 }
+
+// TestBackhaulReplayIsFewWrites: after a partition heals, the serving
+// agent replays a 1 000-route table over 100 attribute sets to the
+// redialed mirror as a handful of transport writes — its runs packed
+// into shared writes, not one write per UPDATE — and the mirror ends on
+// the whole table.
+func TestBackhaulReplayIsFewWrites(t *testing.T) {
+	const n = 1000
+	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	ams := chaosTestServer(t, "amsterdam01", 0, clk)
+	phx := chaosTestServer(t, "phoenix01", 1, clk)
+	phxUp := attachPeer(t, phx, spec(1, 1239, 1), clk)
+	for i := 0; i < n; i++ {
+		phxUp.Announce(prefix(fmt.Sprintf("60.%d.%d.0/24", i/256, i%256)), router.AnnounceSpec{MED: uint32(i % 100), MEDSet: true})
+	}
+	waitForV(t, clk, "phoenix holds its table", 100*time.Millisecond, func() bool {
+		return phx.Upstream(1).RoutesIn() == n
+	})
+	mesh := newTestMesh(t, clk, telemetry.NewRegistry(),
+		Member{Server: ams, RouterID: addr("184.164.224.1"), Site: physicalSite("amsterdam01")},
+		Member{Server: phx, RouterID: addr("184.164.224.2"), Site: physicalSite("phoenix01")},
+	)
+	fu := mirrorOf(t, mesh, "amsterdam01", "phoenix01")
+	conv := mesh.metrics.convergence.With("amsterdam01", "phoenix01")
+	waitForV(t, clk, "the first sync", 100*time.Millisecond, func() bool {
+		return fu.u.RoutesIn() == n && conv.Count() == 1
+	})
+
+	if err := mesh.PartitionLink("amsterdam01", "phoenix01"); err != nil {
+		t.Fatal(err)
+	}
+	waitForV(t, clk, "backhaul session death by hold timer", time.Second, func() bool {
+		return !fu.u.Established()
+	})
+	phxEnd := mesh.links[0].cb // amsterdam01 sorts first: phoenix01 is b
+	base := phxEnd.Stats().Writes
+	if err := mesh.HealLink("amsterdam01", "phoenix01"); err != nil {
+		t.Fatal(err)
+	}
+	waitForV(t, clk, "the replay's end-of-RIB", 100*time.Millisecond, func() bool {
+		return fu.u.Established() && conv.Count() == 2
+	})
+	if got := fu.u.RoutesIn(); got != n {
+		t.Fatalf("mirror holds %d routes after the replay, want %d", got, n)
+	}
+	// The handshake, the replay, End-of-RIB and what else the link
+	// carried while the clock stepped: well under one write per set.
+	writes := phxEnd.Stats().Writes - base
+	t.Logf("%d writes from the heal to the replay's end", writes)
+	if writes > 10 {
+		t.Fatalf("phoenix01 wrote %d times from the heal to the replay's end, want a handful", writes)
+	}
+}

@@ -8,6 +8,7 @@ package internet
 // instead of a 25 MB binary fixture.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
@@ -88,6 +89,7 @@ func WriteTrace(w io.Writer, g *Graph, cfg TraceConfig) (TraceStats, error) {
 	opts := wire.Options{AS4: true}
 	mw := mrt.NewWriter(w, nil)
 	var st TraceStats
+	var buf []byte // one origin's messages
 	ts := cfg.Start
 	for _, asn := range g.order {
 		a := g.byASN[asn]
@@ -104,17 +106,19 @@ func WriteTrace(w io.Writer, g *Graph, cfg TraceConfig) (TraceStats, error) {
 			nlris[i] = wire.NLRI{Prefix: p}
 		}
 		st.Origins++
-		for _, upd := range wire.PackGrouped(nil, []wire.AttrGroup{{Attrs: attrs, NLRIs: nlris}}, opts) {
-			msg, err := wire.Marshal(upd, opts)
-			if err != nil {
-				return st, fmt.Errorf("internet: trace update for AS%d: %w", asn, err)
-			}
+		var err error
+		if buf, _, err = wire.AppendRun(buf[:0], nil, attrs, nlris, opts); err != nil {
+			return st, fmt.Errorf("internet: trace update for AS%d: %w", asn, err)
+		}
+		// One record per message, cut at each header's length field.
+		for msg := buf; len(msg) > 0; {
+			n := int(binary.BigEndian.Uint16(msg[wire.MarkerLen:]))
 			rec, err := (&mrt.BGP4MP{
 				PeerAS:  cfg.PeerAS,
 				LocalAS: cfg.LocalAS,
 				PeerIP:  cfg.PeerIP,
 				LocalIP: cfg.LocalIP,
-				Message: msg,
+				Message: msg[:n],
 				AS4:     true,
 			}).Record(ts, true)
 			if err != nil {
@@ -125,8 +129,9 @@ func WriteTrace(w io.Writer, g *Graph, cfg TraceConfig) (TraceStats, error) {
 			}
 			ts = ts.Add(cfg.Gap)
 			st.Records++
-			st.Routes += len(upd.Reach)
+			msg = msg[n:]
 		}
+		st.Routes += len(nlris)
 	}
 	st.Bytes = mw.Bytes()
 	return st, nil

@@ -3,16 +3,19 @@ package internet
 import (
 	"bytes"
 	"io"
+	"net/netip"
 	"testing"
 	"time"
 
 	"peering/internal/mrt"
+	"peering/internal/wire"
 )
 
 // TestWriteTrace round-trips a small generated Internet through the
 // trace writer and the MRT reader: every originated prefix appears
 // exactly once, AS paths start at the announcing peer and end at the
-// originating AS, and record timestamps are monotonic.
+// originating AS, and record timestamps are monotonic. The trace is byte
+// for byte what PackGrouped's messages, marshaled one by one, give.
 func TestWriteTrace(t *testing.T) {
 	spec := Spec{Seed: 7, ASes: 300, Tier1s: 4, Transits: 30, CDNs: 4, Contents: 8, Prefixes: 4000}
 	g := Generate(spec)
@@ -39,6 +42,10 @@ func TestWriteTrace(t *testing.T) {
 			peerAS = asn
 			break
 		}
+	}
+
+	if want := packedTrace(t, g, peerAS); !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("trace is %d bytes, PackGrouped + Marshal give %d, or the bytes differ", buf.Len(), len(want))
 	}
 
 	originOf := make(map[string]uint32) // prefix → expected origin ASN
@@ -101,6 +108,44 @@ func TestWriteTrace(t *testing.T) {
 		t.Fatalf("read back %d records / %d prefixes, stats said %d / %d",
 			records, len(seen), st.Records, st.Routes)
 	}
+}
+
+// packedTrace is WriteTrace's output under the zero TraceConfig,
+// written from PackGrouped's messages, each marshaled into a record.
+func packedTrace(t *testing.T, g *Graph, peerAS uint32) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	mw := mrt.NewWriter(&out, nil)
+	peerIP, localIP := netip.AddrFrom4([4]byte{10, 0, 0, 1}), netip.AddrFrom4([4]byte{10, 0, 0, 2})
+	opts := wire.Options{AS4: true}
+	ts := time.Date(2014, 10, 27, 0, 0, 0, 0, time.UTC)
+	for _, asn := range g.ASNs() {
+		a := g.AS(asn)
+		attrs := &wire.Attrs{
+			Origin:  wire.OriginIGP,
+			ASPath:  []wire.Segment{{Type: wire.SegSequence, ASNs: g.pathFrom(peerAS, a)}},
+			NextHop: peerIP,
+		}
+		var nlris []wire.NLRI
+		for _, p := range a.Prefixes {
+			nlris = append(nlris, wire.NLRI{Prefix: p})
+		}
+		for _, upd := range wire.PackGrouped(nil, []wire.AttrGroup{{Attrs: attrs, NLRIs: nlris}}, opts) {
+			msg, err := wire.Marshal(upd, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := (&mrt.BGP4MP{PeerAS: peerAS, LocalAS: 47065, PeerIP: peerIP, LocalIP: localIP, Message: msg, AS4: true}).Record(ts, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mw.WriteRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+			ts = ts.Add(time.Millisecond)
+		}
+	}
+	return out.Bytes()
 }
 
 // TestFullTableSpecShape pins the Internet-scale spec's contract — ≥1M

@@ -4,10 +4,11 @@
 // steering (selective announce, prepending, poisoning, communities),
 // private-ASN stripping, and iBGP/eBGP propagation rules.
 //
-// The same Router type is used everywhere a BGP speaker appears in the
-// testbed: inside MinineXt emulations (one per PoP), as the client's
-// announcement engine, as the AS model behind IXP members, and as the
-// building block of PEERING servers.
+// The same Router type plays every BGP speaker around the mux: one per
+// PoP inside MinineXt emulations, the AS model behind IXP members and
+// the exchange's route server, and the upstream peers of tests and
+// experiments. The mux itself (internal/server) is not built on it: it
+// runs no decision process and keeps each peer's table verbatim.
 package router
 
 import (
@@ -550,11 +551,6 @@ func (r *Router) exportTransform(p *Peer, rt *rib.Route) *rib.Route {
 	return res
 }
 
-// IsPrivateASN reports whether asn is in the RFC 6996 private ranges.
-func IsPrivateASN(asn uint32) bool {
-	return (asn >= 64512 && asn <= 65534) || (asn >= 4200000000 && asn <= 4294967294)
-}
-
 // stripPrivateASNs removes private ASNs from the AS path, except
 // ownAS (which is preserved even if private, as the testbed AS itself
 // must appear).
@@ -563,7 +559,7 @@ func stripPrivateASNs(a *wire.Attrs, ownAS uint32) {
 	for _, s := range a.ASPath {
 		kept := make([]uint32, 0, len(s.ASNs))
 		for _, asn := range s.ASNs {
-			if asn != ownAS && IsPrivateASN(asn) {
+			if asn != ownAS && wire.IsPrivateASN(asn) {
 				continue
 			}
 			kept = append(kept, asn)

@@ -387,16 +387,3 @@ func TestSessionTeardownWithdrawsRoutes(t *testing.T) {
 	a.Peer(addr("10.0.0.2")).Session().Close()
 	waitFor(t, func() bool { return b.LocRIB().Best(prefix("100.64.0.0/24")) == nil })
 }
-
-func TestIsPrivateASN(t *testing.T) {
-	cases := map[uint32]bool{
-		64511: false, 64512: true, 65534: true, 65535: false,
-		4199999999: false, 4200000000: true, 4294967294: true, 4294967295: false,
-		3356: false,
-	}
-	for asn, want := range cases {
-		if got := IsPrivateASN(asn); got != want {
-			t.Errorf("IsPrivateASN(%d) = %v", asn, got)
-		}
-	}
-}

@@ -11,17 +11,14 @@ package server
 // under one hold of its lock and in one write.
 
 import (
-	"net"
 	"net/netip"
 	"slices"
 	"sync"
 	"time"
 
 	"peering/internal/bgp"
-	"peering/internal/bufpool"
 	"peering/internal/dampen"
 	"peering/internal/policy/compiled"
-	"peering/internal/router"
 	"peering/internal/wire"
 )
 
@@ -46,13 +43,12 @@ type clientSessHandler struct {
 type clientBurst struct {
 	vetted []vettedUpdate // what passed vetting, in arrival order
 	ups    []*Upstream    // BIRD mode: every upstream a path ID named
-	// runs and nlris are one upstream's share of vetted at a time: what
-	// each UPDATE withdraws and announces toward it, back to back.
-	runs  []relayRun
+	// runs is one upstream's share of vetted at a time: what each UPDATE
+	// withdraws and announces toward it, their NLRIs back to back in
+	// nlris. sent is which of them went out.
+	runs  []wire.Update
 	nlris []wire.NLRI
-	// encoded is the size of the last share's encoding, the buffer the
-	// next one asks the pool for.
-	encoded int
+	sent  []bool
 }
 
 // vettedUpdate is one UPDATE of a burst after vetting.
@@ -62,17 +58,6 @@ type vettedUpdate struct {
 	// attrs is *upd.Attrs after attribute hygiene but NEXT_HOP, set when
 	// upd announces anything.
 	attrs wire.Attrs
-}
-
-// relayRun is what one vetted UPDATE sends one upstream: the
-// withdrawals nlris[start:mid], then the announcements nlris[mid:end],
-// which carry attrs.
-type relayRun struct {
-	attrs           *wire.Attrs
-	start, mid, end int
-	// unsent marks a run that did not go out; its announcements stay
-	// pending for the upstream's Established replay.
-	unsent bool
 }
 
 // upstreamsOr returns only — a Quagga-mode client session's reach — or
@@ -201,7 +186,7 @@ func (s *Server) vetUpdate(c *clientConn, only *Upstream, b *clientBurst, upd *w
 	foreignOrigin := false
 	if len(reach) > 0 {
 		origin := upd.Attrs.OriginAS()
-		foreignOrigin = origin != 0 && origin != s.cfg.ASN && !router.IsPrivateASN(origin)
+		foreignOrigin = origin != 0 && origin != s.cfg.ASN && !wire.IsPrivateASN(origin)
 	}
 
 	// Per prefix: ownership. No hijacks, no leaks of non-testbed space.
@@ -286,11 +271,18 @@ func (s *Server) relayBurst(c *clientConn, only *Upstream, b *clientBurst, now t
 // relayToUpstream applies the burst's vetted UPDATEs to upstream u in
 // arrival order — the NLRIs addressed to it: all of them in Quagga mode,
 // in BIRD mode those whose path ID is u's — under one hold of u.mu, and
-// sends what the world should hear of them as one write.
+// hands what the world should hear of them, one run per UPDATE, to the
+// session's run writer.
 func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, b *clientBurst, now time.Time) {
 	id := c.account.ID
 	key := dampen.Key{Source: c.account.TunnelAddr}
-	runs, nlris := b.runs[:0], b.nlris[:0]
+	// nlris has room for every NLRI of the burst up front, so that the
+	// runs can slice it as it fills.
+	total := 0
+	for i := range b.vetted {
+		total += len(b.vetted[i].upd.Withdrawn) + len(b.vetted[i].upd.Reach)
+	}
+	runs, nlris := b.runs[:0], slices.Grow(b.nlris[:0], total)
 	strikes := 0
 
 	u.mu.Lock()
@@ -302,7 +294,7 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, b *clien
 	for i := range b.vetted {
 		v := &b.vetted[i]
 		var attrs *wire.Attrs // v.attrs, completed for u at the first announcement
-		r := relayRun{start: len(nlris)}
+		start := len(nlris)
 		for _, n := range v.upd.Withdrawn {
 			if bird && uint32(n.ID) != u.cfg.ID {
 				continue
@@ -319,7 +311,7 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, b *clien
 				nlris = append(nlris, wire.NLRI{Prefix: n.Prefix})
 			}
 		}
-		r.mid = len(nlris)
+		mid := len(nlris)
 		for _, n := range v.upd.Reach {
 			if bird && uint32(n.ID) != u.cfg.ID {
 				continue
@@ -364,8 +356,8 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, b *clien
 			}
 			u.advertised[n.Prefix] = &advert{owner: id, attrs: attrs, announced: now, pending: !est}
 		}
-		if r.attrs, r.end = attrs, len(nlris); r.end > r.start {
-			runs = append(runs, r)
+		if len(nlris) > start {
+			runs = append(runs, wire.Update{Withdrawn: nlris[start:mid], Attrs: attrs, Reach: nlris[mid:]})
 		}
 	}
 	u.mu.Unlock()
@@ -379,48 +371,28 @@ func (s *Server) relayToUpstream(c *clientConn, u *Upstream, bird bool, b *clien
 	if len(runs) == 0 {
 		return
 	}
-	// Every run is encoded into one pooled buffer the session writes as
-	// is: no message is allocated, and the burst is one write. A run that
-	// does not encode is left out, as it would have been alone.
-	opts := sess.Options()
-	enc, msgs := bufpool.Get(b.encoded)[:0], 0
-	for i := range runs {
-		r := &runs[i]
-		out, n, err := wire.AppendRun(enc, nlris[r.start:r.mid], r.attrs, nlris[r.mid:r.end], opts)
-		if err != nil {
-			r.unsent = true
-			continue
-		}
-		enc, msgs = out, msgs+n
-	}
-	var err error
-	if msgs > 0 {
-		err = sess.SendEncoded(net.Buffers{enc}, msgs)
-	}
-	b.encoded = len(enc)
-	bufpool.Put(enc)
-
 	// A run that did not go out — the session died under us, or the run
 	// did not encode — leaves its adverts recorded for the replay, which
 	// also closes their convergence measurement.
+	sent, _ := sess.SendRuns(runs, b.sent)
+	b.sent = sent
 	relayed, lost := 0, false
 	for i := range runs {
-		r := &runs[i]
-		if r.unsent = r.unsent || err != nil; r.unsent {
-			lost = true
+		if sent[i] {
+			relayed += len(runs[i].Reach)
 		} else {
-			relayed += r.end - r.mid
+			lost = true
 		}
 	}
 	if lost {
 		u.mu.Lock()
-		for _, r := range runs {
-			if !r.unsent {
+		for i, r := range runs {
+			if sent[i] {
 				continue
 			}
-			for _, n := range nlris[r.mid:r.end] {
+			for _, n := range r.Reach {
 				// Not an advert a later run of the burst replaced.
-				if ad := u.advertised[n.Prefix]; ad != nil && ad.owner == id && ad.attrs == r.attrs && ad.announced.Equal(now) {
+				if ad := u.advertised[n.Prefix]; ad != nil && ad.owner == id && ad.attrs == r.Attrs && ad.announced.Equal(now) {
 					ad.pending = true
 				}
 			}
@@ -453,7 +425,7 @@ func (s *Server) vettedPath(in []wire.Segment) []wire.Segment {
 	for _, seg := range in {
 		start := len(asns)
 		for _, asn := range seg.ASNs {
-			if asn == own || !router.IsPrivateASN(asn) {
+			if asn == own || !wire.IsPrivateASN(asn) {
 				asns = append(asns, asn)
 			}
 		}

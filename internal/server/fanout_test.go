@@ -6,6 +6,7 @@ import (
 	"maps"
 	"net"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,10 +229,23 @@ func TestOutQueueBackpressureCounters(t *testing.T) {
 type writeCounter struct {
 	*faultconn.Conn
 	calls, eors atomic.Int32
+	// updates and updateBytes count the calls that begin with an UPDATE,
+	// and their bytes.
+	updates     atomic.Int32
+	updateBytes atomic.Int64
+}
+
+// update counts a write call of n bytes that begins with first.
+func (w *writeCounter) update(first []byte, n int) {
+	if len(first) >= wire.HeaderLen && first[wire.HeaderLen-1] == byte(wire.MsgUpdate) {
+		w.updates.Add(1)
+		w.updateBytes.Add(int64(n))
+	}
 }
 
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.calls.Add(1)
+	w.update(p, len(p))
 	n, err := w.Conn.Write(p)
 	// A marker is an UPDATE with nothing in it, alone in a tunnel frame
 	// or, on an upstream's transport, alone in a write.
@@ -243,6 +257,13 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 
 func (w *writeCounter) WriteBuffers(bufs net.Buffers) (int64, error) {
 	w.calls.Add(1)
+	if len(bufs) > 0 {
+		n := 0
+		for _, b := range bufs {
+			n += len(b)
+		}
+		w.update(bufs[0], n)
+	}
 	return w.Conn.WriteBuffers(bufs)
 }
 
@@ -609,6 +630,87 @@ func TestAnnounceBurstSendFailureStaysPending(t *testing.T) {
 		}
 	}
 	penalties("after the replay", 999)
+}
+
+// TestEstablishedReplayIsFewWrites: 1 000 adverts over 3 attribute sets,
+// accepted while the upstream was down, go out on its Established
+// replay in at most ⌈bytes / 64 KiB⌉ + 1 transport writes, End-of-RIB
+// included, and each converges exactly once.
+func TestEstablishedReplayIsFewWrites(t *testing.T) {
+	const n = 1000
+	r := newSoloSupervisedRig(t)
+	if err := r.srv.RegisterClient(ClientAccount{
+		ID: "exp2", Allocation: []netip.Prefix{prefix("10.0.0.0/8")}, TunnelAddr: addr("10.250.0.2"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ca, cb := bufconn.Pipe()
+	if err := r.srv.AcceptClient("exp2", ca); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Connect(client.Config{Name: "exp2", RouterID: addr("10.250.0.2"), Clock: r.clk}, cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	if err := cl.WaitEstablished(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	r.killTransport()
+	waitFor(t, "upstream death noticed", func() bool { return r.sup.Stats().ConsecutiveFailures == 1 })
+	var burst []*wire.Update
+	var pfxs []netip.Prefix
+	for i := 0; i < n; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i / 256), byte(i), 0}), 24)
+		attrs := clientAttrs(testbedASN)
+		attrs.Communities = []wire.Community{wire.MakeCommunity(65000, uint16(i%3))}
+		pfxs = append(pfxs, p)
+		burst = append(burst, &wire.Update{Attrs: attrs, Reach: []wire.NLRI{{Prefix: p}}})
+	}
+	h := &clientSessHandler{srv: r.srv, c: clientByID(r.srv, "exp2"), upstream: r.u}
+	h.UpdateBatchReceived(nil, burst)
+	pending := func() (k int) {
+		for _, ad := range upstreamAdverts(r.u) {
+			if strings.HasSuffix(ad, " pending") {
+				k++
+			}
+		}
+		return k
+	}
+	if got := pending(); got != n {
+		t.Fatalf("%d adverts pending with the upstream down, want %d", got, n)
+	}
+	baseCount, _ := r.srv.ConvergenceSamples()
+
+	r.clk.Advance(1100 * time.Millisecond)
+	waitFor(t, "the replay and End-of-RIB at the upstream", func() bool {
+		r.mu.Lock()
+		end := r.serverEnd
+		r.mu.Unlock()
+		if end.eors.Load() != 1 {
+			return false
+		}
+		for _, p := range pfxs {
+			if r.up.LocRIB().Best(p) == nil {
+				return false
+			}
+		}
+		return true
+	})
+	r.mu.Lock()
+	end := r.serverEnd
+	r.mu.Unlock()
+	writes, size := end.updates.Load(), end.updateBytes.Load()
+	if most := (size+64<<10-1)/(64<<10) + 1; int64(writes) > most {
+		t.Fatalf("the replay took %d writes for %d bytes, want at most %d", writes, size, most)
+	}
+	if count, _ := r.srv.ConvergenceSamples(); count != baseCount+n {
+		t.Fatalf("%d convergence observations for %d pending adverts", count-baseCount, n)
+	}
+	if got := pending(); got != 0 {
+		t.Fatalf("%d adverts still pending after the replay", got)
+	}
 }
 
 // upstreamSess reads the server-side session toward an upstream.

@@ -621,34 +621,41 @@ type upstreamHandler struct{ u *Upstream }
 
 func (h *upstreamHandler) Established(sess *bgp.Session) {
 	u := h.u
-	var outs []wire.AttrRoute
-	u.mu.Lock()
-	u.sess = sess
 	// Re-announce everything we were advertising on this peering before
 	// the restart (including stale adverts: they have not been withdrawn
-	// from the world, so the recovered peer must keep hearing them).
+	// from the world, so the recovered peer must keep hearing them), one
+	// run per interned attribute set.
+	var runs []wire.Update
+	idx := make(map[*wire.Attrs]int)
+	u.mu.Lock()
+	u.sess = sess
 	for p, ad := range u.advertised {
-		outs = append(outs, wire.AttrRoute{NLRI: wire.NLRI{Prefix: p}, Attrs: ad.attrs})
+		if _, ok := idx[ad.attrs]; !ok {
+			idx[ad.attrs], runs = len(runs), append(runs, wire.Update{Attrs: ad.attrs})
+		}
+		runs[idx[ad.attrs]].Reach = append(runs[idx[ad.attrs]].Reach, wire.NLRI{Prefix: p})
 	}
 	u.mu.Unlock()
-	for _, upd := range wire.PackUpdates(nil, outs, sess.Options()) {
-		if sess.Send(upd) != nil {
-			if !sess.Established() {
-				return // session died mid-replay; the next Established retries
-			}
-			continue // refused: it does not encode, and stays pending
+	// A run that does not encode stays pending. Announcements accepted
+	// while the peering was down, pending their first send, converge
+	// here once their run went out.
+	sent, err := sess.SendRuns(runs, nil)
+	now := u.srv.clk.Now()
+	u.mu.Lock()
+	for i, r := range runs {
+		if !sent[i] {
+			continue
 		}
-		// Announcements accepted while the peering was down (still pending
-		// their first send) converge here.
-		now := u.srv.clk.Now()
-		u.mu.Lock()
-		for _, n := range upd.Reach {
-			if ad := u.advertised[n.Prefix]; ad != nil && ad.pending {
+		for _, n := range r.Reach {
+			if ad := u.advertised[n.Prefix]; ad != nil && ad.pending && ad.attrs == r.Attrs {
 				ad.pending = false
 				u.srv.metrics.convergence.Observe(now.Sub(ad.announced).Seconds())
 			}
 		}
-		u.mu.Unlock()
+	}
+	u.mu.Unlock()
+	if err != nil {
+		return // the session died mid-replay; the next Established retries
 	}
 	// End-of-RIB: tells a graceful-restart peer our replay is complete.
 	sess.Send(&wire.Update{})
@@ -1112,9 +1119,7 @@ func (s *Server) dropClientAdverts(id string, only *Upstream, staleOnly bool) {
 		u.mu.Unlock()
 		total += len(wd)
 		if len(wd) > 0 && sess != nil {
-			for _, upd := range wire.PackUpdates(wd, nil, sess.Options()) {
-				sess.Send(upd)
-			}
+			sess.SendRuns([]wire.Update{{Withdrawn: wd}}, nil)
 		}
 	}
 	if !staleOnly {

@@ -68,6 +68,11 @@ type Segment struct {
 	ASNs []uint32
 }
 
+// IsPrivateASN reports whether asn is in the RFC 6996 private ranges.
+func IsPrivateASN(asn uint32) bool {
+	return (asn >= 64512 && asn <= 65534) || (asn >= 4200000000 && asn <= 4294967294)
+}
+
 // Community is an RFC 1997 community value.
 type Community uint32
 

@@ -2,13 +2,6 @@ package wire
 
 import "peering/internal/bufpool"
 
-// AttrRoute pairs one announced NLRI with its path attributes, the unit
-// of work the batch packer consumes.
-type AttrRoute struct {
-	NLRI  NLRI
-	Attrs *Attrs
-}
-
 // AttrGroup is a run of announced NLRIs sharing one attribute set — the
 // pre-grouped input PackGrouped consumes.
 type AttrGroup struct {
@@ -223,60 +216,4 @@ func AppendGroups(b []byte, withdrawn []NLRI, groups []AttrGroup, opt Options, c
 		}
 	}
 	return b, counts
-}
-
-// PackUpdates packs withdrawals and announcements into as few UPDATE
-// messages as MaxMsgLen allows: announcements sharing an identical
-// canonical attribute encoding ride in one message, split only when the
-// NLRI would overflow the 4096-byte frame. Withdrawals come first (in
-// their own messages), then one run of messages per attribute group, so
-// a caller that emits at most one operation per prefix — what the
-// ingest fold guarantees of every fan-out frame — keeps per-prefix
-// ordering intact even though prefixes with different attributes are
-// regrouped.
-//
-// Attrs are only read (hashed and marshaled once per group) and the
-// produced updates alias the caller's Attrs pointers and withdrawn
-// slice; see PackGrouped for the full aliasing contract. The Reach
-// slices are freshly built here (routes itself is not aliased).
-func PackUpdates(withdrawn []NLRI, routes []AttrRoute, opt Options) []*Update {
-	// Gather routes into attrs-pointer runs, preserving first-appearance
-	// order of groups and of NLRIs within a group, then let PackGrouped
-	// do the canonical merge and splitting. Interned callers collapse to
-	// a single group here. The NLRIs of all groups share one
-	// exactly-sized arena, carved in group order.
-	idx := make(map[*Attrs]int, 4)
-	var groups []AttrGroup
-	counts := make([]int, 0, 4)
-	for _, r := range routes {
-		if r.Attrs == nil {
-			continue
-		}
-		i, ok := idx[r.Attrs]
-		if !ok {
-			i = len(groups)
-			idx[r.Attrs] = i
-			groups = append(groups, AttrGroup{Attrs: r.Attrs})
-			counts = append(counts, 0)
-		}
-		counts[i]++
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	arena := make([]NLRI, 0, total)
-	for i := range groups {
-		off := len(arena)
-		groups[i].NLRIs = arena[off : off : off+counts[i]]
-		arena = arena[:off+counts[i]]
-	}
-	for _, r := range routes {
-		if r.Attrs == nil {
-			continue
-		}
-		i := idx[r.Attrs]
-		groups[i].NLRIs = append(groups[i].NLRIs, r.NLRI)
-	}
-	return PackGrouped(withdrawn, groups, opt)
 }

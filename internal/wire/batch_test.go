@@ -25,132 +25,153 @@ func batchAttrs(asn uint32) *Attrs {
 	}
 }
 
-func TestPackUpdatesGroupsByAttrs(t *testing.T) {
-	a1 := batchAttrs(100)
-	a2 := batchAttrs(200)
-	a1b := batchAttrs(100) // distinct pointer, identical encoding
-	routes := []AttrRoute{
-		{NLRI: NLRI{Prefix: batchPrefix(t, "10.0.0.0/24")}, Attrs: a1},
-		{NLRI: NLRI{Prefix: batchPrefix(t, "10.0.1.0/24")}, Attrs: a2},
-		{NLRI: NLRI{Prefix: batchPrefix(t, "10.0.2.0/24")}, Attrs: a1b},
+// readUpdates parses b, whole messages encoded under opt, back into
+// UPDATEs, failing on anything else or on a message over MaxMsgLen.
+func readUpdates(t *testing.T, b []byte, opt Options) []*Update {
+	t.Helper()
+	var out []*Update
+	for r := bytes.NewReader(b); r.Len() > 0; {
+		size := r.Len()
+		m, err := ReadMessage(r, opt)
+		if err != nil {
+			t.Fatalf("message %d: %v", len(out), err)
+		}
+		if n := size - r.Len(); n > MaxMsgLen {
+			t.Fatalf("message %d is %d bytes", len(out), n)
+		}
+		u, ok := m.(*Update)
+		if !ok {
+			t.Fatalf("message %d is a %v", len(out), m.Type())
+		}
+		out = append(out, u)
 	}
-	out := PackUpdates(nil, routes, Options{AS4: true})
-	if len(out) != 2 {
-		t.Fatalf("got %d updates, want 2 (one per attribute group): %+v", len(out), out)
+	return out
+}
+
+// TestAppendGroupsOneMessagePerGroup: groups that fit ride one message
+// each, in input order, their NLRIs in order. PackGrouped, the oracle of
+// the tests below, also merges a set behind a second pointer whose
+// encoding is the same.
+func TestAppendGroupsOneMessagePerGroup(t *testing.T) {
+	groups := []AttrGroup{
+		{Attrs: batchAttrs(100), NLRIs: []NLRI{{Prefix: batchPrefix(t, "10.0.0.0/24")}, {Prefix: batchPrefix(t, "10.0.2.0/24")}}},
+		{Attrs: batchAttrs(200), NLRIs: []NLRI{{Prefix: batchPrefix(t, "10.0.1.0/24")}}},
 	}
-	if len(out[0].Reach) != 2 || len(out[1].Reach) != 1 {
-		t.Fatalf("group sizes = %d, %d; want 2, 1", len(out[0].Reach), len(out[1].Reach))
+	b, counts := AppendGroups(nil, nil, groups, Options{AS4: true}, nil)
+	out := readUpdates(t, b, Options{AS4: true})
+	if len(out) != 2 || !slices.Equal(counts, []int{2, 1}) {
+		t.Fatalf("got %d updates counted %v, want 2 counted [2 1] (one per attribute group)", len(out), counts)
 	}
-	if out[0].Reach[0].Prefix != routes[0].NLRI.Prefix || out[0].Reach[1].Prefix != routes[2].NLRI.Prefix {
-		t.Fatalf("first group lost NLRI order: %v", out[0].Reach)
+	for i, g := range groups {
+		if !slices.Equal(out[i].Reach, g.NLRIs) || out[i].Attrs.FirstAS() != g.Attrs.FirstAS() {
+			t.Fatalf("message %d = %v from AS%d, want group %d's %v", i, out[i].Reach, out[i].Attrs.FirstAS(), i, g.NLRIs)
+		}
+	}
+	twin := AttrGroup{Attrs: batchAttrs(100), NLRIs: []NLRI{{Prefix: batchPrefix(t, "10.0.3.0/24")}}}
+	if packed := PackGrouped(nil, append(groups, twin), Options{AS4: true}); len(packed) != 2 || len(packed[0].Reach) != 3 {
+		t.Fatalf("PackGrouped kept an identical set behind a second pointer apart: %+v", packed)
 	}
 }
 
-func TestPackUpdatesWithdrawFirstAndOrdered(t *testing.T) {
+func TestAppendRunWithdrawFirstAndOrdered(t *testing.T) {
 	wd := []NLRI{
 		{Prefix: batchPrefix(t, "10.1.0.0/24")},
 		{Prefix: batchPrefix(t, "10.1.1.0/24")},
 	}
-	routes := []AttrRoute{{NLRI: NLRI{Prefix: batchPrefix(t, "10.2.0.0/24")}, Attrs: batchAttrs(100)}}
-	out := PackUpdates(wd, routes, Options{AS4: true})
-	if len(out) != 2 {
-		t.Fatalf("got %d updates, want 2", len(out))
+	reach := []NLRI{{Prefix: batchPrefix(t, "10.2.0.0/24")}}
+	b, msgs, err := AppendRun(nil, wd, batchAttrs(100), reach, Options{AS4: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := out[0].Withdrawn; len(got) != 2 || got[0] != wd[0] || got[1] != wd[1] {
-		t.Fatalf("withdraw message = %v, want %v first", got, wd)
+	out := readUpdates(t, b, Options{AS4: true})
+	if msgs != 2 || len(out) != 2 {
+		t.Fatalf("got %d updates (%d counted), want 2", len(out), msgs)
 	}
-	if len(out[1].Reach) != 1 {
+	if got := out[0].Withdrawn; !slices.Equal(got, wd) || len(out[0].Reach) != 0 {
+		t.Fatalf("first message = %+v, want the withdrawals %v alone", out[0], wd)
+	}
+	if !slices.Equal(out[1].Reach, reach) || len(out[1].Withdrawn) != 0 {
 		t.Fatalf("announce message = %+v", out[1])
 	}
 }
 
-func TestPackUpdatesSplitsAtMaxMsgLen(t *testing.T) {
+func TestAppendRunSplitsAtMaxMsgLen(t *testing.T) {
 	// Enough /24s to overflow one 4096-byte frame (4 bytes each encoded,
 	// 9 with ADD-PATH), all sharing one attribute set.
 	attrs := batchAttrs(100)
-	var routes []AttrRoute
+	var reach []NLRI
 	for i := 0; i < 2000; i++ {
 		p := batchPrefix(t, fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))
-		routes = append(routes, AttrRoute{NLRI: NLRI{Prefix: p, ID: PathID(i)}, Attrs: attrs})
+		reach = append(reach, NLRI{Prefix: p, ID: PathID(i)})
 	}
 	for _, opt := range []Options{{AS4: true}, {AS4: true, AddPath: true}} {
-		out := PackUpdates(nil, routes, opt)
-		if len(out) < 2 {
-			t.Fatalf("opt %+v: 2000 routes fit in %d message(s)?", opt, len(out))
+		b, msgs, err := AppendRun(nil, nil, attrs, reach, opt)
+		if err != nil {
+			t.Fatalf("opt %+v: %v", opt, err)
 		}
-		total := 0
-		for _, u := range out {
-			b, err := Marshal(u, opt)
-			if err != nil {
-				t.Fatalf("opt %+v: Marshal: %v", opt, err)
-			}
-			if len(b) > MaxMsgLen {
-				t.Fatalf("opt %+v: packed message is %d bytes", opt, len(b))
-			}
-			total += len(u.Reach)
+		out := readUpdates(t, b, opt)
+		if len(out) < 2 || msgs != len(out) {
+			t.Fatalf("opt %+v: 2000 routes fit in %d message(s), %d counted?", opt, len(out), msgs)
 		}
 		// Order across the split must be preserved.
-		i := 0
+		var got []NLRI
 		for _, u := range out {
-			for _, n := range u.Reach {
-				if n != routes[i].NLRI {
-					t.Fatalf("opt %+v: NLRI %d = %v, want %v", opt, i, n, routes[i].NLRI)
-				}
-				i++
+			got = append(got, u.Reach...)
+		}
+		want := reach
+		if !opt.AddPath { // a path ID does not cross a session without ADD-PATH
+			want = nil
+			for _, n := range reach {
+				want = append(want, NLRI{Prefix: n.Prefix})
 			}
 		}
-		if total != len(routes) {
-			t.Fatalf("opt %+v: packed %d NLRIs, want %d", opt, total, len(routes))
+		if !slices.Equal(got, want) {
+			t.Fatalf("opt %+v: %d NLRIs read back, want the %d sent in order", opt, len(got), len(want))
 		}
 	}
 }
 
-func TestPackUpdatesLargeWithdrawSplit(t *testing.T) {
+func TestAppendRunLargeWithdrawSplit(t *testing.T) {
 	var wd []NLRI
 	for i := 0; i < 1200; i++ {
 		wd = append(wd, NLRI{Prefix: batchPrefix(t, fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))})
 	}
-	out := PackUpdates(wd, nil, Options{AS4: true})
-	if len(out) < 2 {
-		t.Fatalf("1200 withdrawals fit in %d message(s)?", len(out))
+	b, msgs, err := AppendRun(nil, wd, nil, nil, Options{AS4: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := 0
+	out := readUpdates(t, b, Options{AS4: true})
+	if len(out) < 2 || msgs != len(out) {
+		t.Fatalf("1200 withdrawals fit in %d message(s), %d counted?", len(out), msgs)
+	}
+	var got []NLRI
 	for _, u := range out {
 		if len(u.Reach) != 0 || u.Attrs != nil {
 			t.Fatalf("withdraw-only message carries announcements: %+v", u)
 		}
-		b, err := Marshal(u, Options{AS4: true})
-		if err != nil {
-			t.Fatalf("Marshal: %v", err)
-		}
-		if len(b) > MaxMsgLen {
-			t.Fatalf("packed withdraw message is %d bytes", len(b))
-		}
-		total += len(u.Withdrawn)
+		got = append(got, u.Withdrawn...)
 	}
-	if total != len(wd) {
-		t.Fatalf("packed %d withdrawals, want %d", total, len(wd))
+	if !slices.Equal(got, wd) {
+		t.Fatalf("read back %d withdrawals, want the %d sent in order", len(got), len(wd))
 	}
 }
 
-// TestPackUpdatesDoesNotMutateAttrs enforces the immutability contract:
-// the packer only reads the attribute sets it is handed (the same
+// TestAppendDoesNotMutateAttrs enforces the immutability contract: the
+// encoders only read the attribute sets they are handed (the same
 // pointer may be shared by the Adj-RIB-In and every client's queue).
-func TestPackUpdatesDoesNotMutateAttrs(t *testing.T) {
+func TestAppendDoesNotMutateAttrs(t *testing.T) {
 	attrs := batchAttrs(100)
 	attrs.Communities = []Community{MakeCommunity(47065, 1)}
 	attrs.HasMED, attrs.MED = true, 50
 	snapshot := attrs.Clone()
-	routes := []AttrRoute{
-		{NLRI: NLRI{Prefix: batchPrefix(t, "10.0.0.0/24")}, Attrs: attrs},
-		{NLRI: NLRI{Prefix: batchPrefix(t, "10.0.1.0/24")}, Attrs: attrs},
+	wd := []NLRI{{Prefix: batchPrefix(t, "10.9.0.0/24")}}
+	reach := []NLRI{{Prefix: batchPrefix(t, "10.0.0.0/24")}, {Prefix: batchPrefix(t, "10.0.1.0/24")}}
+	if _, _, err := AppendRun(nil, wd, attrs, reach, Options{AS4: true}); err != nil {
+		t.Fatal(err)
 	}
-	out := PackUpdates([]NLRI{{Prefix: batchPrefix(t, "10.9.0.0/24")}}, routes, Options{AS4: true})
+	AppendGroups(nil, wd, []AttrGroup{{Attrs: attrs, NLRIs: reach}}, Options{AS4: true, AddPath: true}, nil)
 	if !reflect.DeepEqual(attrs.Clone(), snapshot) {
-		t.Fatalf("PackUpdates mutated attrs:\n got %+v\nwant %+v", attrs, snapshot)
-	}
-	if len(out) != 2 || out[1].Attrs != attrs {
-		t.Fatalf("packed update should alias the caller's attrs (documented contract)")
+		t.Fatalf("encoding mutated attrs:\n got %+v\nwant %+v", attrs, snapshot)
 	}
 }
 
