@@ -185,8 +185,17 @@ COMPILED_LINES_MAX = 770
 # that ROADMAP items 17 and 19, which shrink them, start from a gate.
 WIRE_LINES_MAX = 2195
 FEDERATION_LINES_MAX = 1200
+# internal/policy: 267 → 108 when the interpreted import/export chain
+# went and the package kept the relationship model and peering kinds; a
+# rule language growing back here fails the gate (route filters belong
+# in policy/compiled).
+POLICY_LINES_MAX = 108
+# internal/router: 572 → 545 when PeerConfig lost its Import/Export
+# hooks and Router.Originated went, so that ROADMAP items 20 and 21,
+# which rework its import and export paths, start from a gate.
+ROUTER_LINES_MAX = 545
 lines:
-	@for c in server:$(SERVER_LINES_MAX) rib:$(RIB_LINES_MAX) trie:$(TRIE_LINES_MAX) policy/compiled:$(COMPILED_LINES_MAX) wire:$(WIRE_LINES_MAX) federation:$(FEDERATION_LINES_MAX); do \
+	@for c in server:$(SERVER_LINES_MAX) rib:$(RIB_LINES_MAX) trie:$(TRIE_LINES_MAX) policy/compiled:$(COMPILED_LINES_MAX) wire:$(WIRE_LINES_MAX) federation:$(FEDERATION_LINES_MAX) policy:$(POLICY_LINES_MAX) router:$(ROUTER_LINES_MAX); do \
 		pkg=internal/$${c%%:*}; max=$${c##*:}; \
 		n=$$(cat $$(ls $$pkg/*.go | grep -v _test.go) | wc -l); \
 		echo "$$pkg: $$n non-test lines (ceiling $$max)"; \

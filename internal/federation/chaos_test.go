@@ -205,8 +205,14 @@ func TestChaosFederationRemoteFlap(t *testing.T) {
 	}
 
 	// The remote profile flaps on the order of hours; march the clock
-	// through one full MTBF in keepalive-safe steps.
-	waitForV(t, clk, "a remote L2 flap", 45*time.Second, func() bool {
+	// to the first flap in steps of half the keepalive interval (30 s,
+	// a third of bgp.DefaultHoldTime). Each step leaves only 0.5 ms of
+	// real time for the messages it made due, and seattle's upstream is
+	// not supervised: a hold timer that fires before the keepalive
+	// meant to reset it is read ends that session for good. At 15 s a
+	// keepalive has four steps to be read before that deadline; at 45 s
+	// it had one, which a -race build often missed.
+	waitForV(t, clk, "a remote L2 flap", 15*time.Second, func() bool {
 		return mesh.metrics.flaps.Value() >= 1
 	})
 	// Let the flap heal and the delayed frames drain.

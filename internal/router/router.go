@@ -1,8 +1,9 @@
 // Package router implements the testbed's software BGP router — the
 // role Quagga plays in the paper. A Router owns a Loc-RIB, per-peer
-// Adj-RIBs, import/export policy hooks, origination with per-peer
-// steering (selective announce, prepending, poisoning, communities),
-// private-ASN stripping, and iBGP/eBGP propagation rules.
+// Adj-RIBs, relationship-driven (Gao–Rexford) import and export,
+// origination with per-peer steering (selective announce, prepending,
+// poisoning, communities), private-ASN stripping, and iBGP/eBGP
+// propagation rules.
 //
 // The same Router type plays every BGP speaker around the mux: one per
 // PoP inside MinineXt emulations, the AS model behind IXP members and
@@ -53,13 +54,13 @@ type PeerConfig struct {
 	AS uint32
 	// Internal marks an iBGP session.
 	Internal bool
-	// Relationship drives Gao–Rexford export filtering and default
-	// LOCAL_PREF on import; RelNone disables both (explicit policy
-	// only).
+	// Relationship drives Gao–Rexford export filtering and the
+	// LOCAL_PREF assigned on eBGP import. RelNone assigns none (the
+	// decision process reads rib.DefaultLocalPref), and a RelNone
+	// peer's routes are exported like locally originated ones; the
+	// filter applies only when either side has a relationship, so a
+	// router with none configured exports everything.
 	Relationship policy.Relationship
-	// Import/Export policies run on every route in/out.
-	Import *policy.Policy
-	Export *policy.Policy
 	// AddPath offers ADD-PATH on the session.
 	AddPath bool
 	// HoldTime overrides the default session hold time.
@@ -318,21 +319,10 @@ func (r *Router) handleUpdate(p *Peer, s *bgp.Session, u *wire.Update) {
 				rt.Attrs.HasLocalPref = true
 			}
 		}
-		out, ok := p.cfg.Import.Apply(rt)
-		if !ok {
-			// Rejected by import policy: ensure no stale state.
-			p.mu.Lock()
-			p.adjIn.Remove(n.Prefix, n.ID)
-			p.mu.Unlock()
-			if ch, changed := r.loc.Withdraw(n.Prefix, rt.Src); changed {
-				r.propagate(ch)
-			}
-			continue
-		}
 		p.mu.Lock()
-		p.adjIn.Set(out)
+		p.adjIn.Set(rt)
 		p.mu.Unlock()
-		if ch, changed := r.loc.Update(out); changed {
+		if ch, changed := r.loc.Update(rt); changed {
 			r.propagate(ch)
 		}
 	}
@@ -394,14 +384,6 @@ func (r *Router) Withdraw(prefix netip.Prefix) {
 	if ch, changed := r.loc.Withdraw(prefix, rib.PeerKey{}); changed {
 		r.propagate(ch)
 	}
-}
-
-// Originated returns the announce spec for prefix, if we originate it.
-func (r *Router) Originated(prefix netip.Prefix) (AnnounceSpec, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.originated[prefix]
-	return s, ok
 }
 
 // specFor returns the announce spec if rt is locally originated.
@@ -530,25 +512,16 @@ func (r *Router) exportTransform(p *Peer, rt *rib.Route) *rib.Route {
 		// Transparent multilateral peering: attributes pass through
 		// untouched except LOCAL_PREF, which never crosses eBGP.
 		out.Attrs.HasLocalPref = false
-		res, ok := p.cfg.Export.Apply(&out)
-		if !ok {
-			return nil
+	} else {
+		// NEXT_HOP self (standard for eBGP; we also apply it on iBGP —
+		// next-hop-self is the common border-router configuration).
+		nh := p.cfg.LocalAddr
+		if !nh.IsValid() {
+			nh = r.cfg.RouterID
 		}
-		return res
+		out.Attrs.NextHop = nh
 	}
-	// NEXT_HOP self (standard for eBGP; we also apply it on iBGP —
-	// next-hop-self is the common border-router configuration).
-	nh := p.cfg.LocalAddr
-	if !nh.IsValid() {
-		nh = r.cfg.RouterID
-	}
-	out.Attrs.NextHop = nh
-
-	res, ok := p.cfg.Export.Apply(&out)
-	if !ok {
-		return nil
-	}
-	return res
+	return &out
 }
 
 // stripPrivateASNs removes private ASNs from the AS path, except

@@ -255,19 +255,34 @@ func TestGaoRexfordCustomerRoutesExported(t *testing.T) {
 	}
 }
 
-func TestImportPolicyRejection(t *testing.T) {
-	deny := (&policy.Policy{Name: "deny-66"}).Then(policy.Statement{
-		Cond: policy.MatchOriginAS(66), Accept: false,
-	})
-	deny.AcceptDefault = true
-	a, b := newPair(t, func(pa, pb *PeerConfig) { pb.Import = deny })
-	a.Announce(prefix("100.64.0.0/24"), AnnounceSpec{OriginASNs: []uint32{66}})
-	a.Announce(prefix("100.64.1.0/24"), AnnounceSpec{})
-	waitFor(t, func() bool { return b.LocRIB().Best(prefix("100.64.1.0/24")) != nil })
-	time.Sleep(50 * time.Millisecond)
-	if b.LocRIB().Best(prefix("100.64.0.0/24")) != nil {
-		t.Fatal("import policy did not reject origin-66 route")
+func TestPoisonedReannounceWithdrawsImplicitly(t *testing.T) {
+	// A(100) — B(200) — C(300). A announces P, then re-announces it
+	// poisoned with B's ASN. B must treat the poisoned advertisement as
+	// an implicit withdraw of the route it holds from A (RFC 4271 §9,
+	// LIFEGUARD's mechanism): drop it from its Adj-RIB-In and Loc-RIB,
+	// and withdraw it from C.
+	a := New(Config{AS: 100, RouterID: addr("10.0.0.1")})
+	b := New(Config{AS: 200, RouterID: addr("10.0.0.2")})
+	c := New(Config{AS: 300, RouterID: addr("10.0.0.3")})
+	connect(t, a, b,
+		PeerConfig{Addr: addr("10.0.0.2"), LocalAddr: addr("10.0.0.1"), AS: 200},
+		PeerConfig{Addr: addr("10.0.0.1"), LocalAddr: addr("10.0.0.2"), AS: 100})
+	connect(t, b, c,
+		PeerConfig{Addr: addr("10.0.0.3"), LocalAddr: addr("10.0.0.2"), AS: 300},
+		PeerConfig{Addr: addr("10.0.0.2"), LocalAddr: addr("10.0.0.3"), AS: 200})
+	p := prefix("100.64.0.0/24")
+	fromA := b.Peer(addr("10.0.0.1"))
+
+	a.Announce(p, AnnounceSpec{})
+	waitFor(t, func() bool { return c.LocRIB().Best(p) != nil })
+	if n := fromA.RoutesIn(); n != 1 {
+		t.Fatalf("B's Adj-RIB-In from A holds %d routes, want 1", n)
 	}
+
+	a.Announce(p, AnnounceSpec{Poison: []uint32{200}})
+	waitFor(t, func() bool { return fromA.RoutesIn() == 0 })
+	waitFor(t, func() bool { return b.LocRIB().Best(p) == nil })
+	waitFor(t, func() bool { return c.LocRIB().Best(p) == nil })
 }
 
 func TestPrivateASNStripping(t *testing.T) {
@@ -315,19 +330,23 @@ func TestIBGPNoReexportToIBGP(t *testing.T) {
 }
 
 func TestIBGPPreservesLocalPref(t *testing.T) {
+	// r0 (AS 50) is r1's eBGP customer; r1 and r2 share AS 100 over
+	// iBGP. The LOCAL_PREF r1 assigns its customer route on import must
+	// reach r2 unchanged: LOCAL_PREF crosses iBGP, not eBGP.
+	r0 := New(Config{AS: 50, RouterID: addr("10.0.0.9")})
 	r1 := New(Config{AS: 100, RouterID: addr("10.0.0.1")})
 	r2 := New(Config{AS: 100, RouterID: addr("10.0.0.2")})
-	lpSet := (&policy.Policy{Name: "lp", AcceptDefault: true}).Then(policy.Statement{
-		Cond: policy.MatchAny(), Accept: true, Actions: []policy.Action{policy.SetLocalPref(250)},
-	})
-	p1 := PeerConfig{Addr: addr("10.0.0.2"), LocalAddr: addr("10.0.0.1"), AS: 100, Internal: true, Export: lpSet}
-	p2 := PeerConfig{Addr: addr("10.0.0.1"), LocalAddr: addr("10.0.0.2"), AS: 100, Internal: true}
-	connect(t, r1, r2, p1, p2)
-	r1.Announce(prefix("100.64.0.0/24"), AnnounceSpec{})
+	connect(t, r0, r1,
+		PeerConfig{Addr: addr("10.0.0.1"), LocalAddr: addr("10.0.0.9"), AS: 100, Relationship: policy.RelProvider},
+		PeerConfig{Addr: addr("10.0.0.9"), LocalAddr: addr("10.0.0.1"), AS: 50, Relationship: policy.RelCustomer})
+	connect(t, r1, r2,
+		PeerConfig{Addr: addr("10.0.0.2"), LocalAddr: addr("10.0.0.1"), AS: 100, Internal: true},
+		PeerConfig{Addr: addr("10.0.0.1"), LocalAddr: addr("10.0.0.2"), AS: 100, Internal: true})
+	r0.Announce(prefix("100.64.0.0/24"), AnnounceSpec{})
 	waitFor(t, func() bool { return r2.LocRIB().Best(prefix("100.64.0.0/24")) != nil })
 	rt := r2.LocRIB().Best(prefix("100.64.0.0/24"))
-	if !rt.Attrs.HasLocalPref || rt.Attrs.LocalPref != 250 {
-		t.Fatalf("LOCAL_PREF across iBGP = %+v", rt.Attrs)
+	if want := policy.LocalPrefFor(policy.RelCustomer); !rt.Attrs.HasLocalPref || rt.Attrs.LocalPref != want {
+		t.Fatalf("LOCAL_PREF across iBGP = %+v, want %d", rt.Attrs, want)
 	}
 }
 
